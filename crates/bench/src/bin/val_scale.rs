@@ -6,7 +6,7 @@
 //! building. Each point seals one block (sequentially — the block bytes
 //! are mode-independent), then replays it with `validate_block`
 //! (sequential baseline) and `validate_block_with_mode` with
-//! `ValidationMode::Parallel`, asserts both verdicts are `Ok` with the
+//! `ExecMode::Parallel`, asserts both verdicts are `Ok` with the
 //! same artifacts, and reports mean replay wall-clock. The workload
 //! mirrors EXEC-PAR: `size` contract calls from distinct senders, a
 //! `conflict_pct`% subset hitting one shared counter contract.
@@ -26,7 +26,8 @@ use std::time::{Duration, Instant};
 use sereth_bench::exec_fixture::{candidates, fixture};
 use sereth_bench::{env_list_or, env_or, write_bench_artifact, BenchPoint};
 use sereth_chain::builder::{build_block, BlockLimits};
-use sereth_chain::validation::{validate_block, validate_block_with_mode, ValidationMode};
+use sereth_chain::parallel::ExecMode;
+use sereth_chain::validation::{validate_block, validate_block_with_mode};
 use sereth_crypto::address::Address;
 use sereth_types::block::Block;
 
@@ -48,7 +49,7 @@ fn measure(size: u64, conflict_pct: u64, threads: usize, reps: usize) -> Measure
     let built = build_block(&parent, &state, txs, Address::from_low_u64(0xfee), 15_000, &limits);
     let block: &Block = &built.block;
     assert_eq!(block.transactions.len() as u64, size, "every candidate must replay");
-    let mode = ValidationMode::Parallel { threads };
+    let mode = ExecMode::Parallel { threads };
 
     // Sanity before timing: both replay modes accept with the same bytes.
     let (seq_receipts, seq_post) = validate_block(&parent, &state, block).expect("sequential replay");
@@ -56,7 +57,7 @@ fn measure(size: u64, conflict_pct: u64, threads: usize, reps: usize) -> Measure
     assert_eq!(validated.receipts, seq_receipts, "replay receipts diverged in the bench fixture");
     assert_eq!(validated.post_state.state_root(), seq_post.state_root());
 
-    let time = |mode: &ValidationMode| {
+    let time = |mode: &ExecMode| {
         let start = Instant::now();
         for _ in 0..reps {
             let validated = validate_block_with_mode(&parent, &state, block, mode).expect("replay");
@@ -64,7 +65,7 @@ fn measure(size: u64, conflict_pct: u64, threads: usize, reps: usize) -> Measure
         }
         start.elapsed() / reps.max(1) as u32
     };
-    let sequential = time(&ValidationMode::Sequential);
+    let sequential = time(&ExecMode::Sequential);
     let parallel = time(&mode);
     let speedup = sequential.as_nanos() as f64 / parallel.as_nanos().max(1) as f64;
     Measured { sequential, parallel, speedup }

@@ -14,7 +14,7 @@ use sereth_types::receipt::Receipt;
 use sereth_types::transaction::Transaction;
 
 use crate::executor::{apply_transaction, BlockEnv};
-use crate::parallel::{self, ExecMode, ExecOutcome, ExecStats, PipelineSink};
+use crate::parallel::{self, ExecMode, ExecOutcome, ExecStats};
 use crate::state::StateDb;
 
 /// Limits for one block.
@@ -120,51 +120,6 @@ pub fn build_block_traced(
             parallel::execute_candidates(&mut state, &env, candidates, limits, *threads, telemetry)
         }
     };
-    seal(parent, state, outcome, miner, timestamp_ms, limits, telemetry)
-}
-
-/// [`build_block_traced`] consuming a cross-block [`PipelineSink`]: the
-/// candidates run on the wave executor with the sink's prespeculated
-/// outcomes prefed (valid ones merge without re-execution; the rest fall
-/// back live). The sealed block is byte-identical to what
-/// [`build_block_traced`] produces for the same inputs in *either* mode —
-/// the pipeline only moves work, never results.
-///
-/// Always routes through the wave executor, whatever the configured mode:
-/// consuming prefed outcomes needs no worker threads, so even a
-/// `threads == 1` (or sequential-mode) node overlaps this way.
-#[allow(clippy::too_many_arguments)] // the pipelined twin of build_block_traced
-pub fn build_block_pipelined(
-    parent: &BlockHeader,
-    parent_state: &StateDb,
-    candidates: &[Transaction],
-    miner: Address,
-    timestamp_ms: u64,
-    limits: &BlockLimits,
-    threads: usize,
-    pipeline: &mut PipelineSink,
-    telemetry: &Telemetry,
-) -> BuiltBlock {
-    let mut state = parent_state.clone();
-    state.clear_journal();
-    let env = BlockEnv { number: parent.number + 1, timestamp_ms, gas_limit: limits.gas_limit, miner };
-    let outcome = parallel::execute_candidates_pipelined(
-        &mut state, &env, candidates, limits, threads, telemetry, pipeline,
-    );
-    seal(parent, state, outcome, miner, timestamp_ms, limits, telemetry)
-}
-
-/// The shared seal tail: computes the commitment roots over the executed
-/// outcome and assembles the header, timed as [`Phase::Seal`].
-fn seal(
-    parent: &BlockHeader,
-    mut state: StateDb,
-    outcome: ExecOutcome,
-    miner: Address,
-    timestamp_ms: u64,
-    limits: &BlockLimits,
-    telemetry: &Telemetry,
-) -> BuiltBlock {
     let ExecOutcome { included, receipts, gas_used, skipped, stats } = outcome;
     telemetry.time(Phase::Seal, || {
         state.clear_journal();

@@ -13,8 +13,8 @@
 //!   candidates in waves, byte-equivalent to the sequential loop;
 //! * [`validation`] — replay validation, the mechanism that both enforces
 //!   consistency and (paper §II-D) creates the READ-COMMITTED latency the
-//!   paper attacks; replay runs sequentially or on the wave executor
-//!   ([`validation::ValidationMode`]), with identical verdicts;
+//!   paper attacks; replay runs sequentially or on the wave executor under
+//!   the builder's own [`parallel::ExecMode`], with identical verdicts;
 //! * [`store`] — fork choice and canonical-chain tracking;
 //! * [`genesis`] — block-zero construction.
 
@@ -30,12 +30,10 @@ pub mod store;
 pub mod txpool;
 pub mod validation;
 
-pub use builder::{
-    build_block, build_block_pipelined, build_block_traced, build_block_with_mode, BlockLimits, BuiltBlock,
-};
+pub use builder::{build_block, build_block_traced, build_block_with_mode, BlockLimits, BuiltBlock};
 pub use executor::{apply_transaction, call_readonly, read_slot, BlockEnv, TxApplyError, TxState};
 pub use genesis::{Genesis, GenesisBuilder};
-pub use parallel::{ExecMode, ExecStats, ExecStatsCells, PipelineSink};
+pub use parallel::{ExecMode, ExecStats, ExecStatsCells};
 pub use state::{Account, Snapshot, StateDb, StateView};
 pub use store::{ChainStore, ImportError, ImportOutcome, StateBackendConfig, StoreConfig, StoredBlock};
 // Downstream crates (node, sim, bench) configure and observe the durable
@@ -44,5 +42,5 @@ pub use sereth_store::{DurableOptions, EpochGuard, EpochPins, StoreError};
 pub use txpool::{PoolConfig, PoolEntry, PoolError, TxPool};
 pub use validation::{
     validate_block, validate_block_accounted, validate_block_traced, validate_block_with_mode, Validated,
-    ValidationError, ValidationMode,
+    ValidationError,
 };

@@ -4,7 +4,7 @@
 //! no effect on the system state").
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sereth_crypto::address::Address;
@@ -184,82 +184,13 @@ impl StateView {
         Arc::ptr_eq(&self.accounts, &other.accounts)
     }
 
-    /// Every [`AccessKey`] whose value differs between `self` and `other`
-    /// — the dirty-key set a cross-block pipeline uses to decide which
-    /// speculations against a *predicted* state survive against the state
-    /// that actually materialized.
-    ///
-    /// Exploits the copy-on-write sharing: accounts whose `Arc`s are
-    /// still shared between the two views are skipped without comparison,
-    /// so diffing a prediction that mostly held costs only the touched
-    /// accounts. An account present on one side only diffs against the
-    /// absent-account defaults (nonce 0, zero balance, no code, empty
-    /// storage) — matching how every reader treats missing accounts.
-    pub fn diff_access_keys(&self, other: &StateView) -> HashSet<AccessKey> {
-        fn diff_account(dirty: &mut HashSet<AccessKey>, address: Address, a: &Account, b: &Account) {
-            if a.nonce != b.nonce {
-                dirty.insert(AccessKey::Nonce(address));
-            }
-            if a.balance != b.balance {
-                dirty.insert(AccessKey::Balance(address));
-            }
-            if a.code != b.code {
-                dirty.insert(AccessKey::Code(address));
-            }
-            for key in a.storage.keys().chain(b.storage.keys()) {
-                if a.storage.get(key).copied().unwrap_or(H256::ZERO)
-                    != b.storage.get(key).copied().unwrap_or(H256::ZERO)
-                {
-                    dirty.insert(AccessKey::Slot(address, *key));
-                }
-            }
-        }
-        let mut dirty = HashSet::new();
-        let absent = Account::default();
-        let mut left_iter = self.accounts.iter();
-        let mut right_iter = other.accounts.iter();
-        let mut left = left_iter.next();
-        let mut right = right_iter.next();
-        loop {
-            match (left, right) {
-                (Some((la, lacc)), Some((ra, racc))) => match la.cmp(ra) {
-                    Ordering::Equal => {
-                        if !Arc::ptr_eq(lacc, racc) {
-                            diff_account(&mut dirty, *la, lacc, racc);
-                        }
-                        left = left_iter.next();
-                        right = right_iter.next();
-                    }
-                    Ordering::Less => {
-                        diff_account(&mut dirty, *la, lacc, &absent);
-                        left = left_iter.next();
-                    }
-                    Ordering::Greater => {
-                        diff_account(&mut dirty, *ra, &absent, racc);
-                        right = right_iter.next();
-                    }
-                },
-                (Some((la, lacc)), None) => {
-                    diff_account(&mut dirty, *la, lacc, &absent);
-                    left = left_iter.next();
-                }
-                (None, Some((ra, racc))) => {
-                    diff_account(&mut dirty, *ra, &absent, racc);
-                    right = right_iter.next();
-                }
-                (None, None) => break,
-            }
-        }
-        dirty
-    }
-
     /// Account-granular diff: the post-image in `other` of every account
     /// whose content differs from `self`, address-ordered (`None` = the
     /// account is absent in `other` — a tombstone). This is the write-set
     /// the durable journal records per block, taken as
     /// `parent_view.diff_accounts(&child_view)`.
     ///
-    /// Like [`StateView::diff_access_keys`], accounts whose `Arc`s are
+    /// Exploits the copy-on-write sharing: accounts whose `Arc`s are
     /// still shared are skipped without comparison, so the diff costs only
     /// the accounts a block actually touched.
     pub fn diff_accounts(&self, other: &StateView) -> Vec<(Address, Option<Account>)> {
@@ -504,11 +435,7 @@ impl StateDb {
     /// ran directly against the live state (account creations carry no
     /// key of their own: a default account reads identically to an absent
     /// one, and any surviving field write is journaled separately).
-    pub fn journal_writes_since(
-        &self,
-        checkpoint: usize,
-    ) -> impl Iterator<Item = sereth_vm::access::AccessKey> + '_ {
-        use sereth_vm::access::AccessKey;
+    pub fn journal_writes_since(&self, checkpoint: usize) -> impl Iterator<Item = AccessKey> + '_ {
         self.journal[checkpoint.min(self.journal.len())..].iter().filter_map(|entry| match entry {
             JournalEntry::StorageChanged { address, key, .. } => Some(AccessKey::Slot(*address, *key)),
             JournalEntry::BalanceChanged { address, .. } => Some(AccessKey::Balance(*address)),
@@ -764,43 +691,6 @@ mod tests {
         let mut state = StateDb::new();
         state.storage_set(&addr(1), H256::from_low_u64(1), H256::from_low_u64(5));
         assert_eq!(state.storage_get(&addr(2), &H256::from_low_u64(1)), H256::ZERO);
-    }
-
-    #[test]
-    fn diff_access_keys_finds_exactly_the_changed_keys() {
-        let mut a = StateDb::new();
-        a.credit(&addr(1), U256::from(10u64));
-        a.credit(&addr(2), U256::from(10u64));
-        a.storage_set(&addr(2), H256::from_low_u64(1), H256::from_low_u64(5));
-        a.storage_set(&addr(2), H256::from_low_u64(2), H256::from_low_u64(6));
-        a.clear_journal();
-        let before = a.view();
-        assert!(before.diff_access_keys(&before).is_empty());
-
-        let mut b = a.clone();
-        b.credit(&addr(1), U256::from(1u64)); // balance change
-        b.set_nonce(&addr(2), 1); // nonce change, same-account slot change below
-        b.storage_set(&addr(2), H256::from_low_u64(2), H256::from_low_u64(7));
-        b.storage_set(&addr(2), H256::from_low_u64(3), H256::from_low_u64(8)); // new slot
-        b.credit(&addr(3), U256::from(4u64)); // account only on one side
-        b.clear_journal();
-        let after = b.view();
-
-        let dirty = before.diff_access_keys(&after);
-        let expect: HashSet<AccessKey> = [
-            AccessKey::Balance(addr(1)),
-            AccessKey::Nonce(addr(2)),
-            AccessKey::Slot(addr(2), H256::from_low_u64(2)),
-            AccessKey::Slot(addr(2), H256::from_low_u64(3)),
-            AccessKey::Balance(addr(3)),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(dirty, expect);
-        // Symmetric.
-        assert_eq!(after.diff_access_keys(&before), expect);
-        // Unshared-but-equal maps (deep clone) still diff to empty.
-        assert!(a.deep_clone().view().diff_access_keys(&before).is_empty());
     }
 
     #[test]

@@ -25,9 +25,9 @@ use sereth_types::receipt::Receipt;
 use sereth_vm::exec::ContractCode;
 
 use crate::genesis::Genesis;
-use crate::parallel::{ExecStats, ExecStatsCells};
+use crate::parallel::{ExecMode, ExecStats, ExecStatsCells};
 use crate::state::{Account, StateDb, StateView};
-use crate::validation::{validate_block_traced, ValidationError, ValidationMode};
+use crate::validation::{validate_block_traced, ValidationError};
 
 /// A block retained with its replay artifacts.
 #[derive(Debug, Clone)]
@@ -115,7 +115,7 @@ pub enum StateBackendConfig {
 pub struct StoreConfig {
     genesis: Genesis,
     backend: StateBackendConfig,
-    validation_mode: ValidationMode,
+    validation_mode: ExecMode,
     telemetry: Option<Arc<Telemetry>>,
 }
 
@@ -126,7 +126,7 @@ impl StoreConfig {
         Self {
             genesis,
             backend: StateBackendConfig::InMemory,
-            validation_mode: ValidationMode::Sequential,
+            validation_mode: ExecMode::Sequential,
             telemetry: None,
         }
     }
@@ -138,7 +138,7 @@ impl StoreConfig {
         Self {
             genesis,
             backend: StateBackendConfig::Durable { dir: dir.into(), options: DurableOptions::default() },
-            validation_mode: ValidationMode::Sequential,
+            validation_mode: ExecMode::Sequential,
             telemetry: None,
         }
     }
@@ -151,7 +151,7 @@ impl StoreConfig {
     }
 
     /// Sets how imports replay blocks.
-    pub fn validation_mode(mut self, mode: ValidationMode) -> Self {
+    pub fn validation_mode(mut self, mode: ExecMode) -> Self {
         self.validation_mode = mode;
         self
     }
@@ -201,7 +201,7 @@ pub struct ChainStore {
     /// How [`ChainStore::import`] replays blocks. Verdict-equivalent to
     /// sequential by construction, so it changes import *cost*, never
     /// import *outcomes*.
-    validation_mode: ValidationMode,
+    validation_mode: ExecMode,
     /// Cumulative executor counters over every replay this store ran —
     /// the validation-side twin of a miner's build stats, kept as
     /// `validation.*` counters in the telemetry registry.
@@ -273,12 +273,12 @@ impl ChainStore {
     }
 
     /// Switches how subsequent imports replay blocks.
-    pub fn set_validation_mode(&mut self, mode: ValidationMode) {
+    pub fn set_validation_mode(&mut self, mode: ExecMode) {
         self.validation_mode = mode;
     }
 
     /// The replay mode imports currently use.
-    pub fn validation_mode(&self) -> ValidationMode {
+    pub fn validation_mode(&self) -> ExecMode {
         self.validation_mode
     }
 
@@ -886,10 +886,10 @@ mod tests {
         let key = SecretKey::from_label(1);
         let mut seq_store = open_mem(genesis(&key));
         let mut par_store = ChainStore::open(
-            StoreConfig::in_memory(genesis(&key)).validation_mode(ValidationMode::Parallel { threads: 4 }),
+            StoreConfig::in_memory(genesis(&key)).validation_mode(ExecMode::Parallel { threads: 4 }),
         )
         .unwrap();
-        assert_eq!(par_store.validation_mode(), ValidationMode::Parallel { threads: 4 });
+        assert_eq!(par_store.validation_mode(), ExecMode::Parallel { threads: 4 });
 
         let b1 = extend(&seq_store, vec![transfer(&key, 0, 5), transfer(&key, 1, 7)], 1, 15_000);
         assert_eq!(seq_store.import(b1.clone()).unwrap(), ImportOutcome::ExtendedCanonical);

@@ -756,8 +756,7 @@ impl TxPool {
     /// sender's nonce cursor from `base_nonce` on first touch, so stale
     /// entries (pooled nonce below the caller's account nonce — a
     /// submission racing an import before the next [`TxPool::prune_stale`]
-    /// catches it, or a pipelined miner reading against a predicted
-    /// post-state ahead of the pool's pruning) are skipped per-entry
+    /// catches it) are skipped per-entry
     /// during the walk itself rather than deferred to the next import's
     /// prune. There is no fallback path: budgeted reads under churn stay
     /// index-served and byte-equal to [`TxPool::ready_by_price_rescan`],

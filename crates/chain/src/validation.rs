@@ -9,7 +9,7 @@
 //! honest peer (§III-D).
 //!
 //! Because *every* peer replays *every* block, validation — not block
-//! building — dominates network-wide compute. [`ValidationMode::Parallel`]
+//! building — dominates network-wide compute. [`ExecMode::Parallel`]
 //! replays the block's fixed transaction order on the same conflict-aware
 //! wave executor the builder uses (`crate::parallel::run_waves`):
 //! speculate over a frozen COW [`StateView`](crate::state::StateView),
@@ -28,7 +28,7 @@ use sereth_types::block::{Block, BlockHeader};
 use sereth_types::receipt::Receipt;
 
 use crate::executor::{apply_transaction, BlockEnv, TxApplyError};
-use crate::parallel::{self, ExecStats, WaveSink};
+use crate::parallel::{self, ExecMode, ExecStats, WaveSink};
 use crate::state::StateDb;
 use sereth_types::transaction::Transaction;
 
@@ -84,44 +84,6 @@ impl core::fmt::Display for ValidationError {
 }
 
 impl std::error::Error for ValidationError {}
-
-/// How replay validation executes a block's transactions. Mirrors
-/// [`crate::parallel::ExecMode`] on the read (replay) side of the chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ValidationMode {
-    /// The classic one-transaction-at-a-time replay (the baseline and the
-    /// default).
-    #[default]
-    Sequential,
-    /// Conflict-aware speculative replay on the wave executor. Verdicts
-    /// are identical to [`ValidationMode::Sequential`] for every block,
-    /// honest or tampered.
-    Parallel {
-        /// Worker threads per wave (clamped to at least 1).
-        threads: usize,
-    },
-}
-
-impl ValidationMode {
-    /// Picks [`ValidationMode::Parallel`] with `threads` workers on
-    /// multi-core hosts and [`ValidationMode::Sequential`] when the
-    /// machine exposes a single CPU, mirroring
-    /// [`ExecMode::auto`](crate::parallel::ExecMode::auto).
-    pub fn auto(threads: usize) -> Self {
-        Self::auto_for(threads, parallel::detected_parallelism())
-    }
-
-    /// [`ValidationMode::auto`] with an explicit parallelism reading — the
-    /// deterministic core the single-CPU regression test pins. Delegates
-    /// to [`ExecMode::auto_for`](crate::parallel::ExecMode::auto_for) so
-    /// the build and replay sides share one auto-selection policy.
-    pub fn auto_for(threads: usize, available_parallelism: usize) -> Self {
-        match crate::parallel::ExecMode::auto_for(threads, available_parallelism) {
-            crate::parallel::ExecMode::Sequential => Self::Sequential,
-            crate::parallel::ExecMode::Parallel { threads } => Self::Parallel { threads },
-        }
-    }
-}
 
 /// A successfully replayed block: its artifacts plus the executor
 /// counters describing how the replay ran (all zeros except
@@ -181,7 +143,7 @@ pub fn validate_block(
     parent_state: &StateDb,
     block: &Block,
 ) -> Result<(Vec<Receipt>, StateDb), ValidationError> {
-    validate_block_with_mode(parent, parent_state, block, &ValidationMode::Sequential)
+    validate_block_with_mode(parent, parent_state, block, &ExecMode::Sequential)
         .map(|validated| (validated.receipts, validated.post_state))
 }
 
@@ -201,7 +163,7 @@ pub fn validate_block_with_mode(
     parent: &BlockHeader,
     parent_state: &StateDb,
     block: &Block,
-    mode: &ValidationMode,
+    mode: &ExecMode,
 ) -> Result<Validated, ValidationError> {
     let mut scratch = ExecStats::default();
     validate_block_accounted(parent, parent_state, block, mode, &mut scratch)
@@ -221,7 +183,7 @@ pub fn validate_block_accounted(
     parent: &BlockHeader,
     parent_state: &StateDb,
     block: &Block,
-    mode: &ValidationMode,
+    mode: &ExecMode,
     stats_out: &mut ExecStats,
 ) -> Result<Validated, ValidationError> {
     validate_block_traced(parent, parent_state, block, mode, stats_out, Telemetry::off())
@@ -240,7 +202,7 @@ pub fn validate_block_traced(
     parent: &BlockHeader,
     parent_state: &StateDb,
     block: &Block,
-    mode: &ValidationMode,
+    mode: &ExecMode,
     stats_out: &mut ExecStats,
     telemetry: &Telemetry,
 ) -> Result<Validated, ValidationError> {
@@ -268,7 +230,7 @@ pub fn validate_block_traced(
 
     let mut stats = ExecStats::default();
     let replayed = match mode {
-        ValidationMode::Sequential => {
+        ExecMode::Sequential => {
             let mut receipts = Vec::with_capacity(block.transactions.len());
             let mut gas_used = 0u64;
             let mut failure = None;
@@ -290,7 +252,7 @@ pub fn validate_block_traced(
                 None => Ok((receipts, gas_used)),
             }
         }
-        ValidationMode::Parallel { threads } => {
+        ExecMode::Parallel { threads } => {
             let mut sink = ReplaySink::default();
             stats =
                 parallel::run_waves(&mut state, &env, &block.transactions, *threads, &mut sink, telemetry);
@@ -457,12 +419,13 @@ mod tests {
     fn parallel_validation_matches_sequential_on_honest_blocks() {
         let (parent, state, key) = setup();
         let block = valid_block(&parent, &state, &key);
-        let (receipts, post) = validate_block(&parent, &state, &block).unwrap();
+        let sequential = validate_block_with_mode(&parent, &state, &block, &ExecMode::Sequential).unwrap();
+        assert_eq!(sequential.stats.waves, 0, "sequential replay never waves");
+        assert_eq!(sequential.stats.sequential_txs, block.transactions.len() as u64);
         let validated =
-            validate_block_with_mode(&parent, &state, &block, &ValidationMode::Parallel { threads: 4 })
-                .unwrap();
-        assert_eq!(validated.receipts, receipts);
-        assert_eq!(validated.post_state.state_root(), post.state_root());
+            validate_block_with_mode(&parent, &state, &block, &ExecMode::Parallel { threads: 4 }).unwrap();
+        assert_eq!(validated.receipts, sequential.receipts);
+        assert_eq!(validated.post_state.state_root(), sequential.post_state.state_root());
         assert!(validated.stats.waves >= 1, "parallel replay waves: {:?}", validated.stats);
     }
 
@@ -474,26 +437,10 @@ mod tests {
         block.transactions[0] = tampered;
         block.header.tx_root = Block::compute_tx_root(&block.transactions);
         let sequential = validate_block(&parent, &state, &block).unwrap_err();
-        let parallel =
-            validate_block_with_mode(&parent, &state, &block, &ValidationMode::Parallel { threads: 4 })
-                .unwrap_err();
+        let parallel = validate_block_with_mode(&parent, &state, &block, &ExecMode::Parallel { threads: 4 })
+            .unwrap_err();
         assert_eq!(sequential, parallel, "cross-mode verdicts must be identical");
         assert_eq!(parallel, ValidationError::BadTransaction { index: 0, error: TxApplyError::BadSignature });
-    }
-
-    #[test]
-    fn validation_auto_mode_on_single_cpu_replays_sequentially() {
-        assert_eq!(ValidationMode::auto_for(4, 1), ValidationMode::Sequential);
-        assert_eq!(ValidationMode::auto_for(1, 16), ValidationMode::Sequential);
-        assert_eq!(ValidationMode::auto_for(4, 8), ValidationMode::Parallel { threads: 4 });
-
-        let (parent, state, key) = setup();
-        let block = valid_block(&parent, &state, &key);
-        let validated =
-            validate_block_with_mode(&parent, &state, &block, &ValidationMode::auto_for(4, 1)).unwrap();
-        assert_eq!(validated.stats.waves, 0, "single-CPU auto validation must not speculate");
-        assert_eq!(validated.stats.speculated, 0);
-        assert_eq!(validated.stats.sequential_txs, block.transactions.len() as u64);
     }
 
     #[test]

@@ -6,9 +6,10 @@ use proptest::prelude::*;
 use sereth_chain::builder::{build_block, BlockLimits};
 use sereth_chain::executor::TxApplyError;
 use sereth_chain::genesis::GenesisBuilder;
+use sereth_chain::parallel::ExecMode;
 use sereth_chain::state::StateDb;
 use sereth_chain::txpool::TxPool;
-use sereth_chain::validation::{validate_block, validate_block_with_mode, ValidationError, ValidationMode};
+use sereth_chain::validation::{validate_block, validate_block_with_mode, ValidationError};
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
 use sereth_crypto::sig::SecretKey;
@@ -180,7 +181,7 @@ proptest! {
             &genesis.block.header,
             &genesis.state,
             &built.block,
-            &ValidationMode::Parallel { threads: 4 },
+            &ExecMode::Parallel { threads: 4 },
         )
         .expect("parallel replay accepts what sequential replay accepts");
         prop_assert_eq!(&validated.receipts, &receipts);
@@ -391,13 +392,12 @@ fn tamper_matrix_draws_identical_verdicts_from_both_validation_modes() {
     ];
 
     for (name, block, expected) in &matrix {
-        let sequential = validate_block_with_mode(&parent, &state, block, &ValidationMode::Sequential)
+        let sequential = validate_block_with_mode(&parent, &state, block, &ExecMode::Sequential)
             .expect_err(&format!("{name}: sequential replay must reject"));
         assert_eq!(&sequential, expected, "{name}: sequential verdict");
         for threads in [1usize, 2, 4, 8] {
-            let parallel =
-                validate_block_with_mode(&parent, &state, block, &ValidationMode::Parallel { threads })
-                    .expect_err(&format!("{name}: parallel replay ({threads} threads) must reject"));
+            let parallel = validate_block_with_mode(&parent, &state, block, &ExecMode::Parallel { threads })
+                .expect_err(&format!("{name}: parallel replay ({threads} threads) must reject"));
             assert_eq!(&parallel, &sequential, "{name}: cross-mode verdict ({threads} threads)");
         }
     }

@@ -14,8 +14,9 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use sereth_chain::builder::{build_block, BlockLimits};
+use sereth_chain::parallel::ExecMode;
 use sereth_chain::state::StateDb;
-use sereth_chain::validation::{validate_block_with_mode, ValidationError, ValidationMode};
+use sereth_chain::validation::{validate_block_with_mode, ValidationError};
 use sereth_chain::GenesisBuilder;
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
@@ -153,8 +154,8 @@ fn assert_same_verdict(
     block: &Block,
     threads: usize,
 ) -> Result<Option<ValidationError>, TestCaseError> {
-    let sequential = validate_block_with_mode(parent, state, block, &ValidationMode::Sequential);
-    let parallel = validate_block_with_mode(parent, state, block, &ValidationMode::Parallel { threads });
+    let sequential = validate_block_with_mode(parent, state, block, &ExecMode::Sequential);
+    let parallel = validate_block_with_mode(parent, state, block, &ExecMode::Parallel { threads });
     match (&sequential, &parallel) {
         (Ok(seq), Ok(par)) => {
             prop_assert_eq!(&par.receipts, &seq.receipts, "replay receipts diverged");
@@ -337,7 +338,7 @@ proptest! {
             &parent,
             &state,
             &block,
-            &ValidationMode::Parallel { threads },
+            &ExecMode::Parallel { threads },
         ).expect("verdict checked above");
         prop_assert!(
             validated.stats.fallbacks + validated.stats.sequential_txs > 0,
@@ -362,7 +363,7 @@ proptest! {
                     &parent,
                     &state,
                     &block,
-                    &ValidationMode::Parallel { threads },
+                    &ExecMode::Parallel { threads },
                 )
                 .map(|validated| (validated.receipts, validated.post_state.state_root()))
             })

@@ -13,10 +13,7 @@
 //! * [`messages`] — the simulation's message vocabulary;
 //! * [`netnode`] — [`netnode::NetNode`], the topology-driven gossip actor
 //!   with anti-entropy (head announcements, parent pulls, pending
-//!   re-offers), the substrate of the multi-node cluster scenarios;
-//! * [`pipeline`] — cross-block pipelined mining: block `N + 1`'s
-//!   candidates speculate against `N`'s predicted post-state while `N`'s
-//!   import holds the node lock.
+//!   re-offers), the substrate of the multi-node cluster scenarios.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +24,6 @@ pub mod messages;
 pub mod miner;
 pub mod netnode;
 pub mod node;
-pub mod pipeline;
 
 pub use client::{classify, transfer, Buyer, Owner, SerethCall, SERETH_TX_GAS};
 pub use contract::{
@@ -42,4 +38,3 @@ pub use node::{
     BlockReceipt, BlockSchedule, ClientKind, MinerSetup, NodeActor, NodeConfig, NodeHandle, NodeInner,
     StateReader, TxCommitStatus,
 };
-pub use pipeline::PipelinedMiner;

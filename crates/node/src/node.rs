@@ -23,7 +23,6 @@ use sereth_chain::parallel::{ExecMode, ExecStats, ExecStatsCells};
 use sereth_chain::state::StateView;
 use sereth_chain::store::{ChainStore, ImportError, ImportOutcome, StateBackendConfig, StoreConfig};
 use sereth_chain::txpool::{PoolConfig, PoolStats, TxPool};
-use sereth_chain::validation::ValidationMode;
 use sereth_chain::StoreError;
 use sereth_core::hms::HmsConfig;
 use sereth_core::process::PendingTx;
@@ -163,7 +162,7 @@ pub struct NodeConfig {
     /// pays for every block (paper §II-D). Parallel replay is
     /// verdict-equivalent to sequential, so it changes import cost, never
     /// which blocks this node accepts.
-    pub validation_mode: ValidationMode,
+    pub validation_mode: ExecMode,
     /// Transaction-pool configuration (shard count, capacity, event
     /// buffer). The node overrides [`PoolConfig::market`] with the Sereth
     /// contract's selectors so `set`/`buy` calldata is pre-parsed at
@@ -205,7 +204,7 @@ impl Default for NodeConfig {
             hms: HmsConfig::default(),
             raa_backend: RaaBackend::default(),
             exec_mode: ExecMode::default(),
-            validation_mode: ValidationMode::default(),
+            validation_mode: ExecMode::default(),
             pool: PoolConfig::default(),
             telemetry: TelemetryConfig::default(),
             isolation: IsolationLevel::default(),
@@ -371,7 +370,7 @@ impl NodeConfigBuilder {
     }
 
     /// Sets how received blocks replay during validation.
-    pub fn validation_mode(mut self, mode: ValidationMode) -> Self {
+    pub fn validation_mode(mut self, mode: ExecMode) -> Self {
         self.config.validation_mode = mode;
         self
     }
@@ -524,11 +523,7 @@ fn iso_read_counter(level: IsolationLevel) -> &'static str {
 /// writes, which READ COMMITTED and SEQUENTIAL forbid — there they
 /// degrade to standard (price) ordering, counted on
 /// `iso.policy_degraded` per ordering pass.
-pub(crate) fn effective_policy(
-    policy: &MinerPolicy,
-    isolation: IsolationLevel,
-    telemetry: &Telemetry,
-) -> MinerPolicy {
+fn effective_policy(policy: &MinerPolicy, isolation: IsolationLevel, telemetry: &Telemetry) -> MinerPolicy {
     if isolation == IsolationLevel::ReadUncommitted || matches!(policy, MinerPolicy::Standard) {
         return policy.clone();
     }
@@ -551,7 +546,7 @@ pub struct NodeHandle {
     telemetry: Arc<Telemetry>,
     /// Registry cells accumulating the miner's executor stats (`exec.*`)
     /// — absorbed outside the node lock, read without any lock.
-    pub(crate) exec_cells: ExecStatsCells,
+    exec_cells: ExecStatsCells,
     /// The store's `validation.*` cells, shared so replay counters are
     /// readable without the node lock.
     validation_cells: ExecStatsCells,
@@ -562,7 +557,7 @@ pub struct NodeHandle {
 /// The counted node-lock guard: dereferences to [`NodeInner`] and, when
 /// telemetry is enabled, records how long the lock was *held* (not
 /// waited for) into the `node.lock_hold` histogram on drop.
-pub(crate) struct NodeLockGuard<'a> {
+struct NodeLockGuard<'a> {
     guard: MutexGuard<'a, NodeInner>,
     held_since: Option<Instant>,
     hold: &'a Histogram,
@@ -594,7 +589,7 @@ impl NodeHandle {
     /// Acquires the node lock, counting the acquisition. Disabled
     /// telemetry skips the clock entirely — the guard is then exactly a
     /// counted `MutexGuard`.
-    pub(crate) fn lock(&self) -> NodeLockGuard<'_> {
+    fn lock(&self) -> NodeLockGuard<'_> {
         self.locks.fetch_add(1, Ordering::Relaxed);
         let guard = self.inner.lock();
         let held_since = self.lock_hold.is_enabled().then(Instant::now);
@@ -1179,10 +1174,8 @@ impl NodeHandle {
     }
 
     /// The second lock of a mining pass: imports a block this node just
-    /// sealed. Shared by [`NodeHandle::mine`] and the pipelined miner so
-    /// every self-import outcome — including the failure telemetry — is
-    /// handled identically.
-    pub(crate) fn import_mined(&self, block: Block) -> Option<Block> {
+    /// sealed, counting every self-import failure by kind.
+    fn import_mined(&self, block: Block) -> Option<Block> {
         let mut inner = self.lock();
         match inner.chain.import(block.clone()) {
             Ok(ImportOutcome::ExtendedCanonical) | Ok(ImportOutcome::Reorged { .. }) => {
@@ -1577,6 +1570,43 @@ mod tests {
         // A successful mine is unaffected.
         assert!(node.mine(15_000).is_some());
         assert_eq!(node.telemetry_snapshot().counters.get("node.self_import_failed").copied(), Some(1));
+    }
+
+    #[test]
+    fn sealed_block_beaten_to_the_head_keeps_its_transactions_pooled() {
+        // `mine()` builds without the node lock, so a gossip block can
+        // reach the head between the build and the self-import. The
+        // sealed block then lands on a side chain and its transactions
+        // are not committed, so they must stay pooled for the next block.
+        // A twin miner on the same genesis seals exactly the block
+        // `miner` would have built, so the rival can be imported between.
+        let owner = SecretKey::from_label(1);
+        let miner = node(ClientKind::Geth, &owner, true);
+        let twin = node(ClientKind::Geth, &owner, true);
+        let tx = set_tx(&owner, 0, genesis_mark(), 75);
+        assert!(miner.receive_tx(tx.clone(), 100));
+        assert!(twin.receive_tx(tx.clone(), 100));
+        let sealed = twin.mine(15_000).expect("twin seals");
+        assert!(sealed.transactions.contains(&tx));
+
+        let rival = NodeHandle::new(
+            test_genesis(&owner),
+            NodeConfig::miner(default_contract_address(), MinerPolicy::Standard)
+                .coinbase(Address::from_low_u64(0xd1f))
+                .build(),
+        );
+        let gossip = rival.mine(14_000).expect("rival seals");
+        assert_eq!(miner.receive_block(gossip.clone()), BlockReceipt::Imported);
+
+        assert_eq!(miner.import_mined(sealed.clone()), Some(sealed));
+        assert_eq!(miner.head_hash(), gossip.hash(), "the first block at height 1 keeps the head");
+        assert!(miner.pool_contains(&tx.hash()), "a side-chain block commits nothing");
+        assert_eq!(miner.telemetry_snapshot().counters.get("node.self_import_failed").copied(), None);
+
+        let next = miner.mine(30_000).expect("miner seals");
+        assert_eq!(next.header.parent_hash, gossip.hash());
+        assert!(next.transactions.contains(&tx), "the pooled transaction commits next");
+        assert!(!miner.pool_contains(&tx.hash()));
     }
 
     #[test]

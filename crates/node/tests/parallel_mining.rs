@@ -5,7 +5,6 @@
 
 use bytes::Bytes;
 use sereth_chain::parallel::ExecMode;
-use sereth_chain::validation::ValidationMode;
 use sereth_core::fpv::{Flag, Fpv};
 use sereth_core::mark::{compute_mark, genesis_mark};
 use sereth_crypto::address::Address;
@@ -34,14 +33,14 @@ fn genesis(keys: &[SecretKey], owner: &SecretKey) -> sereth_chain::genesis::Gene
 }
 
 fn miner_node(keys: &[SecretKey], owner: &SecretKey, exec_mode: ExecMode) -> NodeHandle {
-    node_with_modes(keys, owner, exec_mode, ValidationMode::Sequential)
+    node_with_modes(keys, owner, exec_mode, ExecMode::Sequential)
 }
 
 fn node_with_modes(
     keys: &[SecretKey],
     owner: &SecretKey,
     exec_mode: ExecMode,
-    validation_mode: ValidationMode,
+    validation_mode: ExecMode,
 ) -> NodeHandle {
     NodeHandle::new(
         genesis(keys, owner),
@@ -146,10 +145,9 @@ fn parallel_validating_follower_accepts_blocks_and_reports_replay_stats() {
     let miner = miner_node(&keys, &owner, ExecMode::Sequential);
     // Two followers over the same feed: one replays sequentially, one on
     // the wave executor. Their import verdicts and heads must agree.
-    let sequential_follower =
-        node_with_modes(&keys, &owner, ExecMode::Sequential, ValidationMode::Sequential);
+    let sequential_follower = node_with_modes(&keys, &owner, ExecMode::Sequential, ExecMode::Sequential);
     let parallel_follower =
-        node_with_modes(&keys, &owner, ExecMode::Sequential, ValidationMode::Parallel { threads: 4 });
+        node_with_modes(&keys, &owner, ExecMode::Sequential, ExecMode::Parallel { threads: 4 });
 
     for (i, tx) in workload(&keys, &owner).into_iter().enumerate() {
         assert!(miner.receive_tx(tx, 100 + i as u64));

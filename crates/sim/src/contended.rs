@@ -13,7 +13,6 @@
 use sereth_chain::builder::BlockLimits;
 use sereth_chain::genesis::GenesisBuilder;
 use sereth_chain::parallel::{ExecMode, ExecStats};
-use sereth_chain::validation::ValidationMode;
 use sereth_core::fpv::{Flag, Fpv};
 use sereth_core::mark::{compute_mark, genesis_mark};
 use sereth_crypto::address::Address;
@@ -68,7 +67,7 @@ fn contended_node(
     owner: &SecretKey,
     buyers: &[SecretKey],
     mode: ExecMode,
-    validation_mode: ValidationMode,
+    validation_mode: ExecMode,
 ) -> NodeHandle {
     let contract = default_contract_address();
     let mut genesis_builder =
@@ -133,10 +132,9 @@ pub fn run_contended_market(config: &ContendedConfig) -> ContendedReport {
         &owner,
         &buyers,
         ExecMode::Parallel { threads: config.threads },
-        ValidationMode::Parallel { threads: config.threads },
+        ExecMode::Parallel { threads: config.threads },
     );
-    let sequential =
-        contended_node(config, &owner, &buyers, ExecMode::Sequential, ValidationMode::Sequential);
+    let sequential = contended_node(config, &owner, &buyers, ExecMode::Sequential, ExecMode::Sequential);
 
     let mut now = 1u64;
     let mut mark = genesis_mark();

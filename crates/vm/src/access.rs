@@ -17,7 +17,7 @@ use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
 use sereth_types::u256::U256;
 
-use crate::exec::{ContractCode, EnvRead, Storage};
+use crate::exec::{ContractCode, Storage};
 
 /// One addressable piece of world state.
 ///
@@ -35,13 +35,6 @@ pub enum AccessKey {
     Code(Address),
     /// One contract storage slot (`SLOAD` / `SSTORE`).
     Slot(Address, H256),
-    /// The block timestamp (`TIMESTAMP`). Read-only within a block (env
-    /// values are constants), but a cross-block pipeline marks it dirty
-    /// when a speculated block's *predicted* timestamp missed the sealed
-    /// one, invalidating outcomes that observed it.
-    Timestamp,
-    /// The block number (`NUMBER`) — same role as `Timestamp`.
-    Number,
 }
 
 /// The reads and writes one execution performed, as [`AccessKey`]s.
@@ -184,14 +177,6 @@ impl<S: Storage + ?Sized> Storage for AccessRecorder<'_, S> {
         // Rolled-back writes stay in the set: conservative by design.
         self.inner.revert_checkpoint(checkpoint);
     }
-
-    fn note_env_read(&self, key: EnvRead) {
-        self.read(match key {
-            EnvRead::Timestamp => AccessKey::Timestamp,
-            EnvRead::Number => AccessKey::Number,
-        });
-        self.inner.note_env_read(key);
-    }
 }
 
 #[cfg(test)]
@@ -237,18 +222,6 @@ mod tests {
         recorder.storage_set(&addr(3), H256::ZERO, H256::from_low_u64(1));
         recorder.revert_checkpoint(checkpoint);
         assert!(recorder.access().writes.contains(&AccessKey::Slot(addr(3), H256::ZERO)));
-    }
-
-    #[test]
-    fn env_reads_are_recorded_as_reads() {
-        let mut inner = MemStorage::new();
-        let recorder = AccessRecorder::new(&mut inner);
-        recorder.note_env_read(EnvRead::Timestamp);
-        recorder.note_env_read(EnvRead::Number);
-        let access = recorder.into_access();
-        assert!(access.reads.contains(&AccessKey::Timestamp));
-        assert!(access.reads.contains(&AccessKey::Number));
-        assert!(access.writes.is_empty());
     }
 
     #[test]

@@ -52,25 +52,6 @@ pub trait Storage {
 
     /// Undoes every write made after `checkpoint` was taken.
     fn revert_checkpoint(&mut self, checkpoint: usize);
-
-    /// Notes that executing code observed a block-environment value
-    /// (`TIMESTAMP` / `NUMBER`). Those reads bypass storage entirely, so
-    /// access-tracking backends need this hook to know an outcome depends
-    /// on the block env — a speculative execution against a *predicted*
-    /// block is only reusable if the predicted value matched. The default
-    /// ignores the note (env values are constant within a block, so
-    /// non-speculative backends have nothing to track).
-    fn note_env_read(&self, _key: EnvRead) {}
-}
-
-/// A block-environment value observed by executing code — see
-/// [`Storage::note_env_read`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EnvRead {
-    /// `TIMESTAMP` read [`CallEnv::timestamp_ms`].
-    Timestamp,
-    /// `NUMBER` read [`CallEnv::block_number`].
-    Number,
 }
 
 /// A plain in-memory [`Storage`] for tests and stand-alone execution,

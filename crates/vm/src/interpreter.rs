@@ -15,7 +15,7 @@ use sereth_types::receipt::{Log, TxStatus};
 use sereth_types::u256::U256;
 
 use crate::error::VmError;
-use crate::exec::{CallEnv, CallOutcome, ContractCode, EnvRead, Storage};
+use crate::exec::{CallEnv, CallOutcome, ContractCode, Storage};
 use crate::gas::{self, GasMeter};
 use crate::opcode::{valid_jump_destinations, Opcode};
 use crate::subcall::{self, word_address, SubCallRequest};
@@ -423,14 +423,8 @@ impl Frame {
                     self.memory[mem_offset..mem_offset + len]
                         .copy_from_slice(&self.return_data[data_offset..end]);
                 }
-                Opcode::Timestamp => {
-                    storage.note_env_read(EnvRead::Timestamp);
-                    self.push(U256::from(self.env.timestamp_ms))?
-                }
-                Opcode::Number => {
-                    storage.note_env_read(EnvRead::Number);
-                    self.push(U256::from(self.env.block_number))?
-                }
+                Opcode::Timestamp => self.push(U256::from(self.env.timestamp_ms))?,
+                Opcode::Number => self.push(U256::from(self.env.block_number))?,
                 Opcode::Pop => {
                     self.pop()?;
                 }

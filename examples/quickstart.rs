@@ -6,8 +6,6 @@
 //! ```
 
 use sereth::chain::genesis::GenesisBuilder;
-use sereth::chain::parallel::ExecMode;
-use sereth::chain::validation::ValidationMode;
 use sereth::crypto::{Address, SecretKey, H256};
 use sereth::hms::hms::HmsConfig;
 use sereth::hms::mark::genesis_mark;
@@ -41,11 +39,6 @@ fn main() {
         genesis,
         NodeConfig::miner(contract, MinerPolicy::Semantic(HmsConfig::default()))
             .coinbase(Address::from_low_u64(0xc0b0))
-            // `auto` picks the wave executor on multi-core hosts and the
-            // sequential loop on single-CPU ones, for both the build and
-            // the replay-validation side; results are identical either way.
-            .exec_mode(ExecMode::auto(4))
-            .validation_mode(ValidationMode::auto(4))
             .build(),
     );
 

@@ -7,7 +7,7 @@
 use bytes::Bytes;
 use sereth::chain::builder::{build_block, BlockLimits};
 use sereth::chain::genesis::GenesisBuilder;
-use sereth::chain::validation::ValidationMode;
+use sereth::chain::parallel::ExecMode;
 use sereth::crypto::{Address, SecretKey, H256};
 use sereth::hms::fpv::{Flag, Fpv};
 use sereth::hms::mark::genesis_mark;
@@ -18,10 +18,10 @@ use sereth::node::node::{BlockReceipt, NodeConfig, NodeHandle};
 use sereth::types::{Block, Transaction, TxPayload, U256};
 
 fn make_node(owner: &SecretKey) -> NodeHandle {
-    make_node_validating(owner, ValidationMode::Sequential)
+    make_node_validating(owner, ExecMode::Sequential)
 }
 
-fn make_node_validating(owner: &SecretKey, validation_mode: ValidationMode) -> NodeHandle {
+fn make_node_validating(owner: &SecretKey, validation_mode: ExecMode) -> NodeHandle {
     let contract = default_contract_address();
     let genesis = GenesisBuilder::new()
         .fund(owner.address(), U256::from(1_000_000_000u64))
@@ -99,7 +99,7 @@ fn tampered_transaction_blocks_are_rejected_by_honest_validators() {
 fn parallel_validators_reject_tampered_blocks_identically() {
     let owner = SecretKey::from_label(1);
     let sequential_peer = make_node(&owner);
-    let parallel_peer = make_node_validating(&owner, ValidationMode::Parallel { threads: 4 });
+    let parallel_peer = make_node_validating(&owner, ExecMode::Parallel { threads: 4 });
     let original = signed_set(&owner, 60);
 
     let evil_input =
