@@ -15,10 +15,8 @@
 //!    [`StateView`] of the wave base, concurrently under
 //!    [`std::thread::scope`]. Execution runs the *same* algorithm as the
 //!    sequential path (`apply_tx_inner`) and records the exact
-//!    read/write [`AccessSet`] it observed — the same footprint
-//!    vocabulary `sereth_vm::access` exposes (and that
-//!    [`sereth_vm::trace::trace_access`] derives from the tracing
-//!    interpreter), extended here with the chain-level nonce/code keys.
+//!    read/write [`AccessSet`] it observed, in the footprint vocabulary
+//!    of `sereth_vm::access`, including its chain-level nonce/code keys.
 //! 3. **Merge.** Journals merge strictly in canonical order. A speculation
 //!    is still valid iff nothing it *read* was written by a transaction
 //!    merged after the wave base was frozen (tracked in a dirty-key set).

@@ -272,11 +272,6 @@ impl ChainStore {
         Ok(store)
     }
 
-    /// Switches how subsequent imports replay blocks.
-    pub fn set_validation_mode(&mut self, mode: ExecMode) {
-        self.validation_mode = mode;
-    }
-
     /// The replay mode imports currently use.
     pub fn validation_mode(&self) -> ExecMode {
         self.validation_mode

@@ -11,6 +11,7 @@
 //! that nothing is recorded.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 use bytes::Bytes;
 use sereth_chain::builder::BlockLimits;
@@ -76,14 +77,20 @@ fn node(telemetry: TelemetryConfig) -> NodeHandle {
 /// returns the mid-flight snapshots followed by one quiescent snapshot.
 fn race(node: &NodeHandle) -> Vec<TelemetrySnapshot> {
     let submitting = AtomicBool::new(true);
+    // The reader's first snapshot happens before any submitter starts, so
+    // at least one snapshot predates the quiescent one however the
+    // scheduler runs the threads.
+    let start = Barrier::new(SUBMITTERS + 1);
     let mut snapshots = Vec::new();
 
     std::thread::scope(|scope| {
         let node_ref = &node;
         let submitting_ref = &submitting;
+        let start_ref = &start;
         let mut submitters = Vec::new();
         for submitter in 0..SUBMITTERS {
             submitters.push(scope.spawn(move || {
+                start_ref.wait();
                 for nonce in 0..NONCES_PER_SENDER {
                     for sender in 0..SENDERS_PER_SUBMITTER {
                         let key = sender_key(submitter, sender);
@@ -115,7 +122,8 @@ fn race(node: &NodeHandle) -> Vec<TelemetrySnapshot> {
         });
 
         let reader = scope.spawn(move || {
-            let mut taken = Vec::new();
+            let mut taken = vec![node_ref.telemetry_snapshot()];
+            start_ref.wait();
             while submitting_ref.load(Ordering::Relaxed) {
                 taken.push(node_ref.telemetry_snapshot());
                 std::thread::yield_now();

@@ -8,6 +8,10 @@
 //! full depth limit without exhausting the thread stack. A child's failure
 //! rolls back only its own writes (via the storage checkpoint taken when
 //! the call began).
+//!
+//! Execution takes an `Observer` that sees the root frame before each
+//! instruction; [`crate::trace`] records its steps through it, and every
+//! other caller passes `()`, which compiles to nothing.
 
 use bytes::Bytes;
 use sereth_crypto::keccak::keccak256;
@@ -30,7 +34,20 @@ const STACK_LIMIT: usize = 1024;
 /// (the caller decides whether to roll back state). Storage writes are
 /// applied eagerly — run under a journaled storage if rollback is needed.
 pub fn execute(code: &[u8], env: &CallEnv, storage: &mut dyn Storage, gas_limit: u64) -> CallOutcome {
-    execute_owned(Bytes::copy_from_slice(code), env.clone(), storage, gas_limit)
+    execute_owned(Bytes::copy_from_slice(code), env.clone(), storage, gas_limit, &mut ())
+}
+
+/// A per-instruction hook on the root frame, called before the byte at
+/// `pc` is decoded (so an invalid byte is observed too) with the gas
+/// remaining and the stack at that point. Child frames are not observed.
+pub(crate) trait Observer {
+    fn step(&mut self, pc: usize, byte: u8, gas_remaining: u64, stack: &[U256]);
+}
+
+/// The production observer: sees nothing, costs nothing.
+impl Observer for () {
+    #[inline(always)]
+    fn step(&mut self, _pc: usize, _byte: u8, _gas_remaining: u64, _stack: &[U256]) {}
 }
 
 /// What a frame's inner loop produced when it yielded.
@@ -61,18 +78,22 @@ enum BeginCall {
     Descend(Box<Frame>, PendingCall),
 }
 
-/// [`execute`] without the defensive copy: the zero-copy entry point used
-/// by `execute_call` and for child frames (`Bytes` is reference-counted).
-pub(crate) fn execute_owned(
+/// [`execute`] without the defensive copy (`Bytes` is reference-counted),
+/// reporting the root frame's instructions to `observer`.
+pub(crate) fn execute_owned<O: Observer>(
     code: Bytes,
     env: CallEnv,
     storage: &mut dyn Storage,
     gas_limit: u64,
+    observer: &mut O,
 ) -> CallOutcome {
     let mut suspended: Vec<(Frame, PendingCall)> = Vec::new();
     let mut current = Frame::new(code, env, gas_limit);
     loop {
-        let mut finished = match current.run(storage) {
+        // Only the root frame is observed.
+        let ran =
+            if suspended.is_empty() { current.run(storage, observer) } else { current.run(storage, &mut ()) };
+        let mut finished = match ran {
             Ok(RunOutcome::SubCall { request, out_offset, out_len }) => {
                 match begin_subcall(&mut current, request, out_offset, out_len, storage) {
                     Ok(BeginCall::Immediate) => continue,
@@ -278,12 +299,17 @@ impl Frame {
 
     /// Runs instructions until the frame halts or suspends on a sub-call.
     /// Resumable: the driver calls it again after absorbing the child.
-    fn run(&mut self, storage: &mut dyn Storage) -> Result<RunOutcome, VmError> {
+    fn run<O: Observer>(
+        &mut self,
+        storage: &mut dyn Storage,
+        observer: &mut O,
+    ) -> Result<RunOutcome, VmError> {
         loop {
             let Some(&byte) = self.code.get(self.pc) else {
                 // Running off the end of code is an implicit STOP.
                 return Ok(RunOutcome::Done(Bytes::new()));
             };
+            observer.step(self.pc, byte, self.gas.remaining(), &self.stack);
             let op = Opcode::from_byte(byte).ok_or(VmError::InvalidOpcode { byte })?;
             self.gas.charge(gas::static_cost(op))?;
             self.pc += 1;
@@ -1063,6 +1089,7 @@ mod tests {
     #[test]
     fn call_with_insufficient_balance_fails_flat() {
         let mut storage = MemStorage::new();
+        storage.set_balance(Address::from_low_u64(0xcc), U256::from(10u64));
         let env = CallEnv::test_env(Address::from_low_u64(0xaa), Address::from_low_u64(0xcc), Bytes::new());
         let source = returning(
             "PUSH1 0x00\nPUSH1 0x00\nPUSH1 0x00\nPUSH1 0x00\nPUSH2 0x012c\nPUSH1 0xee\nPUSH3 0xc350\nCALL",
@@ -1070,6 +1097,25 @@ mod tests {
         let code = assemble(&source).unwrap();
         let outcome = execute(&code, &env, &mut storage, GAS);
         assert_eq!(returned_word(&outcome), U256::ZERO, "no funds: flag 0, frame continues");
+        assert_eq!(storage.balance_get(&Address::from_low_u64(0xcc)), U256::from(10u64));
+        assert_eq!(storage.balance_get(&Address::from_low_u64(0xee)), U256::ZERO);
+    }
+
+    #[test]
+    fn call_at_the_depth_limit_fails_flat() {
+        let mut storage = MemStorage::new();
+        storage.set_balance(Address::from_low_u64(0xcc), U256::from(500u64));
+        let mut env =
+            CallEnv::test_env(Address::from_low_u64(0xaa), Address::from_low_u64(0xcc), Bytes::new());
+        env.depth = gas::CALL_DEPTH_LIMIT;
+        let source = returning(
+            "PUSH1 0x00\nPUSH1 0x00\nPUSH1 0x00\nPUSH1 0x00\nPUSH2 0x012c\nPUSH1 0xee\nPUSH3 0xc350\nCALL",
+        );
+        let code = assemble(&source).unwrap();
+        let outcome = execute(&code, &env, &mut storage, GAS);
+        assert_eq!(returned_word(&outcome), U256::ZERO, "too deep: flag 0, frame continues");
+        assert_eq!(storage.balance_get(&Address::from_low_u64(0xcc)), U256::from(500u64));
+        assert_eq!(storage.balance_get(&Address::from_low_u64(0xee)), U256::ZERO);
     }
 
     #[test]

@@ -22,8 +22,7 @@ use sereth_crypto::address::Address;
 
 use crate::abi::Selector;
 use crate::exec::{CallEnv, CallOutcome, ContractCode, Storage};
-use crate::gas::{GasMeter, NATIVE_CALL_GAS};
-use crate::interpreter;
+use crate::{interpreter, subcall};
 use sereth_types::receipt::TxStatus;
 
 /// A read-only call about to execute, as presented to an [`RaaProvider`].
@@ -139,17 +138,10 @@ pub fn execute_call(
             gas_used: 0,
             logs: Vec::new(),
         },
-        ContractCode::Bytecode(bytes) => interpreter::execute_owned(bytes.clone(), env, storage, gas_limit),
-        ContractCode::Native(native) => {
-            let mut gas = GasMeter::new(gas_limit);
-            let mut logs = Vec::new();
-            match gas.charge(NATIVE_CALL_GAS).and_then(|()| native.call(&env, storage, &mut gas, &mut logs)) {
-                Ok(return_data) => {
-                    CallOutcome { status: TxStatus::Success, return_data, gas_used: gas.used(), logs }
-                }
-                Err(error) => CallOutcome::from_error(&error, gas.used()),
-            }
+        ContractCode::Bytecode(bytes) => {
+            interpreter::execute_owned(bytes.clone(), env, storage, gas_limit, &mut ())
         }
+        ContractCode::Native(native) => subcall::run_native(native.as_ref(), &env, storage, gas_limit),
     }
 }
 

@@ -1,11 +1,10 @@
 //! Shared semantics of `CALL` / `STATICCALL` sub-frames.
 //!
-//! The production interpreter executes sub-calls iteratively — its driver
-//! loop in `interpreter::execute_owned` keeps suspended parents in an
-//! explicit stack — and builds the child environment, stipend, and native
-//! dispatch from the helpers here. The tracing interpreter executes
-//! sub-calls through [`run_subcall`], which delegates bytecode children to
-//! the same iterative driver, so the two cannot drift.
+//! The interpreter executes sub-calls iteratively —
+//! `interpreter::execute_owned` keeps suspended parents in an explicit
+//! stack — and builds the child environment, stipend, and native dispatch
+//! from the helpers here. [`run_native`] also runs a native contract
+//! called at the top level by [`crate::raa::execute_call`].
 //!
 //! Two deliberate simplifications against the Yellow Paper, both noted in
 //! `DESIGN.md` §7:
@@ -26,9 +25,8 @@ use sereth_crypto::address::Address;
 use sereth_types::receipt::TxStatus;
 use sereth_types::u256::U256;
 
-use crate::exec::{CallEnv, CallOutcome, ContractCode, NativeContract, Storage};
-use crate::gas::{self, GasMeter, CALL_DEPTH_LIMIT, CALL_STIPEND, NATIVE_CALL_GAS};
-use crate::interpreter;
+use crate::exec::{CallEnv, CallOutcome, NativeContract, Storage};
+use crate::gas::{GasMeter, CALL_STIPEND, NATIVE_CALL_GAS};
 
 /// A decoded `CALL`/`STATICCALL` request, after the caller's frame has
 /// popped the operands and read the argument region out of memory.
@@ -45,25 +43,6 @@ pub(crate) struct SubCallRequest {
     /// `true` for `STATICCALL`: the child frame is read-only even if the
     /// parent is not.
     pub is_static_call: bool,
-}
-
-/// What a sub-call produced, in the form the tracing frame needs (the
-/// tracer records no logs, so none are carried here).
-#[derive(Debug, Clone)]
-pub(crate) struct SubCallResult {
-    /// `true` pushes 1, `false` pushes 0.
-    pub success: bool,
-    /// The child's return (or revert) payload; becomes the parent's
-    /// return-data buffer.
-    pub return_data: Bytes,
-    /// Gas to charge on the parent's meter.
-    pub gas_charged: u64,
-}
-
-impl SubCallResult {
-    fn failed_flat() -> Self {
-        Self { success: false, return_data: Bytes::new(), gas_charged: 0 }
-    }
 }
 
 /// The execution-gas grant accompanying a value transfer.
@@ -107,58 +86,6 @@ pub(crate) fn run_native(
     }
 }
 
-/// Runs one sub-call to completion against `storage` (the tracing
-/// interpreter's path; the production interpreter inlines the same steps
-/// into its driver loop so bytecode children never recurse).
-///
-/// Failures of the *call itself* (depth exceeded, insufficient balance)
-/// are flat: they consume no gas beyond what the caller already paid and
-/// report `success = false`. Failures *inside* the child (revert, out of
-/// gas, invalid opcode) roll the child's writes back to the checkpoint
-/// taken here and also report `success = false` — the parent frame keeps
-/// running either way, exactly like the EVM.
-pub(crate) fn run_subcall(
-    parent_env: &CallEnv,
-    request: SubCallRequest,
-    parent_gas_remaining: u64,
-    storage: &mut dyn Storage,
-) -> SubCallResult {
-    if parent_env.depth >= CALL_DEPTH_LIMIT {
-        return SubCallResult::failed_flat();
-    }
-
-    let stipend = stipend_for(request.value);
-    let forwarded = gas::forwarded_call_gas(parent_gas_remaining, request.gas_requested) + stipend;
-    let env = child_env(parent_env, &request);
-
-    let checkpoint = storage.checkpoint();
-    if !storage.transfer(&parent_env.callee, &request.target, request.value) {
-        return SubCallResult::failed_flat();
-    }
-
-    let outcome = match storage.code_get(&request.target) {
-        ContractCode::None => CallOutcome {
-            // A plain transfer to an account with no code.
-            status: TxStatus::Success,
-            return_data: Bytes::new(),
-            gas_used: 0,
-            logs: Vec::new(),
-        },
-        ContractCode::Bytecode(code) => interpreter::execute_owned(code, env, storage, forwarded),
-        ContractCode::Native(native) => run_native(native.as_ref(), &env, storage, forwarded),
-    };
-
-    let gas_charged = outcome.gas_used.saturating_sub(stipend);
-    if outcome.status.is_success() {
-        SubCallResult { success: true, return_data: outcome.return_data, gas_charged }
-    } else {
-        storage.revert_checkpoint(checkpoint);
-        // A reverting child still surfaces its revert payload to the
-        // caller's return-data buffer.
-        SubCallResult { success: false, return_data: outcome.return_data, gas_charged }
-    }
-}
-
 /// Extracts the low 20 bytes of a stack word as an address (how `CALL`
 /// and `BALANCE` interpret their address operand).
 pub(crate) fn word_address(word: U256) -> Address {
@@ -171,7 +98,6 @@ pub(crate) fn word_address(word: U256) -> Address {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::MemStorage;
 
     fn env_at_depth(depth: u16) -> CallEnv {
         let mut env = CallEnv::test_env(Address::from_low_u64(1), Address::from_low_u64(2), Bytes::new());
@@ -187,34 +113,6 @@ mod tests {
             calldata: Bytes::new(),
             is_static_call: false,
         }
-    }
-
-    #[test]
-    fn depth_limit_fails_flat() {
-        let mut storage = MemStorage::new();
-        let result =
-            run_subcall(&env_at_depth(CALL_DEPTH_LIMIT), transfer_request(0), 1_000_000, &mut storage);
-        assert!(!result.success);
-        assert_eq!(result.gas_charged, 0);
-    }
-
-    #[test]
-    fn transfer_to_codeless_account_succeeds() {
-        let mut storage = MemStorage::new();
-        storage.set_balance(Address::from_low_u64(2), U256::from(500u64));
-        let result = run_subcall(&env_at_depth(0), transfer_request(300), 1_000_000, &mut storage);
-        assert!(result.success);
-        assert_eq!(storage.balance_get(&Address::from_low_u64(9)), U256::from(300u64));
-        assert_eq!(storage.balance_get(&Address::from_low_u64(2)), U256::from(200u64));
-    }
-
-    #[test]
-    fn insufficient_balance_fails_flat_without_state_change() {
-        let mut storage = MemStorage::new();
-        storage.set_balance(Address::from_low_u64(2), U256::from(10u64));
-        let result = run_subcall(&env_at_depth(0), transfer_request(300), 1_000_000, &mut storage);
-        assert!(!result.success);
-        assert_eq!(storage.balance_get(&Address::from_low_u64(2)), U256::from(10u64));
     }
 
     #[test]

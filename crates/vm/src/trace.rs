@@ -1,16 +1,14 @@
-//! Execution tracing: a step-by-step view of a frame for debugging and
-//! for the golden-trace tests of the Sereth contract.
+//! Execution tracing: a step-by-step view of a frame for debugging.
 //!
-//! [`trace`] re-runs bytecode with a recording inspector and returns one
-//! [`TraceStep`] per executed instruction — program counter, opcode, gas
-//! remaining, and stack depth — plus the final outcome. The interpreter
-//! proper stays hook-free (no overhead on the simulation hot path); the
-//! tracer is a parallel implementation kept honest by asserting its
-//! outcome equals [`crate::interpreter::execute`]'s.
+//! [`trace`] runs bytecode through the interpreter itself and records one
+//! [`TraceStep`] per executed instruction of the root frame — program
+//! counter, opcode, gas remaining, and stack depth — plus the run's
+//! [`CallOutcome`]. The steps come from a per-instruction hook that every
+//! other caller of the interpreter leaves empty, so a traced run is the
+//! run [`interpreter::execute`] would make, logs and storage writes
+//! included.
 
 use bytes::Bytes;
-use sereth_crypto::keccak::keccak256;
-use sereth_types::receipt::TxStatus;
 use sereth_types::u256::U256;
 
 use crate::exec::{CallEnv, CallOutcome, Storage};
@@ -62,8 +60,9 @@ impl Trace {
     }
 }
 
-/// Executes `code` like [`interpreter::execute`] while recording a step
-/// per instruction.
+/// Executes `code` exactly like [`interpreter::execute`] while recording a
+/// step per instruction of the root frame (sub-calls run but are not
+/// recorded).
 ///
 /// The `step_limit` bounds recording on runaway programs (execution still
 /// finishes under the gas meter; recording just stops).
@@ -74,493 +73,72 @@ pub fn trace(
     gas_limit: u64,
     step_limit: usize,
 ) -> Trace {
-    // Record steps with a shadow pre-pass over a cloned storage: the
-    // shadow interpreter below mirrors the real one's control flow
-    // faithfully for the supported subset, and the authoritative outcome
-    // comes from the real interpreter afterwards.
-    let mut shadow = ShadowFrame::new(code, env, gas_limit);
-    let mut steps = Vec::new();
-    while steps.len() < step_limit {
-        match shadow.peek() {
-            Some(step) => {
-                steps.push(step);
-                if !shadow.advance(storage) {
-                    break;
-                }
-            }
-            None => break,
-        }
-    }
-    let outcome = CallOutcome {
-        status: shadow.status,
-        return_data: shadow.return_data.clone(),
-        gas_used: shadow.gas_used(),
-        logs: Vec::new(),
-    };
-    Trace { steps, outcome }
+    let code = Bytes::copy_from_slice(code);
+    let mut recorder = Recorder { steps: Vec::new(), step_limit };
+    let outcome = interpreter::execute_owned(code, env.clone(), storage, gas_limit, &mut recorder);
+    Trace { steps: recorder.steps, outcome }
 }
 
-/// Executes `code` like [`trace`] while deriving the frame's read/write
-/// [`AccessSet`](crate::access::AccessSet) — the trace-derived footprint
-/// the conflict-aware parallel block executor schedules by.
-///
-/// Sub-calls execute through the shared sub-call path against the same
-/// recording storage, so a cross-contract transaction's footprint covers
-/// every frame it ran, and writes rolled back by an inner revert remain in
-/// the set (conservative, see [`crate::access`]).
-pub fn trace_access(
-    code: &[u8],
-    env: &CallEnv,
-    storage: &mut dyn Storage,
-    gas_limit: u64,
+/// Keeps the first `step_limit` steps of the root frame.
+struct Recorder {
+    steps: Vec<TraceStep>,
     step_limit: usize,
-) -> (Trace, crate::access::AccessSet) {
-    let mut recorder = crate::access::AccessRecorder::new(storage);
-    let traced = trace(code, env, &mut recorder, gas_limit, step_limit);
-    (traced, recorder.into_access())
 }
 
-/// Traces and checks agreement with the hook-free interpreter, returning
-/// both the trace and the authoritative outcome.
-///
-/// # Panics
-///
-/// Panics if the shadow interpreter and the real interpreter disagree on
-/// status or gas — that would be a tracer bug, and tests rely on it.
-pub fn trace_verified(
-    code: &[u8],
-    env: &CallEnv,
-    storage_a: &mut dyn Storage,
-    storage_b: &mut dyn Storage,
-    gas_limit: u64,
-) -> (Trace, CallOutcome) {
-    let traced = trace(code, env, storage_a, gas_limit, usize::MAX >> 1);
-    let real = interpreter::execute(code, env, storage_b, gas_limit);
-    assert_eq!(traced.outcome.status, real.status, "tracer/interpreter status divergence");
-    assert_eq!(traced.outcome.gas_used, real.gas_used, "tracer/interpreter gas divergence");
-    (traced, real)
-}
-
-/// A minimal re-implementation of the interpreter's state machine used
-/// only for tracing. Kept in lockstep with `interpreter::Frame` by the
-/// `trace_verified` assertion and the test suite.
-struct ShadowFrame<'a> {
-    code: &'a [u8],
-    env: &'a CallEnv,
-    pc: usize,
-    stack: Vec<U256>,
-    memory: Vec<u8>,
-    gas: crate::gas::GasMeter,
-    jumpdests: Vec<bool>,
-    status: TxStatus,
-    return_data: Bytes,
-    /// Output of the most recent completed sub-call (mirrors the real
-    /// frame's RETURNDATASIZE/RETURNDATACOPY buffer).
-    sub_return: Bytes,
-    halted: bool,
-}
-
-impl<'a> ShadowFrame<'a> {
-    fn new(code: &'a [u8], env: &'a CallEnv, gas_limit: u64) -> Self {
-        Self {
-            code,
-            env,
-            pc: 0,
-            stack: Vec::new(),
-            memory: Vec::new(),
-            gas: crate::gas::GasMeter::new(gas_limit),
-            jumpdests: crate::opcode::valid_jump_destinations(code),
-            status: TxStatus::Success,
-            return_data: Bytes::new(),
-            sub_return: Bytes::new(),
-            halted: false,
+impl interpreter::Observer for Recorder {
+    fn step(&mut self, pc: usize, byte: u8, gas_remaining: u64, stack: &[U256]) {
+        if self.steps.len() < self.step_limit {
+            self.steps.push(TraceStep {
+                pc,
+                op: Opcode::from_byte(byte),
+                gas_remaining,
+                stack_depth: stack.len(),
+                stack_top: stack.last().copied(),
+            });
         }
     }
-
-    fn gas_used(&self) -> u64 {
-        self.gas.used()
-    }
-
-    fn peek(&self) -> Option<TraceStep> {
-        if self.halted {
-            return None;
-        }
-        let byte = *self.code.get(self.pc)?;
-        Some(TraceStep {
-            pc: self.pc,
-            op: Opcode::from_byte(byte),
-            gas_remaining: self.gas.remaining(),
-            stack_depth: self.stack.len(),
-            stack_top: self.stack.last().copied(),
-        })
-    }
-
-    /// Executes one instruction; returns `false` once halted.
-    fn advance(&mut self, storage: &mut dyn Storage) -> bool {
-        if self.halted {
-            return false;
-        }
-        match self.step(storage) {
-            Ok(done) => {
-                if done {
-                    self.halted = true;
-                }
-                !self.halted
-            }
-            Err(error) => {
-                self.status = match error {
-                    crate::error::VmError::OutOfGas => TxStatus::OutOfGas,
-                    _ => TxStatus::Reverted,
-                };
-                self.halted = true;
-                false
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Result<U256, crate::error::VmError> {
-        self.stack.pop().ok_or(crate::error::VmError::StackUnderflow)
-    }
-
-    fn pop_usize(&mut self) -> Result<usize, crate::error::VmError> {
-        Ok(self.pop()?.saturating_to_u64() as usize)
-    }
-
-    fn touch(&mut self, offset: usize, len: usize) -> Result<(), crate::error::VmError> {
-        if len == 0 {
-            return Ok(());
-        }
-        let end = offset.checked_add(len).ok_or(crate::error::VmError::OutOfGas)?;
-        self.gas.charge_memory(end as u64)?;
-        if self.memory.len() < end {
-            self.memory.resize(end, 0);
-        }
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn step(&mut self, storage: &mut dyn Storage) -> Result<bool, crate::error::VmError> {
-        use crate::error::VmError;
-        use crate::gas;
-        let Some(&byte) = self.code.get(self.pc) else {
-            return Ok(true);
-        };
-        let op = Opcode::from_byte(byte).ok_or(VmError::InvalidOpcode { byte })?;
-        self.gas.charge(gas::static_cost(op))?;
-        self.pc += 1;
-        match op {
-            Opcode::Stop => return Ok(true),
-            Opcode::Add => bin(self, |a, b| a + b)?,
-            Opcode::Mul => bin(self, |a, b| a * b)?,
-            Opcode::Sub => bin(self, |a, b| a - b)?,
-            Opcode::Div => bin(self, |a, b| a.div_rem(b).map(|(q, _)| q).unwrap_or(U256::ZERO))?,
-            Opcode::SDiv => bin(self, |a, b| a.signed_div(b))?,
-            Opcode::Mod => bin(self, |a, b| a.div_rem(b).map(|(_, r)| r).unwrap_or(U256::ZERO))?,
-            Opcode::SMod => bin(self, |a, b| a.signed_rem(b))?,
-            Opcode::SignExtend => {
-                let index = self.pop()?;
-                let value = self.pop()?;
-                self.stack.push(value.sign_extend(index.saturating_to_u64().min(32) as usize));
-            }
-            Opcode::AddMod => {
-                let a = self.pop()?;
-                let b = self.pop()?;
-                let n = self.pop()?;
-                self.stack.push(a.add_mod(b, n));
-            }
-            Opcode::MulMod => {
-                let a = self.pop()?;
-                let b = self.pop()?;
-                let n = self.pop()?;
-                self.stack.push(a.mul_mod(b, n));
-            }
-            Opcode::Exp => {
-                let base = self.pop()?;
-                let exponent = self.pop()?;
-                self.gas.charge(gas::exp_byte_cost(exponent.bits()))?;
-                self.stack.push(base.wrapping_pow(exponent));
-            }
-            Opcode::Lt => bin(self, |a, b| U256::from((a < b) as u64))?,
-            Opcode::Gt => bin(self, |a, b| U256::from((a > b) as u64))?,
-            Opcode::Slt => bin(self, |a, b| U256::from(a.signed_lt(&b) as u64))?,
-            Opcode::Sgt => bin(self, |a, b| U256::from(b.signed_lt(&a) as u64))?,
-            Opcode::Eq => bin(self, |a, b| U256::from((a == b) as u64))?,
-            Opcode::IsZero => {
-                let a = self.pop()?;
-                self.stack.push(U256::from(a.is_zero() as u64));
-            }
-            Opcode::And => bin(self, |a, b| a & b)?,
-            Opcode::Or => bin(self, |a, b| a | b)?,
-            Opcode::Xor => bin(self, |a, b| a ^ b)?,
-            Opcode::Not => {
-                let a = self.pop()?;
-                self.stack.push(!a);
-            }
-            Opcode::Byte => {
-                let index = self.pop()?;
-                let value = self.pop()?;
-                self.stack.push(U256::from(value.byte_msb(index.saturating_to_u64() as usize) as u64));
-            }
-            Opcode::Shl => {
-                let shift = self.pop()?;
-                let value = self.pop()?;
-                self.stack.push(value << shift.saturating_to_u64().min(256) as u32);
-            }
-            Opcode::Shr => {
-                let shift = self.pop()?;
-                let value = self.pop()?;
-                self.stack.push(value >> shift.saturating_to_u64().min(256) as u32);
-            }
-            Opcode::Sar => {
-                let shift = self.pop()?;
-                let value = self.pop()?;
-                self.stack.push(value.sar(shift.saturating_to_u64().min(256) as u32));
-            }
-            Opcode::Sha3 => {
-                let offset = self.pop_usize()?;
-                let len = self.pop_usize()?;
-                self.gas.charge(gas::sha3_word_cost(len as u64))?;
-                self.touch(offset, len)?;
-                let digest = keccak256(&self.memory[offset..offset + len]);
-                self.stack.push(U256::from_be_bytes(digest));
-            }
-            Opcode::Address => self.stack.push(addr_word(self.env.callee.as_bytes())),
-            Opcode::Balance => {
-                let address = crate::subcall::word_address(self.pop()?);
-                self.stack.push(storage.balance_get(&address));
-            }
-            Opcode::SelfBalance => self.stack.push(storage.balance_get(&self.env.callee)),
-            Opcode::Caller => self.stack.push(addr_word(self.env.caller.as_bytes())),
-            Opcode::CallValue => self.stack.push(self.env.call_value),
-            Opcode::CallDataLoad => {
-                let offset = self.pop_usize()?;
-                let mut word = [0u8; 32];
-                for (i, slot) in word.iter_mut().enumerate() {
-                    *slot = offset
-                        .checked_add(i)
-                        .and_then(|idx| self.env.calldata.get(idx))
-                        .copied()
-                        .unwrap_or(0);
-                }
-                self.stack.push(U256::from_be_bytes(word));
-            }
-            Opcode::CallDataSize => self.stack.push(U256::from(self.env.calldata.len() as u64)),
-            Opcode::CallDataCopy => {
-                let mem_offset = self.pop_usize()?;
-                let data_offset = self.pop_usize()?;
-                let len = self.pop_usize()?;
-                self.touch(mem_offset, len)?;
-                for i in 0..len {
-                    self.memory[mem_offset + i] = data_offset
-                        .checked_add(i)
-                        .and_then(|idx| self.env.calldata.get(idx))
-                        .copied()
-                        .unwrap_or(0);
-                }
-            }
-            Opcode::ReturnDataSize => self.stack.push(U256::from(self.sub_return.len() as u64)),
-            Opcode::ReturnDataCopy => {
-                let mem_offset = self.pop_usize()?;
-                let data_offset = self.pop_usize()?;
-                let len = self.pop_usize()?;
-                let end = data_offset.checked_add(len).ok_or(VmError::ReturnDataOutOfBounds)?;
-                if end > self.sub_return.len() {
-                    return Err(VmError::ReturnDataOutOfBounds);
-                }
-                self.gas.charge(gas::copy_word_cost(len as u64))?;
-                self.touch(mem_offset, len)?;
-                let data = self.sub_return.clone();
-                self.memory[mem_offset..mem_offset + len].copy_from_slice(&data[data_offset..end]);
-            }
-            Opcode::Timestamp => self.stack.push(U256::from(self.env.timestamp_ms)),
-            Opcode::Number => self.stack.push(U256::from(self.env.block_number)),
-            Opcode::Pop => {
-                self.pop()?;
-            }
-            Opcode::MLoad => {
-                let offset = self.pop_usize()?;
-                self.touch(offset, 32)?;
-                let mut word = [0u8; 32];
-                word.copy_from_slice(&self.memory[offset..offset + 32]);
-                self.stack.push(U256::from_be_bytes(word));
-            }
-            Opcode::MStore => {
-                let offset = self.pop_usize()?;
-                let value = self.pop()?;
-                self.touch(offset, 32)?;
-                self.memory[offset..offset + 32].copy_from_slice(&value.to_be_bytes());
-            }
-            Opcode::MStore8 => {
-                let offset = self.pop_usize()?;
-                let value = self.pop()?;
-                self.touch(offset, 1)?;
-                self.memory[offset] = value.byte_msb(31);
-            }
-            Opcode::SLoad => {
-                let key = self.pop()?.to_h256();
-                let value = storage.storage_get(&self.env.callee, &key);
-                self.stack.push(U256::from_h256(value));
-            }
-            Opcode::SStore => {
-                if self.env.is_static {
-                    return Err(VmError::StaticViolation);
-                }
-                let key = self.pop()?.to_h256();
-                let value = self.pop()?.to_h256();
-                let old = storage.storage_get(&self.env.callee, &key);
-                self.gas.charge(gas::sstore_cost(old.is_zero(), value.is_zero()))?;
-                storage.storage_set(&self.env.callee, key, value);
-            }
-            Opcode::Jump => {
-                let target = self.pop_usize()?;
-                self.jump(target)?;
-            }
-            Opcode::JumpI => {
-                let target = self.pop_usize()?;
-                let condition = self.pop()?;
-                if !condition.is_zero() {
-                    self.jump(target)?;
-                }
-            }
-            Opcode::Pc => self.stack.push(U256::from((self.pc - 1) as u64)),
-            Opcode::MSize => self.stack.push(U256::from(self.memory.len() as u64)),
-            Opcode::Gas => self.stack.push(U256::from(self.gas.remaining())),
-            Opcode::JumpDest => {}
-            Opcode::Push(n) => {
-                let end = (self.pc + n as usize).min(self.code.len());
-                let mut word = [0u8; 32];
-                let bytes = &self.code[self.pc..end];
-                word[32 - n as usize..32 - n as usize + bytes.len()].copy_from_slice(bytes);
-                self.stack.push(U256::from_be_bytes(word));
-                self.pc += n as usize;
-            }
-            Opcode::Dup(n) => {
-                let depth = n as usize;
-                if self.stack.len() < depth {
-                    return Err(VmError::StackUnderflow);
-                }
-                let value = self.stack[self.stack.len() - depth];
-                self.stack.push(value);
-            }
-            Opcode::Swap(n) => {
-                let depth = n as usize;
-                if self.stack.len() < depth + 1 {
-                    return Err(VmError::StackUnderflow);
-                }
-                let top = self.stack.len() - 1;
-                self.stack.swap(top, top - depth);
-            }
-            Opcode::Log(topic_count) => {
-                if self.env.is_static {
-                    return Err(VmError::StaticViolation);
-                }
-                let offset = self.pop_usize()?;
-                let len = self.pop_usize()?;
-                for _ in 0..topic_count {
-                    self.pop()?;
-                }
-                self.gas.charge(gas::log_data_cost(len as u64))?;
-                self.touch(offset, len)?;
-            }
-            Opcode::Call => self.op_call(storage, false)?,
-            Opcode::StaticCall => self.op_call(storage, true)?,
-            Opcode::Return => {
-                let offset = self.pop_usize()?;
-                let len = self.pop_usize()?;
-                self.touch(offset, len)?;
-                self.return_data = Bytes::copy_from_slice(&self.memory[offset..offset + len]);
-                return Ok(true);
-            }
-            Opcode::Revert => {
-                let offset = self.pop_usize()?;
-                let len = self.pop_usize()?;
-                self.touch(offset, len)?;
-                return Err(VmError::Reverted);
-            }
-        }
-        if self.stack.len() > 1024 {
-            return Err(VmError::StackOverflow);
-        }
-        Ok(false)
-    }
-
-    /// Mirrors the real interpreter's `CALL`/`STATICCALL` handling through
-    /// the shared sub-call semantics. Child frames execute but are not
-    /// traced — the trace stays a single-frame view.
-    fn op_call(
-        &mut self,
-        storage: &mut dyn Storage,
-        is_static_call: bool,
-    ) -> Result<(), crate::error::VmError> {
-        use crate::gas as gas_mod;
-        use crate::subcall::{run_subcall, word_address, SubCallRequest};
-
-        let gas_requested = self.pop()?.saturating_to_u64();
-        let target = word_address(self.pop()?);
-        let value = if is_static_call { U256::ZERO } else { self.pop()? };
-        let in_offset = self.pop_usize()?;
-        let in_len = self.pop_usize()?;
-        let out_offset = self.pop_usize()?;
-        let out_len = self.pop_usize()?;
-
-        if self.env.is_static && !value.is_zero() {
-            return Err(crate::error::VmError::StaticViolation);
-        }
-        if !value.is_zero() {
-            self.gas.charge(gas_mod::CALL_VALUE_GAS)?;
-        }
-        self.touch(in_offset, in_len)?;
-        self.touch(out_offset, out_len)?;
-
-        let request = SubCallRequest {
-            gas_requested,
-            target,
-            value,
-            calldata: Bytes::copy_from_slice(&self.memory[in_offset..in_offset + in_len]),
-            is_static_call,
-        };
-        let result = run_subcall(self.env, request, self.gas.remaining(), storage);
-        self.gas.charge(result.gas_charged)?;
-
-        let copied = out_len.min(result.return_data.len());
-        self.memory[out_offset..out_offset + copied].copy_from_slice(&result.return_data[..copied]);
-        self.sub_return = result.return_data;
-        self.stack.push(U256::from(result.success as u64));
-        Ok(())
-    }
-
-    fn jump(&mut self, target: usize) -> Result<(), crate::error::VmError> {
-        if target < self.jumpdests.len() && self.jumpdests[target] {
-            self.pc = target;
-            Ok(())
-        } else {
-            Err(crate::error::VmError::InvalidJump { target })
-        }
-    }
-}
-
-fn bin(frame: &mut ShadowFrame<'_>, f: impl FnOnce(U256, U256) -> U256) -> Result<(), crate::error::VmError> {
-    let a = frame.pop()?;
-    let b = frame.pop()?;
-    frame.stack.push(f(a, b));
-    Ok(())
-}
-
-fn addr_word(address: &[u8; 20]) -> U256 {
-    let mut word = [0u8; 32];
-    word[12..].copy_from_slice(address);
-    U256::from_be_bytes(word)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::asm::assemble;
-    use crate::exec::MemStorage;
+    use crate::exec::{ContractCode, MemStorage};
     use sereth_crypto::address::Address;
+    use sereth_crypto::hash::H256;
+    use sereth_types::receipt::TxStatus;
 
     fn env() -> CallEnv {
         CallEnv::test_env(Address::from_low_u64(1), Address::from_low_u64(2), Bytes::new())
+    }
+
+    /// Runs `code` through [`trace`] and [`interpreter::execute`] on two
+    /// copies of `storage`, asserts the whole outcomes agree and so do the
+    /// post-states at `slots`; returns the trace and its post-state.
+    fn trace_and_execute(
+        code: &[u8],
+        env: &CallEnv,
+        storage: &MemStorage,
+        gas_limit: u64,
+        slots: &[(Address, H256)],
+    ) -> (Trace, MemStorage) {
+        let mut traced_state = storage.clone();
+        let mut executed_state = storage.clone();
+        let traced = trace(code, env, &mut traced_state, gas_limit, usize::MAX);
+        let executed = interpreter::execute(code, env, &mut executed_state, gas_limit);
+        assert_eq!(traced.outcome, executed, "tracing must not change the run");
+        for (address, slot) in slots {
+            assert_eq!(traced_state.storage_get(address, slot), executed_state.storage_get(address, slot));
+        }
+        (traced, traced_state)
+    }
+
+    /// A fresh storage with `callee_asm` installed at 0xbb.
+    fn with_callee(callee_asm: &str) -> MemStorage {
+        let mut storage = MemStorage::new();
+        let code = assemble(callee_asm).unwrap();
+        storage.set_code(Address::from_low_u64(0xbb), ContractCode::Bytecode(Bytes::from(code)));
+        storage
     }
 
     #[test]
@@ -577,9 +155,20 @@ mod tests {
     }
 
     #[test]
+    fn invalid_byte_is_recorded_as_a_step() {
+        let code = [0x60, 0x01, 0x0c]; // PUSH1 0x01, then an unassigned byte
+        let mut storage = MemStorage::new();
+        let result = trace(&code, &env(), &mut storage, 100_000, 1_000);
+        assert_eq!(result.steps.len(), 2);
+        assert_eq!((result.steps[1].pc, result.steps[1].op), (2, None));
+        assert_eq!(result.outcome.status, TxStatus::Reverted);
+        assert!(result.render().contains("INVALID"));
+    }
+
+    #[test]
     fn trace_agrees_with_interpreter_on_guarded_store() {
         // The real Sereth bytecode lives in sereth-node (which depends on
-        // this crate); exercise an equivalent guard+store shape here.
+        // this crate); exercise an equivalent guard+store+log shape here.
         let source = r#"
             PUSH1 0x00
             CALLDATALOAD
@@ -593,6 +182,10 @@ mod tests {
             PUSH1 0x07
             PUSH1 0x01
             SSTORE
+            PUSH1 0x07     ; topic
+            PUSH1 0x00     ; len
+            PUSH1 0x00     ; offset
+            LOG1
             STOP
         "#;
         let code = assemble(source).unwrap();
@@ -600,28 +193,22 @@ mod tests {
         calldata[31] = 0x2a;
         let mut env = env();
         env.calldata = Bytes::copy_from_slice(&calldata);
-        let mut a = MemStorage::new();
-        let mut b = MemStorage::new();
-        let (traced, real) = trace_verified(&code, &env, &mut a, &mut b, 100_000);
-        assert_eq!(traced.outcome.status, real.status);
+        let slot = H256::from_low_u64(1);
+        let (traced, state) =
+            trace_and_execute(&code, &env, &MemStorage::new(), 100_000, &[(env.callee, slot)]);
+        assert_eq!(traced.outcome.logs.len(), 1, "the trace carries the run's log");
         assert!(traced.steps.iter().any(|s| s.op == Some(Opcode::SStore)));
-        // Shadow storage effects match the real run's.
-        use crate::exec::Storage as _;
-        let slot = sereth_crypto::hash::H256::from_low_u64(1);
-        assert_eq!(a.storage_get(&env.callee, &slot), b.storage_get(&env.callee, &slot));
+        assert_eq!(state.storage_get(&env.callee, &slot), H256::from_low_u64(7));
     }
 
     #[test]
     fn trace_agrees_with_interpreter_across_sub_calls() {
-        use crate::exec::ContractCode;
-
-        // Callee stores 9 and returns 0x2a; caller calls it, stores the
-        // flag, returns the callee's word. Only the caller's frame is
-        // traced — the child runs through the shared sub-call path.
-        let callee = assemble(
-            "PUSH1 0x09\nPUSH1 0x00\nSSTORE\nPUSH1 0x2a\nPUSH1 0x00\nMSTORE\nPUSH1 0x20\nPUSH1 0x00\nRETURN",
-        )
-        .unwrap();
+        // Callee stores 9, logs, and returns 0x2a; caller calls it, stores
+        // the flag, returns the callee's word. Only the caller's frame is
+        // traced.
+        let storage = with_callee(
+            "PUSH1 0x09\nPUSH1 0x00\nSSTORE\nPUSH1 0x07\nPUSH1 0x00\nPUSH1 0x00\nLOG1\nPUSH1 0x2a\nPUSH1 0x00\nMSTORE\nPUSH1 0x20\nPUSH1 0x00\nRETURN",
+        );
         let caller = assemble(
             r#"
             PUSH1 0x20
@@ -640,83 +227,32 @@ mod tests {
             "#,
         )
         .unwrap();
-        let install = |storage: &mut MemStorage| {
-            storage.set_code(
-                Address::from_low_u64(0xbb),
-                ContractCode::Bytecode(Bytes::copy_from_slice(&callee)),
-            );
-        };
-        let mut a = MemStorage::new();
-        let mut b = MemStorage::new();
-        install(&mut a);
-        install(&mut b);
-        let (traced, real) = trace_verified(&caller, &env(), &mut a, &mut b, 1_000_000);
+        let (callee, me, flag) = (Address::from_low_u64(0xbb), env().callee, H256::from_low_u64(1));
+        let (traced, state) =
+            trace_and_execute(&caller, &env(), &storage, 1_000_000, &[(callee, H256::ZERO), (me, flag)]);
         assert_eq!(traced.outcome.status, TxStatus::Success);
-        assert_eq!(real.return_data[31], 0x2a, "child output propagated");
-        assert!(traced.steps.iter().any(|s| s.op == Some(Opcode::Call)));
-        // The child's write is visible in both storages.
-        use crate::exec::Storage as _;
-        let slot = sereth_crypto::hash::H256::ZERO;
-        let callee_addr = Address::from_low_u64(0xbb);
-        assert_eq!(a.storage_get(&callee_addr, &slot), b.storage_get(&callee_addr, &slot));
-        assert_eq!(a.storage_get(&callee_addr, &slot).as_bytes()[31], 9);
+        assert_eq!(traced.outcome.return_data[31], 0x2a, "child output propagated");
+        assert_eq!(traced.outcome.logs.len(), 1, "the child's log bubbles up");
+        assert_eq!(traced.steps.len(), 13, "child steps are not recorded");
+        assert!(traced.steps.iter().all(|s| s.pc < caller.len()));
+        assert_eq!(state.storage_get(&callee, &H256::ZERO), H256::from_low_u64(9));
+        assert_eq!(state.storage_get(&me, &flag), H256::from_low_u64(1));
     }
 
     #[test]
     fn trace_agrees_with_interpreter_on_reverting_sub_call() {
-        use crate::exec::ContractCode;
-
-        let callee = assemble("PUSH1 0x09\nPUSH1 0x00\nSSTORE\nPUSH1 0x00\nPUSH1 0x00\nREVERT").unwrap();
+        let storage = with_callee("PUSH1 0x09\nPUSH1 0x00\nSSTORE\nPUSH1 0x00\nPUSH1 0x00\nREVERT");
         // Caller returns the call's success flag (must be 0).
         let caller = assemble(
             "PUSH1 0x00\nPUSH1 0x00\nPUSH1 0x00\nPUSH1 0x00\nPUSH1 0x00\nPUSH1 0xbb\nPUSH3 0xc350\nCALL\nPUSH1 0x00\nMSTORE\nPUSH1 0x20\nPUSH1 0x00\nRETURN",
         )
         .unwrap();
-        let mut a = MemStorage::new();
-        let mut b = MemStorage::new();
-        for storage in [&mut a, &mut b] {
-            storage.set_code(
-                Address::from_low_u64(0xbb),
-                ContractCode::Bytecode(Bytes::copy_from_slice(&callee)),
-            );
-        }
-        let (traced, real) = trace_verified(&caller, &env(), &mut a, &mut b, 1_000_000);
+        let callee = Address::from_low_u64(0xbb);
+        let (traced, state) =
+            trace_and_execute(&caller, &env(), &storage, 1_000_000, &[(callee, H256::ZERO)]);
         assert_eq!(traced.outcome.status, TxStatus::Success, "parent survives child revert");
-        assert_eq!(real.return_data[31], 0, "flag 0");
-        // The child's write rolled back identically in both runs.
-        use crate::exec::Storage as _;
-        let callee_addr = Address::from_low_u64(0xbb);
-        assert!(a.storage_get(&callee_addr, &sereth_crypto::hash::H256::ZERO).is_zero());
-        assert!(b.storage_get(&callee_addr, &sereth_crypto::hash::H256::ZERO).is_zero());
-    }
-
-    #[test]
-    fn trace_access_derives_the_frames_footprint() {
-        use crate::access::AccessKey;
-        use crate::exec::ContractCode;
-
-        // Caller SLOADs its slot 1, calls 0xbb (which SSTOREs its slot 0),
-        // then SSTOREs its own slot 2.
-        let callee = assemble("PUSH1 0x09\nPUSH1 0x00\nSSTORE\nSTOP").unwrap();
-        let caller = assemble(
-            "PUSH1 0x01\nSLOAD\nPOP\nPUSH1 0x00\nPUSH1 0x00\nPUSH1 0x00\nPUSH1 0x00\nPUSH1 0x00\nPUSH1 0xbb\nPUSH3 0xc350\nCALL\nPOP\nPUSH1 0x07\nPUSH1 0x02\nSSTORE\nSTOP",
-        )
-        .unwrap();
-        let mut storage = MemStorage::new();
-        storage
-            .set_code(Address::from_low_u64(0xbb), ContractCode::Bytecode(Bytes::copy_from_slice(&callee)));
-        let env = env();
-        let (traced, access) = trace_access(&caller, &env, &mut storage, 1_000_000, 10_000);
-        assert_eq!(traced.outcome.status, TxStatus::Success);
-        let me = env.callee;
-        let child = Address::from_low_u64(0xbb);
-        assert!(access.reads.contains(&AccessKey::Slot(me, sereth_crypto::hash::H256::from_low_u64(1))));
-        assert!(access.writes.contains(&AccessKey::Slot(me, sereth_crypto::hash::H256::from_low_u64(2))));
-        assert!(
-            access.writes.contains(&AccessKey::Slot(child, sereth_crypto::hash::H256::ZERO)),
-            "sub-call writes are part of the footprint"
-        );
-        assert!(access.reads.contains(&AccessKey::Code(child)), "CALL dispatch reads the callee's code");
+        assert_eq!(traced.outcome.return_data[31], 0, "flag 0");
+        assert!(state.storage_get(&callee, &H256::ZERO).is_zero(), "the child's write rolled back");
     }
 
     #[test]
@@ -732,8 +268,11 @@ mod tests {
     fn step_limit_bounds_recording() {
         let code = assemble("begin:\nJUMPDEST\nPUSH @begin\nJUMP").unwrap();
         let mut storage = MemStorage::new();
-        let result = trace(&code, &env(), &mut storage, 1_000_000_000, 50);
+        let result = trace(&code, &env(), &mut storage, 1_000_000, 50);
         assert_eq!(result.steps.len(), 50);
+        // Recording stopped; execution ran on until the gas ran out.
+        assert_eq!(result.outcome.status, TxStatus::OutOfGas);
+        assert_eq!(result.outcome.gas_used, 1_000_000);
     }
 
     #[test]

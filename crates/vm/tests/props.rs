@@ -145,9 +145,9 @@ proptest! {
         }
     }
 
-    /// The tracer's shadow interpreter agrees with the real interpreter on
-    /// status, gas, and return data for arbitrary code — the invariant that
-    /// keeps traces trustworthy.
+    /// Tracing does not perturb execution: for arbitrary code the traced
+    /// run agrees with the untraced one on status, gas, return data, and
+    /// logs.
     #[test]
     fn tracer_matches_interpreter(code in proptest::collection::vec(any::<u8>(), 0..256),
                                   calldata in proptest::collection::vec(any::<u8>(), 0..64)) {
@@ -160,6 +160,7 @@ proptest! {
         prop_assert_eq!(traced.outcome.status, real.status);
         prop_assert_eq!(traced.outcome.gas_used, real.gas_used);
         prop_assert_eq!(traced.outcome.return_data, real.return_data);
+        prop_assert_eq!(traced.outcome.logs, real.logs);
     }
 
     /// Gas usage is monotone in work: running the same loop for more
