@@ -24,7 +24,7 @@
 //! smoke gate; set 0 to only report).
 
 use sereth_bench::{env_list_or, env_or, write_bench_artifact, BenchPoint};
-use sereth_sim::cluster::{run_cluster, ClusterConfig, ClusterOutput};
+use sereth_sim::scenario::{run_scenario, RunOutput, ScenarioConfig, MAX_SIM_MS, SYNC_EVERY_MS};
 use sereth_types::SimTime;
 
 struct NetPoint {
@@ -35,13 +35,13 @@ struct NetPoint {
     lossy_msgs_per_block: f64,
 }
 
-fn base_config(nodes: usize, buys: u64, sets: u64) -> ClusterConfig {
-    let mut config = ClusterConfig::cluster(nodes, buys, sets);
+fn base_config(nodes: usize, buys: u64, sets: u64) -> ScenarioConfig {
+    let mut config = ScenarioConfig::cluster(nodes, buys, sets);
     config.drain_ms = 30_000;
     config
 }
 
-fn lossy_config(nodes: usize, buys: u64, sets: u64, loss: f64, dup: f64) -> ClusterConfig {
+fn lossy_config(nodes: usize, buys: u64, sets: u64, loss: f64, dup: f64) -> ScenarioConfig {
     // One partition/heal episode riding along: a quarter of the nodes
     // (at least one, never the primary miner) islands off near the end
     // of the workload and heals only *after* mining has quiesced — so
@@ -54,12 +54,12 @@ fn lossy_config(nodes: usize, buys: u64, sets: u64, loss: f64, dup: f64) -> Clus
     config.lossy(loss, dup).partitioned(island, last_submission.saturating_sub(5_000), heal_at)
 }
 
-fn mean_convergence(config: &ClusterConfig, seeds: u64, enforce: bool) -> (f64, f64, ClusterOutput) {
+fn mean_convergence(config: &ScenarioConfig, seeds: u64, enforce: bool) -> (f64, f64, RunOutput) {
     let mut converged_sum = 0.0;
     let mut msgs_per_block_sum = 0.0;
     let mut first = None;
     for seed in 0..seeds.max(1) {
-        let out = run_cluster(config, 90 + seed);
+        let out = run_scenario(config, 90 + seed);
         if enforce {
             assert!(
                 out.is_converged(),
@@ -68,9 +68,9 @@ fn mean_convergence(config: &ClusterConfig, seeds: u64, enforce: bool) -> (f64, 
                 out.per_node_heads
             );
         }
-        let converged = out.converged_at.unwrap_or(config.max_sim_ms);
+        let converged = out.converged_at.unwrap_or(MAX_SIM_MS);
         converged_sum += converged as f64;
-        msgs_per_block_sum += out.messages_sent as f64 / out.run.metrics.blocks.max(1) as f64;
+        msgs_per_block_sum += out.messages_sent as f64 / out.metrics.blocks.max(1) as f64;
         if first.is_none() {
             first = Some(out);
         }
@@ -108,14 +108,14 @@ fn main() {
         if enforce {
             // Determinism: replaying the first seed must reproduce the
             // run byte-for-byte.
-            let again = run_cluster(&clean, 90);
+            let again = run_scenario(&clean, 90);
             assert_eq!(again.per_node_heads, clean_out.per_node_heads, "{nodes}-node heads reproduce");
             assert_eq!(again.events, clean_out.events, "{nodes}-node event count reproduces");
             // Bounded convergence: a fault-free cluster must settle
             // within a few sync periods of mining stopping.
             let mine_until =
                 clean.num_buys.max(1) * clean.tx_interval_ms + clean.tx_interval_ms + clean.drain_ms;
-            let bound: SimTime = mine_until + 10 * clean.sync_every_ms;
+            let bound: SimTime = mine_until + 10 * SYNC_EVERY_MS;
             assert!(
                 (clean_ms as SimTime) <= bound,
                 "clean {nodes}-node cluster converged at {clean_ms} ms, bound {bound} ms"

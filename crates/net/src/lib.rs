@@ -24,10 +24,9 @@
 //!   window applies to the moment a message enters the link, not the
 //!   moment it would surface.
 //!
-//! The multi-node cluster scenarios (`sereth-sim::cluster`) and the
-//! NET-SCALE bench lean on this: their convergence times are simulated
-//! time, hence host-independent and comparable against committed
-//! baselines.
+//! The scenario runner (`sereth-sim::scenario`) and the NET-SCALE bench
+//! lean on this: their convergence times are simulated time, hence
+//! host-independent and comparable against committed baselines.
 //!
 //! # Fault vocabulary
 //!

@@ -4,16 +4,16 @@
 //!
 //! * [`contract`] — Listing 1 in assembly **and** native Rust, proven
 //!   equivalent by tests;
-//! * [`node`] — [`node::NodeHandle`] (chain + pool + RAA registry) and the
-//!   [`node::NodeActor`] gossip behaviour;
+//! * [`node`] — [`node::NodeHandle`]: chain + pool + RAA registry;
 //! * [`miner`] — fee-priority ordering vs. HMS *semantic mining* (§V-C);
 //! * [`client`] — the owner/buyer transaction builders whose view of state
 //!   (committed vs. HMS tail) is exactly what the three experimental
 //!   scenarios vary;
 //! * [`messages`] — the simulation's message vocabulary;
-//! * [`netnode`] — [`netnode::NetNode`], the topology-driven gossip actor
-//!   with anti-entropy (head announcements, parent pulls, pending
-//!   re-offers), the substrate of the multi-node cluster scenarios.
+//! * [`netnode`] — [`netnode::NetNode`], the gossip actor: flood gossip
+//!   over the simulator's topology plus anti-entropy (head announcements,
+//!   parent pulls, pending re-offers), the substrate of every simulated
+//!   network.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,6 +35,6 @@ pub use messages::Msg;
 pub use miner::{committed_amv, enforce_nonce_order, order_candidates, pending_view, MinerPolicy};
 pub use netnode::NetNode;
 pub use node::{
-    BlockReceipt, BlockSchedule, ClientKind, MinerSetup, NodeActor, NodeConfig, NodeHandle, NodeInner,
-    StateReader, TxCommitStatus,
+    BlockReceipt, BlockSchedule, ClientKind, MinerSetup, NodeConfig, NodeHandle, NodeInner, StateReader,
+    TxCommitStatus,
 };

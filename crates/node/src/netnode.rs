@@ -1,12 +1,11 @@
 //! A complete node behind [`sereth_net::sim::Actor`]: topology-driven
-//! gossip plus anti-entropy, so clusters converge over lossy links.
+//! gossip plus anti-entropy, so networks converge over lossy links.
 //!
-//! [`crate::node::NodeActor`] carries an explicit peer list and relies on
-//! flood gossip alone — enough when links are merely slow, but a dropped
-//! `NewBlock` or a healed partition leaves peers permanently behind.
-//! [`NetNode`] instead reads its peers from the simulator's topology
+//! Flood gossip alone is enough when links are merely slow, but a
+//! dropped `NewBlock` or a healed partition leaves peers permanently
+//! behind. [`NetNode`] reads its peers from the simulator's topology
 //! ([`Context::neighbors`]/[`Context::broadcast`]) and layers three
-//! recovery mechanisms on top of the same flood rules:
+//! recovery mechanisms on top of the flood rules:
 //!
 //! 1. **Parent pull** — an orphaned block triggers a [`Msg::GetBlock`]
 //!    for its missing parent (deduplicated per sync round), walking one
@@ -24,11 +23,11 @@
 //! [`BlockReceipt::Known`] for repeated blocks. Reorgs need no special
 //! handling here — the chain store's fork-choice imports competing
 //! branches as side chains and switches heads when one grows strictly
-//! longer, exactly as in the single-node scenarios.
+//! longer, exactly as for blocks imported any other way.
 //!
 //! Every behaviour is deterministic: the only randomness an actor may
 //! consume is [`Context::rng`] (here, only the mining schedule), so a
-//! cluster run is a pure function of its seed.
+//! simulated run is a pure function of its seed.
 
 use std::collections::HashSet;
 

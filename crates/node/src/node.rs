@@ -1,5 +1,5 @@
-//! A full network node: chain store, transaction pool, RAA registry, and
-//! the actor that speaks the gossip protocol.
+//! A full network node: chain store, transaction pool, and RAA registry.
+//! [`crate::netnode::NetNode`] puts it on the simulated network.
 //!
 //! A node is either a standard **Geth** client or a modified **Sereth**
 //! client (paper §III-B). The only difference — faithfully to the paper —
@@ -29,8 +29,6 @@ use sereth_core::process::PendingTx;
 use sereth_core::provider::{HmsDataSource, HmsRaaProvider};
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
-use sereth_net::sim::{Actor, Context};
-use sereth_net::topology::ActorId;
 use sereth_raa::{RaaConfig, RaaDataSource, RaaService, ServiceRaaProvider};
 use sereth_telemetry::{BlockTrace, Histogram, Phase, Telemetry, TelemetryConfig, TelemetrySnapshot};
 use sereth_types::block::Block;
@@ -40,7 +38,6 @@ use sereth_vm::abi;
 use sereth_vm::raa::RaaRegistry;
 
 use crate::contract::{get_selector, mark_selector, set_selector};
-use crate::messages::Msg;
 use crate::miner::{committed_amv, market_spec, order_candidates_limited, MinerPolicy};
 
 /// Standard vs. modified client (paper §III-B).
@@ -1274,75 +1271,6 @@ impl std::fmt::Debug for NodeHandle {
             .field("head", &inner.chain.head_number())
             .field("pool", &inner.pool.len())
             .finish()
-    }
-}
-
-/// The actor wrapping a node for the discrete-event simulation.
-pub struct NodeActor {
-    /// The node itself (shared with attached clients).
-    pub handle: NodeHandle,
-    /// Gossip peers (actor ids of other nodes).
-    pub peers: Vec<ActorId>,
-}
-
-impl Actor<Msg> for NodeActor {
-    fn on_message(&mut self, msg: Msg, ctx: &mut Context<'_, Msg>) {
-        match msg {
-            Msg::SubmitTx(tx) | Msg::NewTransaction(tx) => {
-                if self.handle.receive_tx(tx.clone(), ctx.now()) {
-                    for &peer in &self.peers {
-                        ctx.send_to(peer, Msg::NewTransaction(tx.clone()));
-                    }
-                }
-            }
-            Msg::NewBlock(block) => {
-                match self.handle.receive_block(block.clone()) {
-                    BlockReceipt::Imported => {
-                        for &peer in &self.peers {
-                            ctx.send_to(peer, Msg::NewBlock(block.clone()));
-                        }
-                    }
-                    BlockReceipt::Orphaned => {
-                        // Ancestor fetch: ask the network for the missing
-                        // parent; each reply walks one block further back
-                        // until the branches reconnect (partition heal).
-                        let request =
-                            Msg::GetBlock { hash: block.header.parent_hash, requester: ctx.self_id() };
-                        for &peer in &self.peers {
-                            ctx.send_to(peer, request.clone());
-                        }
-                    }
-                    BlockReceipt::Known | BlockReceipt::Rejected => {}
-                }
-            }
-            Msg::GetBlock { hash, requester } => {
-                if let Some(block) = self.handle.block_by_hash(&hash) {
-                    ctx.send_to(requester, Msg::NewBlock(block));
-                }
-            }
-            Msg::MineTick => {
-                if let Some(block) = self.handle.mine(ctx.now()) {
-                    for &peer in &self.peers {
-                        ctx.send_to(peer, Msg::NewBlock(block.clone()));
-                    }
-                }
-                let schedule = self
-                    .handle
-                    .with_inner(|inner| inner.config.miner.as_ref().map(|setup| setup.schedule.clone()));
-                if let Some(schedule) = schedule {
-                    let delay = schedule.next_delay(ctx.rng());
-                    ctx.wake_self(delay, Msg::MineTick);
-                }
-            }
-            Msg::Announce { .. } | Msg::SyncTick => {
-                // Anti-entropy belongs to the topology-driven
-                // [`crate::netnode::NetNode`]; this explicit-peer actor
-                // relies on reliable-enough flood gossip.
-            }
-            Msg::WorkloadTick(_) => {
-                // Workload ticks belong to driver actors.
-            }
-        }
     }
 }
 

@@ -3,13 +3,13 @@
 //! * [`workload`] — the §II-F market workload: buys at 1-second intervals,
 //!   sets evenly spaced across them;
 //! * [`scenario`] — the three Figure 2 scenarios (`geth_unmodified`,
-//!   `sereth_client`, `semantic_mining`) and the sequential-history
-//!   validation;
+//!   `sereth_client`, `semantic_mining`), the sequential-history
+//!   validation, and the multi-node cluster presets, all on one runner:
+//!   N full nodes behind `NetNode` on a real topology with loss,
+//!   duplication, and partitions, with a post-quiescence convergence
+//!   check (all heads agree, byte-equal state roots);
 //! * [`many_markets`] — the read-storm scenario exercising the
 //!   incremental `sereth-raa` view service across dozens of markets;
-//! * [`cluster`] — N full nodes behind `NetNode` on a real topology with
-//!   loss, duplication, and partitions, with a post-quiescence
-//!   convergence check (all heads agree, byte-equal state roots);
 //! * [`contended`] — a 100 %-conflicting single-market scenario mined
 //!   with the parallel executor against a sequential oracle twin;
 //! * [`pool_feed`] — many submitters feeding a sharded, incrementally
@@ -40,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod audit;
-pub mod cluster;
 pub mod contended;
 pub mod experiment;
 pub mod many_markets;
@@ -54,7 +53,6 @@ pub mod stats;
 pub mod workload;
 
 pub use audit::{audit_run, market_spec, run_history};
-pub use cluster::{run_cluster, ClusterConfig, ClusterOutput, Injection};
 pub use contended::{run_contended_market, ContendedConfig, ContendedReport};
 pub use experiment::{paper_scenarios, run_point, sweep, SweepPoint, PAPER_SET_COUNTS};
 pub use many_markets::{
@@ -66,7 +64,8 @@ pub use pool_feed::{run_pool_feed, PoolFeedConfig, PoolFeedReport};
 pub use restart::{run_restart, RestartConfig, RestartOutput};
 pub use retry::{RetryDriver, RetryStats};
 pub use scenario::{
-    run_retry_scenario, run_scenario, run_sequential_history, RunOutput, ScenarioConfig, ScenarioKind,
+    run_retry_scenario, run_scenario, run_sequential_history, Injection, RunOutput, ScenarioConfig,
+    ScenarioKind,
 };
 pub use stats::{ci90_half_width, mean, moving_average, percentile, std_dev, summarize, Summary};
 pub use workload::{market_plan, sequential_plan, MarketDriver, TimedStep, WorkloadStep};

@@ -1,12 +1,33 @@
 //! The three experimental scenarios of paper §V — `geth_unmodified`,
-//! `sereth_client`, `semantic_mining` — plus the knobs the ablation
-//! experiments sweep.
+//! `sereth_client`, `semantic_mining` — the multi-node clusters, and the
+//! one runner under all of them.
+//!
+//! Every run puts its nodes behind [`sereth_node::netnode::NetNode`] on
+//! the simulator's topology (complete, ring, star, random) with the
+//! configured latency, loss, duplication, stragglers, and partitions
+//! from [`FaultModel`]. The workload driver feeds the clients'
+//! transactions in; nodes flood them and their blocks to their
+//! neighbours and run anti-entropy every [`SYNC_EVERY_MS`]. Mining stops
+//! at a horizon after the last submission (the pool drain window); then
+//! the network **quiesces**: anti-entropy keeps running, and the runner
+//! steps simulated time until every node agrees on the head (or
+//! [`MAX_SIM_MS`] passes).
+//!
+//! The output carries per-node heads and state roots (the convergence
+//! check is byte-equality of state), the usual
+//! [`crate::metrics::RunMetrics`], and node 0's canonical chain with the
+//! read log, so [`crate::audit::audit_run`] gives every run an
+//! isolation-ladder verdict.
+//!
+//! Everything is a pure function of `(config, seed)`: actors take
+//! randomness only from the simulator's seeded RNG, so identical seeds
+//! reproduce identical per-node heads, byte-identical state, and
+//! identical message counts — the property the NET-SCALE bench and the
+//! seed-sweep tests pin.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use sereth_chain::builder::BlockLimits;
 use sereth_chain::genesis::GenesisBuilder;
 use sereth_core::hms::HmsConfig;
@@ -14,19 +35,31 @@ use sereth_core::mark::genesis_mark;
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
 use sereth_crypto::sig::SecretKey;
-use sereth_net::latency::{FaultModel, LatencyModel};
+use sereth_net::latency::{FaultModel, LatencyModel, Partition};
 use sereth_net::sim::{Actor, NetworkConfig, Simulation};
-use sereth_net::topology::{Topology, TopologyKind};
+use sereth_net::topology::TopologyKind;
 use sereth_node::client::{Buyer, Owner};
 use sereth_node::contract::{default_contract_address, sereth_code, sereth_genesis_slots, ContractForm};
 use sereth_node::messages::Msg;
 use sereth_node::miner::MinerPolicy;
-use sereth_node::node::{BlockSchedule, ClientKind, NodeActor, NodeConfig, NodeHandle};
+use sereth_node::netnode::NetNode;
+use sereth_node::node::{BlockSchedule, ClientKind, NodeConfig, NodeHandle};
 use sereth_types::u256::U256;
 use sereth_types::{IsolationLevel, SimTime};
 
 use crate::metrics::{collect_metrics, RunMetrics, SubmissionLog};
+use crate::retry::{RetryDriver, RetryStats};
 use crate::workload::{market_plan, sequential_plan, MarketDriver, TimedStep};
+
+/// Anti-entropy period of every node (ms).
+pub const SYNC_EVERY_MS: SimTime = 3_000;
+
+/// Convergence-poll granularity after mining stops (ms).
+const QUIESCE_STEP_MS: SimTime = 1_000;
+
+/// Hard horizon: a run whose nodes have not converged by this simulated
+/// time reports `converged_at: None`.
+pub const MAX_SIM_MS: SimTime = 600_000;
 
 /// Which of the paper's scenarios a configuration models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,6 +87,18 @@ impl ScenarioKind {
     }
 }
 
+/// Where the workload's buyers submit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Injection {
+    /// Every client attaches to node 0 (the first miner). With this
+    /// wiring the network is pure overhead for the committed history —
+    /// the lever the no-network ≡ in-process equivalence property pulls.
+    MinerOnly,
+    /// Buyers attach round-robin over all nodes, so most submissions
+    /// enter at non-mining edge nodes and must gossip to the miners.
+    RoundRobin,
+}
+
 /// A full experiment configuration.
 #[derive(Debug, Clone)]
 pub struct ScenarioConfig {
@@ -61,11 +106,18 @@ pub struct ScenarioConfig {
     pub name: String,
     /// Number of network nodes.
     pub num_nodes: usize,
+    /// Nodes `0..num_miners` mine. Miner `i` runs
+    /// [`ScenarioConfig::block_schedule`] stretched by `i + 1` —
+    /// secondary miners are deliberately slower, so after a partition the
+    /// mainland branch (holding miner 0) is strictly longer and the
+    /// minority reorgs onto it.
+    pub num_miners: usize,
     /// Client kind per node (length `num_nodes`).
     pub node_kinds: Vec<ClientKind>,
-    /// The mining policy of node 0 (the sole miner by default).
+    /// The mining policy of every miner.
     pub miner_policy: MinerPolicy,
-    /// Block production schedule.
+    /// Miner 0's block production schedule; see
+    /// [`ScenarioConfig::num_miners`].
     pub block_schedule: BlockSchedule,
     /// Per-block transaction cap (None = gas-limit bound only). The paper's
     /// small private blocks are what create pool backlog (§V-A).
@@ -76,25 +128,29 @@ pub struct ScenarioConfig {
     pub num_sets: u64,
     /// Submission interval (the paper uses 1 s).
     pub tx_interval_ms: SimTime,
-    /// Distinct buyer addresses, round-robin over nodes.
+    /// Distinct buyer addresses.
     pub num_buyers: usize,
     /// Opening price.
     pub initial_price: u64,
-    /// Gossip latency model.
+    /// Link latency model.
     pub latency: LatencyModel,
-    /// Gossip fault injection.
+    /// Loss, duplication, stragglers, partitions.
     pub faults: FaultModel,
-    /// Peer topology (over the nodes).
+    /// Peer wiring. The workload driver is actor `num_nodes` inside this
+    /// topology; it never relays, so the effective node topology is this
+    /// graph with one silent tap attached.
     pub topology: TopologyKind,
     /// HMS extensions.
     pub hms: HmsConfig,
-    /// Extra simulated time after the last submission for the pool to
-    /// drain.
+    /// Extra mining time after the last submission (the pool drain
+    /// window); mining quiesces at `last_submission + drain_ms`.
     pub drain_ms: SimTime,
     /// The isolation rung every node serves reads (and the miner orders)
     /// at. READ-UNCOMMITTED — the paper's mode — by default; the
     /// ISO-FRONTIER experiment sweeps the whole ladder.
     pub isolation: IsolationLevel,
+    /// Buyer attachment policy; the owner always talks to node 0.
+    pub injection: Injection,
 }
 
 impl ScenarioConfig {
@@ -111,6 +167,7 @@ impl ScenarioConfig {
         Self {
             name: kind.label().to_string(),
             num_nodes: 4,
+            num_miners: 1,
             node_kinds,
             miner_policy,
             block_schedule: BlockSchedule::Exponential { mean: 15_000 },
@@ -126,6 +183,7 @@ impl ScenarioConfig {
             hms: HmsConfig::default(),
             drain_ms: 8 * 15_000,
             isolation: IsolationLevel::ReadUncommitted,
+            injection: Injection::RoundRobin,
         }
     }
 
@@ -150,10 +208,39 @@ impl ScenarioConfig {
         Self::base(ScenarioKind::PwvScheduler, num_buys, num_sets)
     }
 
+    /// A baseline cluster: Geth nodes, one standard miner on a fixed 5 s
+    /// cadence, ring topology, default latency, no faults, round-robin
+    /// edge injection.
+    pub fn cluster(num_nodes: usize, num_buys: u64, num_sets: u64) -> Self {
+        Self {
+            name: format!("cluster_{num_nodes}"),
+            num_nodes,
+            node_kinds: vec![ClientKind::Geth; num_nodes],
+            block_schedule: BlockSchedule::Fixed(5_000),
+            num_buyers: 10.min(num_buys.max(1) as usize),
+            topology: TopologyKind::Ring,
+            drain_ms: 30_000,
+            ..Self::base(ScenarioKind::GethUnmodified, num_buys, num_sets)
+        }
+    }
+
     /// Moves every node (and the miner's ordering) to `level` — the
     /// ISO-FRONTIER sweep's knob.
     pub fn with_isolation(mut self, level: IsolationLevel) -> Self {
         self.isolation = level;
+        self
+    }
+
+    /// Adds loss and duplication to every link.
+    pub fn lossy(mut self, drop_probability: f64, duplicate_probability: f64) -> Self {
+        self.faults.drop_probability = drop_probability;
+        self.faults.duplicate_probability = duplicate_probability;
+        self
+    }
+
+    /// Schedules a partition episode cutting `island` off from the rest.
+    pub fn partitioned(mut self, island: Vec<usize>, from_ms: SimTime, until_ms: SimTime) -> Self {
+        self.faults.partitions.push(Partition { island, from_ms, until_ms });
         self
     }
 
@@ -170,24 +257,93 @@ pub struct RunOutput {
     pub scenario: String,
     /// The seed.
     pub seed: u64,
-    /// Measured metrics.
+    /// Measured metrics, viewed from node 0.
     pub metrics: RunMetrics,
-    /// The miner's canonical chain at the end of the run (blocks with
-    /// their replay receipts, genesis included) — the raw material for
+    /// Node 0's canonical chain at the end of the run (blocks with their
+    /// replay receipts, genesis included) — the raw material for
     /// post-hoc auditing, e.g. the `sereth-consistency` checkers.
     pub chain: Vec<(sereth_types::Block, Vec<sereth_types::Receipt>)>,
+    /// Every node's `(height, head hash)` at the end of the run.
+    pub per_node_heads: Vec<(u64, H256)>,
+    /// Every node's head state root (convergence is byte-equality here).
+    pub per_node_state_roots: Vec<H256>,
+    /// Every node's total stored blocks, side chains included. A node
+    /// whose count exceeds the canonical length held — and abandoned — a
+    /// competing branch: the observable trace of a reorg.
+    pub per_node_stored_blocks: Vec<usize>,
+    /// Simulated time at which every node first agreed on the head
+    /// (polled every second after mining stopped), or `None` if the nodes
+    /// never converged before [`MAX_SIM_MS`].
+    pub converged_at: Option<SimTime>,
+    /// Total simulator events delivered — message deliveries plus timers,
+    /// the NET-SCALE traffic measure.
+    pub events: u64,
+    /// Sum of every node's `net.msgs_sent` counter (gossip fan-out
+    /// actually offered to the network, before loss).
+    pub messages_sent: u64,
 }
 
-/// Snapshots the canonical chain of `node` for [`RunOutput::chain`].
-pub(crate) fn snapshot_chain(node: &NodeHandle) -> Vec<(sereth_types::Block, Vec<sereth_types::Receipt>)> {
-    node.with_inner(|inner| {
-        inner.chain.canonical_chain().map(|stored| (stored.block.clone(), stored.receipts.clone())).collect()
-    })
+impl RunOutput {
+    /// `true` when every node ended on the same head **and** the same
+    /// state root.
+    pub fn is_converged(&self) -> bool {
+        self.converged_at.is_some()
+            && self.per_node_heads.windows(2).all(|w| w[0] == w[1])
+            && self.per_node_state_roots.windows(2).all(|w| w[0] == w[1])
+    }
 }
 
-/// Node `i`'s configuration under `config`: node 0 mines with the
-/// scenario's policy, every node serves reads at the scenario's
-/// isolation rung.
+/// What drives the clients of one run.
+enum Workload {
+    /// A timed plan — the market workload or the sequential history —
+    /// executed by a [`MarketDriver`].
+    Plan(Vec<TimedStep>),
+    /// The abort-rate retry loop ([`RetryDriver`]), publishing per-buyer
+    /// attempts into the shared stats.
+    Retry(Arc<Mutex<RetryStats>>),
+}
+
+/// Runs the paper's market workload; identical `(config, seed)` pairs
+/// produce identical outputs, including per-node heads and state roots.
+pub fn run_scenario(config: &ScenarioConfig, seed: u64) -> RunOutput {
+    let plan = market_plan(
+        config.num_buys,
+        config.num_sets,
+        config.tx_interval_ms,
+        config.num_buyers,
+        config.initial_price,
+    );
+    run(config, seed, Workload::Plan(plan))
+}
+
+/// Runs the §V sequential-history validation: every transaction from one
+/// address, alternating set/buy. Expected: zero failures, η = 1.0.
+pub fn run_sequential_history(config: &ScenarioConfig, pairs: u64, seed: u64) -> RunOutput {
+    run(config, seed, Workload::Plan(sequential_plan(pairs, config.tx_interval_ms, config.initial_price)))
+}
+
+/// Runs the abort-rate extension workload (see [`crate::retry`]): every
+/// buyer retries one purchase until it lands while the owner reprices
+/// `num_sets` times at `config.tx_interval_ms` intervals. Returns per-buyer
+/// attempt counts alongside the usual submission metrics.
+pub fn run_retry_scenario(config: &ScenarioConfig, seed: u64) -> (RunOutput, RetryStats) {
+    let stats = Arc::new(Mutex::new(RetryStats::default()));
+    let output = run(config, seed, Workload::Retry(stats.clone()));
+    let stats = stats.lock().clone();
+    (output, stats)
+}
+
+/// `schedule` with every interval multiplied by `factor`.
+fn stretched(schedule: &BlockSchedule, factor: u64) -> BlockSchedule {
+    match schedule {
+        BlockSchedule::Fixed(interval) => BlockSchedule::Fixed(interval * factor),
+        BlockSchedule::Exponential { mean } => BlockSchedule::Exponential { mean: mean * factor },
+    }
+}
+
+/// Node `i`'s configuration: nodes `0..num_miners` mine (distinct
+/// coinbases, miner `i` on the schedule stretched by `i + 1`), every node
+/// serves reads at the scenario's isolation rung.
 fn node_config(config: &ScenarioConfig, i: usize, contract: Address) -> NodeConfig {
     let mut builder = NodeConfig::builder()
         .kind(config.node_kinds[i])
@@ -195,19 +351,28 @@ fn node_config(config: &ScenarioConfig, i: usize, contract: Address) -> NodeConf
         .isolation(config.isolation)
         .limits(BlockLimits { gas_limit: 8_000_000, max_txs: config.max_txs_per_block })
         .hms(config.hms.clone());
-    if i == 0 {
+    if i < config.num_miners {
         builder = builder
             .mining(config.miner_policy.clone())
-            .schedule(config.block_schedule.clone())
-            .coinbase(Address::from_low_u64(0xc0b0));
+            .schedule(stretched(&config.block_schedule, i as u64 + 1))
+            .coinbase(Address::from_low_u64(0xc0b0 + i as u64));
     }
     builder.build()
 }
 
-/// Runs one scenario instance; identical `(config, seed)` pairs produce
-/// identical results.
-pub fn run_scenario(config: &ScenarioConfig, seed: u64) -> RunOutput {
+/// Snapshots the canonical chain of `node` for [`RunOutput::chain`].
+fn snapshot_chain(node: &NodeHandle) -> Vec<(sereth_types::Block, Vec<sereth_types::Receipt>)> {
+    node.with_inner(|inner| {
+        inner.chain.canonical_chain().map(|stored| (stored.block.clone(), stored.receipts.clone())).collect()
+    })
+}
+
+/// The one runner: builds genesis, nodes and clients, hands the clients
+/// to the workload's driver, and runs the network through mining and
+/// quiescence.
+fn run(config: &ScenarioConfig, seed: u64, workload: Workload) -> RunOutput {
     assert_eq!(config.node_kinds.len(), config.num_nodes, "one client kind per node");
+    assert!(config.num_miners >= 1 && config.num_miners <= config.num_nodes, "miners must be nodes");
     let contract = default_contract_address();
     let owner_key = SecretKey::from_label(1);
     let buyer_keys: Vec<SecretKey> =
@@ -227,21 +392,20 @@ pub fn run_scenario(config: &ScenarioConfig, seed: u64) -> RunOutput {
         )
         .build();
 
-    // Nodes. Node 0 mines.
     let nodes: Vec<NodeHandle> = (0..config.num_nodes)
         .map(|i| NodeHandle::new(genesis.clone(), node_config(config, i, contract)))
         .collect();
 
-    // Gossip wiring among the nodes.
-    let mut topo_rng = SmallRng::seed_from_u64(seed ^ 0x7090_7090);
-    let node_topology = Topology::build(&config.topology, config.num_nodes, &mut topo_rng);
-
-    // Buyers attach round-robin; each inherits its node's client kind.
+    // Buyers attach per the injection policy; each inherits its node's
+    // client kind.
     let mut buyers = Vec::new();
     let mut buyer_nodes = Vec::new();
     let mut buyer_node_ids = Vec::new();
     for (i, key) in buyer_keys.iter().enumerate() {
-        let node_index = i % config.num_nodes;
+        let node_index = match config.injection {
+            Injection::MinerOnly => 0,
+            Injection::RoundRobin => i % config.num_nodes,
+        };
         buyers.push(Buyer::new(key.clone(), contract, nodes[node_index].kind(), 1));
         buyer_nodes.push(nodes[node_index].clone());
         buyer_node_ids.push(node_index);
@@ -249,185 +413,115 @@ pub fn run_scenario(config: &ScenarioConfig, seed: u64) -> RunOutput {
     let owner =
         Owner::with_value(owner_key, contract, genesis_mark(), H256::from_low_u64(config.initial_price), 1);
 
-    let plan = market_plan(
-        config.num_buys,
-        config.num_sets,
-        config.tx_interval_ms,
-        config.num_buyers,
-        config.initial_price,
-    );
-    run_plan(config, seed, nodes, node_topology, owner, buyers, buyer_nodes, buyer_node_ids, plan)
-}
-
-/// Runs the §V sequential-history validation: every transaction from one
-/// address, alternating set/buy. Expected: zero failures, η = 1.0.
-pub fn run_sequential_history(config: &ScenarioConfig, pairs: u64, seed: u64) -> RunOutput {
-    let contract = default_contract_address();
-    let owner_key = SecretKey::from_label(1);
-    let genesis = GenesisBuilder::new()
-        .fund(owner_key.address(), U256::from(u64::MAX / 2))
-        .contract_with_storage(
-            contract,
-            sereth_code(ContractForm::Native),
-            sereth_genesis_slots(&owner_key.address(), H256::from_low_u64(config.initial_price)),
-        )
-        .build();
-    let nodes: Vec<NodeHandle> = (0..config.num_nodes)
-        .map(|i| NodeHandle::new(genesis.clone(), node_config(config, i, contract)))
-        .collect();
-    let mut topo_rng = SmallRng::seed_from_u64(seed ^ 0x7090_7090);
-    let node_topology = Topology::build(&config.topology, config.num_nodes, &mut topo_rng);
-    let owner =
-        Owner::with_value(owner_key, contract, genesis_mark(), H256::from_low_u64(config.initial_price), 1);
-    let plan = sequential_plan(pairs, config.tx_interval_ms, config.initial_price);
-    run_plan(config, seed, nodes, node_topology, owner, vec![], vec![], vec![], plan)
-}
-
-/// Runs the abort-rate extension workload (see [`crate::retry`]): every
-/// buyer retries one purchase until it lands while the owner reprices
-/// `num_sets` times at `config.tx_interval_ms` intervals. Returns per-buyer
-/// attempt counts alongside the usual submission metrics.
-pub fn run_retry_scenario(config: &ScenarioConfig, seed: u64) -> (RunOutput, crate::retry::RetryStats) {
-    assert_eq!(config.node_kinds.len(), config.num_nodes);
-    let contract = default_contract_address();
-    let owner_key = SecretKey::from_label(1);
-    let buyer_keys: Vec<SecretKey> =
-        (0..config.num_buyers).map(|i| SecretKey::from_label(1_000 + i as u64)).collect();
-
-    let mut genesis_builder = GenesisBuilder::new().fund(owner_key.address(), U256::from(u64::MAX / 2));
-    for key in &buyer_keys {
-        genesis_builder = genesis_builder.fund(key.address(), U256::from(u64::MAX / 2));
-    }
-    let genesis = genesis_builder
-        .contract_with_storage(
-            contract,
-            sereth_code(ContractForm::Native),
-            sereth_genesis_slots(&owner_key.address(), H256::from_low_u64(config.initial_price)),
-        )
-        .build();
-
-    let nodes: Vec<NodeHandle> = (0..config.num_nodes)
-        .map(|i| NodeHandle::new(genesis.clone(), node_config(config, i, contract)))
-        .collect();
-    let mut topo_rng = SmallRng::seed_from_u64(seed ^ 0x7090_7090);
-    let node_topology = Topology::build(&config.topology, config.num_nodes, &mut topo_rng);
-
-    let mut buyers = Vec::new();
-    let mut buyer_nodes = Vec::new();
-    let mut buyer_node_ids = Vec::new();
-    for (i, key) in buyer_keys.iter().enumerate() {
-        let node_index = i % config.num_nodes;
-        buyers.push(Buyer::new(key.clone(), contract, nodes[node_index].kind(), 1));
-        buyer_nodes.push(nodes[node_index].clone());
-        buyer_node_ids.push(node_index);
-    }
-    let owner =
-        Owner::with_value(owner_key, contract, genesis_mark(), H256::from_low_u64(config.initial_price), 1);
-
-    let log = Arc::new(Mutex::new(crate::metrics::SubmissionLog::new()));
-    let stats = Arc::new(Mutex::new(crate::retry::RetryStats::default()));
-    let deadline = config.num_sets.max(1) * config.tx_interval_ms + config.drain_ms;
-    let driver = crate::retry::RetryDriver::new(
-        owner,
-        nodes[0].clone(),
-        0,
-        buyers,
-        buyer_nodes,
-        buyer_node_ids,
-        config.num_sets,
-        config.tx_interval_ms,
-        config.tx_interval_ms / 2,
-        config.initial_price,
-        deadline,
-        log.clone(),
-        stats.clone(),
-    );
-
-    let driver_id = config.num_nodes;
-    let mut actors: Vec<Box<dyn Actor<Msg>>> = Vec::with_capacity(config.num_nodes + 1);
-    for (i, node) in nodes.iter().enumerate() {
-        actors.push(Box::new(NodeActor {
-            handle: node.clone(),
-            peers: node_topology.neighbors_of(i).to_vec(),
-        }));
-    }
-    actors.push(Box::new(driver));
-
-    let net = NetworkConfig {
-        topology: TopologyKind::Complete,
-        latency: config.latency.clone(),
-        faults: config.faults.clone(),
-    };
-    let mut sim = Simulation::new(actors, &net, seed);
-    let first_block_at = match &config.block_schedule {
-        BlockSchedule::Fixed(interval) => *interval,
-        BlockSchedule::Exponential { mean } => *mean,
-    };
-    sim.schedule(first_block_at, 0, Msg::MineTick);
-    sim.schedule(config.tx_interval_ms, driver_id, Msg::WorkloadTick(0));
-    sim.run_until(deadline);
-
-    let mut metrics = collect_metrics(&nodes[0], &log.lock());
-    metrics.node_telemetry = nodes.iter().map(|n| n.telemetry_snapshot()).collect();
-    let final_stats = stats.lock().clone();
-    let chain = snapshot_chain(&nodes[0]);
-    (RunOutput { scenario: config.name.clone(), seed, metrics, chain }, final_stats)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_plan(
-    config: &ScenarioConfig,
-    seed: u64,
-    nodes: Vec<NodeHandle>,
-    node_topology: Topology,
-    owner: Owner,
-    buyers: Vec<Buyer>,
-    buyer_nodes: Vec<NodeHandle>,
-    buyer_node_ids: Vec<usize>,
-    plan: Vec<TimedStep>,
-) -> RunOutput {
     let log = Arc::new(Mutex::new(SubmissionLog::new()));
+    let interval = config.tx_interval_ms;
+    let (driver, first_tick, last_submission): (Box<dyn Actor<Msg>>, Option<SimTime>, SimTime) =
+        match workload {
+            Workload::Plan(plan) => {
+                let last_step = plan.last().map_or(0, |timed| timed.at);
+                let driver = MarketDriver::new(
+                    plan,
+                    owner,
+                    buyers,
+                    buyer_nodes,
+                    buyer_node_ids,
+                    nodes[0].clone(),
+                    0,
+                    log.clone(),
+                );
+                let first_tick = driver.first_tick_at();
+                (Box::new(driver), first_tick, (config.num_buys.max(1) * interval + interval).max(last_step))
+            }
+            Workload::Retry(stats) => {
+                let last_submission = config.num_sets.max(1) * interval;
+                let driver = RetryDriver::new(
+                    owner,
+                    nodes[0].clone(),
+                    0,
+                    buyers,
+                    buyer_nodes,
+                    buyer_node_ids,
+                    config.num_sets,
+                    interval,
+                    interval / 2,
+                    config.initial_price,
+                    last_submission + config.drain_ms,
+                    log.clone(),
+                    stats,
+                );
+                (Box::new(driver), Some(interval), last_submission)
+            }
+        };
     let driver_id = config.num_nodes;
 
+    let mine_until = last_submission + config.drain_ms;
     let mut actors: Vec<Box<dyn Actor<Msg>>> = Vec::with_capacity(config.num_nodes + 1);
-    for (i, node) in nodes.iter().enumerate() {
-        actors.push(Box::new(NodeActor {
-            handle: node.clone(),
-            peers: node_topology.neighbors_of(i).to_vec(),
-        }));
+    for node in &nodes {
+        actors.push(Box::new(NetNode::new(node.clone(), mine_until, SYNC_EVERY_MS, MAX_SIM_MS)));
     }
-    let driver =
-        MarketDriver::new(plan, owner, buyers, buyer_nodes, buyer_node_ids, nodes[0].clone(), 0, log.clone());
-    let first_tick = driver.first_tick_at();
-    actors.push(Box::new(driver));
+    actors.push(driver);
 
     let net = NetworkConfig {
-        // The simulator-level topology only feeds `ctx.neighbors()`, which
-        // the node actors do not use (they carry explicit peer lists); a
-        // complete graph keeps client→node latency sampling uniform.
-        topology: TopologyKind::Complete,
+        topology: config.topology.clone(),
         latency: config.latency.clone(),
         faults: config.faults.clone(),
     };
+    // The simulator seeds its own RNG (topology + link sampling + mining
+    // schedules) from `seed`; nothing else in a run draws randomness.
     let mut sim = Simulation::new(actors, &net, seed);
 
-    // Bootstrap the miner and the workload.
-    let first_block_at = match &config.block_schedule {
+    // Bootstrap: miners on their cadences (offset by 73 ms per extra
+    // miner so fixed schedules never collide on the same instant), one
+    // staggered sync tick per node, the workload driver.
+    let period = match &config.block_schedule {
         BlockSchedule::Fixed(interval) => *interval,
         BlockSchedule::Exponential { mean } => *mean,
     };
-    sim.schedule(first_block_at, 0, Msg::MineTick);
+    for i in 0..config.num_miners {
+        sim.schedule(period * (i as u64 + 1) + 73 * i as u64, i, Msg::MineTick);
+    }
+    for i in 0..config.num_nodes {
+        sim.schedule(SYNC_EVERY_MS + i as u64, i, Msg::SyncTick);
+    }
     if let Some(at) = first_tick {
         sim.schedule(at, driver_id, Msg::WorkloadTick(0));
     }
 
-    let last_submission = config.num_buys.max(1) * config.tx_interval_ms + config.tx_interval_ms;
-    sim.run_until(last_submission + config.drain_ms);
+    // Phase 1: workload + mining, through the drain window.
+    sim.run_until(mine_until);
+
+    // Phase 2: quiescence. Mining has stopped; anti-entropy keeps
+    // running. Poll until every node reports the same head.
+    let mut converged_at = None;
+    let mut horizon = sim.now();
+    while horizon < MAX_SIM_MS {
+        if nodes.windows(2).all(|pair| pair[0].head_id() == pair[1].head_id()) {
+            converged_at = Some(horizon);
+            break;
+        }
+        horizon += QUIESCE_STEP_MS;
+        sim.run_until(horizon);
+    }
 
     let mut metrics = collect_metrics(&nodes[0], &log.lock());
-    metrics.node_telemetry = nodes.iter().map(|n| n.telemetry_snapshot()).collect();
-    let chain = snapshot_chain(&nodes[0]);
-    RunOutput { scenario: config.name.clone(), seed, metrics, chain }
+    metrics.node_telemetry = nodes.iter().map(|node| node.telemetry_snapshot()).collect();
+    let messages_sent = metrics
+        .node_telemetry
+        .iter()
+        .map(|snapshot| snapshot.counters.get("net.msgs_sent").copied().unwrap_or(0))
+        .sum();
+    RunOutput {
+        scenario: config.name.clone(),
+        seed,
+        chain: snapshot_chain(&nodes[0]),
+        metrics,
+        per_node_heads: nodes.iter().map(|node| node.head_id()).collect(),
+        per_node_state_roots: nodes.iter().map(|node| node.head_state_root()).collect(),
+        per_node_stored_blocks: nodes.iter().map(|node| node.stored_blocks()).collect(),
+        converged_at,
+        events: sim.events_processed(),
+        messages_sent,
+    }
 }
 
 #[cfg(test)]
@@ -457,6 +551,9 @@ mod tests {
         assert_eq!(a.metrics.buys_succeeded, b.metrics.buys_succeeded);
         assert_eq!(a.metrics.blocks, b.metrics.blocks);
         assert_eq!(a.metrics.sets_succeeded, b.metrics.sets_succeeded);
+        assert_eq!(a.per_node_state_roots, b.per_node_state_roots);
+        assert_eq!(a.events, b.events);
+        assert_eq!(a.messages_sent, b.messages_sent);
     }
 
     #[test]
@@ -468,6 +565,7 @@ mod tests {
                 "{}: sets are the owner's own chain and must all succeed",
                 out.scenario
             );
+            assert!(out.is_converged(), "{}: the four nodes agree: {:?}", out.scenario, out.per_node_heads);
         }
     }
 
@@ -527,5 +625,134 @@ mod tests {
         assert_eq!(out.metrics.buys_succeeded, 10, "single-sender history never fails (paper §V)");
         assert_eq!(out.metrics.sets_succeeded, 10);
         assert!((out.metrics.eta_buys() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sequential_history_covers_the_whole_plan() {
+        // 60 pairs end at 120 s, far past the market horizon of 5 buys;
+        // the run must still submit, and commit, every step of the plan.
+        let mut config = ScenarioConfig::geth_unmodified(5, 5);
+        config.drain_ms = 90_000;
+        for seed in 1..=3 {
+            let out = run_sequential_history(&config, 60, seed);
+            assert_eq!(out.metrics.buys_submitted, 60, "seed {seed}: every buy submitted");
+            assert_eq!(out.metrics.sets_submitted, 60, "seed {seed}: every set submitted");
+            assert_eq!(out.metrics.buys_succeeded, 60, "seed {seed}");
+            assert_eq!(out.metrics.sets_succeeded, 60, "seed {seed}");
+            assert!((out.metrics.eta_buys() - 1.0).abs() < 1e-12, "seed {seed}: η = 1.0");
+        }
+    }
+}
+
+/// The multi-node cluster regressions: convergence, byte-equivalence,
+/// reorgs and audits on the cluster presets.
+#[cfg(test)]
+mod cluster {
+    use super::*;
+    use crate::audit::audit_run;
+
+    fn small(num_nodes: usize) -> ScenarioConfig {
+        let mut config = ScenarioConfig::cluster(num_nodes, 24, 6);
+        config.num_buyers = 6;
+        config.drain_ms = 25_000;
+        config
+    }
+
+    #[test]
+    fn zero_latency_cluster_is_byte_equivalent_to_single_node() {
+        // No-network ≡ in-process: with every client attached to node 0,
+        // zero link latency, and no faults, the other five nodes are pure
+        // observers — the committed history must be byte-identical to the
+        // single-node run. Nothing here draws RNG (fixed schedule,
+        // constant latency, no loss), so this is exact, not statistical.
+        let mut lone = small(1);
+        lone.injection = Injection::MinerOnly;
+        lone.latency = LatencyModel::Constant(0);
+        let mut wide = small(6);
+        wide.injection = Injection::MinerOnly;
+        wide.latency = LatencyModel::Constant(0);
+
+        let a = run_scenario(&lone, 42);
+        let b = run_scenario(&wide, 42);
+        assert!(a.is_converged() && b.is_converged());
+        let hashes =
+            |out: &RunOutput| -> Vec<H256> { out.chain.iter().map(|(block, _)| block.hash()).collect() };
+        assert_eq!(hashes(&a), hashes(&b), "identical canonical chains, block for block");
+        assert_eq!(a.per_node_state_roots[0], b.per_node_state_roots[0], "byte-equal state");
+        assert_eq!(a.metrics.buys_succeeded, b.metrics.buys_succeeded);
+        assert_eq!(a.metrics.sets_succeeded, b.metrics.sets_succeeded);
+    }
+
+    #[test]
+    fn seed_swept_lossy_partitioned_cluster_converges_deterministically() {
+        // The acceptance-criteria run: 8 nodes, loss + duplication, a
+        // partition that opens and heals mid-run, edge injection. Every
+        // seed must converge; identical seeds must agree byte-for-byte.
+        for seed in [3u64, 11, 29] {
+            let config = small(8).lossy(0.05, 0.05).partitioned(vec![2, 5], 8_000, 20_000);
+            let a = run_scenario(&config, seed);
+            let b = run_scenario(&config, seed);
+            assert!(a.is_converged(), "seed {seed} converged: {:?}", a.per_node_heads);
+            assert_eq!(a.per_node_heads, b.per_node_heads, "seed {seed} heads reproduce");
+            assert_eq!(a.per_node_state_roots, b.per_node_state_roots, "seed {seed} state reproduces");
+            assert_eq!(a.converged_at, b.converged_at, "seed {seed} convergence time reproduces");
+            assert_eq!(a.events, b.events, "seed {seed} event count reproduces");
+            assert_eq!(a.messages_sent, b.messages_sent, "seed {seed} message count reproduces");
+            // The committed chain stays G0-clean at the paper's rung even
+            // under loss and partitions (set is a CAS).
+            let report = audit_run(&a, config.initial_price);
+            assert!(report.holds_at(IsolationLevel::ReadUncommitted), "seed {seed}: {:?}", report.violations);
+        }
+    }
+
+    #[test]
+    fn minority_branch_reorgs_onto_majority_after_heal() {
+        // Two miners. The slower one (node 1) is cut off with two other
+        // nodes long enough to seal its own branch; the mainland keeps
+        // the faster miner, so its branch is strictly longer at heal
+        // time. The minority must abandon its branch — visible as stored
+        // side-chain blocks — and every node must end on one head.
+        let mut config = small(8).partitioned(vec![1, 4, 6], 6_000, 30_000);
+        config.num_miners = 2;
+        config.topology = TopologyKind::Complete;
+        let out = run_scenario(&config, 17);
+        assert!(out.is_converged(), "heal reconnects the branches: {:?}", out.per_node_heads);
+        // More stored blocks than the canonical chain (genesis included)
+        // proves the minority miner held — and abandoned — a competing
+        // branch when the longer mainland chain arrived.
+        let canonical_len = (out.per_node_heads[0].0 + 1) as usize;
+        assert!(
+            out.per_node_stored_blocks[1] > canonical_len,
+            "node 1 kept its orphaned branch as a side chain \
+             (stored {} vs canonical {canonical_len})",
+            out.per_node_stored_blocks[1]
+        );
+    }
+
+    #[test]
+    fn fault_free_sequential_cluster_is_clean_at_every_rung() {
+        // With no faults there are no reorgs, so a SEQUENTIAL cluster
+        // must audit clean at every rung of the ladder, exactly like the
+        // single-miner scenarios.
+        let mut config = small(4).with_isolation(IsolationLevel::Sequential);
+        config.injection = Injection::RoundRobin;
+        let out = run_scenario(&config, 9);
+        assert!(out.is_converged());
+        let report = audit_run(&out, config.initial_price);
+        for level in IsolationLevel::ALL {
+            assert!(report.holds_at(level), "violated {level}: {:?}", report.violations);
+        }
+        assert!(report.tallies.reads > 0, "edge-node observations were logged");
+    }
+
+    #[test]
+    fn star_and_random_topologies_converge() {
+        for topology in [TopologyKind::Star, TopologyKind::Random { degree: 2 }] {
+            let mut config = small(8).lossy(0.03, 0.03);
+            config.topology = topology.clone();
+            let out = run_scenario(&config, 5);
+            assert!(out.is_converged(), "{topology:?} converged: {:?}", out.per_node_heads);
+            assert!(out.metrics.blocks > 0, "{topology:?} committed blocks");
+        }
     }
 }

@@ -12,16 +12,16 @@
 //! cargo run --example cluster
 //! ```
 
-use sereth::sim::cluster::{run_cluster, ClusterConfig};
+use sereth::sim::scenario::{run_scenario, ScenarioConfig};
 
 fn main() {
     // 8 nodes on a ring, 120 buys / 12 sets injected round-robin at the
     // edges, 5 % loss + 5 % duplication on every link, and nodes 2 and 5
     // cut off from second 8 to second 30.
-    let config = ClusterConfig::cluster(8, 120, 12).lossy(0.05, 0.05).partitioned(vec![2, 5], 8_000, 30_000);
+    let config = ScenarioConfig::cluster(8, 120, 12).lossy(0.05, 0.05).partitioned(vec![2, 5], 8_000, 30_000);
 
     let seed = 7;
-    let out = run_cluster(&config, seed);
+    let out = run_scenario(&config, seed);
 
     let heights: Vec<u64> = out.per_node_heads.iter().map(|(number, _)| *number).collect();
     println!("per-node heights   : {heights:?}");
@@ -33,7 +33,7 @@ fn main() {
     );
     println!(
         "committed workload : {} blocks, {} buys, {} sets",
-        out.run.metrics.blocks, out.run.metrics.buys_succeeded, out.run.metrics.sets_succeeded,
+        out.metrics.blocks, out.metrics.buys_succeeded, out.metrics.sets_succeeded,
     );
     assert!(out.is_converged(), "all nodes must agree on head and state root");
 
@@ -43,7 +43,7 @@ fn main() {
     println!("state roots        : byte-equal across all {} nodes ✓", config.num_nodes);
 
     // Determinism: the same seed reproduces the run exactly.
-    let again = run_cluster(&config, seed);
+    let again = run_scenario(&config, seed);
     assert_eq!(again.per_node_heads, out.per_node_heads);
     assert_eq!(again.events, out.events);
     assert_eq!(again.messages_sent, out.messages_sent);

@@ -19,8 +19,9 @@ use sereth::net::topology::TopologyKind;
 use sereth::node::contract::{default_contract_address, sereth_code, sereth_genesis_slots, ContractForm};
 use sereth::node::messages::Msg;
 use sereth::node::miner::MinerPolicy;
-use sereth::node::node::{BlockSchedule, NodeActor, NodeConfig, NodeHandle};
-use sereth::types::U256;
+use sereth::node::netnode::NetNode;
+use sereth::node::node::{BlockSchedule, NodeConfig, NodeHandle};
+use sereth::types::{SimTime, U256};
 
 fn main() {
     let owner = SecretKey::from_label(1);
@@ -51,14 +52,11 @@ fn main() {
             )
         })
         .collect();
-    let n = nodes.len();
+    // Flood gossip plus parent pulls only: mining never stops, and no
+    // `SyncTick` is scheduled, so the announce/re-offer rounds stay off.
     let actors: Vec<Box<dyn Actor<Msg>>> = nodes
         .iter()
-        .enumerate()
-        .map(|(i, node)| {
-            Box::new(NodeActor { handle: node.clone(), peers: (0..n).filter(|&p| p != i).collect() })
-                as Box<dyn Actor<Msg>>
-        })
+        .map(|node| Box::new(NetNode::new(node.clone(), SimTime::MAX, 3_000, 0)) as Box<dyn Actor<Msg>>)
         .collect();
 
     // The cut: {1, 3} are islanded from {0, 2} between t=60 s and t=240 s.

@@ -1,6 +1,7 @@
 //! Failure injection: the simulation keeps its invariants under message
 //! loss, duplication, long-tail latency, sparse topologies, and pool
-//! pressure.
+//! pressure — and after mining stops, the four nodes converge on one head
+//! and one state root.
 
 use sereth::consistency::record::{History, MarketSpec};
 use sereth::consistency::{seqcon, sss};
@@ -12,6 +13,11 @@ use sereth::node::contract::{
     buy_ok_topic, buy_selector, default_contract_address, set_ok_topic, set_selector,
 };
 use sereth::sim::scenario::{run_scenario, RunOutput, ScenarioConfig};
+
+/// Every node ended on the same head and state root.
+fn assert_converged(output: &RunOutput) {
+    assert!(output.is_converged(), "{} converged: {:?}", output.scenario, output.per_node_heads);
+}
 
 fn small(mut config: ScenarioConfig) -> ScenarioConfig {
     config.num_buys = 24;
@@ -35,6 +41,8 @@ fn lossy_gossip_degrades_gracefully() {
     assert!(lossy_out.metrics.blocks > 0);
     assert!(lossy_out.metrics.sets_included > 0);
     assert!(clean_out.metrics.blocks > 0);
+    assert_converged(&clean_out);
+    assert_converged(&lossy_out);
 }
 
 #[test]
@@ -50,6 +58,8 @@ fn duplicated_gossip_changes_nothing_observable() {
     // ledger-level invariants (identical timing shifts aside).
     assert_eq!(duped_out.metrics.sets_succeeded, duped_out.metrics.sets_submitted);
     assert_eq!(clean_out.metrics.sets_succeeded, clean_out.metrics.sets_submitted);
+    assert_converged(&clean_out);
+    assert_converged(&duped_out);
 }
 
 #[test]
@@ -60,6 +70,7 @@ fn ring_topology_still_converges() {
     let out = run_scenario(&config, 4);
     assert!(out.metrics.blocks > 0);
     assert_eq!(out.metrics.sets_succeeded, out.metrics.sets_submitted, "ring gossip delivers everything");
+    assert_converged(&out);
 }
 
 #[test]
@@ -70,6 +81,7 @@ fn long_tail_latency_is_survivable() {
     let out = run_scenario(&config, 6);
     assert!(out.metrics.blocks > 0);
     assert!(out.metrics.buys_included > 0);
+    assert_converged(&out);
 }
 
 #[test]
@@ -83,6 +95,7 @@ fn tiny_blocks_create_backlog_but_no_loss_of_safety() {
     // invariants.
     assert!(out.metrics.buys_succeeded <= out.metrics.buys_included);
     assert!(out.metrics.buys_included <= out.metrics.buys_submitted);
+    assert_converged(&out);
 }
 
 #[test]
@@ -94,13 +107,16 @@ fn star_topology_with_loss_and_duplication_composes() {
     let out = run_scenario(&config, 10);
     assert!(out.metrics.blocks > 0);
     assert!(out.metrics.eta_included() <= 1.0);
+    assert_converged(&out);
 }
 
 /// Runs the sequential-consistency + SSS audit over a run's committed
 /// chain. Faults may *lose* transactions (liveness suffers), but every
 /// chain that commits must still satisfy both conditions — they are
-/// safety properties.
+/// safety properties. Anti-entropy must also bring every node onto that
+/// chain once mining stops.
 fn audit_holds(output: &RunOutput) {
+    assert_converged(output);
     let spec = MarketSpec {
         contract: default_contract_address(),
         set_selector: set_selector(),

@@ -3,6 +3,10 @@
 //! same resolution logic HMS borrows for its series selection (§III-C:
 //! "this logic mirrors that of the blockchain, in which branches are
 //! resolved by taking the longest branch").
+//!
+//! Every node is a [`NetNode`] with no `SyncTick` scheduled: these runs
+//! exercise flood gossip and the parent-pull path alone, without the
+//! announce/re-offer anti-entropy rounds.
 
 use sereth::chain::genesis::GenesisBuilder;
 use sereth::crypto::{Address, SecretKey, H256};
@@ -12,8 +16,15 @@ use sereth::net::topology::TopologyKind;
 use sereth::node::contract::{default_contract_address, sereth_code, sereth_genesis_slots, ContractForm};
 use sereth::node::messages::Msg;
 use sereth::node::miner::MinerPolicy;
-use sereth::node::node::{BlockSchedule, NodeActor, NodeConfig, NodeHandle};
-use sereth::types::U256;
+use sereth::node::netnode::NetNode;
+use sereth::node::node::{BlockSchedule, NodeConfig, NodeHandle};
+use sereth::types::{SimTime, U256};
+
+/// Wraps `node` for the network: it mines for the whole run, and with no
+/// `SyncTick` scheduled its sync settings never take effect.
+fn net_node(node: &NodeHandle) -> Box<dyn Actor<Msg>> {
+    Box::new(NetNode::new(node.clone(), SimTime::MAX, 3_000, 0))
+}
 
 fn build_network(miner_intervals: &[Option<u64>]) -> (Vec<NodeHandle>, Simulation<Msg>) {
     let owner = SecretKey::from_label(1);
@@ -43,15 +54,7 @@ fn build_network(miner_intervals: &[Option<u64>]) -> (Vec<NodeHandle>, Simulatio
         })
         .collect();
 
-    let n = nodes.len();
-    let actors: Vec<Box<dyn Actor<Msg>>> = nodes
-        .iter()
-        .enumerate()
-        .map(|(i, node)| {
-            Box::new(NodeActor { handle: node.clone(), peers: (0..n).filter(|&p| p != i).collect() })
-                as Box<dyn Actor<Msg>>
-        })
-        .collect();
+    let actors: Vec<Box<dyn Actor<Msg>>> = nodes.iter().map(net_node).collect();
     let net = NetworkConfig {
         topology: TopologyKind::Complete,
         latency: LatencyModel::Uniform { min: 20, max: 120 },
@@ -213,15 +216,7 @@ fn split_brain_partition_diverges_then_converges_on_heal() {
             )
         })
         .collect();
-    let n = nodes.len();
-    let actors: Vec<Box<dyn Actor<Msg>>> = nodes
-        .iter()
-        .enumerate()
-        .map(|(i, node)| {
-            Box::new(NodeActor { handle: node.clone(), peers: (0..n).filter(|&p| p != i).collect() })
-                as Box<dyn Actor<Msg>>
-        })
-        .collect();
+    let actors: Vec<Box<dyn Actor<Msg>>> = nodes.iter().map(net_node).collect();
     let net = NetworkConfig {
         topology: TopologyKind::Complete,
         latency: LatencyModel::Uniform { min: 20, max: 120 },
