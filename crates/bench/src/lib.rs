@@ -1,4 +1,7 @@
-//! Shared fixtures for the sereth benchmarks and experiment binaries.
+//! Shared fixtures, artifact writing and the bench-trend gate for the
+//! sereth experiments. The experiments themselves are the entries of one
+//! runner, `cargo run --release -p sereth-bench -- <entry|all> [--smoke]`;
+//! the criterion benches live under `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -10,7 +13,49 @@ use sereth_core::mark::{compute_mark, genesis_mark};
 use sereth_core::process::PendingTx;
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
+use sereth_crypto::sig::SecretKey;
 use sereth_node::contract::{default_contract_address, set_selector};
+use sereth_types::transaction::{Transaction, TxPayload};
+use sereth_types::u256::U256;
+
+/// A signed market `set` from `owner` to `contract` with nonce `nonce`,
+/// extending mark `prev` with `value` — the chain's head when `nonce` is 0.
+pub fn set_tx(
+    owner: &SecretKey,
+    contract: Address,
+    nonce: u64,
+    prev: H256,
+    value: H256,
+    gas_price: u64,
+) -> Transaction {
+    let flag = if nonce == 0 { Flag::Head } else { Flag::Success };
+    Transaction::sign(
+        TxPayload {
+            nonce,
+            gas_price,
+            gas_limit: 100_000,
+            to: Some(contract),
+            value: U256::ZERO,
+            input: Fpv::new(flag, prev, value).to_calldata(set_selector()),
+        },
+        owner,
+    )
+}
+
+/// A signed plain transfer from `sender` to a fixed foreign address.
+pub fn transfer(sender: &SecretKey, nonce: u64, gas_price: u64) -> Transaction {
+    Transaction::sign(
+        TxPayload {
+            nonce,
+            gas_price,
+            gas_limit: 21_000,
+            to: Some(Address::from_low_u64(0xee)),
+            value: U256::ZERO,
+            input: bytes::Bytes::new(),
+        },
+        sender,
+    )
+}
 
 /// Builds a pool snapshot containing one honest chain of `chain_len` sets
 /// plus `noise` non-HMS transactions — the input shape for the HMS
@@ -59,9 +104,6 @@ pub fn market_txpool(
     noise: usize,
 ) -> (sereth_chain::txpool::TxPool, Vec<Address>) {
     use sereth_chain::txpool::{PoolConfig, TxPool};
-    use sereth_crypto::sig::SecretKey;
-    use sereth_types::transaction::TxPayload;
-    use sereth_types::u256::U256;
 
     let total = markets * sets_per_market + noise;
     let pool = TxPool::with_config(PoolConfig {
@@ -78,40 +120,15 @@ pub fn market_txpool(
     for (m, contract) in contracts.iter().enumerate() {
         let owner = SecretKey::from_label(500 + m as u64);
         let mut prev = genesis_mark();
-        for i in 0..sets_per_market {
-            let flag = if i == 0 { Flag::Head } else { Flag::Success };
-            let value = H256::from_low_u64(1_000 + i as u64);
-            let fpv = Fpv::new(flag, prev, value);
+        for i in 0..sets_per_market as u64 {
+            let value = H256::from_low_u64(1_000 + i);
+            pool.insert(set_tx(&owner, *contract, i, prev, value, 1), now).expect("pool sized to fit");
             prev = compute_mark(&prev, &value);
-            let tx = sereth_types::transaction::Transaction::sign(
-                TxPayload {
-                    nonce: i as u64,
-                    gas_price: 1,
-                    gas_limit: 100_000,
-                    to: Some(*contract),
-                    value: U256::ZERO,
-                    input: fpv.to_calldata(set_selector()),
-                },
-                &owner,
-            );
-            pool.insert(tx, now).expect("pool sized to fit");
             now += 1;
         }
     }
-    for j in 0..noise {
-        let sender = SecretKey::from_label(100_000 + j as u64);
-        let tx = sereth_types::transaction::Transaction::sign(
-            TxPayload {
-                nonce: 0,
-                gas_price: 2,
-                gas_limit: 21_000,
-                to: Some(Address::from_low_u64(0xee)),
-                value: U256::ZERO,
-                input: bytes::Bytes::new(),
-            },
-            &sender,
-        );
-        pool.insert(tx, now).expect("pool sized to fit");
+    for j in 0..noise as u64 {
+        pool.insert(transfer(&SecretKey::from_label(100_000 + j), 0, 2), now).expect("pool sized to fit");
         now += 1;
     }
     (pool, contracts)
@@ -146,85 +163,34 @@ impl sereth_core::provider::HmsDataSource for PoolSource {
     }
 }
 
-/// Shared fixture for the EXEC-PAR / VAL-PAR scale benches: a funded
-/// genesis with per-sender counter contracts, and candidate lists whose
-/// conflict ratio is a knob. Both benches must measure the *same*
-/// workload shape (one builds, one replays), so the shape exists once.
-pub mod exec_fixture {
-    use bytes::Bytes;
-    use sereth_chain::genesis::GenesisBuilder;
-    use sereth_chain::state::StateDb;
-    use sereth_crypto::address::Address;
-    use sereth_crypto::sig::SecretKey;
-    use sereth_types::block::BlockHeader;
-    use sereth_types::transaction::{Transaction, TxPayload};
-    use sereth_types::u256::U256;
-    use sereth_vm::asm::assemble;
-    use sereth_vm::exec::ContractCode;
+/// A genesis holding the Sereth market contract (owned by `owner`,
+/// committed price 50) plus `accounts` funded filler accounts: the state
+/// a node's read path is measured against as it grows.
+pub fn market_genesis(owner: &SecretKey, accounts: u64) -> sereth_chain::genesis::Genesis {
+    use sereth_node::contract::{sereth_code, sereth_genesis_slots, ContractForm};
 
-    /// Reads slot 0, does a little keccak work, increments the slot —
-    /// enough VM time per transaction that scheduling overhead does not
-    /// dominate.
-    pub fn counter_code() -> Bytes {
-        Bytes::from(
-            assemble(
-                "PUSH1 0x00\nSLOAD\nPUSH1 0x20\nPUSH1 0x00\nSHA3\nPOP\nPUSH1 0x20\nPUSH1 0x00\nSHA3\nPOP\nPUSH1 0x01\nADD\nPUSH1 0x00\nSSTORE\nSTOP",
-            )
-            .unwrap(),
-        )
+    let mut builder = sereth_chain::genesis::GenesisBuilder::new()
+        .fund(owner.address(), U256::from(1_000_000_000u64))
+        .contract_with_storage(
+            default_contract_address(),
+            sereth_code(ContractForm::Native),
+            sereth_genesis_slots(&owner.address(), H256::from_low_u64(50)),
+        );
+    for i in 0..accounts {
+        builder = builder.fund(Address::from_low_u64(0x1_0000_0000 + i), U256::from(1u64));
     }
+    builder.build()
+}
 
-    /// Deterministic contract address `base + i` (distinct `base` per
-    /// bench keeps the two benches' states disjoint).
-    pub fn contract_address(base: u64, i: u64) -> Address {
-        Address::from_low_u64(base + i)
+/// Mean wall-clock latency of `read` over `reads` calls, after one
+/// untimed warm-up call whose answer every timed call must repeat.
+pub fn mean_latency<T: PartialEq + std::fmt::Debug>(reads: u32, read: impl Fn() -> T) -> std::time::Duration {
+    let expected = read();
+    let start = std::time::Instant::now();
+    for _ in 0..reads {
+        assert_eq!(std::hint::black_box(read()), expected);
     }
-
-    /// Parent state: `size` funded senders (key labels from
-    /// `label_base`) plus `size + 1` counter contracts at
-    /// `contract_base` (index 0 is the shared hot one).
-    pub fn fixture(label_base: u64, contract_base: u64, size: u64) -> (BlockHeader, StateDb, Vec<SecretKey>) {
-        let keys: Vec<SecretKey> = (0..size).map(|i| SecretKey::from_label(label_base + i)).collect();
-        let mut builder = GenesisBuilder::new();
-        for key in &keys {
-            builder = builder.fund(key.address(), U256::from(100_000_000u64));
-        }
-        let genesis = builder.build();
-        let mut state = genesis.state;
-        let code = counter_code();
-        for i in 0..=size {
-            state.set_code(&contract_address(contract_base, i), ContractCode::Bytecode(code.clone()));
-        }
-        state.clear_journal();
-        (genesis.block.header, state, keys)
-    }
-
-    /// One call per sender; `conflict_pct`% of them (spread evenly by a
-    /// stride) target the shared contract 0, the rest their own.
-    pub fn candidates(keys: &[SecretKey], contract_base: u64, conflict_pct: u64) -> Vec<Transaction> {
-        keys.iter()
-            .enumerate()
-            .map(|(i, key)| {
-                let conflicting = (i as u64 * 997) % 100 < conflict_pct;
-                let target = if conflicting {
-                    contract_address(contract_base, 0)
-                } else {
-                    contract_address(contract_base, 1 + i as u64)
-                };
-                Transaction::sign(
-                    TxPayload {
-                        nonce: 0,
-                        gas_price: 1,
-                        gas_limit: 120_000,
-                        to: Some(target),
-                        value: U256::ZERO,
-                        input: Bytes::new(),
-                    },
-                    key,
-                )
-            })
-            .collect()
-    }
+    start.elapsed() / reads
 }
 
 /// One measured point of a scale benchmark: workload `size`, baseline and
@@ -261,28 +227,34 @@ fn json_escape(raw: &str) -> String {
         .collect()
 }
 
-/// Writes a machine-readable benchmark artifact `BENCH_<key>.json` (schema:
-/// `{bench, config, points:[{size, base_us, fast_us, speedup}]}`) into the
-/// current directory, or `$BENCH_ARTIFACT_DIR` when set. CI uploads these
-/// so the performance trajectory is recorded per commit. The build is
-/// offline (no serde), so the JSON is assembled by hand from flat types.
-///
-/// # Errors
-///
-/// Propagates the underlying file-system error.
-pub fn write_bench_artifact(
-    key: &str,
-    bench: &str,
-    config: &[(&str, String)],
-    points: &[BenchPoint],
-) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::env::var("BENCH_ARTIFACT_DIR").unwrap_or_else(|_| ".".into());
-    write_bench_artifact_in(std::path::Path::new(&dir), key, bench, config, points)
+/// The host's CPU count as the standard library reports it (0 when
+/// unknown); recorded with every thread-dependent result.
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(0, |n| n.get())
 }
 
-/// [`write_bench_artifact`] with an explicit directory (the env-free core;
-/// tests use this directly so no process-global state is mutated).
-pub(crate) fn write_bench_artifact_in(
+/// The directory every artifact goes to: `$BENCH_ARTIFACT_DIR`, or the
+/// current directory when unset.
+pub fn artifact_dir() -> std::path::PathBuf {
+    std::env::var_os("BENCH_ARTIFACT_DIR").map_or_else(|| ".".into(), std::path::PathBuf::from)
+}
+
+/// Writes the machine-readable benchmark artifact `BENCH_<key>.json`
+/// (schema: `{bench, config, points:[{size, base_us, fast_us, speedup}]}`)
+/// into [`artifact_dir`] and reports on stdout where it went. `bench` names
+/// the runner entry that measured it. CI uploads these so the performance
+/// trajectory is recorded per commit. A write failure is reported, not
+/// fatal: the entry's own gates still run.
+pub fn artifact(key: &str, bench: &str, config: &[(&str, String)], points: &[BenchPoint]) {
+    match write_bench_artifact(&artifact_dir(), key, bench, config, points) {
+        Ok(path) => println!("\nwrote {}", path.display()),
+        Err(error) => eprintln!("\nfailed to write BENCH_{key}.json: {error}"),
+    }
+}
+
+/// The env-free core of [`artifact`]. The build is offline (no serde), so
+/// the JSON is assembled by hand from flat types.
+pub(crate) fn write_bench_artifact(
     dir: &std::path::Path,
     key: &str,
     bench: &str,
@@ -312,21 +284,6 @@ pub(crate) fn write_bench_artifact_in(
     Ok(path)
 }
 
-/// Parses `VAR` from the environment as a number, with a default — lets
-/// the experiment binaries scale without recompiling.
-pub fn env_or<T: std::str::FromStr>(var: &str, default: T) -> T {
-    std::env::var(var).ok().and_then(|value| value.parse().ok()).unwrap_or(default)
-}
-
-/// Parses a comma-separated list of u64 from the environment.
-pub fn env_list_or(var: &str, default: &[u64]) -> Vec<u64> {
-    std::env::var(var)
-        .ok()
-        .map(|value| value.split(',').filter_map(|part| part.trim().parse().ok()).collect())
-        .filter(|list: &Vec<u64>| !list.is_empty())
-        .unwrap_or_else(|| default.to_vec())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,12 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn env_helpers_fall_back() {
-        assert_eq!(env_or::<u64>("SERETH_BENCH_NO_SUCH_VAR", 7u64), 7);
-        assert_eq!(env_list_or("SERETH_BENCH_NO_SUCH_VAR", &[1, 2]), vec![1, 2]);
-    }
-
-    #[test]
     fn bench_artifact_round_trips_through_disk() {
         // Uses the env-free core directly: mutating BENCH_ARTIFACT_DIR via
         // set_var would race sibling tests reading the environment.
@@ -357,7 +308,7 @@ mod tests {
             std::time::Duration::from_micros(100),
             std::time::Duration::from_micros(25),
         );
-        let path = write_bench_artifact_in(
+        let path = write_bench_artifact(
             &dir,
             "test",
             "exec_scale",

@@ -3,7 +3,7 @@
 //! speedup regressions.
 //!
 //! The artifacts are the machine-readable output of
-//! [`write_bench_artifact`](crate::write_bench_artifact) (schema:
+//! [`artifact`](crate::artifact) (schema:
 //! `{bench, config, points:[{size, base_us, fast_us, speedup}]}`), and
 //! baselines under `bench/baselines/` are verbatim copies of past
 //! artifacts — so this module carries its own minimal parser for exactly
@@ -26,7 +26,7 @@ pub struct TrendPoint {
 /// A parsed benchmark artifact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Artifact {
-    /// The producing bench binary's name (`"exec_scale"`, …).
+    /// The runner entry that produced it (`"exec_scale"`, …).
     pub bench: String,
     /// The measured points, in file order.
     pub points: Vec<TrendPoint>,
@@ -92,7 +92,7 @@ pub struct Comparison {
     /// Points that regressed beyond the tolerance.
     pub regressions: Vec<Regression>,
     /// Baseline sizes the fresh artifact did not measure (compared sizes
-    /// are the intersection; these are reported so a knob edit that
+    /// are the intersection; these are reported so a size change that
     /// silently shrinks coverage is visible).
     pub missing_sizes: Vec<u64>,
     /// Sizes compared and found within tolerance.
@@ -142,6 +142,83 @@ pub fn artifact_files(dir: &Path) -> Vec<PathBuf> {
     files
 }
 
+/// The regression the gate tolerates, in percent: a fresh speedup must
+/// reach 40 % of its baseline.
+pub const MAX_REGRESSION_PCT: f64 = 60.0;
+
+fn read_artifact(path: &Path) -> Result<Artifact, String> {
+    let text = std::fs::read_to_string(path).map_err(|error| format!("{}: {error}", path.display()))?;
+    parse_artifact(&text).map_err(|error| format!("{}: {error}", path.display()))
+}
+
+/// The bench-trend gate: compares every baseline in `baseline_dir` against
+/// the fresh artifact of the same file name in `fresh_dir`, prints one
+/// table row per baseline, and returns the failures (empty when the gate
+/// passes). A baseline fails when its fresh artifact is missing or
+/// unreadable, was written by another bench, shares no size with it, or
+/// fell more than [`MAX_REGRESSION_PCT`] below it at a shared size.
+pub fn gate(baseline_dir: &Path, fresh_dir: &Path) -> Vec<String> {
+    let baselines = artifact_files(baseline_dir);
+    if baselines.is_empty() {
+        return vec![format!("no BENCH_*.json baselines under {}/ to gate against", baseline_dir.display())];
+    }
+    println!(
+        "Bench trend: {} baseline(s) from {}/, fresh artifacts from {}/, tolerance {MAX_REGRESSION_PCT}%",
+        baselines.len(),
+        baseline_dir.display(),
+        fresh_dir.display()
+    );
+    println!("| artifact | bench | points ok | missing sizes | regressions |");
+    println!("|----------|-------|-----------|---------------|-------------|");
+
+    let mut failures: Vec<String> = Vec::new();
+    for baseline_path in &baselines {
+        let name = baseline_path.file_name().and_then(|n| n.to_str()).unwrap_or("?");
+        // File names pair the two; the `bench` fields must agree too, or
+        // another bench's numbers would pass as this one's.
+        let paired = match (read_artifact(baseline_path), read_artifact(&fresh_dir.join(name))) {
+            (Ok(baseline), Ok(fresh)) if fresh.bench == baseline.bench => Ok((baseline, fresh)),
+            (Ok(baseline), Ok(fresh)) => Err(format!(
+                "{name}: the fresh artifact was written by {}, the baseline by {}",
+                fresh.bench, baseline.bench
+            )),
+            (Err(error), _) | (_, Err(error)) => Err(error),
+        };
+        let (baseline, fresh) = match paired {
+            Ok(pair) => pair,
+            Err(failure) => {
+                println!("| {name} | — | — | — | {failure} |");
+                failures.push(failure);
+                continue;
+            }
+        };
+        let comparison = compare(&baseline, &fresh, MAX_REGRESSION_PCT);
+        println!(
+            "| {name} | {} | {} | {:?} | {} |",
+            baseline.bench,
+            comparison.ok_points,
+            comparison.missing_sizes,
+            comparison.regressions.len()
+        );
+        // A gate without its measurement is a failure, not a pass: when the
+        // fresh run shares no size with the baseline, nothing was checked.
+        if comparison.ok_points == 0 && comparison.regressions.is_empty() && !baseline.points.is_empty() {
+            failures.push(format!(
+                "{name}: baseline sizes {:?} share none with the fresh artifact — the gate measured nothing",
+                comparison.missing_sizes
+            ));
+        }
+        for regression in &comparison.regressions {
+            failures.push(format!(
+                "{name} size {}: speedup {:.2}x fell below {:.2}x (baseline {:.2}x, tolerance \
+                 {MAX_REGRESSION_PCT}%)",
+                regression.size, regression.fresh, regression.floor, regression.baseline
+            ));
+        }
+    }
+    failures
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,7 +257,7 @@ mod tests {
             std::time::Duration::from_micros(900),
             std::time::Duration::from_micros(300),
         );
-        let path = crate::write_bench_artifact_in(&dir, "trendtest", "val_scale", &[], &[point]).unwrap();
+        let path = crate::write_bench_artifact(&dir, "trendtest", "val_scale", &[], &[point]).unwrap();
         let artifact = parse_artifact(&std::fs::read_to_string(&path).unwrap()).unwrap();
         std::fs::remove_file(&path).unwrap();
         assert_eq!(artifact.bench, "val_scale");
@@ -234,5 +311,23 @@ mod tests {
         let comparison = compare(&baseline, &baseline, 0.0);
         assert!(comparison.regressions.is_empty());
         assert_eq!(comparison.ok_points, 2);
+    }
+
+    #[test]
+    fn a_fresh_artifact_from_another_bench_fails() {
+        let root = std::env::temp_dir().join(format!("sereth-trend-gate-{}", std::process::id()));
+        let (baselines, fresh) = (root.join("baselines"), root.join("fresh"));
+        std::fs::create_dir_all(&baselines).unwrap();
+        std::fs::create_dir_all(&fresh).unwrap();
+        std::fs::write(baselines.join("BENCH_pool.json"), SAMPLE.replace("exec_scale", "pool_scale"))
+            .unwrap();
+        std::fs::write(fresh.join("BENCH_pool.json"), SAMPLE.replace("exec_scale", "pool_scale")).unwrap();
+        let same_bench = gate(&baselines, &fresh);
+        std::fs::write(fresh.join("BENCH_pool.json"), SAMPLE).unwrap();
+        let other_bench = gate(&baselines, &fresh);
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(same_bench, Vec::<String>::new());
+        assert_eq!(other_bench.len(), 1, "{other_bench:?}");
+        assert!(other_bench[0].contains("written by exec_scale"), "{other_bench:?}");
     }
 }
