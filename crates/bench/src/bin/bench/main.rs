@@ -20,7 +20,6 @@ mod iso_frontier;
 mod net_scale;
 mod obs_overhead;
 mod paper;
-mod par;
 mod pool_scale;
 mod raa_scale;
 mod state_scale;
@@ -42,8 +41,6 @@ const ENTRIES: &[Entry] = &[
     ("participation", paper::participation),
     ("raa_scale", raa_scale::run),
     ("state_scale", state_scale::run),
-    ("exec_scale", par::exec_scale),
-    ("val_scale", par::val_scale),
     ("pool_scale", pool_scale::run),
     ("iso_frontier", iso_frontier::run),
     ("obs_overhead", obs_overhead::run),

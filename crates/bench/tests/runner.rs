@@ -10,7 +10,7 @@ fn an_unknown_or_missing_entry_exits_2_and_lists_the_entries() {
         assert_eq!(out.status.code(), Some(2), "args {args:?}");
         assert!(out.stdout.is_empty(), "args {args:?} ran something");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        for entry in ["fig2", "exec_scale", "bench_trend"] {
+        for entry in ["fig2", "pool_scale", "bench_trend"] {
             assert!(stderr.contains(entry), "args {args:?}: usage must list {entry}: {stderr}");
         }
     }

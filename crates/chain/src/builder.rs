@@ -14,7 +14,6 @@ use sereth_types::receipt::Receipt;
 use sereth_types::transaction::Transaction;
 
 use crate::executor::{apply_transaction, BlockEnv};
-use crate::parallel::{self, ExecMode, ExecOutcome, ExecStats};
 use crate::state::StateDb;
 
 /// Limits for one block.
@@ -44,8 +43,6 @@ pub struct BuiltBlock {
     pub post_state: StateDb,
     /// Candidates that were skipped (protocol-invalid or over capacity).
     pub skipped: usize,
-    /// How the executor got there (waves, speculations, fallbacks).
-    pub stats: ExecStats,
 }
 
 /// Executes `candidates` in order on top of `parent`, skipping transactions
@@ -60,46 +57,16 @@ pub fn build_block(
     timestamp_ms: u64,
     limits: &BlockLimits,
 ) -> BuiltBlock {
-    build_block_with_mode(
-        parent,
-        parent_state,
-        &candidates,
-        miner,
-        timestamp_ms,
-        limits,
-        &ExecMode::Sequential,
-    )
+    build_block_traced(parent, parent_state, &candidates, miner, timestamp_ms, limits, Telemetry::off())
 }
 
-/// [`build_block`] with an explicit execution mode.
+/// [`build_block`] recording into `telemetry`: the root computation and
+/// header assembly are timed as [`Phase::Seal`]. Pass
+/// [`Telemetry::off()`] (what [`build_block`] does) to build untimed.
 ///
 /// Candidates are borrowed — callers keep their list (miners reuse it
 /// for pool bookkeeping); included transactions are cloned into the
 /// block, which is cheap (`Bytes` calldata is refcounted).
-///
-/// [`ExecMode::Parallel`] runs the conflict-aware wave executor of
-/// [`crate::parallel`]; the sealed block is byte-equivalent to
-/// [`ExecMode::Sequential`]'s for the same inputs (same state root,
-/// receipts, gas, and logs) — the `parallel_exec_props` suite holds the
-/// two modes equal over randomized workloads.
-pub fn build_block_with_mode(
-    parent: &BlockHeader,
-    parent_state: &StateDb,
-    candidates: &[Transaction],
-    miner: Address,
-    timestamp_ms: u64,
-    limits: &BlockLimits,
-    mode: &ExecMode,
-) -> BuiltBlock {
-    build_block_traced(parent, parent_state, candidates, miner, timestamp_ms, limits, mode, Telemetry::off())
-}
-
-/// [`build_block_with_mode`] recording into `telemetry`: the wave
-/// executor's speculate/merge stages land in their phase histograms and
-/// the root-computation + header assembly is timed as [`Phase::Seal`].
-/// Pass [`Telemetry::off()`] (what [`build_block_with_mode`] does) to
-/// build untimed.
-#[allow(clippy::too_many_arguments)] // the traced twin of build_block_with_mode, +1 tail param
 pub fn build_block_traced(
     parent: &BlockHeader,
     parent_state: &StateDb,
@@ -107,20 +74,32 @@ pub fn build_block_traced(
     miner: Address,
     timestamp_ms: u64,
     limits: &BlockLimits,
-    mode: &ExecMode,
     telemetry: &Telemetry,
 ) -> BuiltBlock {
     let mut state = parent_state.clone();
     state.clear_journal();
     let env = BlockEnv { number: parent.number + 1, timestamp_ms, gas_limit: limits.gas_limit, miner };
 
-    let outcome = match mode {
-        ExecMode::Sequential => run_sequential(&mut state, &env, candidates, limits),
-        ExecMode::Parallel { threads } => {
-            parallel::execute_candidates(&mut state, &env, candidates, limits, *threads, telemetry)
+    let mut included: Vec<Transaction> = Vec::new();
+    let mut receipts: Vec<Receipt> = Vec::new();
+    let (mut gas_used, mut skipped) = (0u64, 0usize);
+    for tx in candidates {
+        // Admission against the block limits: transaction cap, then gas
+        // capacity. A candidate that fails either is skipped.
+        let full = limits.max_txs.is_some_and(|max| included.len() >= max);
+        if full || gas_used + tx.gas_limit() > limits.gas_limit {
+            skipped += 1;
+            continue;
         }
-    };
-    let ExecOutcome { included, receipts, gas_used, skipped, stats } = outcome;
+        match apply_transaction(&mut state, &env, tx, included.len() as u32) {
+            Ok(receipt) => {
+                gas_used += receipt.gas_used;
+                receipts.push(receipt);
+                included.push(tx.clone());
+            }
+            Err(_) => skipped += 1,
+        }
+    }
     telemetry.time(Phase::Seal, || {
         state.clear_journal();
         let header = BlockHeader {
@@ -134,37 +113,8 @@ pub fn build_block_traced(
             gas_used,
             gas_limit: limits.gas_limit,
         };
-        BuiltBlock {
-            block: Block { header, transactions: included },
-            receipts,
-            post_state: state,
-            skipped,
-            stats,
-        }
+        BuiltBlock { block: Block { header, transactions: included }, receipts, post_state: state, skipped }
     })
-}
-
-/// The classic one-by-one candidate loop, built on the same
-/// [`parallel::admit`]/[`parallel::include`] bookkeeping as the wave
-/// executor so the admission rules exist exactly once.
-fn run_sequential(
-    state: &mut StateDb,
-    env: &BlockEnv,
-    candidates: &[Transaction],
-    limits: &BlockLimits,
-) -> ExecOutcome {
-    let mut out = ExecOutcome::default();
-    for tx in candidates {
-        if !parallel::admit(&mut out, tx, limits) {
-            continue;
-        }
-        out.stats.sequential_txs += 1;
-        match apply_transaction(state, env, tx, out.included.len() as u32) {
-            Ok(receipt) => parallel::include(&mut out, tx, receipt),
-            Err(_) => out.skipped += 1,
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use sereth_crypto::hash::H256;
 use sereth_types::receipt::{Receipt, TxStatus};
 use sereth_types::transaction::Transaction;
 use sereth_types::u256::U256;
-use sereth_vm::exec::{CallEnv, CallOutcome, ContractCode};
+use sereth_vm::exec::{CallEnv, CallOutcome, ContractCode, Storage};
 use sereth_vm::gas::intrinsic_gas;
 use sereth_vm::raa::{execute_call, RaaRegistry};
 
@@ -64,69 +64,27 @@ impl core::fmt::Display for TxApplyError {
 
 impl std::error::Error for TxApplyError {}
 
-/// The account-level mutation surface the transaction algorithm needs on
-/// top of the VM's [`Storage`](sereth_vm::exec::Storage) trait.
+/// Applies `tx` to `state`, returning its receipt.
 ///
-/// Two implementors exist: [`StateDb`] (the sequential executor mutating
-/// the live state) and the parallel executor's speculative overlay
-/// ([`crate::parallel`]), which journals the same operations over a frozen
-/// [`StateView`] while recording the access set. Both run the *identical*
-/// transaction algorithm (`apply_tx_inner`), so the two execution modes
-/// cannot drift semantically.
-pub trait TxState: sereth_vm::exec::Storage {
-    /// The account's nonce (0 if absent).
-    fn nonce_of(&self, address: &Address) -> u64;
-    /// Sets the nonce (creating the account if needed).
-    fn set_nonce(&mut self, address: &Address, nonce: u64);
-    /// Installs contract code (creating the account if needed).
-    fn set_code(&mut self, address: &Address, code: ContractCode);
-    /// Adds to the balance (creating the account if needed).
-    fn credit(&mut self, address: &Address, amount: U256);
-    /// Subtracts from the balance; `false` (no change) when insufficient.
-    fn debit(&mut self, address: &Address, amount: U256) -> bool;
-}
-
-impl TxState for StateDb {
-    fn nonce_of(&self, address: &Address) -> u64 {
-        StateDb::nonce_of(self, address)
-    }
-
-    fn set_nonce(&mut self, address: &Address, nonce: u64) {
-        StateDb::set_nonce(self, address, nonce);
-    }
-
-    fn set_code(&mut self, address: &Address, code: ContractCode) {
-        StateDb::set_code(self, address, code);
-    }
-
-    fn credit(&mut self, address: &Address, amount: U256) {
-        StateDb::credit(self, address, amount);
-    }
-
-    fn debit(&mut self, address: &Address, amount: U256) -> bool {
-        StateDb::debit(self, address, amount)
-    }
-}
-
-/// The one transaction algorithm, generic over the state it mutates.
+/// On success the state reflects the transaction (which may still be a
+/// *semantic* no-op for the contract). On [`TxApplyError`] the state is
+/// unchanged and the transaction must not be included in a block.
 ///
-/// When `credit_miner` is false the final fee credit is *deferred*: the
-/// fee is returned instead of applied, so the parallel executor can treat
-/// it as a commutative merge-time operation (fee credits in canonical
-/// order sum identically no matter where the transaction executed) rather
-/// than a read-modify-write that would serialize every transaction on the
-/// miner's balance.
+/// Transactions are **never** RAA-augmented — their calldata is covered by
+/// the signature — so this function needs no [`RaaRegistry`]; augmentation
+/// exists only on the [`call_readonly`] path, mirroring the paper's §III-D
+/// restriction. Building and replay validation both run this one function,
+/// so a block's builder and its validators cannot disagree on semantics.
 ///
 /// # Errors
 ///
-/// See [`TxApplyError`]; on error the state is untouched.
-pub(crate) fn apply_tx_inner<S: TxState>(
-    state: &mut S,
+/// See [`TxApplyError`].
+pub fn apply_transaction(
+    state: &mut StateDb,
     env: &BlockEnv,
     tx: &Transaction,
     index: u32,
-    credit_miner: bool,
-) -> Result<(Receipt, U256), TxApplyError> {
+) -> Result<Receipt, TxApplyError> {
     if !tx.verify_signature() {
         return Err(TxApplyError::BadSignature);
     }
@@ -192,35 +150,9 @@ pub(crate) fn apply_tx_inner<S: TxState>(
     // Refund unused gas; pay the miner.
     let refund = U256::from(tx.gas_limit() - gas_used) * U256::from(tx.gas_price());
     state.credit(&sender, refund);
-    let fee = U256::from(gas_used) * U256::from(tx.gas_price());
-    if credit_miner {
-        state.credit(&env.miner, fee);
-    }
+    state.credit(&env.miner, U256::from(gas_used) * U256::from(tx.gas_price()));
 
-    Ok((Receipt { tx_hash: tx.hash(), index, status: outcome.status, gas_used, logs: outcome.logs }, fee))
-}
-
-/// Applies `tx` to `state`, returning its receipt.
-///
-/// On success the state reflects the transaction (which may still be a
-/// *semantic* no-op for the contract). On [`TxApplyError`] the state is
-/// unchanged and the transaction must not be included in a block.
-///
-/// Transactions are **never** RAA-augmented — their calldata is covered by
-/// the signature — so this function needs no [`RaaRegistry`]; augmentation
-/// exists only on the [`call_readonly`] path, mirroring the paper's §III-D
-/// restriction.
-///
-/// # Errors
-///
-/// See [`TxApplyError`].
-pub fn apply_transaction(
-    state: &mut StateDb,
-    env: &BlockEnv,
-    tx: &Transaction,
-    index: u32,
-) -> Result<Receipt, TxApplyError> {
-    apply_tx_inner(state, env, tx, index, true).map(|(receipt, _fee)| receipt)
+    Ok(Receipt { tx_hash: tx.hash(), index, status: outcome.status, gas_used, logs: outcome.logs })
 }
 
 /// Runs a read-only call against an immutable state view (the `eth_call`
@@ -258,7 +190,6 @@ pub fn call_readonly(
 /// Reads a storage slot directly (a `view`-style getter without code
 /// execution).
 pub fn read_slot(state: &StateDb, contract: &Address, slot: &H256) -> H256 {
-    use sereth_vm::exec::Storage as _;
     state.storage_get(contract, slot)
 }
 

@@ -8,13 +8,10 @@
 //! * [`txpool`] — the pending pool, "an underutilized communication
 //!   channel" (paper §III-C) and the input to Hash-Mark-Set;
 //! * [`builder`] — block sealing over an externally-chosen order (miner
-//!   policies live in `sereth-node`);
-//! * [`parallel`] — conflict-aware optimistic execution of a block's
-//!   candidates in waves, byte-equivalent to the sequential loop;
+//!   policies live in `sereth-node`), one transaction at a time;
 //! * [`validation`] — replay validation, the mechanism that both enforces
 //!   consistency and (paper §II-D) creates the READ-COMMITTED latency the
-//!   paper attacks; replay runs sequentially or on the wave executor under
-//!   the builder's own [`parallel::ExecMode`], with identical verdicts;
+//!   paper attacks; replay runs the builder's own sequential loop;
 //! * [`store`] — fork choice and canonical-chain tracking;
 //! * [`genesis`] — block-zero construction.
 
@@ -24,23 +21,18 @@
 pub mod builder;
 pub mod executor;
 pub mod genesis;
-pub mod parallel;
 pub mod state;
 pub mod store;
 pub mod txpool;
 pub mod validation;
 
-pub use builder::{build_block, build_block_traced, build_block_with_mode, BlockLimits, BuiltBlock};
-pub use executor::{apply_transaction, call_readonly, read_slot, BlockEnv, TxApplyError, TxState};
+pub use builder::{build_block, build_block_traced, BlockLimits, BuiltBlock};
+pub use executor::{apply_transaction, call_readonly, read_slot, BlockEnv, TxApplyError};
 pub use genesis::{Genesis, GenesisBuilder};
-pub use parallel::{ExecMode, ExecStats, ExecStatsCells};
 pub use state::{Account, Snapshot, StateDb, StateView};
 pub use store::{ChainStore, ImportError, ImportOutcome, StateBackendConfig, StoreConfig, StoredBlock};
 // Downstream crates (node, sim, bench) configure and observe the durable
 // backend through the chain API without depending on `sereth-store`.
 pub use sereth_store::{DurableOptions, EpochGuard, EpochPins, StoreError};
 pub use txpool::{PoolConfig, PoolEntry, PoolError, TxPool};
-pub use validation::{
-    validate_block, validate_block_accounted, validate_block_traced, validate_block_with_mode, Validated,
-    ValidationError,
-};
+pub use validation::{validate_block, Validated, ValidationError};

@@ -13,7 +13,6 @@ use sereth_crypto::merkle::merkle_root;
 use sereth_crypto::rlp::RlpStream;
 use sereth_store::EpochGuard;
 use sereth_types::u256::U256;
-use sereth_vm::access::AccessKey;
 use sereth_vm::exec::{ContractCode, Storage};
 
 /// One account: an externally-owned account or a contract.
@@ -426,23 +425,6 @@ impl StateDb {
     /// block is sealed.
     pub fn clear_journal(&mut self) {
         self.journal.clear();
-    }
-
-    /// The [`AccessKey`]s of every mutation
-    /// journaled at or after `checkpoint` — the exact write set of
-    /// whatever executed since. The parallel executor's merge loop uses
-    /// this to keep validating speculations after a sequential fallback
-    /// ran directly against the live state (account creations carry no
-    /// key of their own: a default account reads identically to an absent
-    /// one, and any surviving field write is journaled separately).
-    pub fn journal_writes_since(&self, checkpoint: usize) -> impl Iterator<Item = AccessKey> + '_ {
-        self.journal[checkpoint.min(self.journal.len())..].iter().filter_map(|entry| match entry {
-            JournalEntry::StorageChanged { address, key, .. } => Some(AccessKey::Slot(*address, *key)),
-            JournalEntry::BalanceChanged { address, .. } => Some(AccessKey::Balance(*address)),
-            JournalEntry::NonceChanged { address, .. } => Some(AccessKey::Nonce(*address)),
-            JournalEntry::CodeChanged { address, .. } => Some(AccessKey::Code(*address)),
-            JournalEntry::AccountCreated { .. } => None,
-        })
     }
 
     /// Deterministic commitment to the entire state: a Merkle root over the

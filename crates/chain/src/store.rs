@@ -25,9 +25,8 @@ use sereth_types::receipt::Receipt;
 use sereth_vm::exec::ContractCode;
 
 use crate::genesis::Genesis;
-use crate::parallel::{ExecMode, ExecStats, ExecStatsCells};
 use crate::state::{Account, StateDb, StateView};
-use crate::validation::{validate_block_traced, ValidationError};
+use crate::validation::{validate_block, ValidationError};
 
 /// A block retained with its replay artifacts.
 #[derive(Debug, Clone)]
@@ -115,7 +114,6 @@ pub enum StateBackendConfig {
 pub struct StoreConfig {
     genesis: Genesis,
     backend: StateBackendConfig,
-    validation_mode: ExecMode,
     telemetry: Option<Arc<Telemetry>>,
 }
 
@@ -123,12 +121,7 @@ impl StoreConfig {
     /// A non-persistent store rooted at `genesis` — the default for
     /// simulations and tests.
     pub fn in_memory(genesis: Genesis) -> Self {
-        Self {
-            genesis,
-            backend: StateBackendConfig::InMemory,
-            validation_mode: ExecMode::Sequential,
-            telemetry: None,
-        }
+        Self { genesis, backend: StateBackendConfig::InMemory, telemetry: None }
     }
 
     /// A durable store rooted at `genesis`, persisting under `dir` with
@@ -138,7 +131,6 @@ impl StoreConfig {
         Self {
             genesis,
             backend: StateBackendConfig::Durable { dir: dir.into(), options: DurableOptions::default() },
-            validation_mode: ExecMode::Sequential,
             telemetry: None,
         }
     }
@@ -147,12 +139,6 @@ impl StoreConfig {
     /// the selection without holding a `Genesis` yet).
     pub fn with_backend(mut self, backend: StateBackendConfig) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Sets how imports replay blocks.
-    pub fn validation_mode(mut self, mode: ExecMode) -> Self {
-        self.validation_mode = mode;
         self
     }
 
@@ -198,16 +184,8 @@ pub struct ChainStore {
     /// Lowest height still resident in memory. 0 until durable pruning
     /// runs; reads below it return `None`.
     floor: u64,
-    /// How [`ChainStore::import`] replays blocks. Verdict-equivalent to
-    /// sequential by construction, so it changes import *cost*, never
-    /// import *outcomes*.
-    validation_mode: ExecMode,
-    /// Cumulative executor counters over every replay this store ran —
-    /// the validation-side twin of a miner's build stats, kept as
-    /// `validation.*` counters in the telemetry registry.
-    validation_cells: ExecStatsCells,
     /// The hub `import` records into: `validate`/`import` phase
-    /// histograms, the `validation.*` counters, and per-block traces.
+    /// histograms and per-block traces.
     telemetry: Arc<Telemetry>,
     /// Where imports persist to — in-memory no-op or the durable engine.
     backend: Box<dyn StateBackend>,
@@ -232,9 +210,8 @@ impl ChainStore {
     /// [`StoreError::GenesisMismatch`] when the directory belongs to a
     /// different chain. In-memory opens are infallible in practice.
     pub fn open(config: StoreConfig) -> Result<Self, StoreError> {
-        let StoreConfig { genesis, backend, validation_mode, telemetry } = config;
+        let StoreConfig { genesis, backend, telemetry } = config;
         let telemetry = telemetry.unwrap_or_else(|| Arc::new(Telemetry::enabled()));
-        let validation_cells = ExecStatsCells::register(&telemetry, "validation");
         let natives: BTreeMap<Address, ContractCode> = genesis
             .state
             .iter()
@@ -259,8 +236,6 @@ impl ChainStore {
             canonical: vec![genesis_hash],
             head: genesis_hash,
             floor: 0,
-            validation_mode,
-            validation_cells,
             telemetry,
             backend,
             pins,
@@ -270,27 +245,6 @@ impl ChainStore {
             store.recover(recovered)?;
         }
         Ok(store)
-    }
-
-    /// The replay mode imports currently use.
-    pub fn validation_mode(&self) -> ExecMode {
-        self.validation_mode
-    }
-
-    /// Cumulative executor counters over every block this store has
-    /// replay-validated (waves, speculations, fallbacks — see
-    /// [`ExecStats`]). All zero waves under sequential validation. A
-    /// registry-backed view: readable from a clone of
-    /// [`ChainStore::validation_cells`] without touching the store.
-    pub fn validation_stats(&self) -> ExecStats {
-        self.validation_cells.snapshot()
-    }
-
-    /// The registry cells behind [`ChainStore::validation_stats`].
-    /// Cloning shares the cells, so a node can read replay counters
-    /// without holding whatever lock guards the store.
-    pub fn validation_cells(&self) -> &ExecStatsCells {
-        &self.validation_cells
     }
 
     /// The epoch-pin table every view from this store registers in.
@@ -429,21 +383,11 @@ impl ChainStore {
         // O(1) capture for the write-set diff after validation; only the
         // durable path pays for it (and the diff itself is COW-pruned).
         let parent_view = self.backend.is_durable().then(|| parent.post_state.view());
-        // Replay counters accumulate even for rejected blocks — an
-        // invalid block costs (up to) a full replay before its verdict,
-        // and that spend must be visible in `validation_stats`.
-        let mut replay = ExecStats::default();
-        let (validated, validate_ns) = telemetry.time_ns(Phase::Validate, || {
-            validate_block_traced(
-                &parent.block.header,
-                &parent.post_state,
-                &block,
-                &self.validation_mode,
-                &mut replay,
-                &telemetry,
-            )
-        });
-        self.validation_cells.absorb(&replay);
+        // Timed whether or not the block is accepted: an invalid block
+        // costs (up to) a full replay before its verdict, and that spend
+        // must show in `phase.validate`.
+        let (validated, validate_ns) = telemetry
+            .time_ns(Phase::Validate, || validate_block(&parent.block.header, &parent.post_state, &block));
         let validated = validated.map_err(ImportError::Invalid)?;
 
         let number = block.number();
@@ -877,40 +821,25 @@ mod tests {
     }
 
     #[test]
-    fn parallel_validation_imports_agree_with_sequential_and_count_stats() {
+    fn rejected_imports_still_record_their_replay_time() {
+        // A wrong-root block replays in full before the commitment check
+        // fires; that spend must show in the shared hub, or an adversary
+        // feeding invalid blocks would look free.
         let key = SecretKey::from_label(1);
-        let mut seq_store = open_mem(genesis(&key));
-        let mut par_store = ChainStore::open(
-            StoreConfig::in_memory(genesis(&key)).validation_mode(ExecMode::Parallel { threads: 4 }),
-        )
-        .unwrap();
-        assert_eq!(par_store.validation_mode(), ExecMode::Parallel { threads: 4 });
+        let telemetry = Arc::new(Telemetry::enabled());
+        let mut store =
+            ChainStore::open(StoreConfig::in_memory(genesis(&key)).telemetry(telemetry.clone())).unwrap();
+        let validations = || telemetry.phase(Phase::Validate).snapshot().count();
 
-        let b1 = extend(&seq_store, vec![transfer(&key, 0, 5), transfer(&key, 1, 7)], 1, 15_000);
-        assert_eq!(seq_store.import(b1.clone()).unwrap(), ImportOutcome::ExtendedCanonical);
-        assert_eq!(par_store.import(b1).unwrap(), ImportOutcome::ExtendedCanonical);
-        assert_eq!(par_store.head_state().state_root(), seq_store.head_state().state_root());
-        assert!(
-            par_store.validation_stats().waves >= 1,
-            "parallel replay ran: {:?}",
-            par_store.validation_stats()
-        );
-        assert_eq!(seq_store.validation_stats().waves, 0, "sequential replay never waves");
+        let b1 = extend(&store, vec![transfer(&key, 0, 5), transfer(&key, 1, 7)], 1, 15_000);
+        assert_eq!(store.import(b1).unwrap(), ImportOutcome::ExtendedCanonical);
+        assert_eq!(validations(), 1);
 
-        // Tampered blocks are rejected with the identical verdict — and
-        // the replay they cost still lands in the counters: a wrong-root
-        // block replays in full before the commitment check fires.
-        let spent_before_rejection = par_store.validation_stats();
-        let mut evil = extend(&seq_store, vec![transfer(&key, 2, 5)], 1, 30_000);
+        let mut evil = extend(&store, vec![transfer(&key, 2, 5)], 1, 30_000);
         evil.header.state_root = H256::keccak(b"lies");
-        let seq_err = seq_store.import(evil.clone()).unwrap_err();
-        let par_err = par_store.import(evil).unwrap_err();
-        assert_eq!(seq_err, par_err, "cross-mode import verdicts must match");
-        let spent_after_rejection = par_store.validation_stats();
-        assert_ne!(
-            spent_after_rejection, spent_before_rejection,
-            "rejected blocks cost replay work and must be accounted"
-        );
+        assert_eq!(store.import(evil).unwrap_err(), ImportError::Invalid(ValidationError::StateRootMismatch));
+        assert_eq!(validations(), 2, "the rejected block's replay is recorded");
+        assert_eq!(store.head_number(), 1, "head unchanged after rejection");
     }
 
     #[test]

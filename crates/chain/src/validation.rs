@@ -8,29 +8,15 @@
 //! mutated transaction fails signature checks here and is rejected by every
 //! honest peer (§III-D).
 //!
-//! Because *every* peer replays *every* block, validation — not block
-//! building — dominates network-wide compute. [`ExecMode::Parallel`]
-//! replays the block's fixed transaction order on the same conflict-aware
-//! wave executor the builder uses (`crate::parallel::run_waves`):
-//! speculate over a frozen COW [`StateView`](crate::state::StateView),
-//! merge in canonical order with dirty-key validation, fall back to
-//! sequential re-execution on mis-speculation. The two modes are
-//! **verdict-equivalent** — identical `Ok` artifacts and identical
-//! [`ValidationError`] variants (including the [`BadTransaction`] index)
-//! on tampered, reordered, gas-inflated, and wrong-root blocks — which the
-//! `validation_props` property suite and the cross-mode tamper matrix
-//! enforce.
-//!
-//! [`BadTransaction`]: ValidationError::BadTransaction
+//! Replay runs the block's transactions one by one through the builder's
+//! own [`apply_transaction`], so an honest block replays to exactly the
+//! receipts and state its miner sealed.
 
-use sereth_telemetry::Telemetry;
 use sereth_types::block::{Block, BlockHeader};
 use sereth_types::receipt::Receipt;
 
 use crate::executor::{apply_transaction, BlockEnv, TxApplyError};
-use crate::parallel::{self, ExecMode, ExecStats, WaveSink};
 use crate::state::StateDb;
-use sereth_types::transaction::Transaction;
 
 /// Why a block was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,54 +71,18 @@ impl core::fmt::Display for ValidationError {
 
 impl std::error::Error for ValidationError {}
 
-/// A successfully replayed block: its artifacts plus the executor
-/// counters describing how the replay ran (all zeros except
-/// `sequential_txs` in sequential mode).
+/// A successfully replayed block's artifacts.
 #[derive(Debug, Clone)]
 pub struct Validated {
     /// Receipts, in block order.
     pub receipts: Vec<Receipt>,
     /// State after the block.
     pub post_state: StateDb,
-    /// How the replay executed (waves, speculations, fallbacks).
-    pub stats: ExecStats,
-}
-
-/// The replay-validation [`WaveSink`]: every transaction is admitted (a
-/// published block has no skips — its body *is* the inclusion decision),
-/// and the first apply error aborts the run, capturing the failing
-/// absolute index exactly as the sequential replay loop would.
-#[derive(Default)]
-struct ReplaySink {
-    receipts: Vec<Receipt>,
-    gas_used: u64,
-    failure: Option<(usize, TxApplyError)>,
-}
-
-impl WaveSink for ReplaySink {
-    fn admit(&mut self, _tx: &Transaction) -> bool {
-        true
-    }
-
-    fn next_index(&self) -> u32 {
-        self.receipts.len() as u32
-    }
-
-    fn include(&mut self, _tx: &Transaction, receipt: Receipt) {
-        self.gas_used += receipt.gas_used;
-        self.receipts.push(receipt);
-    }
-
-    fn reject(&mut self, index: usize, error: TxApplyError) -> bool {
-        self.failure = Some((index, error));
-        false
-    }
 }
 
 /// Replays `block` on top of `parent_state` and checks every commitment.
 ///
-/// Returns the receipts and post-state on success. Sequential replay; use
-/// [`validate_block_with_mode`] to validate on the wave executor.
+/// Returns the receipts and post-state on success.
 ///
 /// # Errors
 ///
@@ -142,69 +92,6 @@ pub fn validate_block(
     parent: &BlockHeader,
     parent_state: &StateDb,
     block: &Block,
-) -> Result<(Vec<Receipt>, StateDb), ValidationError> {
-    validate_block_with_mode(parent, parent_state, block, &ExecMode::Sequential)
-        .map(|validated| (validated.receipts, validated.post_state))
-}
-
-/// [`validate_block`] with an explicit replay mode.
-///
-/// The two modes return byte-identical verdicts: the same [`Validated`]
-/// artifacts on honest blocks and the same [`ValidationError`] variant —
-/// including the [`ValidationError::BadTransaction`] index — on tampered
-/// ones. Header and commitment checks are shared code; only the replay
-/// loop differs, and the parallel loop is the builder's own wave executor
-/// replaying the block's fixed order.
-///
-/// # Errors
-///
-/// See [`ValidationError`].
-pub fn validate_block_with_mode(
-    parent: &BlockHeader,
-    parent_state: &StateDb,
-    block: &Block,
-    mode: &ExecMode,
-) -> Result<Validated, ValidationError> {
-    let mut scratch = ExecStats::default();
-    validate_block_accounted(parent, parent_state, block, mode, &mut scratch)
-}
-
-/// [`validate_block_with_mode`] accumulating the replay counters into
-/// `stats_out` **whether or not the block is accepted**. A rejected block
-/// still costs replay work — a wrong-root block replays in full before
-/// the commitment check fires — and per-peer cost accounting
-/// ([`crate::store::ChainStore::validation_stats`]) must see that spend,
-/// or an adversary feeding invalid blocks would look free.
-///
-/// # Errors
-///
-/// See [`ValidationError`].
-pub fn validate_block_accounted(
-    parent: &BlockHeader,
-    parent_state: &StateDb,
-    block: &Block,
-    mode: &ExecMode,
-    stats_out: &mut ExecStats,
-) -> Result<Validated, ValidationError> {
-    validate_block_traced(parent, parent_state, block, mode, stats_out, Telemetry::off())
-}
-
-/// [`validate_block_accounted`] recording into `telemetry`: a parallel
-/// replay's speculate/merge stages land in their phase histograms (the
-/// overall validate span is the *caller's* to record — the store times
-/// its whole import-side validation as one `validate` phase sample).
-/// Pass [`Telemetry::off()`] to replay untimed.
-///
-/// # Errors
-///
-/// See [`ValidationError`].
-pub fn validate_block_traced(
-    parent: &BlockHeader,
-    parent_state: &StateDb,
-    block: &Block,
-    mode: &ExecMode,
-    stats_out: &mut ExecStats,
-    telemetry: &Telemetry,
 ) -> Result<Validated, ValidationError> {
     if block.header.parent_hash != parent.hash() {
         return Err(ValidationError::WrongParent);
@@ -228,44 +115,14 @@ pub fn validate_block_traced(
         miner: block.header.miner,
     };
 
-    let mut stats = ExecStats::default();
-    let replayed = match mode {
-        ExecMode::Sequential => {
-            let mut receipts = Vec::with_capacity(block.transactions.len());
-            let mut gas_used = 0u64;
-            let mut failure = None;
-            for (index, tx) in block.transactions.iter().enumerate() {
-                stats.sequential_txs += 1;
-                match apply_transaction(&mut state, &env, tx, index as u32) {
-                    Ok(receipt) => {
-                        gas_used += receipt.gas_used;
-                        receipts.push(receipt);
-                    }
-                    Err(error) => {
-                        failure = Some(ValidationError::BadTransaction { index, error });
-                        break;
-                    }
-                }
-            }
-            match failure {
-                Some(error) => Err(error),
-                None => Ok((receipts, gas_used)),
-            }
-        }
-        ExecMode::Parallel { threads } => {
-            let mut sink = ReplaySink::default();
-            stats =
-                parallel::run_waves(&mut state, &env, &block.transactions, *threads, &mut sink, telemetry);
-            match sink.failure {
-                Some((index, error)) => Err(ValidationError::BadTransaction { index, error }),
-                None => Ok((sink.receipts, sink.gas_used)),
-            }
-        }
-    };
-    // The replay work is spent either way; account for it before the
-    // verdict can bail out.
-    stats_out.absorb(&stats);
-    let (receipts, gas_used) = replayed?;
+    let mut receipts = Vec::with_capacity(block.transactions.len());
+    let mut gas_used = 0u64;
+    for (index, tx) in block.transactions.iter().enumerate() {
+        let receipt = apply_transaction(&mut state, &env, tx, index as u32)
+            .map_err(|error| ValidationError::BadTransaction { index, error })?;
+        gas_used += receipt.gas_used;
+        receipts.push(receipt);
+    }
 
     if gas_used > block.header.gas_limit {
         return Err(ValidationError::GasLimitExceeded);
@@ -280,7 +137,7 @@ pub fn validate_block_traced(
     if state.state_root() != block.header.state_root {
         return Err(ValidationError::StateRootMismatch);
     }
-    Ok(Validated { receipts, post_state: state, stats })
+    Ok(Validated { receipts, post_state: state })
 }
 
 #[cfg(test)]
@@ -330,9 +187,9 @@ mod tests {
     fn honestly_built_blocks_validate() {
         let (parent, state, key) = setup();
         let block = valid_block(&parent, &state, &key);
-        let (receipts, post) = validate_block(&parent, &state, &block).unwrap();
-        assert_eq!(receipts.len(), 2);
-        assert_eq!(post.state_root(), block.header.state_root);
+        let validated = validate_block(&parent, &state, &block).unwrap();
+        assert_eq!(validated.receipts.len(), 2);
+        assert_eq!(validated.post_state.state_root(), block.header.state_root);
     }
 
     #[test]
@@ -413,34 +270,6 @@ mod tests {
             validate_block(&parent, &state, &block).unwrap_err(),
             ValidationError::ReceiptsRootMismatch
         );
-    }
-
-    #[test]
-    fn parallel_validation_matches_sequential_on_honest_blocks() {
-        let (parent, state, key) = setup();
-        let block = valid_block(&parent, &state, &key);
-        let sequential = validate_block_with_mode(&parent, &state, &block, &ExecMode::Sequential).unwrap();
-        assert_eq!(sequential.stats.waves, 0, "sequential replay never waves");
-        assert_eq!(sequential.stats.sequential_txs, block.transactions.len() as u64);
-        let validated =
-            validate_block_with_mode(&parent, &state, &block, &ExecMode::Parallel { threads: 4 }).unwrap();
-        assert_eq!(validated.receipts, sequential.receipts);
-        assert_eq!(validated.post_state.state_root(), sequential.post_state.state_root());
-        assert!(validated.stats.waves >= 1, "parallel replay waves: {:?}", validated.stats);
-    }
-
-    #[test]
-    fn parallel_validation_rejects_tampering_with_the_sequential_verdict() {
-        let (parent, state, key) = setup();
-        let tampered = transfer(&key, 0).with_tampered_input(Bytes::from_static(b"augmented"));
-        let mut block = valid_block(&parent, &state, &key);
-        block.transactions[0] = tampered;
-        block.header.tx_root = Block::compute_tx_root(&block.transactions);
-        let sequential = validate_block(&parent, &state, &block).unwrap_err();
-        let parallel = validate_block_with_mode(&parent, &state, &block, &ExecMode::Parallel { threads: 4 })
-            .unwrap_err();
-        assert_eq!(sequential, parallel, "cross-mode verdicts must be identical");
-        assert_eq!(parallel, ValidationError::BadTransaction { index: 0, error: TxApplyError::BadSignature });
     }
 
     #[test]

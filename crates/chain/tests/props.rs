@@ -6,10 +6,9 @@ use proptest::prelude::*;
 use sereth_chain::builder::{build_block, BlockLimits};
 use sereth_chain::executor::TxApplyError;
 use sereth_chain::genesis::GenesisBuilder;
-use sereth_chain::parallel::ExecMode;
 use sereth_chain::state::StateDb;
 use sereth_chain::txpool::TxPool;
-use sereth_chain::validation::{validate_block, validate_block_with_mode, ValidationError};
+use sereth_chain::validation::{validate_block, ValidationError};
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
 use sereth_crypto::sig::SecretKey;
@@ -170,22 +169,11 @@ proptest! {
             timestamp,
             &BlockLimits::default(),
         );
-        let (receipts, post) = validate_block(&genesis.block.header, &genesis.state, &built.block)
+        let validated = validate_block(&genesis.block.header, &genesis.state, &built.block)
             .expect("honestly built blocks validate");
-        prop_assert_eq!(receipts.len(), built.block.transactions.len());
-        prop_assert_eq!(post.state_root(), built.block.header.state_root);
-        prop_assert_eq!(&receipts, &built.receipts);
-        // Parallel replay validation accepts the same blocks with the same
-        // artifacts (the verdict-equivalence invariant's happy path).
-        let validated = validate_block_with_mode(
-            &genesis.block.header,
-            &genesis.state,
-            &built.block,
-            &ExecMode::Parallel { threads: 4 },
-        )
-        .expect("parallel replay accepts what sequential replay accepts");
-        prop_assert_eq!(&validated.receipts, &receipts);
-        prop_assert_eq!(validated.post_state.state_root(), post.state_root());
+        prop_assert_eq!(validated.receipts.len(), built.block.transactions.len());
+        prop_assert_eq!(validated.post_state.state_root(), built.block.header.state_root);
+        prop_assert_eq!(&validated.receipts, &built.receipts);
     }
 
     /// Value conservation: total balance across accounts is preserved by
@@ -234,14 +222,13 @@ proptest! {
     }
 }
 
-/// The cross-mode tamper matrix: one deterministic construction per
+/// The tamper matrix: one deterministic construction per
 /// [`ValidationError`] variant (and per [`TxApplyError`] variant inside
-/// `BadTransaction`), each validated sequentially AND on the wave
-/// executor, asserting byte-identical verdicts of the expected shape.
-/// The randomized equivalence lives in `validation_props`; this test pins
-/// exact reproducible vectors for every rejection path.
+/// `BadTransaction`), each validated once, asserting the exact expected
+/// verdict. The randomized tampers live in `validation_props`; this test
+/// pins exact reproducible vectors for every rejection path.
 #[test]
-fn tamper_matrix_draws_identical_verdicts_from_both_validation_modes() {
+fn tamper_matrix_draws_the_expected_verdict_for_every_vector() {
     let rich = SecretKey::from_label(1);
     let also_rich = SecretKey::from_label(2);
     let poor = SecretKey::from_label(3);
@@ -392,14 +379,9 @@ fn tamper_matrix_draws_identical_verdicts_from_both_validation_modes() {
     ];
 
     for (name, block, expected) in &matrix {
-        let sequential = validate_block_with_mode(&parent, &state, block, &ExecMode::Sequential)
-            .expect_err(&format!("{name}: sequential replay must reject"));
-        assert_eq!(&sequential, expected, "{name}: sequential verdict");
-        for threads in [1usize, 2, 4, 8] {
-            let parallel = validate_block_with_mode(&parent, &state, block, &ExecMode::Parallel { threads })
-                .expect_err(&format!("{name}: parallel replay ({threads} threads) must reject"));
-            assert_eq!(&parallel, &sequential, "{name}: cross-mode verdict ({threads} threads)");
-        }
+        let verdict =
+            validate_block(&parent, &state, block).expect_err(&format!("{name}: replay must reject"));
+        assert_eq!(&verdict, expected, "{name}: verdict");
     }
 
     // Completeness guard: every `ValidationError` variant (and every

@@ -1,27 +1,27 @@
-//! Verdict equivalence of parallel replay validation.
+//! Replay-validation verdicts over generated blocks.
 //!
-//! The contract under test: for ANY block — honestly built or tampered —
-//! and ANY thread count, `validate_block_with_mode(.., Parallel{threads})`
-//! returns **byte-identical verdicts** to the sequential replay loop: the
-//! same `Ok` artifacts (receipts, post-state root) on honest blocks and
-//! the same `ValidationError` variant — including the `BadTransaction`
-//! index and inner `TxApplyError` — on tampered ones. Workloads include
-//! nonce chains, overlapping transfers, shared-slot contract calls,
-//! cross-contract sub-calls, reverting executions, and 100 %-conflicting
-//! write sets; tampers cover calldata rewrites, body reorders (resealed
-//! and not), gas inflation, shrunken gas limits, and wrong roots.
+//! The contract under test: an honestly built block validates with
+//! exactly the builder's receipts and post-state root, and every tamper
+//! draws the `ValidationError` it targets — including the
+//! `BadTransaction` index and inner `TxApplyError` of a rewritten
+//! transaction. Workloads include nonce chains, overlapping transfers,
+//! shared-slot contract calls, cross-contract sub-calls, reverting
+//! executions, and out-of-gas calls; tampers cover calldata rewrites,
+//! body reorders (resealed and not), gas inflation, shrunken gas limits,
+//! and wrong roots, parents, numbers and timestamps.
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use sereth_chain::builder::{build_block, BlockLimits};
-use sereth_chain::parallel::ExecMode;
+use sereth_chain::builder::{build_block, BlockLimits, BuiltBlock};
+use sereth_chain::executor::TxApplyError;
 use sereth_chain::state::StateDb;
-use sereth_chain::validation::{validate_block_with_mode, ValidationError};
+use sereth_chain::validation::{validate_block, ValidationError};
 use sereth_chain::GenesisBuilder;
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
 use sereth_crypto::sig::SecretKey;
 use sereth_types::block::{Block, BlockHeader};
+use sereth_types::receipt::TxStatus;
 use sereth_types::transaction::{Transaction, TxPayload};
 use sereth_types::u256::U256;
 use sereth_vm::asm::assemble;
@@ -60,6 +60,9 @@ enum TxKind {
     Transfer { sender: u8, to: u8, value: u64 },
     /// Call one of the contracts.
     Call { sender: u8, contract: u64 },
+    /// Call one of the contracts with too little gas for its first store:
+    /// the call runs out of gas and still lands in the block.
+    Starved { sender: u8, contract: u64 },
 }
 
 fn kind_strategy() -> impl Strategy<Value = TxKind> {
@@ -69,9 +72,13 @@ fn kind_strategy() -> impl Strategy<Value = TxKind> {
             to: t,
             value: v
         }),
-        (0..SENDERS as u8, prop_oneof![Just(COUNTER), Just(CROSS), Just(REVERTER)])
-            .prop_map(|(s, c)| TxKind::Call { sender: s, contract: c }),
+        (0..SENDERS as u8, contract_strategy()).prop_map(|(s, c)| TxKind::Call { sender: s, contract: c }),
+        (0..SENDERS as u8, contract_strategy()).prop_map(|(s, c)| TxKind::Starved { sender: s, contract: c }),
     ]
+}
+
+fn contract_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(COUNTER), Just(CROSS), Just(REVERTER)]
 }
 
 fn sender_key(index: u8) -> SecretKey {
@@ -113,14 +120,17 @@ fn assemble_candidates(kinds: &[TxKind]) -> Vec<Transaction> {
                     &sender_key(*sender),
                 )
             }
-            TxKind::Call { sender, contract } => {
+            TxKind::Call { sender, contract } | TxKind::Starved { sender, contract } => {
                 let nonce = nonces[*sender as usize];
                 nonces[*sender as usize] += 1;
+                // 4 000 gas past the intrinsic 21 000 cannot pay a 20 000
+                // first store.
+                let gas_limit = if matches!(kind, TxKind::Starved { .. }) { 25_000 } else { 100_000 };
                 Transaction::sign(
                     TxPayload {
                         nonce,
                         gas_price: 1,
-                        gas_limit: 100_000,
+                        gas_limit,
                         to: Some(Address::from_low_u64(*contract)),
                         value: U256::ZERO,
                         input: Bytes::new(),
@@ -132,7 +142,7 @@ fn assemble_candidates(kinds: &[TxKind]) -> Vec<Transaction> {
         .collect()
 }
 
-fn honest_block(kinds: &[TxKind]) -> (BlockHeader, StateDb, Block) {
+fn honest_block(kinds: &[TxKind]) -> (BlockHeader, StateDb, BuiltBlock) {
     let (parent, state) = genesis();
     let candidates = assemble_candidates(kinds);
     let built = build_block(
@@ -143,46 +153,23 @@ fn honest_block(kinds: &[TxKind]) -> (BlockHeader, StateDb, Block) {
         15_000,
         &BlockLimits::default(),
     );
-    (parent, state, built.block)
+    (parent, state, built)
 }
 
-/// Validates `block` in both modes and asserts the verdicts are
-/// byte-identical; returns the shared verdict's error (if any).
-fn assert_same_verdict(
+/// Validates the untampered `built` block and asserts replay reproduced
+/// the builder's receipts and post-state root.
+fn assert_validates_as_built(
     parent: &BlockHeader,
     state: &StateDb,
-    block: &Block,
-    threads: usize,
-) -> Result<Option<ValidationError>, TestCaseError> {
-    let sequential = validate_block_with_mode(parent, state, block, &ExecMode::Sequential);
-    let parallel = validate_block_with_mode(parent, state, block, &ExecMode::Parallel { threads });
-    match (&sequential, &parallel) {
-        (Ok(seq), Ok(par)) => {
-            prop_assert_eq!(&par.receipts, &seq.receipts, "replay receipts diverged");
-            prop_assert_eq!(
-                par.post_state.state_root(),
-                seq.post_state.state_root(),
-                "replay post-state diverged"
-            );
-            Ok(None)
-        }
-        (Err(seq_err), Err(par_err)) => {
-            prop_assert_eq!(seq_err, par_err, "cross-mode verdicts diverged");
-            Ok(Some(seq_err.clone()))
-        }
-        _ => {
-            prop_assert!(
-                false,
-                "one mode accepted what the other rejected: sequential_ok={} parallel_ok={} \
-                 sequential_err={:?} parallel_err={:?}",
-                sequential.is_ok(),
-                parallel.is_ok(),
-                sequential.as_ref().err(),
-                parallel.as_ref().err()
-            );
-            unreachable!()
-        }
-    }
+    built: &BuiltBlock,
+) -> Result<(), TestCaseError> {
+    let validated = validate_block(parent, state, &built.block);
+    prop_assert!(validated.is_ok(), "honest block rejected: {:?}", validated.err());
+    let validated = validated.unwrap();
+    prop_assert_eq!(&validated.receipts, &built.receipts, "replay receipts diverged from the builder's");
+    prop_assert_eq!(validated.post_state.state_root(), built.post_state.state_root());
+    prop_assert_eq!(validated.post_state.state_root(), built.block.header.state_root);
+    Ok(())
 }
 
 /// One way to corrupt a block (or its placement under the parent).
@@ -284,91 +271,76 @@ fn apply_tamper(block: &mut Block, tamper: &Tamper) -> bool {
     }
 }
 
+/// Whether `error` is what `tamper` targets on a block whose honest
+/// version is `honest`.
+fn drew_its_target(tamper: &Tamper, honest: &Block, error: &ValidationError) -> bool {
+    match (tamper, error) {
+        (Tamper::RewriteInput { index }, ValidationError::BadTransaction { index: at, error }) => {
+            *at == index % honest.transactions.len() && *error == TxApplyError::BadSignature
+        }
+        (Tamper::SwapStale, ValidationError::TxRootMismatch) => true,
+        // A reorder can break a nonce chain, and reordered calls can change
+        // which stores are first writes, and so the total gas; otherwise
+        // the receipts (which carry their transaction hash) move.
+        (
+            Tamper::SwapResealed,
+            ValidationError::BadTransaction { .. }
+            | ValidationError::GasUsedMismatch { .. }
+            | ValidationError::ReceiptsRootMismatch,
+        ) => true,
+        (Tamper::InflateGas { delta }, ValidationError::GasUsedMismatch { declared, replayed }) => {
+            *replayed == honest.header.gas_used && *declared == honest.header.gas_used + delta
+        }
+        (Tamper::ShrinkGasLimit, ValidationError::GasLimitExceeded)
+        | (Tamper::WrongStateRoot, ValidationError::StateRootMismatch)
+        | (Tamper::WrongReceiptsRoot, ValidationError::ReceiptsRootMismatch)
+        | (Tamper::WrongParent, ValidationError::WrongParent)
+        | (Tamper::WrongNumber, ValidationError::WrongNumber)
+        | (Tamper::StaleTimestamp, ValidationError::NonMonotonicTimestamp) => true,
+        _ => false,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(256)))]
 
-    /// The headline property: honestly built mixed workloads validate in
-    /// both modes with identical artifacts, at any thread count.
+    /// The headline property: honestly built mixed workloads validate
+    /// with exactly the builder's receipts and post-state root.
     #[test]
-    fn parallel_validation_accepts_honest_blocks_identically(
+    fn honest_mixed_blocks_validate_with_the_builders_artifacts(
         kinds in prop::collection::vec(kind_strategy(), 1..24),
-        threads in 1usize..=8,
     ) {
-        let (parent, state, block) = honest_block(&kinds);
-        let verdict = assert_same_verdict(&parent, &state, &block, threads)?;
-        prop_assert_eq!(verdict, None, "honest blocks must validate");
+        let (parent, state, built) = honest_block(&kinds);
+        prop_assert_eq!(built.block.transactions.len(), kinds.len(), "every candidate must be included");
+        for (kind, receipt) in kinds.iter().zip(&built.receipts) {
+            if matches!(kind, TxKind::Starved { .. }) {
+                prop_assert_eq!(receipt.status, TxStatus::OutOfGas);
+            }
+        }
+        assert_validates_as_built(&parent, &state, &built)?;
     }
 
-    /// Tampered blocks draw identical `ValidationError`s — variant, index,
-    /// and inner error — from both replay modes.
+    /// Each tamper draws the `ValidationError` it targets.
     #[test]
-    fn tampered_blocks_get_identical_verdicts(
+    fn tampered_blocks_draw_the_error_they_target(
         kinds in prop::collection::vec(kind_strategy(), 1..20),
         tamper in tamper_strategy(),
-        threads in 1usize..=8,
     ) {
-        let (parent, state, mut block) = honest_block(&kinds);
+        let (parent, state, built) = honest_block(&kinds);
+        let mut block = built.block.clone();
         if !apply_tamper(&mut block, &tamper) {
-            // Tamper not applicable to this block shape: still a valid
-            // equivalence case, just an honest one.
-            let verdict = assert_same_verdict(&parent, &state, &block, threads)?;
-            prop_assert_eq!(verdict, None);
-            return Ok(());
+            // Tamper not applicable to this block shape: the block is
+            // still honest and must validate.
+            return assert_validates_as_built(&parent, &state, &built);
         }
-        let verdict = assert_same_verdict(&parent, &state, &block, threads)?;
-        prop_assert!(verdict.is_some(), "tamper {tamper:?} must be rejected (by both modes)");
-    }
-
-    /// 100 %-conflicting write sets: every transaction hammers the same
-    /// counter slot. Equivalence must hold and the parallel replay must
-    /// have taken the serial machinery for the conflicts.
-    #[test]
-    fn full_conflict_blocks_validate_equivalently(
-        tx_count in 2usize..20,
-        threads in 2usize..=8,
-    ) {
-        let kinds: Vec<TxKind> = (0..tx_count)
-            .map(|i| TxKind::Call { sender: (i as u64 % SENDERS) as u8, contract: COUNTER })
-            .collect();
-        let (parent, state, block) = honest_block(&kinds);
-        prop_assert_eq!(block.transactions.len(), tx_count, "every candidate must be included");
-        let verdict = assert_same_verdict(&parent, &state, &block, threads)?;
-        prop_assert_eq!(verdict, None);
-        let validated = validate_block_with_mode(
-            &parent,
-            &state,
-            &block,
-            &ExecMode::Parallel { threads },
-        ).expect("verdict checked above");
+        let verdict = validate_block(&parent, &state, &block);
+        prop_assert!(verdict.is_err(), "tamper {:?} must be rejected", tamper);
+        let error = verdict.err().unwrap();
         prop_assert!(
-            validated.stats.fallbacks + validated.stats.sequential_txs > 0,
-            "pure conflicts must serialize somewhere: {:?}",
-            validated.stats
+            drew_its_target(&tamper, &built.block, &error),
+            "tamper {:?} drew {:?}",
+            tamper,
+            error
         );
-    }
-
-    /// Thread count must not leak into the verdict: the same tampered
-    /// block replayed with 1, 2, and 8 workers draws one error.
-    #[test]
-    fn thread_count_is_invisible_in_verdicts(
-        kinds in prop::collection::vec(kind_strategy(), 2..16),
-        tamper in tamper_strategy(),
-    ) {
-        let (parent, state, mut block) = honest_block(&kinds);
-        apply_tamper(&mut block, &tamper);
-        let verdicts: Vec<_> = [1usize, 2, 8]
-            .iter()
-            .map(|&threads| {
-                validate_block_with_mode(
-                    &parent,
-                    &state,
-                    &block,
-                    &ExecMode::Parallel { threads },
-                )
-                .map(|validated| (validated.receipts, validated.post_state.state_root()))
-            })
-            .collect();
-        prop_assert_eq!(&verdicts[0], &verdicts[1]);
-        prop_assert_eq!(&verdicts[1], &verdicts[2]);
     }
 }

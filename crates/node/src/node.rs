@@ -19,7 +19,6 @@ use parking_lot::{Mutex, MutexGuard};
 use sereth_chain::builder::{build_block_traced, BlockLimits};
 use sereth_chain::executor::{call_readonly, BlockEnv};
 use sereth_chain::genesis::Genesis;
-use sereth_chain::parallel::{ExecMode, ExecStats, ExecStatsCells};
 use sereth_chain::state::StateView;
 use sereth_chain::store::{ChainStore, ImportError, ImportOutcome, StateBackendConfig, StoreConfig};
 use sereth_chain::txpool::{PoolConfig, PoolStats, TxPool};
@@ -151,15 +150,6 @@ pub struct NodeConfig {
     pub hms: HmsConfig,
     /// RAA serving strategy (Sereth nodes only).
     pub raa_backend: RaaBackend,
-    /// How mined blocks execute their candidates (both client kinds can
-    /// mine with the conflict-aware parallel executor — it changes the
-    /// block's production cost, never its bytes).
-    pub exec_mode: ExecMode,
-    /// How received blocks replay during validation — the cost every peer
-    /// pays for every block (paper §II-D). Parallel replay is
-    /// verdict-equivalent to sequential, so it changes import cost, never
-    /// which blocks this node accepts.
-    pub validation_mode: ExecMode,
     /// Transaction-pool configuration (shard count, capacity, event
     /// buffer). The node overrides [`PoolConfig::market`] with the Sereth
     /// contract's selectors so `set`/`buy` calldata is pre-parsed at
@@ -200,8 +190,6 @@ impl Default for NodeConfig {
             limits: BlockLimits::default(),
             hms: HmsConfig::default(),
             raa_backend: RaaBackend::default(),
-            exec_mode: ExecMode::default(),
-            validation_mode: ExecMode::default(),
             pool: PoolConfig::default(),
             telemetry: TelemetryConfig::default(),
             isolation: IsolationLevel::default(),
@@ -357,18 +345,6 @@ impl NodeConfigBuilder {
     /// Sets the RAA serving backend (Sereth nodes only).
     pub fn raa_backend(mut self, backend: RaaBackend) -> Self {
         self.config.raa_backend = backend;
-        self
-    }
-
-    /// Sets how mined blocks execute their candidates.
-    pub fn exec_mode(mut self, mode: ExecMode) -> Self {
-        self.config.exec_mode = mode;
-        self
-    }
-
-    /// Sets how received blocks replay during validation.
-    pub fn validation_mode(mut self, mode: ExecMode) -> Self {
-        self.config.validation_mode = mode;
         self
     }
 
@@ -539,14 +515,8 @@ pub struct NodeHandle {
     /// RAA provider's data source locks separately, by design).
     locks: Arc<AtomicU64>,
     /// The node-wide telemetry hub every subsystem (pool, store, RAA
-    /// service, executor cells) records into.
+    /// service, miner) records into.
     telemetry: Arc<Telemetry>,
-    /// Registry cells accumulating the miner's executor stats (`exec.*`)
-    /// — absorbed outside the node lock, read without any lock.
-    exec_cells: ExecStatsCells,
-    /// The store's `validation.*` cells, shared so replay counters are
-    /// readable without the node lock.
-    validation_cells: ExecStatsCells,
     /// Hold-time histogram of the node lock (`node.lock_hold`).
     lock_hold: Histogram,
 }
@@ -671,10 +641,7 @@ impl NodeHandle {
         let telemetry = Arc::new(Telemetry::new(config.telemetry));
         let pool_config = PoolConfig { market: Some(market_spec()), ..config.pool.clone() };
         let chain = ChainStore::open(
-            StoreConfig::in_memory(genesis)
-                .with_backend(config.store.clone())
-                .validation_mode(config.validation_mode)
-                .telemetry(telemetry.clone()),
+            StoreConfig::in_memory(genesis).with_backend(config.store.clone()).telemetry(telemetry.clone()),
         )?;
         let pinned_view = (chain.head_number(), chain.head_state_view());
         let inner = NodeInner {
@@ -687,15 +654,11 @@ impl NodeHandle {
             seen_txs: std::collections::HashSet::new(),
             pinned_view,
         };
-        let exec_cells = ExecStatsCells::register(&telemetry, "exec");
-        let validation_cells = inner.chain.validation_cells().clone();
         let lock_hold = telemetry.histogram("node.lock_hold");
         let handle = Self {
             inner: Arc::new(Mutex::new(inner)),
             locks: Arc::new(AtomicU64::new(0)),
             telemetry,
-            exec_cells,
-            validation_cells,
             lock_hold,
         };
         {
@@ -1085,34 +1048,14 @@ impl NodeHandle {
         self.lock().pool.stats()
     }
 
-    /// Cumulative executor counters over every block this node has mined —
-    /// the observable face of the parallel executor (fallbacks prove the
-    /// mis-speculation path ran; fast commits prove speculation paid off).
-    ///
-    /// Registry-backed: reads relaxed atomics, never the node lock, so
-    /// monitoring cannot stall (or be stalled by) the miner.
-    pub fn exec_stats(&self) -> ExecStats {
-        self.exec_cells.snapshot()
-    }
-
-    /// Cumulative executor counters over every block this node has
-    /// replay-validated — the validation-side twin of
-    /// [`NodeHandle::exec_stats`]. Every import (gossip, orphan retry, and
-    /// the node's own mined blocks) replays through the chain store, so
-    /// this is the per-peer redundant-validation cost the paper's §II-D
-    /// cost model describes. Lock-free, like [`NodeHandle::exec_stats`].
-    pub fn validation_stats(&self) -> ExecStats {
-        self.validation_cells.snapshot()
-    }
-
-    /// The node's telemetry hub (shared with the pool, store, executor
-    /// cells, and RAA service).
+    /// The node's telemetry hub (shared with the pool, store, and RAA
+    /// service).
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
     }
 
     /// An owned snapshot of every metric this node recorded — counters
-    /// (`pool.*`, `exec.*`, `validation.*`, `raa.*`), gauges, phase and
+    /// (`pool.*`, `raa.*`, `node.*`), gauges, phase and
     /// lock-hold histograms, and the recent block traces. Reads only
     /// atomics and the short trace ring lock: **zero** node-lock
     /// acquisitions, which `telemetry_reads_take_zero_node_locks` pins.
@@ -1128,7 +1071,7 @@ impl NodeHandle {
     /// unlocked — client submission keeps flowing into the pool shards
     /// while the block is being built.
     pub fn mine(&self, now: SimTime) -> Option<Block> {
-        let (setup, parent, state, pool, contract, limits, exec_mode, isolation) = {
+        let (setup, parent, state, pool, contract, limits, isolation) = {
             let inner = self.lock();
             let setup = inner.config.miner.clone()?;
             (
@@ -1138,7 +1081,6 @@ impl NodeHandle {
                 inner.pool.clone(),
                 inner.config.contract,
                 inner.config.limits.clone(),
-                inner.config.exec_mode,
                 inner.config.isolation,
             )
         };
@@ -1155,13 +1097,11 @@ impl NodeHandle {
             setup.coinbase,
             timestamp,
             &limits,
-            &exec_mode,
             &self.telemetry,
         );
-        // Lock-free bookkeeping before re-locking: executor counters land
-        // in the `exec.*` cells, the ordering span in the block's trace
-        // (the store adds an `import`-role trace for the same number).
-        self.exec_cells.absorb(&built.stats);
+        // Lock-free bookkeeping before re-locking: the ordering span goes
+        // in the block's trace (the store adds an `import`-role trace for
+        // the same number).
         self.telemetry.trace_block(BlockTrace {
             number: built.block.number(),
             role: "build",
@@ -1568,24 +1508,17 @@ mod tests {
     #[test]
     fn telemetry_reads_take_zero_node_locks() {
         // Satellite of the telemetry layer: metrics consumers must never
-        // contend with the miner. Every stats/snapshot read below goes
-        // through registry atomics, so the node-lock counter must not
-        // move at all.
+        // contend with the miner. The snapshot reads registry atomics,
+        // so the node-lock counter must not move at all.
         let owner = SecretKey::from_label(1);
         let node = node(ClientKind::Sereth, &owner, true);
         assert!(node.receive_tx(set_tx(&owner, 0, genesis_mark(), 75), 100));
         node.mine(15_000).expect("miner seals");
 
         let before = node.lock_acquisitions();
-        let exec = node.exec_stats();
-        let validation = node.validation_stats();
         let snapshot = node.telemetry_snapshot();
         assert_eq!(node.lock_acquisitions(), before, "metrics reads must not take the node lock");
 
-        // The snapshot is the unified view: the same totals the typed
-        // accessors report, plus the phase histograms.
-        assert_eq!(snapshot.counters["exec.sequential_txs"], exec.sequential_txs);
-        assert_eq!(snapshot.counters["validation.waves"], validation.waves);
         assert!(snapshot.histograms["phase.receive_tx"].count() >= 1);
         assert!(snapshot.histograms["phase.admission"].count() >= 1);
         assert!(snapshot.histograms["phase.order_candidates"].count() >= 1);
@@ -1613,7 +1546,6 @@ mod tests {
         assert!(snapshot.counters.is_empty(), "disabled hubs register nothing: {snapshot:?}");
         assert!(snapshot.histograms.is_empty());
         assert!(snapshot.blocks.is_empty());
-        assert_eq!(node.exec_stats(), ExecStats::default(), "stats views read zero when disabled");
     }
 
     #[test]

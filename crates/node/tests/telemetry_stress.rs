@@ -174,7 +174,12 @@ fn concurrent_snapshots_are_monotone_and_internally_consistent() {
     assert_eq!(last.histograms["phase.admission"].count(), total, "every insert timed once");
     assert!(last.histograms["phase.receive_tx"].count() >= total);
     assert!(last.histograms["phase.seal"].count() >= 1);
-    assert!(last.counters["exec.sequential_txs"] >= total, "all transfers executed");
+    for submitter in 0..SUBMITTERS {
+        for sender in 0..SENDERS_PER_SUBMITTER {
+            let address = sender_key(submitter, sender).address();
+            assert_eq!(node.account_nonce(&address), NONCES_PER_SENDER, "every transfer committed");
+        }
+    }
 }
 
 #[test]

@@ -10,8 +10,6 @@
 //!   check (all heads agree, byte-equal state roots);
 //! * [`many_markets`] — the read-storm scenario exercising the
 //!   incremental `sereth-raa` view service across dozens of markets;
-//! * [`contended`] — a 100 %-conflicting single-market scenario mined
-//!   with the parallel executor against a sequential oracle twin;
 //! * [`pool_feed`] — many submitters feeding a sharded, incrementally
 //!   indexed TxPool, hash-checked against an unsharded oracle twin;
 //! * [`restart`] — a durable miner killed mid-run, reopened byte-equal,
@@ -40,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod audit;
-pub mod contended;
 pub mod experiment;
 pub mod many_markets;
 pub mod metrics;
@@ -53,7 +50,6 @@ pub mod stats;
 pub mod workload;
 
 pub use audit::{audit_run, market_spec, run_history};
-pub use contended::{run_contended_market, ContendedConfig, ContendedReport};
 pub use experiment::{paper_scenarios, run_point, sweep, SweepPoint, PAPER_SET_COUNTS};
 pub use many_markets::{
     run_many_markets, run_many_markets_concurrent, ConcurrentMarketsReport, ManyMarketsConfig,

@@ -1,13 +1,12 @@
 //! Unified telemetry: a lock-free metrics registry, block-lifecycle
 //! phase tracing, and exportable snapshots.
 //!
-//! Every subsystem of the stack (pool, executor, store, RAA service,
-//! node) records into one [`Registry`] of atomic counters, gauges, and
-//! fixed-bucket latency histograms. A lightweight span API
-//! ([`Telemetry::time`]) stamps the block lifecycle as structured phase
-//! timings (`receive_tx → admission → order_candidates → speculate /
-//! merge → seal → import → validate`), cheap enough to stay on by
-//! default and near-zero cost when disabled through
+//! Every subsystem of the stack (pool, store, RAA service, node) records
+//! into one [`Registry`] of atomic counters, gauges, and fixed-bucket
+//! latency histograms. A lightweight span API ([`Telemetry::time`])
+//! stamps the block lifecycle as structured phase timings (`receive_tx →
+//! admission → order_candidates → seal → import → validate`), cheap
+//! enough to stay on by default and near-zero cost when disabled through
 //! [`TelemetryConfig`].
 //!
 //! # Reading it back

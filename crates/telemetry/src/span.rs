@@ -40,10 +40,6 @@ pub enum Phase {
     Admission,
     /// The miner ordering candidates out of the pool.
     OrderCandidates,
-    /// One wave of speculative parallel execution.
-    Speculate,
-    /// In-order merge + conflict validation of one wave's results.
-    Merge,
     /// Assembling and sealing the block (roots, header).
     Seal,
     /// Importing a block into the store (fork choice, bookkeeping).
@@ -54,12 +50,10 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in lifecycle order.
-    pub const ALL: [Phase; 8] = [
+    pub const ALL: [Phase; 6] = [
         Phase::ReceiveTx,
         Phase::Admission,
         Phase::OrderCandidates,
-        Phase::Speculate,
-        Phase::Merge,
         Phase::Seal,
         Phase::Import,
         Phase::Validate,
@@ -71,8 +65,6 @@ impl Phase {
             Phase::ReceiveTx => "receive_tx",
             Phase::Admission => "admission",
             Phase::OrderCandidates => "order_candidates",
-            Phase::Speculate => "speculate",
-            Phase::Merge => "merge",
             Phase::Seal => "seal",
             Phase::Import => "import",
             Phase::Validate => "validate",
@@ -228,7 +220,7 @@ mod tests {
     fn phases_enumerate_in_lifecycle_order_with_unique_names() {
         let names: Vec<&str> = Phase::ALL.iter().map(|p| p.name()).collect();
         assert_eq!(names[0], "receive_tx");
-        assert_eq!(names[7], "validate");
+        assert_eq!(names[5], "validate");
         let mut deduped = names.clone();
         deduped.sort_unstable();
         deduped.dedup();
@@ -275,14 +267,14 @@ mod tests {
     #[test]
     fn snapshot_carries_phase_histograms_and_traces() {
         let telemetry = Telemetry::enabled();
-        telemetry.time(Phase::Speculate, || std::hint::black_box(0));
+        telemetry.time(Phase::OrderCandidates, || std::hint::black_box(0));
         telemetry.trace_block(BlockTrace {
             number: 3,
             role: "import",
             phase_ns: vec![(Phase::Validate, 1_000)],
         });
         let snapshot = telemetry.snapshot();
-        assert_eq!(snapshot.histograms["phase.speculate"].count(), 1);
+        assert_eq!(snapshot.histograms["phase.order_candidates"].count(), 1);
         assert_eq!(snapshot.blocks.len(), 1);
         assert_eq!(snapshot.blocks[0].role, "import");
     }

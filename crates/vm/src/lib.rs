@@ -10,8 +10,6 @@
 //!   economics;
 //! * [`abi`] — selectors and 32-byte-word argument coding (the FPV triple);
 //! * [`exec`] — call environments, storage access, native contracts;
-//! * [`access`] — the read/write sets the parallel block executor
-//!   schedules by;
 //! * [`trace`] — a step-by-step record of a run, for debugging;
 //! * [`raa`] — the interpreter hook that lets an external data service
 //!   rewrite the arguments of read-only calls before execution.
@@ -40,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod abi;
-pub mod access;
 pub mod asm;
 pub mod error;
 pub mod exec;
@@ -52,7 +49,6 @@ mod subcall;
 pub mod trace;
 
 pub use abi::Selector;
-pub use access::{AccessKey, AccessSet};
 pub use error::VmError;
 pub use exec::{
     CallEnv, CallOutcome, ContractCode, MemStorage, NativeContract, OverlayStorage, ReadStorage, Storage,

@@ -7,7 +7,6 @@
 use bytes::Bytes;
 use sereth::chain::builder::{build_block, BlockLimits};
 use sereth::chain::genesis::GenesisBuilder;
-use sereth::chain::parallel::ExecMode;
 use sereth::crypto::{Address, SecretKey, H256};
 use sereth::hms::fpv::{Flag, Fpv};
 use sereth::hms::mark::genesis_mark;
@@ -18,10 +17,6 @@ use sereth::node::node::{BlockReceipt, NodeConfig, NodeHandle};
 use sereth::types::{Block, Transaction, TxPayload, U256};
 
 fn make_node(owner: &SecretKey) -> NodeHandle {
-    make_node_validating(owner, ExecMode::Sequential)
-}
-
-fn make_node_validating(owner: &SecretKey, validation_mode: ExecMode) -> NodeHandle {
     let contract = default_contract_address();
     let genesis = GenesisBuilder::new()
         .fund(owner.address(), U256::from(1_000_000_000u64))
@@ -31,7 +26,7 @@ fn make_node_validating(owner: &SecretKey, validation_mode: ExecMode) -> NodeHan
             sereth_genesis_slots(&owner.address(), H256::from_low_u64(50)),
         )
         .build();
-    NodeHandle::new(genesis, NodeConfig::geth(contract).validation_mode(validation_mode).build())
+    NodeHandle::new(genesis, NodeConfig::geth(contract).build())
 }
 
 fn signed_set(owner: &SecretKey, value: u64) -> Transaction {
@@ -88,52 +83,6 @@ fn tampered_transaction_blocks_are_rejected_by_honest_validators() {
     // The untampered block is accepted fine.
     assert_eq!(honest.receive_block(honest_block.block), BlockReceipt::Imported);
     assert_eq!(honest.head_number(), 1);
-}
-
-/// The same §III-D experiment against an honest peer that replays blocks
-/// on the wave executor: parallel validation must reject the RAA-tampered
-/// block (and accept the honest one) exactly like the sequential
-/// validator — the defence does not weaken when peers validate in
-/// parallel.
-#[test]
-fn parallel_validators_reject_tampered_blocks_identically() {
-    let owner = SecretKey::from_label(1);
-    let sequential_peer = make_node(&owner);
-    let parallel_peer = make_node_validating(&owner, ExecMode::Parallel { threads: 4 });
-    let original = signed_set(&owner, 60);
-
-    let evil_input =
-        Fpv::new(Flag::Head, genesis_mark(), H256::from_low_u64(120)).to_calldata(set_selector());
-    let tampered = original.with_tampered_input(evil_input);
-
-    let (parent, parent_state) = sequential_peer
-        .with_inner(|inner| (inner.chain.head_block().header.clone(), inner.chain.head_state().clone()));
-    let honest_block = build_block(
-        &parent,
-        &parent_state,
-        vec![original],
-        Address::from_low_u64(0xbad),
-        15_000,
-        &BlockLimits::default(),
-    );
-    let mut evil_block = honest_block.block.clone();
-    evil_block.transactions = vec![tampered];
-    evil_block.header.tx_root = Block::compute_tx_root(&evil_block.transactions);
-
-    // Identical verdicts on the attack...
-    assert_eq!(sequential_peer.receive_block(evil_block.clone()), BlockReceipt::Rejected);
-    assert_eq!(parallel_peer.receive_block(evil_block), BlockReceipt::Rejected);
-    assert_eq!(parallel_peer.head_number(), 0, "the chain did not advance on the tampered block");
-
-    // ...and on the honest block, with the replay provably run in waves.
-    assert_eq!(sequential_peer.receive_block(honest_block.block.clone()), BlockReceipt::Imported);
-    assert_eq!(parallel_peer.receive_block(honest_block.block), BlockReceipt::Imported);
-    assert_eq!(parallel_peer.head_number(), 1);
-    assert!(
-        parallel_peer.validation_stats().waves >= 1,
-        "the honest import replayed on the wave executor: {:?}",
-        parallel_peer.validation_stats()
-    );
 }
 
 /// Even without re-sealing the tx root, body/header inconsistency is
