@@ -198,37 +198,31 @@ impl Default for PoolConfig {
 }
 
 /// Monotone counters describing how the pool is being driven — the
-/// observable face of the sharded feed (see [`TxPool::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Ordering/market reads served from the incremental index.
-    pub index_hits: u64,
-    /// Full index rebuilds: the lazy first subscription, explicit
-    /// [`TxPool::rebuild_index`] calls, and event-buffer overflows
-    /// ([`EventLag`] on the internal cursor).
-    pub index_rebuilds: u64,
-    /// Ready reads that fell back to a full rescan because a sender held
-    /// a stale nonce prefix (pool not yet pruned against the caller's
-    /// state), plus explicit `*_rescan` oracle calls.
-    pub rescans: u64,
-    /// Market snapshots served by walking the pool because the requested
-    /// selectors are not the configured [`PoolConfig::market`].
-    pub market_rescans: u64,
-    /// Pool events the index applied incrementally.
-    pub events_applied: u64,
-    /// Times an ingestion path found its shard lock held and had to wait.
-    pub shard_contention: u64,
-}
-
-/// The registry cells behind [`PoolStats`], named `pool.*` in the
-/// telemetry registry so a node-wide snapshot carries them for free.
+/// observable face of the sharded feed. They are telemetry cells named
+/// `pool.*`, so a node-wide snapshot carries them for free.
 #[derive(Debug, Clone)]
 struct PoolCounters {
+    /// `pool.index_hits`: ordering/market reads served from the
+    /// incremental index.
     index_hits: Counter,
+    /// `pool.index_rebuilds`: full index rebuilds — the lazy first
+    /// subscription, explicit [`TxPool::rebuild_index`] calls, and
+    /// event-buffer overflows ([`EventLag`] on the internal cursor).
     index_rebuilds: Counter,
+    /// `pool.rescans`: ready reads that fell back to a full rescan
+    /// because a sender held a stale nonce prefix (pool not yet pruned
+    /// against the caller's state), plus explicit `*_rescan` oracle
+    /// calls.
     rescans: Counter,
+    /// `pool.market_rescans`: market snapshots served by walking the
+    /// pool because the requested selectors are not the configured
+    /// [`PoolConfig::market`].
     market_rescans: Counter,
+    /// `pool.events_applied`: pool events the index applied
+    /// incrementally.
     events_applied: Counter,
+    /// `pool.shard_contention`: times an ingestion path found its shard
+    /// lock held and had to wait.
     shard_contention: Counter,
 }
 
@@ -312,8 +306,8 @@ impl TxPool {
 
     /// An empty pool recording into a shared `telemetry` hub — what a
     /// node does so `pool.*` counters and admission latencies land in
-    /// the node-wide registry. With a disabled hub, [`TxPool::stats`]
-    /// reads as zero and inserts skip the clock.
+    /// the node-wide registry. With a disabled hub, the `pool.*`
+    /// counters record nothing and inserts skip the clock.
     pub fn with_telemetry(config: PoolConfig, telemetry: Arc<Telemetry>) -> Self {
         let shard_count = config.shards.max(1);
         Self {
@@ -342,25 +336,13 @@ impl TxPool {
         self.len() == 0
     }
 
-    /// A snapshot of the pool's counters.
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            index_hits: self.stats.index_hits.get(),
-            index_rebuilds: self.stats.index_rebuilds.get(),
-            rescans: self.stats.rescans.get(),
-            market_rescans: self.stats.market_rescans.get(),
-            events_applied: self.stats.events_applied.get(),
-            shard_contention: self.stats.shard_contention.get(),
-        }
-    }
-
     fn shard_of(&self, sender: &Address) -> usize {
         (sereth_crypto::hash::fnv1a_64(sender.as_bytes()) % self.shards.len() as u64) as usize
     }
 
     /// Locks one shard, counting the acquisition as contended when the
     /// lock was not immediately available (the "submission blocked"
-    /// signal [`PoolStats::shard_contention`] reports).
+    /// signal `pool.shard_contention` reports).
     fn lock_shard(&self, index: usize) -> MutexGuard<'_, Shard> {
         match self.shards[index].try_lock() {
             Some(guard) => guard,
@@ -740,7 +722,7 @@ impl TxPool {
     /// held back entirely.
     ///
     /// Served from the incremental index in `O(k log k)` for `k` returned
-    /// candidates — counted in [`PoolStats::index_hits`].
+    /// candidates — counted in `pool.index_hits`.
     pub fn ready_by_price(&self, base_nonce: impl Fn(&Address) -> u64) -> Vec<Transaction> {
         self.ready_by_price_limited(base_nonce, usize::MAX)
     }
@@ -877,6 +859,11 @@ mod tests {
         )
     }
 
+    /// A `pool.*` counter, read from the pool's own telemetry hub.
+    fn counter(pool: &TxPool, name: &str) -> u64 {
+        pool.telemetry.snapshot().counters[name]
+    }
+
     #[test]
     fn insert_and_len() {
         let pool = TxPool::new();
@@ -971,7 +958,7 @@ mod tests {
         let ready = pool.ready_by_price(|_| 0);
         let prices: Vec<u64> = ready.iter().map(Transaction::gas_price).collect();
         assert_eq!(prices, vec![100, 10, 500]);
-        assert_eq!(pool.stats().index_hits, 1);
+        assert_eq!(counter(&pool, "pool.index_hits"), 1);
     }
 
     #[test]
@@ -1027,20 +1014,19 @@ mod tests {
         pool.insert(tx(&key, 1, 20), 1).unwrap();
         // Warm the index.
         assert_eq!(pool.ready_by_price(|_| 0).len(), 2);
-        let before = pool.stats();
+        let (rescans, index_hits) = (counter(&pool, "pool.rescans"), counter(&pool, "pool.index_hits"));
         // Account nonce moved past the pooled head without a prune: the
         // indexed walk skips the stale entry in place — no rescan.
         let ready = pool.ready_by_price(|_| 1);
         assert_eq!(ready.len(), 1);
         assert_eq!(ready[0].nonce(), 1);
-        let after = pool.stats();
-        assert_eq!(after.rescans, before.rescans);
-        assert_eq!(after.index_hits, before.index_hits + 1);
+        assert_eq!(counter(&pool, "pool.rescans"), rescans);
+        assert_eq!(counter(&pool, "pool.index_hits"), index_hits + 1);
         // Pruning leaves the answer unchanged.
         pool.prune_stale(|_| 1);
         let pruned = pool.ready_by_price(|_| 1);
         assert_eq!(pruned.len(), 1);
-        assert_eq!(pool.stats().rescans, after.rescans);
+        assert_eq!(counter(&pool, "pool.rescans"), rescans);
     }
 
     #[test]
@@ -1167,7 +1153,7 @@ mod tests {
         let key = SecretKey::from_label(1);
         pool.insert(tx(&key, 0, 10), 0).unwrap();
         assert_eq!(pool.ready_by_price(|_| 0).len(), 1);
-        let rebuilds_after_first = pool.stats().index_rebuilds;
+        let rebuilds_after_first = counter(&pool, "pool.index_rebuilds");
         assert!(rebuilds_after_first >= 1, "lazy subscription rebuilds once");
         // Push the internal cursor out of the buffer.
         for nonce in 1..20 {
@@ -1175,7 +1161,7 @@ mod tests {
         }
         let ready = pool.ready_by_price(|_| 0);
         assert_eq!(ready.len(), 20);
-        assert_eq!(pool.stats().index_rebuilds, rebuilds_after_first + 1);
+        assert_eq!(counter(&pool, "pool.index_rebuilds"), rebuilds_after_first + 1);
         // And the rebuilt index still matches the oracle.
         assert_eq!(ready, pool.ready_by_price_rescan(|_| 0, usize::MAX));
     }

@@ -646,13 +646,14 @@ mod tests {
 
     #[test]
     fn policies_agree_between_indexed_and_rescan_on_unconfigured_pools() {
-        // A pool built WITHOUT a market spec (plain TxPool::new) must
+        // A pool built WITHOUT a market spec (the default config) must
         // still order identically: market_snapshot falls back to a
         // counted rescan with the same classification rule.
         let (state, contract) = state_with_contract();
         let owner = SecretKey::from_label(1);
         let buyer = SecretKey::from_label(2);
-        let pool = TxPool::new();
+        let hub = std::sync::Arc::new(sereth_telemetry::Telemetry::enabled());
+        let pool = TxPool::with_telemetry(PoolConfig::default(), hub.clone());
         let m0 = genesis_mark();
         pool.insert(sereth_tx(&owner, 0, set_selector(), Flag::Head, m0, 60), 0).unwrap();
         pool.insert(sereth_tx(&buyer, 0, buy_selector(), Flag::Success, m0, 50), 1).unwrap();
@@ -660,7 +661,7 @@ mod tests {
         for policy in [MinerPolicy::Standard, MinerPolicy::Semantic(HmsConfig::default()), MinerPolicy::Pwv] {
             ordered_checked(&pool, &state, &contract, &policy);
         }
-        assert!(pool.stats().market_rescans > 0, "unconfigured market must rescan");
+        assert!(hub.snapshot().counters["pool.market_rescans"] > 0, "unconfigured market must rescan");
     }
 
     #[test]

@@ -4,14 +4,14 @@
 //! A node is either a standard **Geth** client or a modified **Sereth**
 //! client (paper §III-B). The only difference — faithfully to the paper —
 //! is that the Sereth client compiles in the RAA data service: its RAA
-//! registry carries the [`HmsRaaProvider`], so read-only `get`/`mark`
-//! calls against the Sereth contract return READ-UNCOMMITTED views.
+//! registry carries a [`ServiceRaaProvider`] over the incremental
+//! [`RaaService`], so read-only `get`/`mark` calls against the Sereth
+//! contract return READ-UNCOMMITTED views.
 //! "Deployment of Sereth in the wild would not require a fork" (§V):
 //! both kinds interoperate on one network here too, which
 //! `tests/interop.rs` exercises.
 
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
@@ -21,11 +21,9 @@ use sereth_chain::executor::{call_readonly, BlockEnv};
 use sereth_chain::genesis::Genesis;
 use sereth_chain::state::StateView;
 use sereth_chain::store::{ChainStore, ImportError, ImportOutcome, StateBackendConfig, StoreConfig};
-use sereth_chain::txpool::{PoolConfig, PoolStats, TxPool};
+use sereth_chain::txpool::{PoolConfig, TxPool};
 use sereth_chain::StoreError;
 use sereth_core::hms::HmsConfig;
-use sereth_core::process::PendingTx;
-use sereth_core::provider::{HmsDataSource, HmsRaaProvider};
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
 use sereth_raa::{RaaConfig, RaaDataSource, RaaService, ServiceRaaProvider};
@@ -106,28 +104,6 @@ impl Default for MinerSetup {
     }
 }
 
-/// Which implementation serves RAA views on a Sereth node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RaaBackend {
-    /// The paper-literal path: snapshot the pool and rerun Algorithm 1
-    /// on every query (`HmsRaaProvider`). O(pool) per read; kept for
-    /// fidelity testing and as the A/B baseline in `sereth-bench`.
-    Recompute,
-    /// The incremental `sereth-raa` view service: pool events maintain
-    /// per-contract series caches; reads are O(1) when nothing relevant
-    /// changed. The default.
-    Service {
-        /// Contract-shard count of the service.
-        shards: usize,
-    },
-}
-
-impl Default for RaaBackend {
-    fn default() -> Self {
-        Self::Service { shards: 8 }
-    }
-}
-
 /// Per-node configuration.
 ///
 /// Construct through [`NodeConfig::builder`] or the presets
@@ -148,8 +124,6 @@ pub struct NodeConfig {
     pub limits: BlockLimits,
     /// HMS extensions (committed-head).
     pub hms: HmsConfig,
-    /// RAA serving strategy (Sereth nodes only).
-    pub raa_backend: RaaBackend,
     /// Transaction-pool configuration (shard count, capacity, event
     /// buffer). The node overrides [`PoolConfig::market`] with the Sereth
     /// contract's selectors so `set`/`buy` calldata is pre-parsed at
@@ -157,7 +131,7 @@ pub struct NodeConfig {
     pub pool: PoolConfig,
     /// The telemetry switch. On by default (the layer is cheap enough to
     /// leave running); disabled, every subsystem records nothing and the
-    /// registry-backed stats views read zero.
+    /// registry stays empty.
     pub telemetry: TelemetryConfig,
     /// Which rung of the isolation ladder this node serves read-only
     /// queries (and miner ordering) at. The default —
@@ -189,7 +163,6 @@ impl Default for NodeConfig {
             miner: None,
             limits: BlockLimits::default(),
             hms: HmsConfig::default(),
-            raa_backend: RaaBackend::default(),
             pool: PoolConfig::default(),
             telemetry: TelemetryConfig::default(),
             isolation: IsolationLevel::default(),
@@ -342,12 +315,6 @@ impl NodeConfigBuilder {
         self
     }
 
-    /// Sets the RAA serving backend (Sereth nodes only).
-    pub fn raa_backend(mut self, backend: RaaBackend) -> Self {
-        self.config.raa_backend = backend;
-        self
-    }
-
     /// Sets the transaction-pool configuration.
     pub fn pool(mut self, pool: PoolConfig) -> Self {
         self.config.pool = pool;
@@ -384,9 +351,6 @@ pub struct NodeInner {
     pub raa: RaaRegistry,
     /// Static configuration.
     pub config: NodeConfig,
-    /// The incremental RAA view service, when
-    /// [`RaaBackend::Service`] is active (exposed for metrics).
-    pub raa_service: Option<Arc<RaaService>>,
     /// Blocks whose parents have not arrived yet.
     orphans: Vec<Block>,
     /// Gossip dedup for transactions.
@@ -510,18 +474,17 @@ fn effective_policy(policy: &MinerPolicy, isolation: IsolationLevel, telemetry: 
 #[derive(Clone)]
 pub struct NodeHandle {
     inner: Arc<Mutex<NodeInner>>,
-    /// Counts every acquisition of the node lock through this handle —
-    /// instrumentation the lock-discipline regression tests key on (the
-    /// RAA provider's data source locks separately, by design).
-    locks: Arc<AtomicU64>,
     /// The node-wide telemetry hub every subsystem (pool, store, RAA
     /// service, miner) records into.
     telemetry: Arc<Telemetry>,
-    /// Hold-time histogram of the node lock (`node.lock_hold`).
+    /// Hold-time histogram of the node lock (`node.lock_hold`): one
+    /// sample per acquisition through this handle, so the lock-discipline
+    /// regression tests count acquisitions as deltas of its count (the
+    /// RAA provider's data source locks separately, by design).
     lock_hold: Histogram,
 }
 
-/// The counted node-lock guard: dereferences to [`NodeInner`] and, when
+/// The timed node-lock guard: dereferences to [`NodeInner`] and, when
 /// telemetry is enabled, records how long the lock was *held* (not
 /// waited for) into the `node.lock_hold` histogram on drop.
 struct NodeLockGuard<'a> {
@@ -553,56 +516,18 @@ impl Drop for NodeLockGuard<'_> {
 }
 
 impl NodeHandle {
-    /// Acquires the node lock, counting the acquisition. Disabled
-    /// telemetry skips the clock entirely — the guard is then exactly a
-    /// counted `MutexGuard`.
+    /// Acquires the node lock. Disabled telemetry skips the clock
+    /// entirely — the guard is then exactly a `MutexGuard`.
     fn lock(&self) -> NodeLockGuard<'_> {
-        self.locks.fetch_add(1, Ordering::Relaxed);
         let guard = self.inner.lock();
         let held_since = self.lock_hold.is_enabled().then(Instant::now);
         NodeLockGuard { guard, held_since, hold: &self.lock_hold }
     }
-
-    /// How many times this handle (any clone of it) has acquired the node
-    /// lock. Read-only queries must cost exactly one acquisition — the
-    /// regression test for the historical double-lock in
-    /// [`NodeHandle::query_view`] asserts on deltas of this counter.
-    pub fn lock_acquisitions(&self) -> u64 {
-        self.locks.load(Ordering::Relaxed)
-    }
 }
 
-/// [`HmsDataSource`] over a node, held weakly by the RAA provider to avoid
+/// [`RaaDataSource`] over a node, held weakly by the RAA provider to avoid
 /// a reference cycle.
 struct NodeSource(Weak<Mutex<NodeInner>>);
-
-impl HmsDataSource for NodeSource {
-    fn pending(&self) -> Vec<PendingTx> {
-        let Some(node) = self.0.upgrade() else { return Vec::new() };
-        let pool = node.lock().pool.clone();
-        // The node lock is already released: the walk contends only on
-        // the pool's own shard locks.
-        crate::miner::pending_view(&pool)
-    }
-
-    fn for_each_pending(&self, visit: &mut dyn FnMut(&PendingTx)) {
-        let Some(node) = self.0.upgrade() else { return };
-        let pool = node.lock().pool.clone();
-        // Borrowed walk: no per-query clone of the pool (the provider
-        // filters as it goes, so only this contract's sets are copied).
-        pool.with_entries_by_arrival(|entries| {
-            for entry in entries {
-                visit(&crate::miner::pending_tx(entry));
-            }
-        });
-    }
-
-    fn committed(&self, contract: &Address) -> (H256, H256) {
-        let Some(node) = self.0.upgrade() else { return (H256::ZERO, H256::ZERO) };
-        let view = node.lock().chain.head_state_view();
-        committed_amv(&view, contract)
-    }
-}
 
 impl RaaDataSource for NodeSource {
     fn sync(&self, service: &RaaService) {
@@ -614,7 +539,9 @@ impl RaaDataSource for NodeSource {
     }
 
     fn committed(&self, contract: &Address) -> (H256, H256) {
-        HmsDataSource::committed(self, contract)
+        let Some(node) = self.0.upgrade() else { return (H256::ZERO, H256::ZERO) };
+        let view = node.lock().chain.head_state_view();
+        committed_amv(&view, contract)
     }
 }
 
@@ -630,8 +557,8 @@ impl NodeHandle {
 
     /// Builds a node from `genesis` with the given configuration,
     /// opening (and, for a durable backend, recovering) the chain store.
-    /// Sereth nodes get the HMS RAA provider installed for the
-    /// contract's `get`/`mark` selectors.
+    /// Sereth nodes at READ UNCOMMITTED get the RAA service provider
+    /// installed for the contract's `get`/`mark` selectors.
     ///
     /// # Errors
     ///
@@ -649,18 +576,12 @@ impl NodeHandle {
             pool: Arc::new(TxPool::with_telemetry(pool_config, telemetry.clone())),
             raa: RaaRegistry::new(),
             config,
-            raa_service: None,
             orphans: Vec::new(),
             seen_txs: std::collections::HashSet::new(),
             pinned_view,
         };
         let lock_hold = telemetry.histogram("node.lock_hold");
-        let handle = Self {
-            inner: Arc::new(Mutex::new(inner)),
-            locks: Arc::new(AtomicU64::new(0)),
-            telemetry,
-            lock_hold,
-        };
+        let handle = Self { inner: Arc::new(Mutex::new(inner)), telemetry, lock_hold };
         {
             let mut inner = handle.inner.lock();
             // The RAA provider exists to serve READ-UNCOMMITTED views;
@@ -671,36 +592,18 @@ impl NodeHandle {
                 && inner.config.isolation == IsolationLevel::ReadUncommitted
             {
                 let source = Arc::new(NodeSource(Arc::downgrade(&handle.inner)));
-                let provider: Arc<dyn sereth_vm::raa::RaaProvider> = match inner.config.raa_backend {
-                    RaaBackend::Recompute => {
-                        Arc::new(HmsRaaProvider::new(source, set_selector(), inner.config.hms.clone()))
-                    }
-                    RaaBackend::Service { shards } => {
-                        let hms = inner.config.hms.clone();
-                        // Only the service backend pays for event
-                        // buffering; unwatched pools skip it entirely.
-                        inner.pool.subscribe();
-                        let service = Arc::new(RaaService::with_telemetry(
-                            RaaConfig { shards, set_selector: set_selector(), hms },
-                            handle.telemetry.clone(),
-                        ));
-                        inner.raa_service = Some(service.clone());
-                        Arc::new(ServiceRaaProvider::new(service, source))
-                    }
-                };
+                inner.pool.subscribe();
+                let service = Arc::new(RaaService::with_telemetry(
+                    RaaConfig { hms: inner.config.hms.clone(), ..RaaConfig::new(set_selector()) },
+                    handle.telemetry.clone(),
+                ));
                 let contract = inner.config.contract;
                 inner.raa.enable(contract, get_selector());
                 inner.raa.enable(contract, mark_selector());
-                inner.raa.set_provider(provider);
+                inner.raa.set_provider(Arc::new(ServiceRaaProvider::new(service, source)));
             }
         }
         Ok(handle)
-    }
-
-    /// The incremental RAA service's counters, when the node runs the
-    /// [`RaaBackend::Service`] backend.
-    pub fn raa_metrics(&self) -> Option<sereth_raa::RaaMetrics> {
-        self.lock().raa_service.as_ref().map(|service| service.metrics())
     }
 
     /// The node's client kind.
@@ -975,11 +878,13 @@ impl NodeHandle {
         if inner.chain.get(&block.hash()).is_some() {
             return BlockReceipt::Known;
         }
-        match inner.chain.import(block.clone()) {
+        match self.import(&mut inner, block.clone()) {
             Ok(ImportOutcome::AlreadyKnown) => BlockReceipt::Known,
-            Ok(_) => {
+            // A Store error still imported the block in memory: keep
+            // serving (and forwarding) from memory; `import` counted it.
+            Ok(_) | Err(ImportError::Store(_)) => {
                 Self::after_import(&mut inner, &block);
-                Self::retry_orphans(&mut inner);
+                self.retry_orphans(&mut inner);
                 BlockReceipt::Imported
             }
             Err(ImportError::UnknownParent) => {
@@ -989,17 +894,19 @@ impl NodeHandle {
                 BlockReceipt::Orphaned
             }
             Err(ImportError::Invalid(_)) => BlockReceipt::Rejected,
-            // The block entered the in-memory chain; only the journal
-            // append failed. Keep serving (and forwarding) from memory,
-            // but make the persistence fault observable.
-            Err(ImportError::Store(_)) => {
-                Self::after_import(&mut inner, &block);
-                Self::retry_orphans(&mut inner);
-                drop(inner);
-                self.telemetry.counter("node.store_failed").inc();
-                BlockReceipt::Imported
-            }
         }
+    }
+
+    /// Imports `block` into the chain. `ImportError::Store` means the
+    /// block entered the in-memory chain and only its persistence failed;
+    /// every such fault is counted here on `node.store_failed`, once per
+    /// block, whichever path ran the import.
+    fn import(&self, inner: &mut NodeInner, block: Block) -> Result<ImportOutcome, ImportError> {
+        let result = inner.chain.import(block);
+        if matches!(result, Err(ImportError::Store(_))) {
+            self.telemetry.counter("node.store_failed").inc();
+        }
+        result
     }
 
     fn after_import(inner: &mut NodeInner, block: &Block) {
@@ -1013,7 +920,7 @@ impl NodeHandle {
         inner.pinned_view = (inner.chain.head_number(), inner.chain.head_state_view());
     }
 
-    fn retry_orphans(inner: &mut NodeInner) {
+    fn retry_orphans(&self, inner: &mut NodeInner) {
         loop {
             let mut progressed = false;
             let mut remaining = Vec::new();
@@ -1022,10 +929,10 @@ impl NodeHandle {
                 if inner.chain.get(&block.hash()).is_some() {
                     continue;
                 }
-                match inner.chain.import(block.clone()) {
+                match self.import(inner, block.clone()) {
                     Ok(ImportOutcome::AlreadyKnown) => {}
                     // A Store error still imported in memory — same as Ok
-                    // here; receive_block surfaces persistence faults.
+                    // here; `import` counted the persistence fault.
                     Ok(_) | Err(ImportError::Store(_)) => {
                         Self::after_import(inner, &block);
                         progressed = true;
@@ -1039,13 +946,6 @@ impl NodeHandle {
                 break;
             }
         }
-    }
-
-    /// The transaction pool's counters: indexed ordering reads, forced
-    /// rebuilds, rescan fallbacks, and shard-lock contention — the
-    /// observable face of the sharded pool feed.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.lock().pool.stats()
     }
 
     /// The node's telemetry hub (shared with the pool, store, and RAA
@@ -1114,8 +1014,12 @@ impl NodeHandle {
     /// sealed, counting every self-import failure by kind.
     fn import_mined(&self, block: Block) -> Option<Block> {
         let mut inner = self.lock();
-        match inner.chain.import(block.clone()) {
-            Ok(ImportOutcome::ExtendedCanonical) | Ok(ImportOutcome::Reorged { .. }) => {
+        match self.import(&mut inner, block.clone()) {
+            // A Store error leaves the sealed block canonical in memory;
+            // only persistence failed, and `import` counted it.
+            Ok(ImportOutcome::ExtendedCanonical)
+            | Ok(ImportOutcome::Reorged { .. })
+            | Err(ImportError::Store(_)) => {
                 Self::after_import(&mut inner, &block);
                 Some(block)
             }
@@ -1125,14 +1029,6 @@ impl NodeHandle {
             // the next attempt (before the pool feed, building happened
             // under the node lock and this race could not exist).
             Ok(ImportOutcome::SideChain) | Ok(ImportOutcome::AlreadyKnown) => Some(block),
-            // The sealed block is canonical in memory; only persistence
-            // failed. The block stands — surface the fault separately.
-            Err(ImportError::Store(_)) => {
-                Self::after_import(&mut inner, &block);
-                drop(inner);
-                self.telemetry.counter("node.store_failed").inc();
-                Some(block)
-            }
             // A block this node sealed failing its own import is a real
             // fault (a reorg mid-build can orphan the parent; anything
             // else is a bug) — count it by kind instead of swallowing it.
@@ -1247,6 +1143,12 @@ mod tests {
         NodeHandle::new(test_genesis(owner), builder.build())
     }
 
+    /// Node-lock acquisitions so far: every acquisition through the
+    /// handle records one `node.lock_hold` sample when its guard drops.
+    fn lock_count(node: &NodeHandle) -> u64 {
+        node.telemetry_snapshot().histograms["node.lock_hold"].count()
+    }
+
     fn set_tx(owner: &SecretKey, nonce: u64, prev: H256, value: u64) -> Transaction {
         use sereth_core::fpv::{Flag, Fpv};
         use sereth_types::transaction::TxPayload;
@@ -1314,13 +1216,13 @@ mod tests {
         let owner = SecretKey::from_label(1);
         for kind in [ClientKind::Geth, ClientKind::Sereth] {
             let node = node(kind, &owner, false);
-            let before = node.lock_acquisitions();
+            let before = lock_count(&node);
             node.query_view(owner.address()).unwrap();
-            assert_eq!(node.lock_acquisitions() - before, 1, "query_view on {kind:?}");
+            assert_eq!(lock_count(&node) - before, 1, "query_view on {kind:?}");
 
-            let before = node.lock_acquisitions();
+            let before = lock_count(&node);
             node.query_view_for(default_contract_address(), owner.address()).unwrap();
-            assert_eq!(node.lock_acquisitions() - before, 1, "query_view_for on {kind:?}");
+            assert_eq!(lock_count(&node) - before, 1, "query_view_for on {kind:?}");
         }
     }
 
@@ -1328,11 +1230,11 @@ mod tests {
     fn committed_reads_cost_one_lock_each() {
         let owner = SecretKey::from_label(1);
         let node = node(ClientKind::Geth, &owner, false);
-        let before = node.lock_acquisitions();
+        let before = lock_count(&node);
         node.committed_amv();
         node.account_nonce(&owner.address());
         node.head_state_view();
-        assert_eq!(node.lock_acquisitions() - before, 3, "one acquisition per read API call");
+        assert_eq!(lock_count(&node) - before, 3, "one acquisition per read API call");
     }
 
     #[test]
@@ -1347,15 +1249,15 @@ mod tests {
         node.mine(15_000).expect("miner seals");
         assert_eq!(node.head_number(), 1);
 
-        let before = node.lock_acquisitions();
+        let before = lock_count(&node);
         let reader = node.state_reader();
-        assert_eq!(node.lock_acquisitions() - before, 1, "state_reader is one lock");
+        assert_eq!(lock_count(&node) - before, 1, "state_reader is one lock");
         assert_eq!(reader.height(), 1);
         assert_eq!(reader.view().pinned_epoch(), Some(1), "head reader pins the head epoch");
 
-        let before = node.lock_acquisitions();
+        let before = lock_count(&node);
         let at_genesis = node.state_reader_at(0).expect("genesis is canonical");
-        assert_eq!(node.lock_acquisitions() - before, 1, "state_reader_at is one lock");
+        assert_eq!(lock_count(&node) - before, 1, "state_reader_at is one lock");
         assert_eq!(at_genesis.height(), 0);
         assert_eq!(at_genesis.view().pinned_epoch(), Some(0), "historical reader pins its epoch");
         assert_eq!(at_genesis.view().nonce_of(&owner.address()), 0, "reader is frozen at its epoch");
@@ -1509,15 +1411,17 @@ mod tests {
     fn telemetry_reads_take_zero_node_locks() {
         // Satellite of the telemetry layer: metrics consumers must never
         // contend with the miner. The snapshot reads registry atomics,
-        // so the node-lock counter must not move at all.
+        // so the node-lock sample count must not move at all — a
+        // snapshot that locked would add its own sample on unlock.
         let owner = SecretKey::from_label(1);
         let node = node(ClientKind::Sereth, &owner, true);
         assert!(node.receive_tx(set_tx(&owner, 0, genesis_mark(), 75), 100));
         node.mine(15_000).expect("miner seals");
 
-        let before = node.lock_acquisitions();
+        let before = lock_count(&node);
         let snapshot = node.telemetry_snapshot();
-        assert_eq!(node.lock_acquisitions(), before, "metrics reads must not take the node lock");
+        assert_eq!(snapshot.histograms["node.lock_hold"].count(), before, "metrics reads must not lock");
+        assert_eq!(lock_count(&node), before, "metrics reads must not take the node lock");
 
         assert!(snapshot.histograms["phase.receive_tx"].count() >= 1);
         assert!(snapshot.histograms["phase.admission"].count() >= 1);
@@ -1626,12 +1530,12 @@ mod tests {
         for level in IsolationLevel::ALL {
             for kind in [ClientKind::Geth, ClientKind::Sereth] {
                 let node = node_at(kind, &owner, false, level);
-                let before = node.lock_acquisitions();
+                let before = lock_count(&node);
                 node.query_view(owner.address()).unwrap();
-                assert_eq!(node.lock_acquisitions() - before, 1, "query_view at {level} on {kind:?}");
-                let before = node.lock_acquisitions();
+                assert_eq!(lock_count(&node) - before, 1, "query_view at {level} on {kind:?}");
+                let before = lock_count(&node);
                 node.committed_observed();
-                assert_eq!(node.lock_acquisitions() - before, 1, "committed_observed at {level}");
+                assert_eq!(lock_count(&node) - before, 1, "committed_observed at {level}");
             }
         }
     }
@@ -1653,16 +1557,29 @@ mod tests {
             let counters = node.telemetry_snapshot().counters;
             assert_eq!(counters.get("iso.policy_degraded").copied(), Some(1), "degraded at {level}");
         }
-        // At READ UNCOMMITTED the semantic policy runs undegraded.
-        let node = NodeHandle::new(
-            test_genesis(&owner),
-            NodeConfig::miner(contract, MinerPolicy::Semantic(HmsConfig::default()))
-                .coinbase(Address::from_low_u64(0xc01))
-                .build(),
-        );
-        assert!(node.receive_tx(set_tx(&owner, 0, genesis_mark(), 75), 100));
-        node.mine(15_000).expect("miner seals");
-        assert_eq!(node.telemetry_snapshot().counters.get("iso.policy_degraded").copied(), None);
+        // At READ UNCOMMITTED the semantic and PWV policies run
+        // undegraded, and every ordering pass reads the pool's market
+        // index: each mine adds index hits and no market rescans.
+        for policy in [MinerPolicy::Semantic(HmsConfig::default()), MinerPolicy::Pwv] {
+            let node = NodeHandle::new(
+                test_genesis(&owner),
+                NodeConfig::miner(contract, policy.clone()).coinbase(Address::from_low_u64(0xc01)).build(),
+            );
+            let mut mark = genesis_mark();
+            for nonce in 0..2 {
+                let value = 75 + nonce;
+                assert!(node.receive_tx(set_tx(&owner, nonce, mark, value), 100 + nonce));
+                let before = node.telemetry_snapshot().counters;
+                let block = node.mine(15_000 * (nonce + 1)).expect("miner seals");
+                assert_eq!(block.transactions.len(), 1, "{policy:?} commits the set");
+                let after = node.telemetry_snapshot().counters;
+                let delta = |name: &str| after[name] - before[name];
+                assert!(delta("pool.index_hits") >= 1, "{policy:?} ordering must read the index");
+                assert_eq!(delta("pool.market_rescans"), 0, "{policy:?} market reads must hit the index");
+                mark = sereth_core::mark::compute_mark(&mark, &H256::from_low_u64(value));
+            }
+            assert_eq!(node.telemetry_snapshot().counters.get("iso.policy_degraded").copied(), None);
+        }
     }
 
     #[test]

@@ -1,18 +1,25 @@
-//! The STORE-SCALE restart scenario: a durable miner is killed mid-run,
-//! restarted on the same directory, and must come back byte-equal —
-//! then keep mining, and serve as the sync source for a fresh in-memory
-//! peer.
+//! Durable nodes across a process death and under persistence faults.
+//!
+//! The restart tests kill a durable miner mid-run, reopen it on the same
+//! directory, and require it to come back byte-equal — then keep mining,
+//! and serve as the sync source for a fresh in-memory peer.
 //!
 //! The workload is the paper's market: the owner drives a chained `set`
 //! sequence through the native Sereth contract, one set per block, so
 //! recovery exercises the `CodeRecord::Native` path (contract code is
 //! journaled by name and re-resolved against genesis on reopen), not
 //! just balances.
+//!
+//! The fault test removes a durable follower's directory under it, so
+//! every snapshot write fails after the block entered the in-memory
+//! chain: each such import must count one `node.store_failed`, including
+//! the orphans a parent's arrival releases.
 
 use std::fs;
 use std::path::PathBuf;
 
 use sereth_chain::genesis::{Genesis, GenesisBuilder};
+use sereth_chain::{DurableOptions, StateBackendConfig};
 use sereth_core::fpv::{Flag, Fpv};
 use sereth_core::mark::{compute_mark, genesis_mark};
 use sereth_crypto::address::Address;
@@ -22,55 +29,41 @@ use sereth_node::contract::{
     default_contract_address, sereth_code, sereth_genesis_slots, set_selector, ContractForm,
 };
 use sereth_node::miner::MinerPolicy;
-use sereth_node::node::{NodeConfig, NodeHandle};
+use sereth_node::node::{BlockReceipt, NodeConfig, NodeHandle};
 use sereth_store::scratch_dir;
+use sereth_types::block::Block;
 use sereth_types::transaction::{Transaction, TxPayload};
 use sereth_types::u256::U256;
 
-/// Shape of one restart run.
+/// Heads and roots observed at each stage of one restart run.
 #[derive(Debug, Clone)]
-pub struct RestartConfig {
-    /// Blocks mined (one `set` each) before the process "dies".
-    pub blocks_before_crash: u64,
-    /// Blocks mined after the restart, continuing the same mark chain.
-    pub blocks_after_restart: u64,
-}
-
-impl Default for RestartConfig {
-    fn default() -> Self {
-        Self { blocks_before_crash: 4, blocks_after_restart: 3 }
-    }
-}
-
-/// Heads and roots observed at each stage of the run.
-#[derive(Debug, Clone)]
-pub struct RestartOutput {
-    /// Head (number, hash) and state root when the miner was killed.
-    pub pre_crash_head: (u64, H256),
+struct Stages {
+    /// Head (number, hash) when the miner was killed.
+    pre_crash_head: (u64, H256),
     /// State root at the kill point.
-    pub pre_crash_root: H256,
+    pre_crash_root: H256,
     /// Head right after reopening the same directory.
-    pub recovered_head: (u64, H256),
+    recovered_head: (u64, H256),
     /// State root right after recovery.
-    pub recovered_root: H256,
+    recovered_root: H256,
     /// Head after the post-restart mining phase.
-    pub final_head: (u64, H256),
+    final_head: (u64, H256),
     /// State root after the post-restart mining phase.
-    pub final_root: H256,
+    final_root: H256,
     /// Head of the in-memory peer synced from the recovered miner.
-    pub peer_head: (u64, H256),
+    peer_head: (u64, H256),
     /// State root of the synced peer.
-    pub peer_root: H256,
+    peer_root: H256,
 }
 
-impl RestartOutput {
+impl Stages {
     /// Recovery reproduced the pre-crash chain byte-for-byte.
-    pub fn recovered_byte_equal(&self) -> bool {
+    fn recovered_byte_equal(&self) -> bool {
         self.recovered_head == self.pre_crash_head && self.recovered_root == self.pre_crash_root
     }
 
     /// The in-memory peer converged on the recovered miner's final chain.
-    pub fn peer_converged(&self) -> bool {
+    fn peer_converged(&self) -> bool {
         self.peer_head == self.final_head && self.peer_root == self.final_root
     }
 }
@@ -129,7 +122,7 @@ fn mine_sets(
 
 /// Canonical chain of `node` above genesis, ascending, read back through
 /// the public block API — the blocks a syncing peer would request.
-fn canonical_blocks(node: &NodeHandle, genesis_hash: H256) -> Vec<sereth_types::block::Block> {
+fn canonical_blocks(node: &NodeHandle, genesis_hash: H256) -> Vec<Block> {
     let mut blocks = Vec::new();
     let mut cursor = node.head_hash();
     while cursor != genesis_hash {
@@ -142,20 +135,22 @@ fn canonical_blocks(node: &NodeHandle, genesis_hash: H256) -> Vec<sereth_types::
 }
 
 /// Runs the kill → reopen → keep-mining → peer-resync sequence in a
-/// scratch directory (removed before returning).
-pub fn run_restart(config: &RestartConfig) -> RestartOutput {
+/// scratch directory (removed before returning): `blocks_before_crash`
+/// sets are mined before the process "dies", `blocks_after_restart`
+/// after it reopens, continuing the same mark chain.
+fn restart(blocks_before_crash: u64, blocks_after_restart: u64) -> Stages {
     let owner = SecretKey::from_label(1);
     let contract = default_contract_address();
     let genesis = market_genesis(&owner, contract);
     let genesis_hash = genesis.block.hash();
-    let dir = scratch_dir("sim-restart");
+    let dir = scratch_dir("node-restart");
 
     let mut nonce = 0u64;
     let mut mark = genesis_mark();
 
     // Phase 1: mine, then "kill -9" (drop without any shutdown path).
     let node = NodeHandle::open(genesis.clone(), miner_config(contract, &dir)).expect("fresh dir opens");
-    mine_sets(&node, &owner, contract, config.blocks_before_crash, &mut nonce, &mut mark);
+    mine_sets(&node, &owner, contract, blocks_before_crash, &mut nonce, &mut mark);
     let pre_crash_head = node.head_id();
     let pre_crash_root = node.head_state_root();
     drop(node);
@@ -165,7 +160,7 @@ pub fn run_restart(config: &RestartConfig) -> RestartOutput {
     let node = NodeHandle::open(genesis.clone(), miner_config(contract, &dir)).expect("recovery succeeds");
     let recovered_head = node.head_id();
     let recovered_root = node.head_state_root();
-    mine_sets(&node, &owner, contract, config.blocks_after_restart, &mut nonce, &mut mark);
+    mine_sets(&node, &owner, contract, blocks_after_restart, &mut nonce, &mut mark);
     let final_head = node.head_id();
     let final_root = node.head_state_root();
 
@@ -180,7 +175,7 @@ pub fn run_restart(config: &RestartConfig) -> RestartOutput {
 
     drop(node);
     let _ = fs::remove_dir_all(&dir);
-    RestartOutput {
+    Stages {
         pre_crash_head,
         pre_crash_root,
         recovered_head,
@@ -192,26 +187,51 @@ pub fn run_restart(config: &RestartConfig) -> RestartOutput {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+#[test]
+fn restarted_miner_recovers_byte_equal_and_extends() {
+    let out = restart(4, 3);
+    assert!(out.recovered_byte_equal(), "recovery diverged: {out:?}");
+    assert_eq!(out.pre_crash_head.0, 4);
+    assert_eq!(out.final_head.0, 7, "the recovered miner keeps mining");
+    assert_ne!(out.final_root, out.pre_crash_root, "post-restart blocks change state");
+    assert!(out.peer_converged(), "peer resync diverged: {out:?}");
+}
 
-    #[test]
-    fn restarted_miner_recovers_byte_equal_and_extends() {
-        let config = RestartConfig { blocks_before_crash: 4, blocks_after_restart: 3 };
-        let out = run_restart(&config);
-        assert!(out.recovered_byte_equal(), "recovery diverged: {out:?}");
-        assert_eq!(out.pre_crash_head.0, 4);
-        assert_eq!(out.final_head.0, 7, "the recovered miner keeps mining");
-        assert_ne!(out.final_root, out.pre_crash_root, "post-restart blocks change state");
-        assert!(out.peer_converged(), "peer resync diverged: {out:?}");
-    }
+#[test]
+fn restart_with_no_new_blocks_is_a_pure_recovery() {
+    let out = restart(2, 0);
+    assert!(out.recovered_byte_equal());
+    assert_eq!(out.final_head, out.recovered_head);
+    assert!(out.peer_converged());
+}
 
-    #[test]
-    fn restart_with_no_new_blocks_is_a_pure_recovery() {
-        let out = run_restart(&RestartConfig { blocks_before_crash: 2, blocks_after_restart: 0 });
-        assert!(out.recovered_byte_equal());
-        assert_eq!(out.final_head, out.recovered_head);
-        assert!(out.peer_converged());
-    }
+#[test]
+fn released_orphans_count_their_persistence_faults_too() {
+    let owner = SecretKey::from_label(1);
+    let contract = default_contract_address();
+    let genesis = market_genesis(&owner, contract);
+    let miner = NodeHandle::new(genesis.clone(), NodeConfig::miner(contract, MinerPolicy::Standard).build());
+    let b1 = miner.mine(15_000).expect("miner seals block 1");
+    let b2 = miner.mine(30_000).expect("miner seals block 2");
+
+    // A snapshot after every block, into a directory that is gone: each
+    // import lands in memory and then fails to persist.
+    let dir = scratch_dir("node-store-fault");
+    let options = DurableOptions { snapshot_every: 1, ..DurableOptions::default() };
+    let follower = NodeHandle::open(
+        genesis,
+        NodeConfig::geth(contract).store(StateBackendConfig::Durable { dir: dir.clone(), options }).build(),
+    )
+    .expect("fresh dir opens");
+    fs::remove_dir_all(&dir).expect("scratch dir removable");
+
+    assert_eq!(follower.receive_block(b2), BlockReceipt::Orphaned);
+    assert_eq!(follower.receive_block(b1), BlockReceipt::Imported);
+    assert_eq!(follower.head_number(), 2, "the released orphan imported in memory");
+    let counters = follower.telemetry_snapshot().counters;
+    assert_eq!(
+        counters.get("node.store_failed").copied(),
+        Some(2),
+        "block 1 and the orphan it released both failed to persist"
+    );
 }

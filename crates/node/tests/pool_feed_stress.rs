@@ -162,10 +162,11 @@ fn concurrent_submitters_and_miner_lose_nothing() {
     assert_eq!(follower.head_number(), miner.head_number());
 
     // The ordering passes were served by the index, incrementally.
-    let stats = miner.pool_stats();
-    assert!(stats.index_hits > 0, "mining must read the candidate index: {stats:?}");
-    assert!(stats.events_applied > 0, "the index must have consumed pool events: {stats:?}");
-    println!("pool feed under stress: {} blocks, {} txs, stats {stats:?}", blocks.len(), committed.len());
+    let counters = miner.telemetry_snapshot().counters;
+    let pool: Vec<(&String, &u64)> = counters.iter().filter(|(name, _)| name.starts_with("pool.")).collect();
+    assert!(counters["pool.index_hits"] > 0, "mining must read the candidate index: {pool:?}");
+    assert!(counters["pool.events_applied"] > 0, "the index must have consumed pool events: {pool:?}");
+    println!("pool feed under stress: {} blocks, {} txs, counters {pool:?}", blocks.len(), committed.len());
 }
 
 #[test]
@@ -180,10 +181,12 @@ fn submissions_do_not_wait_for_the_ordering_pass() {
             assert!(miner.receive_tx(tx, nonce));
         }
     }
-    let locks_before = miner.lock_acquisitions();
+    // Every node-lock acquisition records one `node.lock_hold` sample.
+    let lock_count = || miner.telemetry_snapshot().histograms["node.lock_hold"].count();
+    let locks_before = lock_count();
     let block = miner.mine(10_000).expect("seals");
     assert!(!block.transactions.is_empty());
-    let mine_locks = miner.lock_acquisitions() - locks_before;
+    let mine_locks = lock_count() - locks_before;
     // Snapshot + import: the mining pass takes the node lock exactly
     // twice, bounding what any concurrent submitter can be blocked on.
     assert_eq!(mine_locks, 2, "mine() must hold the node lock only to snapshot and to import");

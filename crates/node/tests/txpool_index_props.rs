@@ -20,6 +20,8 @@
 //!   (1, 4, 16), and tiny event buffers — which force mid-history index
 //!   rebuilds through `EventLag` — change nothing.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use sereth_chain::state::StateDb;
 use sereth_chain::txpool::{PoolConfig, TxPool};
@@ -33,6 +35,7 @@ use sereth_node::contract::{buy_selector, default_contract_address, sereth_genes
 use sereth_node::miner::{
     market_spec, order_candidates, order_candidates_limited, order_candidates_rescan, MinerPolicy,
 };
+use sereth_telemetry::Telemetry;
 use sereth_types::transaction::{Transaction, TxPayload};
 use sereth_types::u256::U256;
 
@@ -243,13 +246,19 @@ fn assert_indexed_matches_rescan(pool: &TxPool, label: &str) {
     }
 }
 
-fn run_history(ops: &[Op], shards: usize, event_capacity: usize, checkpoint_every: usize) -> TxPool {
-    let pool = TxPool::with_config(PoolConfig {
-        shards,
-        event_capacity,
-        market: Some(market_spec()),
-        ..PoolConfig::default()
-    });
+/// Replays `ops` into a fresh pool, returning it with the telemetry hub
+/// its `pool.*` counters record into.
+fn run_history(
+    ops: &[Op],
+    shards: usize,
+    event_capacity: usize,
+    checkpoint_every: usize,
+) -> (TxPool, Arc<Telemetry>) {
+    let hub = Arc::new(Telemetry::enabled());
+    let pool = TxPool::with_telemetry(
+        PoolConfig { shards, event_capacity, market: Some(market_spec()), ..PoolConfig::default() },
+        hub.clone(),
+    );
     let mut log = Vec::new();
     let mut now = 0u64;
     for (i, op) in ops.iter().enumerate() {
@@ -261,7 +270,7 @@ fn run_history(ops: &[Op], shards: usize, event_capacity: usize, checkpoint_ever
         }
     }
     assert_indexed_matches_rescan(&pool, "final");
-    pool
+    (pool, hub)
 }
 
 proptest! {
@@ -285,12 +294,9 @@ proptest! {
     fn forced_rebuilds_are_invisible(
         ops in proptest::collection::vec(op_strategy(), 1..60),
     ) {
-        let tiny = run_history(&ops, 4, 4, 9);
-        prop_assert!(
-            tiny.stats().index_rebuilds >= 1,
-            "a 4-event buffer must force at least one rebuild: {:?}",
-            tiny.stats()
-        );
+        let (_, hub) = run_history(&ops, 4, 4, 9);
+        let rebuilds = hub.snapshot().counters["pool.index_rebuilds"];
+        prop_assert!(rebuilds >= 1, "a 4-event buffer must force at least one rebuild: {}", rebuilds);
     }
 
     /// After pruning against the same floor the ordering uses (the steady
@@ -302,7 +308,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..50),
         floor in 0u64..3,
     ) {
-        let pool = run_history(&ops, 4, 16_384, 17);
+        let (pool, _) = run_history(&ops, 4, 16_384, 17);
         pool.prune_stale(|_| floor);
         let full = pool.ready_by_price(|_| floor);
         let rescan = pool.ready_by_price_rescan(|_| floor, usize::MAX);
@@ -354,7 +360,12 @@ proptest! {
 /// corner is not the only guard.
 #[test]
 fn stale_prefix_reads_match_oracle_exactly() {
-    let pool = TxPool::with_config(PoolConfig { market: Some(market_spec()), ..PoolConfig::default() });
+    let hub = Arc::new(Telemetry::enabled());
+    let pool = TxPool::with_telemetry(
+        PoolConfig { market: Some(market_spec()), ..PoolConfig::default() },
+        hub.clone(),
+    );
+    let rescans = || hub.snapshot().counters["pool.rescans"];
     for sender in 0..3u8 {
         for nonce in 0..3u8 {
             pool.insert(transfer(sender, nonce, 10 + sender * 3 + nonce), (sender + nonce) as u64).unwrap();
@@ -363,7 +374,7 @@ fn stale_prefix_reads_match_oracle_exactly() {
     // Warm the index, then read with a nonce floor the pool was never
     // pruned against.
     assert_eq!(pool.ready_by_price(|_| 0).len(), 9);
-    let rescans_before = pool.stats().rescans;
+    let rescans_before = rescans();
     let indexed = pool.ready_by_price(|_| 2);
     let oracle = pool.ready_by_price_rescan(|_| 2, usize::MAX);
     assert_eq!(hashes(&indexed), hashes(&oracle));
@@ -374,5 +385,5 @@ fn stale_prefix_reads_match_oracle_exactly() {
     }
     // Only the oracle calls above rescanned; every read under test was
     // index-served.
-    assert_eq!(pool.stats().rescans, rescans_before + 1);
+    assert_eq!(rescans(), rescans_before + 1);
 }

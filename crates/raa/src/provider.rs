@@ -40,11 +40,6 @@ impl ServiceRaaProvider {
     pub fn new(service: Arc<RaaService>, source: Arc<dyn RaaDataSource>) -> Self {
         Self { service, source }
     }
-
-    /// The underlying service (e.g. for metrics inspection).
-    pub fn service(&self) -> &Arc<RaaService> {
-        &self.service
-    }
 }
 
 impl RaaProvider for ServiceRaaProvider {

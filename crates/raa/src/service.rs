@@ -23,11 +23,9 @@ use sereth_core::outcome_from_nodes;
 use sereth_core::process::{filter_one, PendingTx, TxnNode};
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
-use sereth_telemetry::Telemetry;
+use sereth_telemetry::{Counter, Telemetry};
 use sereth_types::transaction::Transaction;
 use sereth_vm::abi::Selector;
-
-use crate::metrics::{RaaCounters, RaaMetrics};
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -46,6 +44,42 @@ impl RaaConfig {
     /// HMS).
     pub fn new(set_selector: Selector) -> Self {
         Self { shards: 8, set_selector, hms: HmsConfig::default() }
+    }
+}
+
+/// The service's counters, registered as `raa.*` in a telemetry
+/// registry (updated lock-free on the read and event paths). They are
+/// monotone event counts with no cross-counter invariants, so a reader
+/// may observe a torn aggregate mid-update; that is fine for monitoring.
+/// Because they live in the registry, a node-wide snapshot and the
+/// Prometheus/JSON exporters carry them without the service summing
+/// anything itself.
+#[derive(Debug, Clone)]
+struct RaaCounters {
+    /// `raa.hits`: views served straight from a clean cache.
+    hits: Counter,
+    /// `raa.rebuilds`: views that had to rebuild the contract's series
+    /// graph first.
+    rebuilds: Counter,
+    /// `raa.events_applied`: pool events applied across shards.
+    events: Counter,
+    /// `raa.events_filtered`: events ignored because the transaction is
+    /// not a tracked Sereth `set` (foreign traffic filtered by
+    /// Algorithm 2).
+    filtered: Counter,
+    /// `raa.resyncs`: full resynchronisations after event-buffer lag.
+    resyncs: Counter,
+}
+
+impl RaaCounters {
+    fn register(telemetry: &Telemetry) -> Self {
+        Self {
+            hits: telemetry.counter("raa.hits"),
+            rebuilds: telemetry.counter("raa.rebuilds"),
+            events: telemetry.counter("raa.events_applied"),
+            filtered: telemetry.counter("raa.events_filtered"),
+            resyncs: telemetry.counter("raa.resyncs"),
+        }
     }
 }
 
@@ -80,16 +114,14 @@ pub struct RaaService {
 
 impl RaaService {
     /// Builds a service from `config` (`config.shards` is clamped to at
-    /// least 1) with its own (enabled) telemetry hub backing
-    /// [`RaaService::metrics`].
+    /// least 1) with its own (enabled) telemetry hub.
     pub fn new(config: RaaConfig) -> Self {
         Self::with_telemetry(config, Arc::new(Telemetry::enabled()))
     }
 
     /// Builds a service recording into a shared `telemetry` hub — what
     /// a node does so `raa.*` counters land in the node-wide registry.
-    /// With a disabled hub, [`RaaService::metrics`] counters read as
-    /// zero (the `tracked_*` cache sizes still report).
+    /// With a disabled hub the counters record nothing.
     pub fn with_telemetry(config: RaaConfig, telemetry: Arc<Telemetry>) -> Self {
         let shard_count = config.shards.max(1);
         Self {
@@ -111,8 +143,7 @@ impl RaaService {
 
     /// Applies every pool event since the service's cursor. On
     /// [`EventLag`](sereth_chain::txpool::EventLag) the service rebuilds
-    /// from a full snapshot (counted in
-    /// [`RaaMetrics::resyncs`]).
+    /// from a full snapshot (counted on `raa.resyncs`).
     pub fn sync(&self, pool: &TxPool) {
         let mut cursor = self.sync_cursor.lock();
         match pool.events_since(*cursor) {
@@ -258,23 +289,10 @@ impl RaaService {
         outcome
     }
 
-    /// Aggregated counters, read back from the registry cells plus a
-    /// walk of the shard caches for the `tracked_*` sizes.
-    pub fn metrics(&self) -> RaaMetrics {
-        let mut out = RaaMetrics {
-            hits: self.counters.hits.get(),
-            rebuilds: self.counters.rebuilds.get(),
-            events_applied: self.counters.events.get(),
-            events_filtered: self.counters.filtered.get(),
-            resyncs: self.counters.resyncs.get(),
-            ..Default::default()
-        };
-        for shard in &self.shards {
-            let guard = shard.read();
-            out.tracked_contracts += guard.contracts.len() as u64;
-            out.tracked_nodes += guard.by_hash.len() as u64;
-        }
-        out
+    /// Filtered `set` transactions currently cached across contracts —
+    /// a cache size (a walk of the shards), not a counter.
+    pub fn tracked_nodes(&self) -> usize {
+        self.shards.iter().map(|shard| shard.read().by_hash.len()).sum()
     }
 }
 
@@ -282,7 +300,7 @@ impl core::fmt::Debug for RaaService {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("RaaService")
             .field("shards", &self.shards.len())
-            .field("metrics", &self.metrics())
+            .field("tracked_nodes", &self.tracked_nodes())
             .finish()
     }
 }

@@ -3,6 +3,8 @@
 //! [`hash_mark_set`] over a snapshot of the same pool — for every
 //! contract, under both HMS configs, and across the lag/resync path.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use sereth_chain::txpool::{PoolConfig, TxPool};
 use sereth_core::fpv::{Flag, Fpv};
@@ -13,6 +15,7 @@ use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
 use sereth_crypto::sig::SecretKey;
 use sereth_raa::{RaaConfig, RaaService};
+use sereth_telemetry::Telemetry;
 use sereth_types::transaction::{Transaction, TxPayload};
 use sereth_types::u256::U256;
 use sereth_vm::abi;
@@ -201,7 +204,8 @@ proptest! {
 fn resync_metric_counts_lag_recoveries() {
     let pool = TxPool::with_config(PoolConfig { event_capacity: 2, ..PoolConfig::default() });
     pool.subscribe();
-    let service = RaaService::new(RaaConfig::new(set_selector()));
+    let hub = Arc::new(Telemetry::enabled());
+    let service = RaaService::with_telemetry(RaaConfig::new(set_selector()), hub.clone());
     let key = SecretKey::from_label(1);
     for nonce in 0..6 {
         let tx = Transaction::sign(
@@ -219,9 +223,8 @@ fn resync_metric_counts_lag_recoveries() {
         pool.insert(tx, nonce).unwrap();
     }
     service.sync(&pool);
-    let metrics = service.metrics();
-    assert_eq!(metrics.resyncs, 1, "cursor 0 against a 2-event buffer must resync");
-    assert_eq!(metrics.tracked_nodes, 6);
+    assert_eq!(hub.snapshot().counters["raa.resyncs"], 1, "cursor 0 against a 2-event buffer must resync");
+    assert_eq!(service.tracked_nodes(), 6);
     // And the rebuilt state matches the oracle.
     let committed = committed_for(&contracts()[0]);
     let snapshot: Vec<PendingTx> = pool

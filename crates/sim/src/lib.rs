@@ -8,12 +8,6 @@
 //!   N full nodes behind `NetNode` on a real topology with loss,
 //!   duplication, and partitions, with a post-quiescence convergence
 //!   check (all heads agree, byte-equal state roots);
-//! * [`many_markets`] — the read-storm scenario exercising the
-//!   incremental `sereth-raa` view service across dozens of markets;
-//! * [`pool_feed`] — many submitters feeding a sharded, incrementally
-//!   indexed TxPool, hash-checked against an unsharded oracle twin;
-//! * [`restart`] — a durable miner killed mid-run, reopened byte-equal,
-//!   and resynced from by a fresh in-memory peer;
 //! * [`metrics`] — state throughput and transaction efficiency η (§III-A);
 //! * [`audit`] — post-hoc isolation-ladder auditing of a run's committed
 //!   chain + read log through the unified `sereth-consistency` checker;
@@ -39,11 +33,8 @@
 
 pub mod audit;
 pub mod experiment;
-pub mod many_markets;
 pub mod metrics;
-pub mod pool_feed;
 pub mod report;
-pub mod restart;
 pub mod retry;
 pub mod scenario;
 pub mod stats;
@@ -51,13 +42,7 @@ pub mod workload;
 
 pub use audit::{audit_run, market_spec, run_history};
 pub use experiment::{paper_scenarios, run_point, sweep, SweepPoint, PAPER_SET_COUNTS};
-pub use many_markets::{
-    run_many_markets, run_many_markets_concurrent, ConcurrentMarketsReport, ManyMarketsConfig,
-    ManyMarketsReport,
-};
 pub use metrics::{collect_metrics, RunMetrics, Submission, SubmissionLog};
-pub use pool_feed::{run_pool_feed, PoolFeedConfig, PoolFeedReport};
-pub use restart::{run_restart, RestartConfig, RestartOutput};
 pub use retry::{RetryDriver, RetryStats};
 pub use scenario::{
     run_retry_scenario, run_scenario, run_sequential_history, Injection, RunOutput, ScenarioConfig,

@@ -1,14 +1,9 @@
 //! The incremental RAA view service under a many-client read storm.
 //!
-//! Part 1 runs the `many_markets` scenario twice — once on the
-//! paper-literal recompute-per-query backend, once on the incremental
-//! `sereth-raa` service — and compares read latency and the service's
-//! cache counters.
-//!
-//! Part 2 drives the service directly from many concurrent reader
-//! threads while the main thread keeps inserting `set`s and committing
-//! blocks, showing that views stay exact (equal to batch Algorithm 1)
-//! under concurrency.
+//! Many concurrent reader threads query the service while the main
+//! thread keeps inserting `set`s, showing that views stay exact (equal to
+//! batch Algorithm 1) under concurrency. The service records its `raa.*`
+//! counters into the example's own telemetry hub, printed at the end.
 //!
 //! ```text
 //! cargo run --release --example raa_service
@@ -22,53 +17,17 @@ use sereth::hms::hms::{hash_mark_set, HmsConfig};
 use sereth::hms::mark::genesis_mark;
 use sereth::node::contract::set_selector;
 use sereth::node::miner::pending_view;
-use sereth::node::node::RaaBackend;
 use sereth::raa::{RaaConfig, RaaService};
-use sereth::sim::many_markets::{run_many_markets, ManyMarketsConfig};
+use sereth::telemetry::Telemetry;
 use sereth::types::transaction::{Transaction, TxPayload};
 use sereth::types::U256;
 
 fn main() {
-    scenario_comparison();
-    concurrent_readers();
-}
-
-/// Part 1: the scenario-level A/B of the two backends.
-fn scenario_comparison() {
-    println!("== many_markets: recompute-per-query vs incremental service ==");
-    let base = ManyMarketsConfig {
-        markets: 24,
-        readers: 200,
-        rounds: 5,
-        sets_per_round: 4,
-        reads_per_round: 2,
-        ..ManyMarketsConfig::default()
-    };
-    for backend in [RaaBackend::Recompute, RaaBackend::default()] {
-        let config = ManyMarketsConfig { backend, ..base.clone() };
-        let report = run_many_markets(&config, 7);
-        println!(
-            "{:<24} {:>7} reads  mean {:>9.2} µs/read  {} uncommitted, {} verified, pool {}",
-            report.name,
-            report.reads,
-            report.mean_read_ns / 1e3,
-            report.uncommitted_views,
-            report.verified_reads,
-            report.pool_len,
-        );
-        if let Some(raa) = report.raa {
-            println!("  service counters: {raa}");
-        }
-    }
-}
-
-/// Part 2: concurrent readers over one shared service.
-fn concurrent_readers() {
-    println!();
     println!("== concurrent readers vs a writing pool ==");
     let markets: Vec<Address> = (0..8).map(|m| Address::from_low_u64(0xaaaa + m)).collect();
     let committed = (genesis_mark(), H256::from_low_u64(50));
-    let service = Arc::new(RaaService::new(RaaConfig::new(set_selector())));
+    let hub = Arc::new(Telemetry::enabled());
+    let service = Arc::new(RaaService::with_telemetry(RaaConfig::new(set_selector()), hub.clone()));
     // The pool is internally sharded and synchronized: no outer lock.
     let pool = Arc::new(TxPool::with_config(PoolConfig::default()));
     pool.subscribe();
@@ -139,5 +98,7 @@ fn concurrent_readers() {
         reads,
         markets.len()
     );
-    println!("  service counters: {}", service.metrics());
+    for (name, value) in hub.snapshot().counters.iter().filter(|(name, _)| name.starts_with("raa.")) {
+        println!("  {name} = {value}");
+    }
 }

@@ -8,11 +8,11 @@
 
 use sereth::chain::genesis::GenesisBuilder;
 use sereth::crypto::{Address, SecretKey, H256};
-use sereth::hms::hms::HmsConfig;
+use sereth::hms::hms::{hash_mark_set, HmsConfig};
 use sereth::hms::mark::{compute_mark, genesis_mark};
 use sereth::node::client::{Buyer, Owner};
-use sereth::node::contract::{buy_ok_topic, sereth_code, sereth_genesis_slots, ContractForm};
-use sereth::node::miner::MinerPolicy;
+use sereth::node::contract::{buy_ok_topic, sereth_code, sereth_genesis_slots, set_selector, ContractForm};
+use sereth::node::miner::{committed_amv, pending_view, MinerPolicy};
 use sereth::node::node::{ClientKind, NodeConfig, NodeHandle};
 use sereth::types::U256;
 use sereth::vm::abi;
@@ -119,6 +119,23 @@ fn markets_have_independent_series() {
     let (mark_b, value_b) = view_of(&node, market_b());
     assert_eq!(value_b.low_u64(), 210);
     assert_eq!(mark_b, compute_mark(&genesis_mark(), &H256::from_low_u64(210)));
+
+    // Each market's view is batch Algorithm 1 over the node's own pool.
+    let pending = node.with_inner(|inner| pending_view(&inner.pool));
+    for market in [market_a(), market_b()] {
+        let committed = node.with_inner(|inner| committed_amv(&inner.chain.head_state_view(), &market));
+        let batch = hash_mark_set(&pending, &market, set_selector(), committed, &HmsConfig::default());
+        assert_eq!(view_of(&node, market), (batch.view.mark, batch.view.value), "{market:?} diverged");
+    }
+
+    // Repeated reads of an unchanged market come from the RAA cache,
+    // and no event-buffer lag forced a resync.
+    for _ in 0..3 {
+        assert_eq!(view_of(&node, market_a()), (mark_a, value_a));
+    }
+    let counters = node.telemetry_snapshot().counters;
+    assert!(counters["raa.hits"] > 0, "repeat reads of an unchanged market must hit the cache");
+    assert_eq!(counters["raa.resyncs"], 0, "the event buffer is large enough for this workload");
 }
 
 #[test]
