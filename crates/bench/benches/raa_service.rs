@@ -1,8 +1,8 @@
 //! RAA read-path scaling: recompute-per-query (the paper-literal
-//! `HmsRaaProvider`) vs. the incremental `sereth-raa` view service, as
-//! the pool grows. The recompute path pays O(pool) per read to filter
-//! the snapshot; the service pays O(events) once and O(1) per clean
-//! read — the gap is the point of the `sereth-raa` subsystem.
+//! `HmsRaaProvider`) vs. the pool's cached `TxPool::market_view`, as the
+//! pool grows. The recompute path pays O(pool) per read to filter the
+//! snapshot; the pool books each `set` once at insert and answers a read
+//! whose cache is valid in O(1).
 
 use std::sync::Arc;
 
@@ -13,7 +13,6 @@ use sereth_core::mark::genesis_mark;
 use sereth_core::provider::HmsRaaProvider;
 use sereth_crypto::hash::H256;
 use sereth_node::contract::set_selector;
-use sereth_raa::{RaaConfig, RaaService};
 
 fn bench_read_latency(c: &mut Criterion) {
     let markets = 16usize;
@@ -35,17 +34,14 @@ fn bench_read_latency(c: &mut Criterion) {
             })
         });
 
-        let service = RaaService::new(RaaConfig::new(set_selector()));
-        service.sync(&pool);
+        let hms = HmsConfig::default();
         let mut next = 0usize;
-        group.bench_with_input(BenchmarkId::new("service", pool_len), &(), |b, ()| {
+        group.bench_with_input(BenchmarkId::new("cached", pool_len), &(), |b, ()| {
             b.iter(|| {
-                // The steady-state node path: a (no-op) event sync, then
-                // the cached view.
-                service.sync(&pool);
+                // The steady-state node path: the cached view.
                 let contract = &contracts[next % contracts.len()];
                 next += 1;
-                black_box(service.view(contract, committed))
+                black_box(pool.market_view(contract, set_selector(), committed, &hms))
             })
         });
     }

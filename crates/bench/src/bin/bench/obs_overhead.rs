@@ -26,7 +26,6 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use sereth_bench::{artifact, host_cpus, BenchPoint};
 use sereth_chain::builder::BlockLimits;
-use sereth_chain::txpool::PoolConfig;
 use sereth_chain::GenesisBuilder;
 use sereth_crypto::address::Address;
 use sereth_crypto::sig::SecretKey;
@@ -44,8 +43,8 @@ const TXS: u64 = 1_536;
 const REPS: usize = 5;
 /// The overhead budget: enabled/disabled must not exceed this.
 const MAX_SLOWDOWN: f64 = 1.05;
-/// Nonces per sender: enough senders to spread pool shards, enough
-/// nonces that per-sender queues exercise ready-promotion.
+/// Nonces per sender: enough that per-sender queues exercise
+/// ready-promotion.
 const NONCES_PER_SENDER: u64 = 8;
 
 fn node(senders: u64, enabled: bool) -> NodeHandle {
@@ -60,7 +59,6 @@ fn node(senders: u64, enabled: bool) -> NodeHandle {
             .coinbase(Address::from_low_u64(0xc01))
             .candidate_budget(Some(256))
             .limits(BlockLimits { gas_limit: 30_000_000, max_txs: Some(256) })
-            .pool(PoolConfig { shards: 8, ..PoolConfig::default() })
             .telemetry(TelemetryConfig { enabled })
             .build(),
     )

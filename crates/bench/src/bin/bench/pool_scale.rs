@@ -6,11 +6,10 @@
 //! single-nonce transfers from distinct senders at varied gas prices,
 //! salted with one market's `set` chain and a crowd of `buy`s so the
 //! semantic and PWV policies have real series work — and then repeatedly
-//! orders a block-sized candidate list both ways. Between repetitions a
-//! small churn batch (inserts + removals) flows through the pool, so the
-//! indexed read also pays its incremental event-drain, exactly as a miner
-//! between two blocks would. Each measurement first asserts the two
-//! orders are byte-identical.
+//! orders a block-sized candidate list both ways. Between indexed reads
+//! a small churn batch (inserts + removals) flows through the pool and its
+//! indexes, exactly as between two blocks of a miner. Each measurement
+//! first asserts the two orders are byte-identical.
 //!
 //! The headline artifact (`BENCH_pool.json`, gated by `bench_trend`)
 //! records the Standard-policy sweep: `base_us` is the rescan, `fast_us`
@@ -52,7 +51,6 @@ const MAX_SLOWDOWN: f64 = 1.2;
 fn build_pool(size: usize) -> TxPool {
     let pool = TxPool::with_config(PoolConfig {
         capacity: size + 64,
-        event_capacity: 4 * size + 64,
         market: Some(market_spec()),
         ..PoolConfig::default()
     });
@@ -107,8 +105,8 @@ fn market_state() -> StateDb {
 }
 
 /// One round of churn: remove what the previous round inserted, insert a
-/// fresh batch, and record its hashes — so every indexed read that
-/// follows has `2 × churn` real events to drain, at a steady pool size.
+/// fresh batch, and record its hashes — `2 × churn` index updates before
+/// every indexed read, at a steady pool size.
 fn churn_pool(pool: &TxPool, round: u64, churn: usize, last_batch: &mut Vec<H256>) {
     for hash in last_batch.drain(..) {
         pool.remove(&hash);
@@ -130,9 +128,7 @@ fn measure(pool: &TxPool, size: u64, policy: &MinerPolicy, reps: u32) -> BenchPo
     let view = state.view();
     let contract = default_contract_address();
 
-    // Sanity before timing: the two paths order identically (and warm the
-    // index so the timed reads measure steady state, not the first
-    // subscription rebuild).
+    // Sanity before timing: the two paths order identically.
     let indexed = order_candidates_limited(pool, &view, &contract, policy, BUDGET);
     let rescan = order_candidates_rescan(pool, &view, &contract, policy, BUDGET);
     assert_eq!(
@@ -149,8 +145,8 @@ fn measure(pool: &TxPool, size: u64, policy: &MinerPolicy, reps: u32) -> BenchPo
         start.elapsed() / reps
     };
     // The indexed path is orders of magnitude faster: run more reps for a
-    // stable mean, with churn flowing between reads so each read drains
-    // fresh events (the steady per-block cost, not a hot-cache artifact).
+    // stable mean, with churn flowing between reads so the timed loop
+    // includes the index upkeep a miner's pool pays between blocks.
     let fast_reps = reps * 20;
     let mut last_batch: Vec<H256> = Vec::new();
     let start = Instant::now();

@@ -1,5 +1,5 @@
-//! RAA-SCALE: RAA read latency, recompute-per-query vs the incremental
-//! `sereth-raa` service, across pool sizes: 16 markets × 64 sets plus a
+//! RAA-SCALE: RAA read latency, recompute-per-query vs the pool's cached
+//! `TxPool::market_view`, across pool sizes: 16 markets × 64 sets plus a
 //! growing crowd of foreign transactions.
 
 use std::sync::Arc;
@@ -12,7 +12,6 @@ use sereth_core::provider::HmsRaaProvider;
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
 use sereth_node::contract::set_selector;
-use sereth_raa::{RaaConfig, RaaService};
 
 const MARKETS: usize = 16;
 const SETS: usize = 64;
@@ -25,8 +24,8 @@ pub fn run(smoke: bool) {
     let committed = (genesis_mark(), H256::from_low_u64(50));
 
     println!("RAA read latency: {MARKETS} markets x {SETS} sets, {reads} reads round-robin over markets");
-    println!("| pool size | recompute/read | service/read | speedup |");
-    println!("|-----------|----------------|--------------|---------|");
+    println!("| pool size | recompute/read | cached/read | speedup |");
+    println!("|-----------|----------------|-------------|---------|");
     let mut points: Vec<BenchPoint> = Vec::new();
     for &noise in noises {
         let (pool, contracts) = market_txpool(MARKETS, SETS, noise);
@@ -46,15 +45,14 @@ pub fn run(smoke: bool) {
         let recompute = time_reads(&|contract| {
             std::hint::black_box(provider.run(contract));
         });
-        let service = RaaService::new(RaaConfig::new(set_selector()));
-        let service_read = time_reads(&|contract| {
-            service.sync(&pool);
-            std::hint::black_box(service.view(contract, committed));
+        let hms = HmsConfig::default();
+        let cached = time_reads(&|contract| {
+            std::hint::black_box(pool.market_view(contract, set_selector(), committed, &hms));
         });
 
-        let point = BenchPoint::from_durations(pool_len as u64, recompute, service_read);
+        let point = BenchPoint::from_durations(pool_len as u64, recompute, cached);
         println!(
-            "| {pool_len:>9} | {:>11.2} µs | {:>9.2} µs | {:>6.1}x |",
+            "| {pool_len:>9} | {:>11.2} µs | {:>8.2} µs | {:>6.1}x |",
             point.base_us, point.fast_us, point.speedup
         );
         points.push(point);

@@ -92,8 +92,9 @@ pub fn pool_with_chain(chain_len: usize, noise: usize) -> Vec<PendingTx> {
 /// Builds a live [`TxPool`](sereth_chain::txpool::TxPool) holding
 /// `markets` independent Sereth markets, each with a signed chain of
 /// `sets_per_market` `set` transactions, plus `noise` foreign transfers —
-/// the input shape for the RAA service scaling benchmarks. Returns the
-/// pool and the market contract addresses.
+/// the input shape for the RAA view scaling benchmarks. The pool books the
+/// Sereth market selectors, so its `market_view` serves from the market
+/// book. Returns the pool and the market contract addresses.
 ///
 /// Market `m` lives at address `0x5e7e_0000 + m`, owned by the key with
 /// label `500 + m`; the committed AMV every market starts from is
@@ -108,12 +109,9 @@ pub fn market_txpool(
     let total = markets * sets_per_market + noise;
     let pool = TxPool::with_config(PoolConfig {
         capacity: total + 1,
-        // Keep the whole fill visible to event subscribers so benchmark
-        // setup replays incrementally instead of tripping a resync.
-        event_capacity: 2 * total + 16,
+        market: Some(sereth_node::miner::market_spec()),
         ..PoolConfig::default()
     });
-    pool.subscribe();
     let mut now = 0;
     let contracts: Vec<Address> =
         (0..markets).map(|m| Address::from_low_u64(0x5e7e_0000 + m as u64)).collect();
@@ -134,10 +132,10 @@ pub fn market_txpool(
     (pool, contracts)
 }
 
-/// The recompute baseline's data source for RAA benchmarks: a live
-/// (internally sharded) pool, walked borrowed per query (so the baseline
-/// already benefits from the `for_each_pending` fast path; the
-/// incremental service must beat *that*).
+/// The recompute baseline's data source for RAA benchmarks: a live pool,
+/// walked borrowed per query (so the baseline already benefits from the
+/// `for_each_pending` fast path; the pool's cached view must beat
+/// *that*).
 pub struct PoolSource {
     /// The shared pool.
     pub pool: std::sync::Arc<sereth_chain::txpool::TxPool>,
@@ -153,7 +151,7 @@ impl sereth_core::provider::HmsDataSource for PoolSource {
     fn for_each_pending(&self, visit: &mut dyn FnMut(&PendingTx)) {
         self.pool.with_entries_by_arrival(|entries| {
             for entry in entries {
-                visit(&sereth_node::miner::pending_tx(entry));
+                visit(&entry.pending());
             }
         });
     }

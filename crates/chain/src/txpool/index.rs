@@ -1,40 +1,36 @@
-//! The incrementally-maintained candidate indexes of the sharded
-//! [`TxPool`](super::TxPool).
+//! The pool's state behind its one lock: the per-sender nonce queues and
+//! the two secondary indexes that every insert, replacement, removal,
+//! commit, prune and eviction updates in place.
 //!
-//! The index is an *internal subscriber* to the pool's own seq-stamped
-//! [`PoolEvent`](super::PoolEvent) stream — the same maintenance signal
-//! the `sereth-raa` view service consumes externally. Ingestion threads
-//! only touch their sender's shard and the event log; the index catches
-//! up lazily (under its own lock) when a miner asks for an ordering, so
-//! client submission never serializes behind the ordering pass.
-//!
-//! Two indexes are maintained:
-//!
-//! * **ready index** — per-sender nonce chains mirrored from the events
-//!   and an `all` set ordering every entry by `(gas_price, arrival)` (its
-//!   minimum doubles as the eviction path's "globally cheapest" in
-//!   O(log n)). A fee-priority read is a lazy merge: walk `all`
-//!   descending, keep a per-sender nonce cursor seeded from the caller's
-//!   `base_nonce` on first touch (so stale and gapped entries are skipped
-//!   exactly, not deferred to the next `prune_stale`), promote each
-//!   emitted sender's next nonce into a side heap when the walk has
-//!   already passed it, and always take the larger of (next walk entry,
-//!   heap top) — `O(k log k)` for `k` returned candidates instead of the
-//!   rescan's `O(k · senders)`.
-//! * **market index** — per-contract arrival-ordered `set`/`buy` entries
-//!   with their [`Fpv`] pre-parsed once at insert (exactly what
-//!   `RaaService` does per event), so semantic/PWV miners stop re-decoding
-//!   every entry's calldata per block.
+//! * **price index** — every entry keyed `(gas_price, !arrival, sender,
+//!   nonce)`. Its minimum is the capacity-eviction victim in O(log n). A
+//!   fee-priority read is a lazy merge: walk the index descending, keep a
+//!   per-sender nonce cursor seeded from the caller's `base_nonce` on
+//!   first touch (so stale and gapped entries are skipped exactly, not
+//!   deferred to the next `prune_stale`), promote each emitted sender's
+//!   next nonce into a side heap when the walk has already passed it, and
+//!   always take the larger of (next walk entry, heap top) — `O(k log k)`
+//!   for `k` returned candidates instead of the rescan's `O(k · senders)`.
+//! * **market book** — per contract, the arrival-ordered `set`/`buy`
+//!   entries with their [`Fpv`] parsed once at insert, so semantic/PWV
+//!   miners never re-decode calldata per block, plus the contract's cached
+//!   Algorithm 1 view. Only inserting or removing one of the contract's
+//!   `set` entries drops that cache; `buy`s and foreign traffic leave it
+//!   valid.
 
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::ops::RangeBounds;
 
 use sereth_core::fpv::Fpv;
+use sereth_core::hms::{hash_mark_set, HmsConfig, HmsView};
+use sereth_core::process::PendingTx;
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
 use sereth_types::transaction::Transaction;
+use sereth_types::SimTime;
 use sereth_vm::abi::Selector;
 
-use super::{MarketSpec, PoolEvent};
+use super::{MarketSpec, PoolCounters, PoolEntry};
 
 /// Which market call a [`MarketEntry`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +41,7 @@ pub enum MarketKind {
     Buy,
 }
 
-/// One pre-parsed market transaction from the per-contract index.
+/// One pre-parsed market transaction from the per-contract book.
 #[derive(Debug, Clone)]
 pub struct MarketEntry {
     /// The pooled transaction.
@@ -56,14 +52,14 @@ pub struct MarketEntry {
     pub kind: MarketKind,
     /// The FPV words, when the calldata carried all three (`None` for a
     /// selector-matched but malformed payload — HMS filters those the
-    /// same way whether or not they are indexed).
+    /// same way whether or not they are booked).
     pub fpv: Option<Fpv>,
 }
 
 impl MarketEntry {
     /// Classifies `tx` against a market's selectors: `Some` iff it calls
     /// a contract with the `set` or `buy` selector. The single
-    /// classification rule shared by index maintenance, the pool's rescan
+    /// classification rule shared by the book, the pool's rescan
     /// fallback, and the miners' rescan baselines, so the paths cannot
     /// drift.
     pub fn classify(
@@ -86,128 +82,201 @@ impl MarketEntry {
         };
         Some(Self { tx: tx.clone(), arrival_seq, kind, fpv: Fpv::from_calldata(input) })
     }
+
+    /// The entry as Hash-Mark-Set sees it (the calldata is shared, not
+    /// copied).
+    pub fn pending(&self) -> PendingTx {
+        pending(&self.tx, self.arrival_seq)
+    }
 }
 
-/// One transaction as the ready index stores it.
+/// `tx` as Hash-Mark-Set sees it.
+pub(super) fn pending(tx: &Transaction, arrival_seq: u64) -> PendingTx {
+    PendingTx { hash: tx.hash(), sender: tx.sender(), to: tx.to(), input: tx.input().clone(), arrival_seq }
+}
+
+/// A price-index key: ordering ascending by `(gas_price, !arrival_seq)`
+/// and walking backwards yields price-descending, arrival-ascending — the
+/// fee-priority order with the miner's arrival tie-break.
+type PriceKey = (u64, u64, Address, u64);
+
+fn price_key(entry: &PoolEntry) -> PriceKey {
+    (entry.tx.gas_price(), !entry.arrival_seq, entry.tx.sender(), entry.tx.nonce())
+}
+
+/// One contract's market book.
+#[derive(Debug, Clone, Default)]
+struct MarketBook {
+    /// `set`/`buy` entries keyed by arrival sequence.
+    entries: BTreeMap<u64, MarketEntry>,
+    /// How many of `entries` are `set`s.
+    sets: usize,
+    /// The last Algorithm 1 result; `None` once a `set` came or went.
+    view: Option<CachedView>,
+}
+
+/// A cached view and the inputs it was computed from.
 #[derive(Debug, Clone)]
-struct IndexedTx {
-    tx: Transaction,
-    arrival_seq: u64,
+struct CachedView {
+    committed: (H256, H256),
+    config: HmsConfig,
+    view: HmsView,
 }
 
-impl IndexedTx {
-    /// `(gas_price, !arrival_seq)`: ordering ascending by this key and
-    /// walking backwards yields price-descending, arrival-ascending — the
-    /// fee-priority order with the miner's arrival tie-break.
-    fn rank(&self) -> (u64, u64) {
-        (self.tx.gas_price(), !self.arrival_seq)
-    }
-}
-
-/// The candidate indexes (see module docs). Lives behind the pool's
-/// `index` mutex; all mutation goes through [`CandidateIndex::apply_event`]
-/// or [`CandidateIndex::rebuild`], driven by the event cursor.
-#[derive(Debug, Default)]
-pub(super) struct CandidateIndex {
-    /// `true` once the index has subscribed to the event stream (lazily,
-    /// on the first indexed read — unwatched pools pay nothing).
-    pub subscribed: bool,
-    /// Next event sequence number to apply.
-    pub cursor: u64,
-    senders: HashMap<Address, BTreeMap<u64, IndexedTx>>,
-    /// Every entry, keyed `(price, !arrival, sender, nonce)`; `first()` is
-    /// the eviction victim (cheapest, newest-arrival tie-break).
-    all: BTreeSet<(u64, u64, Address, u64)>,
+/// Everything the pool's mutex guards (see module docs).
+#[derive(Debug, Clone, Default)]
+pub(super) struct PoolState {
+    /// Per-sender nonce-ordered queues: the pool itself.
+    senders: HashMap<Address, BTreeMap<u64, PoolEntry>>,
+    /// Hash → (sender, nonce).
     by_hash: HashMap<H256, (Address, u64)>,
-    markets: HashMap<Address, BTreeMap<u64, MarketEntry>>,
-    market_by_hash: HashMap<H256, (Address, u64)>,
+    /// The price index; `first()` is the eviction victim (cheapest,
+    /// newest arrival on ties).
+    by_price: BTreeSet<PriceKey>,
+    /// The market book, per contract (empty without a [`MarketSpec`]).
+    markets: HashMap<Address, MarketBook>,
+    /// Arrival sequence number the next admitted transaction gets.
+    next_arrival: u64,
 }
 
-impl CandidateIndex {
-    /// Drops all state and re-ingests a full pool snapshot (entries must
-    /// be in arrival order).
-    pub fn rebuild<'a>(
-        &mut self,
-        entries: impl IntoIterator<Item = &'a super::PoolEntry>,
-        market: Option<&MarketSpec>,
-    ) {
-        self.senders.clear();
-        self.all.clear();
-        self.by_hash.clear();
-        self.markets.clear();
-        self.market_by_hash.clear();
-        for entry in entries {
-            self.insert(&entry.tx, entry.arrival_seq, market);
-        }
+impl PoolState {
+    /// Number of pooled transactions.
+    pub fn len(&self) -> usize {
+        self.by_hash.len()
     }
 
-    /// Applies one pool event.
-    pub fn apply_event(&mut self, event: &PoolEvent, market: Option<&MarketSpec>) {
-        match event {
-            PoolEvent::Inserted { tx, arrival_seq } => self.insert(tx, *arrival_seq, market),
-            PoolEvent::Removed { hash, .. } | PoolEvent::Committed { hash, .. } => self.remove(hash),
-        }
+    /// `true` if `hash` is pooled.
+    pub fn contains(&self, hash: &H256) -> bool {
+        self.by_hash.contains_key(hash)
     }
 
-    fn insert(&mut self, tx: &Transaction, arrival_seq: u64, market: Option<&MarketSpec>) {
-        let sender = tx.sender();
-        let nonce = tx.nonce();
-        // The event stream emits `Removed` before a replacement's
-        // `Inserted`, so an occupied slot here would be a missed event;
-        // evicting it through the full removal path (head promotion
-        // included) keeps the index self-healing either way.
-        let stale_hash =
-            self.senders.get(&sender).and_then(|chain| chain.get(&nonce)).map(|stale| stale.tx.hash());
-        if let Some(stale_hash) = stale_hash {
-            self.remove(&stale_hash);
-        }
-        let chain = self.senders.entry(sender).or_default();
-        let indexed = IndexedTx { tx: tx.clone(), arrival_seq };
-        let (price, rev) = indexed.rank();
-        chain.insert(nonce, indexed);
-        self.by_hash.insert(tx.hash(), (sender, nonce));
-        self.all.insert((price, rev, sender, nonce));
-        if let (Some(spec), Some(to)) = (market, tx.to()) {
-            if let Some(entry) = MarketEntry::classify(tx, arrival_seq, spec.set_selector, spec.buy_selector)
-            {
-                self.markets.entry(to).or_default().insert(arrival_seq, entry);
-                self.market_by_hash.insert(tx.hash(), (to, arrival_seq));
-            }
-        }
+    /// The pooled entry at `(sender, nonce)`.
+    pub fn get(&self, sender: &Address, nonce: u64) -> Option<&PoolEntry> {
+        self.senders.get(sender)?.get(&nonce)
     }
 
-    fn remove(&mut self, hash: &H256) {
-        if let Some((sender, nonce)) = self.by_hash.remove(hash) {
-            if let Some(chain) = self.senders.get_mut(&sender) {
-                if let Some(entry) = chain.remove(&nonce) {
-                    let (price, rev) = entry.rank();
-                    self.all.remove(&(price, rev, sender, nonce));
-                }
-                if chain.is_empty() {
-                    self.senders.remove(&sender);
-                }
-            }
-        }
-        if let Some((contract, seq)) = self.market_by_hash.remove(hash) {
-            if let Some(entries) = self.markets.get_mut(&contract) {
-                entries.remove(&seq);
-                if entries.is_empty() {
-                    self.markets.remove(&contract);
-                }
-            }
-        }
+    /// Where `hash` is pooled.
+    pub fn locate(&self, hash: &H256) -> Option<(Address, u64)> {
+        self.by_hash.get(hash).copied()
     }
 
-    /// The globally cheapest entry's `(gas_price, sender, nonce)` — the
-    /// capacity-eviction victim (cheapest price, newest arrival on ties,
-    /// exactly the old rescan's `min_by_key`).
+    /// Every sender's nonce queue (in no particular order).
+    pub fn queues(&self) -> impl Iterator<Item = (&Address, &BTreeMap<u64, PoolEntry>)> {
+        self.senders.iter()
+    }
+
+    /// Every entry, in arrival order.
+    pub fn by_arrival(&self) -> Vec<&PoolEntry> {
+        let mut entries: Vec<&PoolEntry> = self.senders.values().flat_map(BTreeMap::values).collect();
+        entries.sort_by_key(|entry| entry.arrival_seq);
+        entries
+    }
+
+    /// The cheapest entry's `(gas_price, sender, nonce)` — the
+    /// capacity-eviction victim (cheapest price, newest arrival on ties).
     pub fn cheapest(&self) -> Option<(u64, Address, u64)> {
-        self.all.first().map(|&(price, _, sender, nonce)| (price, sender, nonce))
+        self.by_price.first().map(|&(price, _, sender, nonce)| (price, sender, nonce))
     }
 
-    /// All indexed `set`/`buy` entries of `contract`, arrival-ordered.
+    /// Stamps `tx` with the next arrival sequence number and files it in
+    /// the queues and both indexes. The `(sender, nonce)` slot must be
+    /// free.
+    pub fn add(&mut self, tx: Transaction, now: SimTime, market: Option<&MarketSpec>) {
+        let arrival_seq = self.next_arrival;
+        self.next_arrival += 1;
+        if let (Some(spec), Some(to)) = (market, tx.to()) {
+            if let Some(entry) = MarketEntry::classify(&tx, arrival_seq, spec.set_selector, spec.buy_selector)
+            {
+                let book = self.markets.entry(to).or_default();
+                if entry.kind == MarketKind::Set {
+                    book.sets += 1;
+                    book.view = None;
+                }
+                book.entries.insert(arrival_seq, entry);
+            }
+        }
+        let entry = PoolEntry { tx, arrival_seq, arrival_time: now };
+        let (sender, nonce) = (entry.tx.sender(), entry.tx.nonce());
+        self.by_hash.insert(entry.tx.hash(), (sender, nonce));
+        self.by_price.insert(price_key(&entry));
+        self.senders.entry(sender).or_default().insert(nonce, entry);
+    }
+
+    /// Removes the entry at `(sender, nonce)` from the queues and both
+    /// indexes.
+    pub fn remove(&mut self, sender: &Address, nonce: u64) -> Option<PoolEntry> {
+        let queue = self.senders.get_mut(sender)?;
+        let entry = queue.remove(&nonce)?;
+        if queue.is_empty() {
+            self.senders.remove(sender);
+        }
+        self.by_hash.remove(&entry.tx.hash());
+        self.by_price.remove(&price_key(&entry));
+        if let Some(contract) = entry.tx.to() {
+            if let Some(book) = self.markets.get_mut(&contract) {
+                if let Some(booked) = book.entries.remove(&entry.arrival_seq) {
+                    if booked.kind == MarketKind::Set {
+                        book.sets -= 1;
+                        book.view = None;
+                    }
+                    if book.entries.is_empty() {
+                        self.markets.remove(&contract);
+                    }
+                }
+            }
+        }
+        Some(entry)
+    }
+
+    /// Removes `sender`'s entries whose nonces fall in `nonces`.
+    pub fn remove_nonces(&mut self, sender: &Address, nonces: impl RangeBounds<u64>) {
+        let doomed: Vec<u64> = self
+            .senders
+            .get(sender)
+            .map(|queue| queue.range(nonces).map(|(nonce, _)| *nonce).collect())
+            .unwrap_or_default();
+        for nonce in doomed {
+            self.remove(sender, nonce);
+        }
+    }
+
+    /// All booked `set`/`buy` entries of `contract`, arrival-ordered.
     pub fn market(&self, contract: &Address) -> Vec<MarketEntry> {
-        self.markets.get(contract).map(|entries| entries.values().cloned().collect()).unwrap_or_default()
+        self.markets.get(contract).map(|book| book.entries.values().cloned().collect()).unwrap_or_default()
+    }
+
+    /// Algorithm 1 over `contract`'s booked `set`s, served from the
+    /// book's cache when it was computed from the same `committed` and
+    /// `config`. A contract with no pooled `set` serves its committed view
+    /// (Algorithm 1 line 4) without a cache.
+    pub fn market_view(
+        &mut self,
+        contract: &Address,
+        set_selector: Selector,
+        committed: (H256, H256),
+        config: &HmsConfig,
+        counters: &PoolCounters,
+    ) -> HmsView {
+        let Some(book) = self.markets.get_mut(contract).filter(|book| book.sets > 0) else {
+            counters.view_hits.inc();
+            return hash_mark_set(&[], contract, set_selector, committed, config).view;
+        };
+        if let Some(cached) = &book.view {
+            if cached.committed == committed && cached.config == *config {
+                counters.view_hits.inc();
+                return cached.view;
+            }
+        }
+        let sets: Vec<PendingTx> = book
+            .entries
+            .values()
+            .filter(|entry| entry.kind == MarketKind::Set)
+            .map(MarketEntry::pending)
+            .collect();
+        let view = hash_mark_set(&sets, contract, set_selector, committed, config).view;
+        book.view = Some(CachedView { committed, config: config.clone(), view });
+        counters.view_rebuilds.inc();
+        view
     }
 
     /// The fee-priority ready order (see module docs): at most `limit`
@@ -219,19 +288,19 @@ impl CandidateIndex {
     /// `prune_stale` has not yet caught up with the latest import.
     ///
     /// Why the walk is exact: it merges two price-descending streams —
-    /// the `all` set walked backwards and a heap of *promoted successors*
-    /// (the next nonce of each emitted sender, pushed only when the walk
-    /// has already passed its key, otherwise the walk itself will reach
-    /// it). At every step each sender's next selectable entry (its cursor
-    /// nonce) is either ahead of the walk or in the heap, so taking the
-    /// larger of (heap top, next walk entry) and skipping cursor
-    /// mismatches always emits the globally best selectable entry — the
-    /// same greedy choice the rescan makes.
+    /// the price index walked backwards and a heap of *promoted
+    /// successors* (the next nonce of each emitted sender, pushed only
+    /// when the walk has already passed its key, otherwise the walk itself
+    /// will reach it). At every step each sender's next selectable entry
+    /// (its cursor nonce) is either ahead of the walk or in the heap, so
+    /// taking the larger of (heap top, next walk entry) and skipping
+    /// cursor mismatches always emits the globally best selectable entry —
+    /// the same greedy choice the rescan makes.
     pub fn ready_by_price(&self, base_nonce: &dyn Fn(&Address) -> u64, limit: usize) -> Vec<Transaction> {
         let mut out = Vec::new();
-        let mut walk = self.all.iter().rev().peekable();
-        // Promoted nonce-chain successors, keyed like `all`.
-        let mut heap: BinaryHeap<(u64, u64, Address, u64)> = BinaryHeap::new();
+        let mut walk = self.by_price.iter().rev().peekable();
+        // Promoted nonce-chain successors, keyed like `by_price`.
+        let mut heap: BinaryHeap<PriceKey> = BinaryHeap::new();
         // Each sender's next selectable nonce, seeded from `base_nonce`
         // the first time the walk meets the sender.
         let mut cursors: HashMap<Address, u64> = HashMap::new();
@@ -258,13 +327,13 @@ impl CandidateIndex {
                 }
                 (sender, nonce)
             };
-            let chain = self.senders.get(&sender).expect("emitted sender has a chain");
-            let entry = chain.get(&nonce).expect("emitted nonce is indexed");
+            let queue = self.senders.get(&sender).expect("emitted sender has a queue");
+            let entry = queue.get(&nonce).expect("emitted nonce is pooled");
             out.push(entry.tx.clone());
             if let Some(next_nonce) = nonce.checked_add(1) {
                 cursors.insert(sender, next_nonce);
-                if let Some(next) = chain.get(&next_nonce) {
-                    let key = (next.rank().0, next.rank().1, sender, next_nonce);
+                if let Some(next) = queue.get(&next_nonce) {
+                    let key = price_key(next);
                     // Promote only entries the walk already passed; the
                     // walk reaches the rest on its own.
                     let passed = match walk.peek() {

@@ -1,5 +1,5 @@
-//! The pending-transaction pool (TxPool), sharded and incrementally
-//! indexed.
+//! The pending-transaction pool (TxPool): one map under one lock, with
+//! two secondary indexes.
 //!
 //! "Hash-Mark-Set takes advantage of an underutilized communication channel
 //! among the peers on a blockchain, the transaction pool" (paper §III-C).
@@ -9,35 +9,27 @@
 //!
 //! # Architecture
 //!
-//! Three independently locked layers, so that client submission from many
-//! users never serializes behind a miner's ordering pass:
+//! One mutex guards the queues and the two indexes built on them (see the
+//! `index` module): the `(price, arrival)` index behind fee-priority reads
+//! and eviction, and the per-contract market book behind
+//! [`TxPool::market_snapshot`] and [`TxPool::market_view`]. Every insert,
+//! replacement, removal, commit, prune and eviction updates both indexes
+//! in place, so no read ever has to catch up: an ordering read is
+//! `O(k log k)` in the `k` candidates it returns, and a view read whose
+//! cache is valid is `O(1)`.
 //!
-//! * **shards** — [`PoolConfig::shards`] sender-keyed locks holding the
-//!   nonce queues. An insert touches exactly one shard (a transaction
-//!   hash commits to its sender, so even duplicate detection is local).
-//! * **event log** — one short-hold mutex stamping every mutation with a
-//!   dense sequence number and buffering it for subscribers (the
-//!   `sereth-raa` view service externally, the candidate index
-//!   internally). This is the only cross-shard serialization point of
-//!   the write path, and its hold is a counter bump plus one push.
-//! * **candidate index** — fee-priority ready chains and per-contract
-//!   pre-parsed market entries (see the `index` module), maintained by draining
-//!   the event stream lazily under its own lock. Ordering reads are
-//!   `O(k)` in the number of returned candidates instead of `O(pool)`
-//!   rescans; a cursor that falls out of the bounded event buffer
-//!   triggers a counted full rebuild.
-//!
-//! Lock order (outer to inner): `index` → shards (ascending) → `events`.
-//! Every path acquires along that order, never against it.
+//! One lock rather than sender-keyed shards: a node submits from one
+//! thread and orders from another, and a 16-shard pool measured no
+//! faster end to end than a 1-shard one.
 
 mod index;
-mod shard;
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
+use sereth_core::hms::{hash_mark_set, HmsConfig, HmsView};
+use sereth_core::process::PendingTx;
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
 use sereth_telemetry::{Counter, Phase, Telemetry};
@@ -47,75 +39,7 @@ use sereth_vm::abi::Selector;
 
 pub use index::{MarketEntry, MarketKind};
 
-use index::CandidateIndex;
-use shard::{EventLog, Shard};
-
-/// A pool mutation, as observed by subscribers (the `sereth-raa` view
-/// service and the pool's own candidate index consume these to maintain
-/// their caches incrementally instead of re-reading the whole pool).
-// Inserted dominates the size (it carries the transaction) and also
-// dominates the event count, so boxing it would only add indirection.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PoolEvent {
-    /// A transaction entered the pool.
-    Inserted {
-        /// The pooled transaction.
-        tx: Transaction,
-        /// Its global arrival sequence number.
-        arrival_seq: u64,
-    },
-    /// A transaction left the pool without committing: replaced by a
-    /// higher-priced same-nonce transaction, evicted at capacity, pruned
-    /// as nonce-stale, or removed explicitly.
-    Removed {
-        /// Hash of the departed transaction.
-        hash: H256,
-        /// Its callee, kept so subscribers indexing by contract can
-        /// route the removal without a global hash index.
-        to: Option<Address>,
-    },
-    /// A transaction left the pool because an imported block included it
-    /// — "right after publication the pool no longer contains marked
-    /// transactions" (paper §V-C).
-    Committed {
-        /// Hash of the committed transaction.
-        hash: H256,
-        /// Its callee (see [`PoolEvent::Removed::to`]).
-        to: Option<Address>,
-    },
-}
-
-/// A [`PoolEvent`] stamped with its position in the pool's event stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolEventRecord {
-    /// Monotone sequence number (dense, starting at 0).
-    pub seq: u64,
-    /// The event.
-    pub event: PoolEvent,
-}
-
-/// A subscriber's cursor fell behind the bounded event buffer; the
-/// subscriber must resynchronise from a full pool snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventLag {
-    /// The oldest sequence number still buffered.
-    pub oldest_buffered: u64,
-    /// The cursor to resume from after resynchronising.
-    pub resume_cursor: u64,
-}
-
-impl core::fmt::Display for EventLag {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "pool event subscriber lagged: oldest buffered seq is {}, resume from {}",
-            self.oldest_buffered, self.resume_cursor
-        )
-    }
-}
-
-impl std::error::Error for EventLag {}
+use index::PoolState;
 
 /// Why the pool declined a transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,10 +80,18 @@ pub struct PoolEntry {
     pub arrival_time: SimTime,
 }
 
+impl PoolEntry {
+    /// The entry as Hash-Mark-Set sees it (the calldata is shared, not
+    /// copied).
+    pub fn pending(&self) -> PendingTx {
+        index::pending(&self.tx, self.arrival_seq)
+    }
+}
+
 /// The selectors of a managed market, configured so the pool can
 /// pre-parse `set`/`buy` calldata once at insert and serve semantic/PWV
-/// miners from the per-contract index (see
-/// [`TxPool::market_snapshot`]).
+/// miners and RAA views from the per-contract market book (see
+/// [`TxPool::market_snapshot`] and [`TxPool::market_view`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MarketSpec {
     /// The managed-write selector (`set`).
@@ -171,70 +103,53 @@ pub struct MarketSpec {
 /// Pool configuration.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
-    /// Maximum number of pooled transactions. Exact under single-threaded
-    /// use; under concurrent submission the bound can be transiently
-    /// exceeded by up to one entry per in-flight insert (the admission
-    /// check and the admit are not atomic across shards), and the
-    /// at-capacity eviction path squeezes the excess back out.
+    /// Maximum number of pooled transactions, exact at every instant: an
+    /// insert into a full pool evicts the cheapest entry (or is refused)
+    /// under the same lock acquisition that admits it.
     pub capacity: usize,
     /// Percentage price bump required to replace a same-nonce transaction.
     pub replace_bump_pct: u64,
-    /// Number of [`PoolEvent`]s retained for subscribers; a cursor older
-    /// than the buffer gets [`EventLag`] and must resynchronise.
-    pub event_capacity: usize,
-    /// Number of sender-keyed ingestion locks (clamped to at least 1).
-    /// More shards, less submission contention; ordering output is
-    /// invariant in the shard count.
-    pub shards: usize,
-    /// Market selectors to pre-parse into the per-contract index; `None`
-    /// serves [`TxPool::market_snapshot`] by (counted) rescan instead.
+    /// Market selectors to pre-parse into the per-contract market book;
+    /// `None` serves [`TxPool::market_snapshot`] and
+    /// [`TxPool::market_view`] by (counted) rescan instead.
     pub market: Option<MarketSpec>,
 }
 
 impl Default for PoolConfig {
     fn default() -> Self {
-        Self { capacity: 4096, replace_bump_pct: 10, event_capacity: 16_384, shards: 16, market: None }
+        Self { capacity: 4096, replace_bump_pct: 10, market: None }
     }
 }
 
-/// Monotone counters describing how the pool is being driven — the
-/// observable face of the sharded feed. They are telemetry cells named
-/// `pool.*`, so a node-wide snapshot carries them for free.
+/// Monotone counters describing how the pool is read. They are telemetry
+/// cells, so a node-wide snapshot carries them for free.
 #[derive(Debug, Clone)]
 struct PoolCounters {
-    /// `pool.index_hits`: ordering/market reads served from the
-    /// incremental index.
+    /// `pool.index_hits`: ordering/market reads served from the indexes.
     index_hits: Counter,
-    /// `pool.index_rebuilds`: full index rebuilds — the lazy first
-    /// subscription, explicit [`TxPool::rebuild_index`] calls, and
-    /// event-buffer overflows ([`EventLag`] on the internal cursor).
-    index_rebuilds: Counter,
-    /// `pool.rescans`: ready reads that fell back to a full rescan
-    /// because a sender held a stale nonce prefix (pool not yet pruned
-    /// against the caller's state), plus explicit `*_rescan` oracle
-    /// calls.
+    /// `pool.rescans`: explicit `*_rescan` oracle calls.
     rescans: Counter,
-    /// `pool.market_rescans`: market snapshots served by walking the
-    /// pool because the requested selectors are not the configured
+    /// `pool.market_rescans`: market snapshots and views served by walking
+    /// the pool because the requested selectors are not the configured
     /// [`PoolConfig::market`].
     market_rescans: Counter,
-    /// `pool.events_applied`: pool events the index applied
-    /// incrementally.
-    events_applied: Counter,
-    /// `pool.shard_contention`: times an ingestion path found its shard
-    /// lock held and had to wait.
-    shard_contention: Counter,
+    /// `raa.hits`: [`TxPool::market_view`] reads served from a valid
+    /// cache, or for a contract with no pooled `set` straight from its
+    /// committed view.
+    view_hits: Counter,
+    /// `raa.rebuilds`: [`TxPool::market_view`] reads that reran
+    /// Algorithm 1 first.
+    view_rebuilds: Counter,
 }
 
 impl PoolCounters {
     fn register(telemetry: &Telemetry) -> Self {
         Self {
             index_hits: telemetry.counter("pool.index_hits"),
-            index_rebuilds: telemetry.counter("pool.index_rebuilds"),
             rescans: telemetry.counter("pool.rescans"),
             market_rescans: telemetry.counter("pool.market_rescans"),
-            events_applied: telemetry.counter("pool.events_applied"),
-            shard_contention: telemetry.counter("pool.shard_contention"),
+            view_hits: telemetry.counter("raa.hits"),
+            view_rebuilds: telemetry.counter("raa.rebuilds"),
         }
     }
 }
@@ -242,14 +157,10 @@ impl PoolCounters {
 /// The pending transaction pool (see module docs for the architecture).
 ///
 /// All methods take `&self`: the pool is internally synchronized and is
-/// shared across submission threads and the miner via `Arc`.
+/// shared between submission, the miner and the RAA provider via `Arc`.
 pub struct TxPool {
     config: PoolConfig,
-    /// Outermost lock (see module docs for the lock order).
-    index: Mutex<CandidateIndex>,
-    shards: Box<[Mutex<Shard>]>,
-    events: Mutex<EventLog>,
-    len: AtomicUsize,
+    state: Mutex<PoolState>,
     stats: PoolCounters,
     telemetry: Arc<Telemetry>,
 }
@@ -261,21 +172,15 @@ impl Default for TxPool {
 }
 
 impl Clone for TxPool {
-    /// Snapshot clone: entries, event buffer, and counters are copied
-    /// under all locks; the clone's candidate index starts cold and
-    /// rebuilds itself on its first ordering read.
+    /// Snapshot clone: entries, indexes and cached views are copied under
+    /// the lock. The clone gets a fresh hub: counters restart at zero
+    /// rather than sharing (or double-counting into) the original's cells.
     fn clone(&self) -> Self {
-        let guards: Vec<MutexGuard<'_, Shard>> = self.shards.iter().map(|m| m.lock()).collect();
-        let events = self.events.lock();
-        // The clone gets a fresh hub: counters restart at zero rather
-        // than sharing (or double-counting into) the original's cells.
+        let state = self.state.lock().clone();
         let telemetry = Arc::new(Telemetry::enabled());
         Self {
             config: self.config.clone(),
-            index: Mutex::new(CandidateIndex::default()),
-            shards: guards.iter().map(|g| Mutex::new((**g).clone())).collect(),
-            events: Mutex::new(events.clone()),
-            len: AtomicUsize::new(self.len.load(Ordering::Relaxed)),
+            state: Mutex::new(state),
             stats: PoolCounters::register(&telemetry),
             telemetry,
         }
@@ -284,11 +189,7 @@ impl Clone for TxPool {
 
 impl core::fmt::Debug for TxPool {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("TxPool")
-            .field("len", &self.len())
-            .field("shards", &self.shards.len())
-            .field("config", &self.config)
-            .finish()
+        f.debug_struct("TxPool").field("len", &self.len()).field("config", &self.config).finish()
     }
 }
 
@@ -298,24 +199,20 @@ impl TxPool {
         Self::default()
     }
 
-    /// An empty pool with the given configuration (`config.shards` is
-    /// clamped to at least 1) and its own (enabled) telemetry hub.
+    /// An empty pool with the given configuration and its own (enabled)
+    /// telemetry hub.
     pub fn with_config(config: PoolConfig) -> Self {
         Self::with_telemetry(config, Arc::new(Telemetry::enabled()))
     }
 
     /// An empty pool recording into a shared `telemetry` hub — what a
-    /// node does so `pool.*` counters and admission latencies land in
-    /// the node-wide registry. With a disabled hub, the `pool.*`
+    /// node does so the `pool.*` and `raa.*` counters and admission
+    /// latencies land in the node-wide registry. With a disabled hub, the
     /// counters record nothing and inserts skip the clock.
     pub fn with_telemetry(config: PoolConfig, telemetry: Arc<Telemetry>) -> Self {
-        let shard_count = config.shards.max(1);
         Self {
             config,
-            index: Mutex::new(CandidateIndex::default()),
-            shards: (0..shard_count).map(|_| Mutex::new(Shard::default())).collect(),
-            events: Mutex::new(EventLog::default()),
-            len: AtomicUsize::new(0),
+            state: Mutex::new(PoolState::default()),
             stats: PoolCounters::register(&telemetry),
             telemetry,
         }
@@ -328,7 +225,7 @@ impl TxPool {
 
     /// Number of pooled transactions.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.state.lock().len()
     }
 
     /// `true` if nothing is pooled.
@@ -336,76 +233,9 @@ impl TxPool {
         self.len() == 0
     }
 
-    fn shard_of(&self, sender: &Address) -> usize {
-        (sereth_crypto::hash::fnv1a_64(sender.as_bytes()) % self.shards.len() as u64) as usize
-    }
-
-    /// Locks one shard, counting the acquisition as contended when the
-    /// lock was not immediately available (the "submission blocked"
-    /// signal `pool.shard_contention` reports).
-    fn lock_shard(&self, index: usize) -> MutexGuard<'_, Shard> {
-        match self.shards[index].try_lock() {
-            Some(guard) => guard,
-            None => {
-                self.stats.shard_contention.inc();
-                self.shards[index].lock()
-            }
-        }
-    }
-
-    /// Locks every shard in ascending order (the snapshot paths).
-    fn lock_all_shards(&self) -> Vec<MutexGuard<'_, Shard>> {
-        self.shards.iter().map(|m| m.lock()).collect()
-    }
-
     /// `true` if the pool holds the given transaction hash.
     pub fn contains(&self, hash: &H256) -> bool {
-        self.shards.iter().any(|m| m.lock().by_hash.contains_key(hash))
-    }
-
-    // ------------------------------------------------------------------
-    // Event stream
-    // ------------------------------------------------------------------
-
-    /// The cursor a new event subscriber should start from (the sequence
-    /// number the *next* event will carry).
-    pub fn event_cursor(&self) -> u64 {
-        self.events.lock().next_seq
-    }
-
-    /// Turns on event buffering and returns the cursor to read from.
-    /// Until this is called (and no indexed ordering read has happened)
-    /// the pool only advances its sequence number — mutations cost
-    /// nothing extra and [`TxPool::events_since`] reports [`EventLag`]
-    /// for any elapsed history, forcing a snapshot rebuild.
-    pub fn subscribe(&self) -> u64 {
-        let mut events = self.events.lock();
-        events.enabled = true;
-        events.next_seq
-    }
-
-    /// Every event recorded at or after `cursor`, in order.
-    ///
-    /// # Errors
-    ///
-    /// [`EventLag`] when `cursor` has already been evicted from the
-    /// bounded buffer; the caller must rebuild from a full snapshot
-    /// ([`TxPool::snapshot_with_cursor`]) and resume from the snapshot's
-    /// cursor.
-    pub fn events_since(&self, cursor: u64) -> Result<Vec<PoolEventRecord>, EventLag> {
-        let events = self.events.lock();
-        if cursor >= events.next_seq {
-            return Ok(Vec::new());
-        }
-        let oldest = match events.buffer.front() {
-            Some(record) => record.seq,
-            None => events.next_seq,
-        };
-        if cursor < oldest {
-            return Err(EventLag { oldest_buffered: oldest, resume_cursor: events.next_seq });
-        }
-        let skip = (cursor - oldest) as usize;
-        Ok(events.buffer.iter().skip(skip).cloned().collect())
+        self.state.lock().contains(hash)
     }
 
     // ------------------------------------------------------------------
@@ -413,8 +243,8 @@ impl TxPool {
     // ------------------------------------------------------------------
 
     /// Inserts `tx`, arriving at `now`. The whole admission decision —
-    /// shard lock, dup/replacement/capacity checks, event emission — is
-    /// timed as [`Phase::Admission`].
+    /// dup/replacement/capacity checks and both index updates — is timed
+    /// as [`Phase::Admission`].
     ///
     /// # Errors
     ///
@@ -424,156 +254,35 @@ impl TxPool {
     }
 
     fn insert_inner(&self, tx: Transaction, now: SimTime) -> Result<(), PoolError> {
-        let sender = tx.sender();
-        let nonce = tx.nonce();
-        let hash = tx.hash();
-        loop {
-            {
-                let mut shard = self.lock_shard(self.shard_of(&sender));
-                if shard.by_hash.contains_key(&hash) {
-                    return Err(PoolError::Duplicate);
-                }
-                if let Some(existing) = shard.by_sender.get(&sender).and_then(|queue| queue.get(&nonce)) {
-                    let required =
-                        existing.tx.gas_price().saturating_mul(100 + self.config.replace_bump_pct) / 100;
-                    if tx.gas_price() < required.max(existing.tx.gas_price() + 1) {
-                        return Err(PoolError::ReplacementUnderpriced);
-                    }
-                    let old_hash = existing.tx.hash();
-                    let old_to = existing.tx.to();
-                    shard.by_hash.remove(&old_hash);
-                    self.len.fetch_sub(1, Ordering::Relaxed);
-                    self.admit(&mut shard, tx, now, Some((old_hash, old_to)));
-                    return Ok(());
-                }
-                if self.len.load(Ordering::Relaxed) < self.config.capacity {
-                    self.admit(&mut shard, tx, now, None);
-                    return Ok(());
-                }
+        let (sender, nonce) = (tx.sender(), tx.nonce());
+        let mut state = self.state.lock();
+        if state.contains(&tx.hash()) {
+            return Err(PoolError::Duplicate);
+        }
+        if let Some(existing) = state.get(&sender, nonce) {
+            let required = existing.tx.gas_price().saturating_mul(100 + self.config.replace_bump_pct) / 100;
+            if tx.gas_price() < required.max(existing.tx.gas_price() + 1) {
+                return Err(PoolError::ReplacementUnderpriced);
             }
-            // At capacity: evict the globally cheapest entry if the
-            // newcomer pays more (under the index lock, which we must not
-            // acquire while holding our shard), then retry the fast path.
-            self.make_room_for(&tx)?;
-        }
-    }
-
-    /// Stamps and stores an admitted entry under an already-held shard
-    /// lock. `replaced` carries the same-nonce predecessor, whose
-    /// `Removed` event must precede the `Inserted` one.
-    fn admit(
-        &self,
-        shard: &mut Shard,
-        tx: Transaction,
-        now: SimTime,
-        replaced: Option<(H256, Option<Address>)>,
-    ) {
-        let sender = tx.sender();
-        let nonce = tx.nonce();
-        let arrival_seq;
-        {
-            let mut events = self.events.lock();
-            if let Some((old_hash, old_to)) = replaced {
-                events.emit_with(self.config.event_capacity, || PoolEvent::Removed {
-                    hash: old_hash,
-                    to: old_to,
-                });
+            state.remove(&sender, nonce);
+        } else if state.len() >= self.config.capacity {
+            // Full: evict the cheapest entry if the newcomer pays more.
+            match state.cheapest() {
+                Some((price, victim, victim_nonce)) if price < tx.gas_price() => {
+                    state.remove(&victim, victim_nonce);
+                }
+                _ => return Err(PoolError::PoolFull),
             }
-            arrival_seq = events.arrival_counter;
-            events.arrival_counter += 1;
-            // The clone stays inside the closure: unwatched pools never
-            // pay it (the whole point of `emit_with`).
-            events.emit_with(self.config.event_capacity, || PoolEvent::Inserted {
-                tx: tx.clone(),
-                arrival_seq,
-            });
         }
-        let entry = PoolEntry { arrival_seq, arrival_time: now, tx };
-        shard.by_hash.insert(entry.tx.hash(), (sender, nonce));
-        shard.by_sender.entry(sender).or_default().insert(nonce, entry);
-        self.len.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Evicts the globally cheapest pooled transaction if `tx` pays more.
-    ///
-    /// # Errors
-    ///
-    /// [`PoolError::PoolFull`] when nothing cheaper than `tx` is pooled.
-    fn make_room_for(&self, tx: &Transaction) -> Result<(), PoolError> {
-        let mut index = self.index.lock();
-        self.refresh_index(&mut index);
-        if self.len.load(Ordering::Relaxed) < self.config.capacity {
-            return Ok(()); // a concurrent removal made room
-        }
-        let Some((price, sender, nonce)) = index.cheapest() else {
-            return Err(PoolError::PoolFull);
-        };
-        if price >= tx.gas_price() {
-            return Err(PoolError::PoolFull);
-        }
-        // Remove the victim through the normal shard path (lock order:
-        // index → shard → events); the index learns of the removal from
-        // the event stream on its next refresh. The victim's price is
-        // re-checked under the shard lock: a concurrent replacement may
-        // have bumped the slot the index still thinks is cheapest, and
-        // the admission rule — evict only what the newcomer out-pays —
-        // must hold against the entry actually stored, not the index's
-        // snapshot of it. A mismatch just retries the outer insert loop.
-        let mut shard = self.lock_shard(self.shard_of(&sender));
-        let victim = shard
-            .by_sender
-            .get(&sender)
-            .and_then(|queue| queue.get(&nonce))
-            .filter(|entry| entry.tx.gas_price() < tx.gas_price())
-            .map(|entry| entry.tx.hash());
-        if let Some(hash) = victim {
-            self.remove_from_shard(&mut shard, &sender, nonce, &hash, false);
-        }
+        state.add(tx, now, self.config.market.as_ref());
         Ok(())
-    }
-
-    /// Removes one entry from an already-locked shard, emitting the
-    /// departure event.
-    fn remove_from_shard(
-        &self,
-        shard: &mut Shard,
-        sender: &Address,
-        nonce: u64,
-        hash: &H256,
-        committed: bool,
-    ) -> Option<Transaction> {
-        shard.by_hash.remove(hash)?;
-        let queue = shard.by_sender.get_mut(sender)?;
-        let entry = queue.remove(&nonce);
-        if queue.is_empty() {
-            shard.by_sender.remove(sender);
-        }
-        let tx = entry.map(|e| e.tx);
-        if let Some(tx) = &tx {
-            self.len.fetch_sub(1, Ordering::Relaxed);
-            let to = tx.to();
-            let hash = *hash;
-            let mut events = self.events.lock();
-            events.emit_with(self.config.event_capacity, || {
-                if committed {
-                    PoolEvent::Committed { hash, to }
-                } else {
-                    PoolEvent::Removed { hash, to }
-                }
-            });
-        }
-        tx
     }
 
     /// Removes a transaction by hash, returning it if present.
     pub fn remove(&self, hash: &H256) -> Option<Transaction> {
-        for mutex in self.shards.iter() {
-            let mut shard = mutex.lock();
-            if let Some(&(sender, nonce)) = shard.by_hash.get(hash) {
-                return self.remove_from_shard(&mut shard, &sender, nonce, hash, false);
-            }
-        }
-        None
+        let mut state = self.state.lock();
+        let (sender, nonce) = state.locate(hash)?;
+        state.remove(&sender, nonce).map(|entry| entry.tx)
     }
 
     /// Drops every pooled transaction that appears in `block_txs`, and any
@@ -581,23 +290,11 @@ impl TxPool {
     /// when a block is imported — this is why, right after publication, the
     /// pool "no longer contains marked transactions" (paper §V-C).
     pub fn remove_committed<'a>(&self, block_txs: impl IntoIterator<Item = &'a Transaction>) {
+        let mut state = self.state.lock();
         for tx in block_txs {
-            let sender = tx.sender();
-            let mut shard = self.lock_shard(self.shard_of(&sender));
-            let hash = tx.hash();
-            if let Some(&(owner, nonce)) = shard.by_hash.get(&hash) {
-                self.remove_from_shard(&mut shard, &owner, nonce, &hash, true);
-            }
-            // Same-sender same-nonce-or-older alternatives are now
-            // unincludable.
-            let stale: Vec<(u64, H256)> = shard
-                .by_sender
-                .get(&sender)
-                .map(|queue| queue.range(..=tx.nonce()).map(|(n, e)| (*n, e.tx.hash())).collect())
-                .unwrap_or_default();
-            for (nonce, hash) in stale {
-                self.remove_from_shard(&mut shard, &sender, nonce, &hash, false);
-            }
+            // The included transaction, and the same sender's
+            // same-nonce-or-older alternatives, now unincludable.
+            state.remove_nonces(&tx.sender(), ..=tx.nonce());
         }
     }
 
@@ -605,19 +302,11 @@ impl TxPool {
     /// current account nonce (e.g. after a reorg or a block built
     /// elsewhere). `nonce_of` supplies the account nonce per sender.
     pub fn prune_stale(&self, nonce_of: impl Fn(&Address) -> u64) {
-        for mutex in self.shards.iter() {
-            let mut shard = mutex.lock();
-            let stale: Vec<(Address, u64, H256)> = shard
-                .by_sender
-                .iter()
-                .flat_map(|(sender, queue)| {
-                    let floor = nonce_of(sender);
-                    queue.range(..floor).map(|(n, e)| (*sender, *n, e.tx.hash())).collect::<Vec<_>>()
-                })
-                .collect();
-            for (sender, nonce, hash) in stale {
-                self.remove_from_shard(&mut shard, &sender, nonce, &hash, false);
-            }
+        let mut state = self.state.lock();
+        let floors: Vec<(Address, u64)> =
+            state.queues().map(|(sender, _)| (*sender, nonce_of(sender))).collect();
+        for (sender, floor) in floors {
+            state.remove_nonces(&sender, ..floor);
         }
     }
 
@@ -635,83 +324,16 @@ impl TxPool {
 
     /// Runs `f` over every pooled entry in arrival order, borrowed in
     /// place: only the reference vector is allocated; the entries (and
-    /// their calldata) never move. All shards are held for the duration,
+    /// their calldata) never move. The pool lock is held for the duration,
     /// so the view is atomic — keep `f` short.
     pub fn with_entries_by_arrival<R>(&self, f: impl FnOnce(&[&PoolEntry]) -> R) -> R {
-        let guards = self.lock_all_shards();
-        let mut entries: Vec<&PoolEntry> =
-            guards.iter().flat_map(|g| g.by_sender.values().flat_map(|queue| queue.values())).collect();
-        entries.sort_by_key(|entry| entry.arrival_seq);
-        f(&entries)
-    }
-
-    /// An atomic full snapshot plus the event cursor that immediately
-    /// follows it — what a lagged subscriber rebuilds from: applying
-    /// events from the returned cursor onward to the returned entries
-    /// reproduces every later pool state.
-    pub fn snapshot_with_cursor(&self) -> (Vec<PoolEntry>, u64) {
-        let guards = self.lock_all_shards();
-        let cursor = self.events.lock().next_seq;
-        let mut entries: Vec<PoolEntry> = guards
-            .iter()
-            .flat_map(|g| g.by_sender.values().flat_map(|queue| queue.values().cloned()))
-            .collect();
-        entries.sort_by_key(|entry| entry.arrival_seq);
-        (entries, cursor)
+        let state = self.state.lock();
+        f(&state.by_arrival())
     }
 
     // ------------------------------------------------------------------
     // Indexed reads
     // ------------------------------------------------------------------
-
-    /// Brings the candidate index up to the event stream's head. Called
-    /// with the index lock held; acquires shards and/or the event log
-    /// (inner locks) as needed.
-    fn refresh_index(&self, index: &mut CandidateIndex) {
-        if !index.subscribed {
-            self.rebuild_index_locked(index);
-            return;
-        }
-        match self.events_since(index.cursor) {
-            Ok(records) => {
-                if let Some(last) = records.last() {
-                    index.cursor = last.seq + 1;
-                }
-                let applied = records.len() as u64;
-                for record in &records {
-                    index.apply_event(&record.event, self.config.market.as_ref());
-                }
-                self.stats.events_applied.add(applied);
-            }
-            Err(_lag) => self.rebuild_index_locked(index),
-        }
-    }
-
-    /// Rebuilds the index from a full snapshot taken under all shard
-    /// locks (so the captured cursor exactly matches the entries), and
-    /// subscribes the pool's event stream for future incremental catch-up.
-    fn rebuild_index_locked(&self, index: &mut CandidateIndex) {
-        let guards = self.lock_all_shards();
-        let cursor = {
-            let mut events = self.events.lock();
-            events.enabled = true;
-            events.next_seq
-        };
-        let mut entries: Vec<&PoolEntry> =
-            guards.iter().flat_map(|g| g.by_sender.values().flat_map(|queue| queue.values())).collect();
-        entries.sort_by_key(|entry| entry.arrival_seq);
-        index.rebuild(entries.iter().copied(), self.config.market.as_ref());
-        index.cursor = cursor;
-        index.subscribed = true;
-        self.stats.index_rebuilds.inc();
-    }
-
-    /// Forces a full index rebuild (test hook for the equivalence
-    /// properties; production code never needs it).
-    pub fn rebuild_index(&self) {
-        let mut index = self.index.lock();
-        self.rebuild_index_locked(&mut index);
-    }
 
     /// Executable transactions ordered the way a fee-maximising miner picks
     /// them: highest gas price first, arrival order breaking ties, while
@@ -721,7 +343,7 @@ impl TxPool {
     /// whose next pooled nonce is ahead of their account nonce (a gap) are
     /// held back entirely.
     ///
-    /// Served from the incremental index in `O(k log k)` for `k` returned
+    /// Served from the price index in `O(k log k)` for `k` returned
     /// candidates — counted in `pool.index_hits`.
     pub fn ready_by_price(&self, base_nonce: impl Fn(&Address) -> u64) -> Vec<Transaction> {
         self.ready_by_price_limited(base_nonce, usize::MAX)
@@ -738,22 +360,16 @@ impl TxPool {
     /// sender's nonce cursor from `base_nonce` on first touch, so stale
     /// entries (pooled nonce below the caller's account nonce — a
     /// submission racing an import before the next [`TxPool::prune_stale`]
-    /// catches it) are skipped per-entry
-    /// during the walk itself rather than deferred to the next import's
-    /// prune. There is no fallback path: budgeted reads under churn stay
-    /// index-served and byte-equal to [`TxPool::ready_by_price_rescan`],
-    /// which the `txpool_index_props` suite pins across randomized
-    /// stale/gap/limit grids.
+    /// catches it) are skipped per-entry during the walk itself rather
+    /// than deferred to the next import's prune. The `txpool_index_props`
+    /// suite pins this against [`TxPool::ready_by_price_rescan`] across
+    /// randomized stale/gap/limit grids.
     pub fn ready_by_price_limited(
         &self,
         base_nonce: impl Fn(&Address) -> u64,
         limit: usize,
     ) -> Vec<Transaction> {
-        let out = {
-            let mut index = self.index.lock();
-            self.refresh_index(&mut index);
-            index.ready_by_price(&|sender| base_nonce(sender), limit)
-        };
+        let out = self.state.lock().ready_by_price(&|sender| base_nonce(sender), limit);
         self.stats.index_hits.inc();
         out
     }
@@ -768,9 +384,8 @@ impl TxPool {
         limit: usize,
     ) -> Vec<Transaction> {
         self.stats.rescans.inc();
-        let guards = self.lock_all_shards();
-        let queues: Vec<(&Address, &std::collections::BTreeMap<u64, PoolEntry>)> =
-            guards.iter().flat_map(|g| g.by_sender.iter()).collect();
+        let state = self.state.lock();
+        let queues: Vec<(&Address, &BTreeMap<u64, PoolEntry>)> = state.queues().collect();
         let mut cursors: HashMap<Address, u64> =
             queues.iter().map(|(sender, _)| (**sender, base_nonce(sender))).collect();
         let mut out = Vec::new();
@@ -810,7 +425,7 @@ impl TxPool {
     /// arrival order, with its FPV pre-parsed — what the semantic and PWV
     /// miners consume instead of re-decoding the whole pool per block.
     ///
-    /// Served from the per-contract index when the selectors match the
+    /// Served from the market book when the selectors match the
     /// configured [`PoolConfig::market`]; otherwise (unconfigured pools,
     /// foreign selectors) computed by a counted rescan with the identical
     /// classification rule.
@@ -821,10 +436,8 @@ impl TxPool {
         buy_selector: Selector,
     ) -> Vec<MarketEntry> {
         if self.config.market == Some(MarketSpec { set_selector, buy_selector }) {
-            let mut index = self.index.lock();
-            self.refresh_index(&mut index);
             self.stats.index_hits.inc();
-            return index.market(contract);
+            return self.state.lock().market(contract);
         }
         self.stats.market_rescans.inc();
         self.with_entries_by_arrival(|entries| {
@@ -834,6 +447,33 @@ impl TxPool {
                 .filter_map(|e| MarketEntry::classify(&e.tx, e.arrival_seq, set_selector, buy_selector))
                 .collect()
         })
+    }
+
+    /// The READ-UNCOMMITTED view of `contract` given its committed
+    /// `(mark, value)`: byte-identical to batch
+    /// [`hash_mark_set`] over [`TxPool::pending_by_arrival`] with the same
+    /// arguments.
+    ///
+    /// When `set_selector` is the configured [`PoolConfig::market`]'s, the
+    /// view comes from the contract's market book, which caches it until
+    /// one of the contract's `set` entries is inserted or removed (or the
+    /// caller's `committed`/`config` differ). Cached reads count on
+    /// `raa.hits`, recomputations on `raa.rebuilds`. Otherwise the whole
+    /// pool is filtered per call, counted on `pool.market_rescans`.
+    pub fn market_view(
+        &self,
+        contract: &Address,
+        set_selector: Selector,
+        committed: (H256, H256),
+        config: &HmsConfig,
+    ) -> HmsView {
+        if self.config.market.is_some_and(|spec| spec.set_selector == set_selector) {
+            return self.state.lock().market_view(contract, set_selector, committed, config, &self.stats);
+        }
+        self.stats.market_rescans.inc();
+        let pending: Vec<PendingTx> =
+            self.with_entries_by_arrival(|entries| entries.iter().map(|entry| entry.pending()).collect());
+        hash_mark_set(&pending, contract, set_selector, committed, config).view
     }
 }
 
@@ -989,7 +629,7 @@ mod tests {
 
     #[test]
     fn indexed_ready_matches_rescan_after_churn() {
-        let pool = TxPool::with_config(PoolConfig { shards: 4, ..PoolConfig::default() });
+        let pool = TxPool::new();
         let keys: Vec<SecretKey> = (1..=12).map(SecretKey::from_label).collect();
         for (i, key) in keys.iter().enumerate() {
             for nonce in 0..3 {
@@ -1072,148 +712,15 @@ mod tests {
     }
 
     #[test]
-    fn events_record_insert_remove_commit() {
+    fn clone_is_a_faithful_snapshot() {
         let pool = TxPool::new();
-        let key = SecretKey::from_label(1);
-        let cursor = pool.subscribe();
-        let t0 = tx(&key, 0, 10);
-        let t1 = tx(&key, 1, 10);
-        pool.insert(t0.clone(), 0).unwrap();
-        pool.insert(t1.clone(), 1).unwrap();
-        pool.remove(&t1.hash());
-        pool.remove_committed([&t0]);
-        let events: Vec<PoolEvent> =
-            pool.events_since(cursor).unwrap().into_iter().map(|r| r.event).collect();
-        assert_eq!(
-            events,
-            vec![
-                PoolEvent::Inserted { tx: t0.clone(), arrival_seq: 0 },
-                PoolEvent::Inserted { tx: t1.clone(), arrival_seq: 1 },
-                PoolEvent::Removed { hash: t1.hash(), to: t1.to() },
-                PoolEvent::Committed { hash: t0.hash(), to: t0.to() },
-            ]
-        );
-        // The cursor advanced past everything: nothing new.
-        assert!(pool.events_since(pool.event_cursor()).unwrap().is_empty());
-    }
-
-    #[test]
-    fn replacement_emits_removed_then_inserted() {
-        let pool = TxPool::new();
-        let key = SecretKey::from_label(1);
-        let cheap = tx(&key, 0, 100);
-        pool.subscribe();
-        pool.insert(cheap.clone(), 0).unwrap();
-        let cursor = pool.event_cursor();
-        let rich = tx(&key, 0, 110);
-        pool.insert(rich.clone(), 1).unwrap();
-        let events: Vec<PoolEvent> =
-            pool.events_since(cursor).unwrap().into_iter().map(|r| r.event).collect();
-        assert_eq!(events.len(), 2);
-        assert!(matches!(&events[0], PoolEvent::Removed { hash, .. } if *hash == cheap.hash()));
-        assert!(matches!(&events[1], PoolEvent::Inserted { tx, .. } if tx.hash() == rich.hash()));
-    }
-
-    #[test]
-    fn stale_nonce_collateral_emits_removed() {
-        let pool = TxPool::new();
-        let key = SecretKey::from_label(1);
-        let n0 = tx(&key, 0, 10);
-        let committed = tx(&key, 1, 10);
-        pool.subscribe();
-        pool.insert(n0.clone(), 0).unwrap();
-        pool.insert(committed.clone(), 1).unwrap();
-        let cursor = pool.event_cursor();
-        pool.remove_committed([&committed]);
-        let events: Vec<PoolEvent> =
-            pool.events_since(cursor).unwrap().into_iter().map(|r| r.event).collect();
-        assert_eq!(events.len(), 2);
-        assert!(matches!(&events[0], PoolEvent::Committed { hash, .. } if *hash == committed.hash()));
-        assert!(matches!(&events[1], PoolEvent::Removed { hash, .. } if *hash == n0.hash()));
-    }
-
-    #[test]
-    fn lagged_cursor_reports_resync_point() {
-        let pool = TxPool::with_config(PoolConfig { event_capacity: 2, ..PoolConfig::default() });
-        pool.subscribe();
-        let key = SecretKey::from_label(1);
-        for nonce in 0..5 {
-            pool.insert(tx(&key, nonce, 10), nonce).unwrap();
-        }
-        let err = pool.events_since(0).unwrap_err();
-        assert_eq!(err.oldest_buffered, 3);
-        assert_eq!(err.resume_cursor, 5);
-        // The still-buffered suffix is readable.
-        assert_eq!(pool.events_since(3).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn event_overflow_forces_a_counted_index_rebuild() {
-        let pool = TxPool::with_config(PoolConfig { event_capacity: 4, ..PoolConfig::default() });
-        let key = SecretKey::from_label(1);
-        pool.insert(tx(&key, 0, 10), 0).unwrap();
-        assert_eq!(pool.ready_by_price(|_| 0).len(), 1);
-        let rebuilds_after_first = counter(&pool, "pool.index_rebuilds");
-        assert!(rebuilds_after_first >= 1, "lazy subscription rebuilds once");
-        // Push the internal cursor out of the buffer.
-        for nonce in 1..20 {
-            pool.insert(tx(&key, nonce, 10), nonce).unwrap();
-        }
-        let ready = pool.ready_by_price(|_| 0);
-        assert_eq!(ready.len(), 20);
-        assert_eq!(counter(&pool, "pool.index_rebuilds"), rebuilds_after_first + 1);
-        // And the rebuilt index still matches the oracle.
-        assert_eq!(ready, pool.ready_by_price_rescan(|_| 0, usize::MAX));
-    }
-
-    #[test]
-    fn ordering_is_invariant_in_the_shard_count() {
-        let build = |shards: usize| {
-            let pool = TxPool::with_config(PoolConfig { shards, ..PoolConfig::default() });
-            for label in 1..=17u64 {
-                let key = SecretKey::from_label(label);
-                pool.insert(tx(&key, 0, label % 5 + 1), label).unwrap();
-                pool.insert(tx(&key, 1, label % 7 + 1), 50 + label).unwrap();
-            }
-            pool.remove_committed([&tx(&SecretKey::from_label(3), 0, 4)]);
-            pool
-        };
-        let one = build(1);
-        let many = build(16);
-        assert_eq!(one.ready_by_price(|_| 0), many.ready_by_price(|_| 0));
-        let arrivals = |pool: &TxPool| -> Vec<(H256, u64)> {
-            pool.pending_by_arrival().iter().map(|e| (e.tx.hash(), e.arrival_seq)).collect()
-        };
-        assert_eq!(arrivals(&one), arrivals(&many));
-    }
-
-    #[test]
-    fn snapshot_with_cursor_matches_event_stream() {
-        let pool = TxPool::new();
-        pool.subscribe();
-        let key = SecretKey::from_label(1);
-        pool.insert(tx(&key, 0, 10), 0).unwrap();
-        let (entries, cursor) = pool.snapshot_with_cursor();
-        assert_eq!(entries.len(), 1);
-        assert_eq!(cursor, pool.event_cursor());
-        pool.insert(tx(&key, 1, 10), 1).unwrap();
-        // Applying the events from the snapshot cursor reproduces the pool.
-        let later = pool.events_since(cursor).unwrap();
-        assert_eq!(later.len(), 1);
-        assert!(matches!(&later[0].event, PoolEvent::Inserted { arrival_seq: 1, .. }));
-    }
-
-    #[test]
-    fn clone_is_a_faithful_snapshot_with_a_cold_index() {
-        let pool = TxPool::new();
-        pool.subscribe();
         let key = SecretKey::from_label(1);
         pool.insert(tx(&key, 0, 10), 0).unwrap();
         pool.insert(tx(&key, 1, 30), 1).unwrap();
         let snapshot = pool.clone();
         pool.insert(tx(&key, 2, 20), 2).unwrap();
         assert_eq!(snapshot.len(), 2);
-        assert_eq!(snapshot.event_cursor(), 2);
+        assert_eq!(snapshot.ready_by_price(|_| 0).len(), 2);
         assert_eq!(snapshot.ready_by_price(|_| 0), snapshot.ready_by_price_rescan(|_| 0, usize::MAX));
         assert_eq!(pool.len(), 3);
     }

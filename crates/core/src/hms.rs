@@ -8,16 +8,6 @@ use crate::fpv::{Flag, SPECIAL_VALUE};
 use crate::process::{process, PendingTx, TxnNode};
 use crate::series::SeriesGraph;
 
-/// Isolation level of a state read (paper §I–§II).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IsolationLevel {
-    /// Only values committed in published blocks are visible — Ethereum's
-    /// effective level, with block-interval latency.
-    ReadCommitted,
-    /// Pending (uncommitted) values ordered by Hash-Mark-Set are visible.
-    ReadUncommitted,
-}
-
 /// Where an [`HmsView`] was served from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ViewSource {
@@ -69,7 +59,7 @@ impl HmsView {
 }
 
 /// Configuration for the Hash-Mark-Set algorithm.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HmsConfig {
     /// Enable the committed-head extension (paper §V-C future work):
     /// transactions chaining directly onto the committed mark root the
@@ -111,13 +101,10 @@ pub fn hash_mark_set(
 }
 
 /// Algorithm 1 lines 3–9 over an already-filtered transaction list: the
-/// series extraction and view construction shared by the batch
-/// [`hash_mark_set`] and the incremental `sereth-raa` view service (which
-/// maintains the filtered list across pool events instead of re-running
-/// `PROCESS` per query).
+/// series extraction and view construction behind [`hash_mark_set`], for
+/// callers that already hold `PROCESS`'s output.
 ///
-/// `txn_list` must be the output of [`process`] (or an incrementally
-/// maintained equivalent) in pool-arrival order.
+/// `txn_list` must be the output of [`process`] in pool-arrival order.
 pub fn outcome_from_nodes(txn_list: Vec<TxnNode>, committed: (H256, H256), config: &HmsConfig) -> HmsOutcome {
     let (committed_mark, committed_value) = committed;
     let committed_outcome = || HmsOutcome {

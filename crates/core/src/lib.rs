@@ -65,9 +65,7 @@ pub mod provider;
 pub mod series;
 
 pub use fpv::{Flag, Fpv, HEAD_FLAG, SPECIAL_VALUE, SUCCESS_FLAG};
-pub use hms::{
-    hash_mark_set, outcome_from_nodes, HmsConfig, HmsOutcome, HmsView, IsolationLevel, ViewSource,
-};
+pub use hms::{hash_mark_set, outcome_from_nodes, HmsConfig, HmsOutcome, HmsView, ViewSource};
 pub use mark::{compute_mark, genesis_mark, Amv};
 pub use process::{filter_one, process, process_iter, PendingTx, TxnNode};
 pub use provider::{HmsDataSource, HmsRaaProvider};

@@ -81,9 +81,10 @@ pub fn process_iter<'a>(
 }
 
 /// Algorithm 2's per-transaction body: `Some(node)` iff `pending` is a
-/// Sereth `set` on `contract` with an accepted flag. Exposed so event
-/// subscribers (the `sereth-raa` service) apply the exact same filter to
-/// single transactions that [`process`] applies to snapshots.
+/// Sereth `set` on `contract` with an accepted flag. Exposed so callers
+/// that walk a pool one borrowed entry at a time (the
+/// [`HmsRaaProvider`](crate::provider::HmsRaaProvider)) apply the exact
+/// same filter that [`process`] applies to snapshots.
 pub fn filter_one(pending: &PendingTx, contract: &Address, set_selector: Selector) -> Option<TxnNode> {
     // The transaction must target the managed contract…
     if pending.to != Some(*contract) {

@@ -11,11 +11,12 @@
 //! assembly; see [`MinerPolicy::Pwv`].
 //!
 //! Every policy exists twice: the default implementations read the pool's
-//! incrementally-maintained candidate indexes ([`order_candidates`] /
-//! [`order_candidates_limited`] — `ready_by_price` is an `O(k)` index
-//! read, market calldata is pre-parsed at insert), and the pre-index
-//! rescan implementations are kept verbatim as the byte-equality oracle
-//! and benchmark baseline ([`order_candidates_rescan`]; the
+//! two indexes, which every pool mutation keeps current
+//! ([`order_candidates`] / [`order_candidates_limited`] — `ready_by_price`
+//! is an `O(k)` walk of the price index, and market calldata is
+//! pre-parsed into the market book at insert), and the pre-index rescan
+//! implementations are kept verbatim as the byte-equality oracle and
+//! benchmark baseline ([`order_candidates_rescan`]; the
 //! `txpool_index_props` suite holds the two equal over randomized pool
 //! histories).
 
@@ -62,33 +63,10 @@ pub fn market_spec() -> MarketSpec {
     MarketSpec { set_selector: set_selector(), buy_selector: buy_selector() }
 }
 
-/// Converts one pool entry into the lightweight view HMS consumes (the
-/// calldata is shared, not copied).
-pub fn pending_tx(entry: &sereth_chain::txpool::PoolEntry) -> PendingTx {
-    PendingTx {
-        hash: entry.tx.hash(),
-        sender: entry.tx.sender(),
-        to: entry.tx.to(),
-        input: entry.tx.input().clone(),
-        arrival_seq: entry.arrival_seq,
-    }
-}
-
-/// The same lightweight view, from a pre-parsed market-index entry.
-fn market_pending(entry: &MarketEntry) -> PendingTx {
-    PendingTx {
-        hash: entry.tx.hash(),
-        sender: entry.tx.sender(),
-        to: entry.tx.to(),
-        input: entry.tx.input().clone(),
-        arrival_seq: entry.arrival_seq,
-    }
-}
-
 /// Converts pool entries into the lightweight view HMS consumes, borrowed
 /// in place (no entry is cloned).
 pub fn pending_view(pool: &TxPool) -> Vec<PendingTx> {
-    pool.with_entries_by_arrival(|entries| entries.iter().map(|entry| pending_tx(entry)).collect())
+    pool.with_entries_by_arrival(|entries| entries.iter().map(|entry| entry.pending()).collect())
 }
 
 /// Reads the committed `(mark, value)` of the Sereth contract from an
@@ -100,7 +78,7 @@ pub fn committed_amv(state: &StateView, contract: &Address) -> (H256, H256) {
 }
 
 /// Orders the pool's candidates according to `policy`, from the pool's
-/// incremental indexes.
+/// indexes.
 pub fn order_candidates(
     pool: &TxPool,
     state: &StateView,
@@ -207,7 +185,7 @@ fn pwv_schedule(market: &[MarketEntry], committed: (H256, H256)) -> (Vec<Transac
 }
 
 /// The PWV order (see [`MinerPolicy::Pwv`]), from the pre-parsed market
-/// index: no pool walk, no per-block calldata decoding. Unready market
+/// book: no pool walk, no per-block calldata decoding. Unready market
 /// traffic and foreign transactions follow by fee priority.
 fn pwv_order(pool: &TxPool, state: &StateView, contract: &Address, limit: usize) -> Vec<Transaction> {
     let committed = committed_amv(state, contract);
@@ -248,7 +226,7 @@ fn semantic_schedule(
     config: &HmsConfig,
 ) -> (Vec<Transaction>, HashSet<H256>) {
     let pending: Vec<PendingTx> =
-        market.iter().filter(|e| e.kind == MarketKind::Set).map(market_pending).collect();
+        market.iter().filter(|e| e.kind == MarketKind::Set).map(MarketEntry::pending).collect();
     let outcome = hash_mark_set(&pending, contract, set_selector(), committed, config);
 
     let by_hash: HashMap<H256, &Transaction> = market.iter().map(|e| (e.tx.hash(), &e.tx)).collect();
@@ -286,7 +264,7 @@ fn semantic_schedule(
     (ordered, used)
 }
 
-/// The semantic-mining order, from the pre-parsed market index; everything
+/// The semantic-mining order, from the pre-parsed market book; everything
 /// the series does not place follows by fee priority (mostly no-ops, but
 /// part of raw throughput).
 fn semantic_order(

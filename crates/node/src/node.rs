@@ -4,9 +4,10 @@
 //! A node is either a standard **Geth** client or a modified **Sereth**
 //! client (paper §III-B). The only difference — faithfully to the paper —
 //! is that the Sereth client compiles in the RAA data service: its RAA
-//! registry carries a [`ServiceRaaProvider`] over the incremental
-//! [`RaaService`], so read-only `get`/`mark` calls against the Sereth
-//! contract return READ-UNCOMMITTED views.
+//! registry carries a [`PoolRaaProvider`] over the node's own pool, whose
+//! market book caches each contract's Hash-Mark-Set view, so read-only
+//! `get`/`mark` calls against the Sereth contract return READ-UNCOMMITTED
+//! views.
 //! "Deployment of Sereth in the wild would not require a fork" (§V):
 //! both kinds interoperate on one network here too, which
 //! `tests/interop.rs` exercises.
@@ -26,7 +27,7 @@ use sereth_chain::StoreError;
 use sereth_core::hms::HmsConfig;
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
-use sereth_raa::{RaaConfig, RaaDataSource, RaaService, ServiceRaaProvider};
+use sereth_raa::{PoolRaaProvider, RaaDataSource};
 use sereth_telemetry::{BlockTrace, Histogram, Phase, Telemetry, TelemetryConfig, TelemetrySnapshot};
 use sereth_types::block::Block;
 use sereth_types::transaction::Transaction;
@@ -110,8 +111,7 @@ impl Default for MinerSetup {
 /// ([`NodeConfig::geth`], [`NodeConfig::sereth`], [`NodeConfig::miner`]):
 /// the builder is the one construction surface, so a new knob (like
 /// [`NodeConfig::isolation`]) never again requires touching every
-/// call site. The fields stay public for inspection and for
-/// `NodeHandle::with_inner_mut`-style rewiring.
+/// call site. The fields stay public for inspection.
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
     /// Client kind (decides whether RAA/HMS is compiled in).
@@ -124,10 +124,10 @@ pub struct NodeConfig {
     pub limits: BlockLimits,
     /// HMS extensions (committed-head).
     pub hms: HmsConfig,
-    /// Transaction-pool configuration (shard count, capacity, event
-    /// buffer). The node overrides [`PoolConfig::market`] with the Sereth
-    /// contract's selectors so `set`/`buy` calldata is pre-parsed at
-    /// insert.
+    /// Transaction-pool configuration (capacity, replacement bump). The
+    /// node overrides [`PoolConfig::market`] with the Sereth contract's
+    /// selectors so `set`/`buy` calldata is pre-parsed at insert and RAA
+    /// views are served from the pool's market book.
     pub pool: PoolConfig,
     /// The telemetry switch. On by default (the layer is cheap enough to
     /// leave running); disabled, every subsystem records nothing and the
@@ -343,9 +343,9 @@ impl NodeConfigBuilder {
 pub struct NodeInner {
     /// Chain store (canonical chain + side chains).
     pub chain: ChainStore,
-    /// Pending transaction pool. Internally synchronized (sharded) and
-    /// held by `Arc`, so submission and the miner's ordering pass run
-    /// *outside* the node lock against the same pool.
+    /// Pending transaction pool. Internally synchronized (one lock of its
+    /// own) and held by `Arc`, so submission, the miner's ordering pass
+    /// and RAA reads run *outside* the node lock against the same pool.
     pub pool: Arc<TxPool>,
     /// RAA registry (holds the HMS provider on Sereth nodes).
     pub raa: RaaRegistry,
@@ -474,8 +474,8 @@ fn effective_policy(policy: &MinerPolicy, isolation: IsolationLevel, telemetry: 
 #[derive(Clone)]
 pub struct NodeHandle {
     inner: Arc<Mutex<NodeInner>>,
-    /// The node-wide telemetry hub every subsystem (pool, store, RAA
-    /// service, miner) records into.
+    /// The node-wide telemetry hub every subsystem (pool and its RAA
+    /// views, store, miner) records into.
     telemetry: Arc<Telemetry>,
     /// Hold-time histogram of the node lock (`node.lock_hold`): one
     /// sample per acquisition through this handle, so the lock-discipline
@@ -530,14 +530,6 @@ impl NodeHandle {
 struct NodeSource(Weak<Mutex<NodeInner>>);
 
 impl RaaDataSource for NodeSource {
-    fn sync(&self, service: &RaaService) {
-        let Some(node) = self.0.upgrade() else { return };
-        let pool = node.lock().pool.clone();
-        // Event draining happens outside the node lock; the service's own
-        // cursor mutex serialises concurrent syncs.
-        service.sync(&pool);
-    }
-
     fn committed(&self, contract: &Address) -> (H256, H256) {
         let Some(node) = self.0.upgrade() else { return (H256::ZERO, H256::ZERO) };
         let view = node.lock().chain.head_state_view();
@@ -557,8 +549,8 @@ impl NodeHandle {
 
     /// Builds a node from `genesis` with the given configuration,
     /// opening (and, for a durable backend, recovering) the chain store.
-    /// Sereth nodes at READ UNCOMMITTED get the RAA service provider
-    /// installed for the contract's `get`/`mark` selectors.
+    /// Sereth nodes at READ UNCOMMITTED get the RAA provider installed
+    /// for the contract's `get`/`mark` selectors.
     ///
     /// # Errors
     ///
@@ -585,22 +577,22 @@ impl NodeHandle {
         {
             let mut inner = handle.inner.lock();
             // The RAA provider exists to serve READ-UNCOMMITTED views;
-            // at the stronger rungs queries never consult it, so neither
-            // the provider nor the pool's event buffering is installed —
-            // a Sereth node at READ COMMITTED pays nothing for RAA.
+            // at the stronger rungs queries never consult it, so it is
+            // not installed and no pool view is ever computed.
             if inner.config.kind == ClientKind::Sereth
                 && inner.config.isolation == IsolationLevel::ReadUncommitted
             {
                 let source = Arc::new(NodeSource(Arc::downgrade(&handle.inner)));
-                inner.pool.subscribe();
-                let service = Arc::new(RaaService::with_telemetry(
-                    RaaConfig { hms: inner.config.hms.clone(), ..RaaConfig::new(set_selector()) },
-                    handle.telemetry.clone(),
-                ));
+                let provider = PoolRaaProvider::new(
+                    inner.pool.clone(),
+                    source,
+                    set_selector(),
+                    inner.config.hms.clone(),
+                );
                 let contract = inner.config.contract;
                 inner.raa.enable(contract, get_selector());
                 inner.raa.enable(contract, mark_selector());
-                inner.raa.set_provider(Arc::new(ServiceRaaProvider::new(service, source)));
+                inner.raa.set_provider(Arc::new(provider));
             }
         }
         Ok(handle)
@@ -808,7 +800,8 @@ impl NodeHandle {
         let (mark, value) = match mode {
             ReadMode::Speculative { raa, env } => {
                 // The lock is released: the provider re-locks the node
-                // inside `augment` without deadlocking.
+                // for the committed AMV inside `augment` without
+                // deadlocking.
                 let zero = [H256::ZERO, H256::ZERO, H256::ZERO];
                 let mark_out = call_readonly(
                     &state,
@@ -850,8 +843,8 @@ impl NodeHandle {
     ///
     /// The node lock is held only for the gossip-dedup check and an O(1)
     /// state-view capture; signature verification and the pool insert run
-    /// outside it, so submission from many clients contends on the pool's
-    /// sender shards — not on the miner's node lock.
+    /// outside it, so submission contends on the pool's own lock — not on
+    /// the miner's node lock.
     pub fn receive_tx(&self, tx: Transaction, now: SimTime) -> bool {
         self.telemetry.time(Phase::ReceiveTx, || {
             let (pool, view) = {
@@ -948,8 +941,7 @@ impl NodeHandle {
         }
     }
 
-    /// The node's telemetry hub (shared with the pool, store, and RAA
-    /// service).
+    /// The node's telemetry hub (shared with the pool and the store).
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
     }
@@ -968,8 +960,8 @@ impl NodeHandle {
     /// The node lock is held twice, briefly: once to snapshot the parent
     /// header, a COW state clone, and the pool handle; once to import the
     /// sealed block. Candidate ordering and execution run in between,
-    /// unlocked — client submission keeps flowing into the pool shards
-    /// while the block is being built.
+    /// unlocked — client submission keeps flowing into the pool while the
+    /// block is being built.
     pub fn mine(&self, now: SimTime) -> Option<Block> {
         let (setup, parent, state, pool, contract, limits, isolation) = {
             let inner = self.lock();
@@ -1055,13 +1047,6 @@ impl NodeHandle {
     /// Runs `f` with the locked inner state (post-run inspection).
     pub fn with_inner<T>(&self, f: impl FnOnce(&NodeInner) -> T) -> T {
         f(&self.lock())
-    }
-
-    /// Runs `f` with mutable access to the inner state — for wiring beyond
-    /// the standard configuration, e.g. enabling RAA for additional
-    /// contracts (one HMS provider can serve many markets).
-    pub fn with_inner_mut<T>(&self, f: impl FnOnce(&mut NodeInner) -> T) -> T {
-        f(&mut self.lock())
     }
 
     /// Where a submitted transaction stands from this node's view — what a

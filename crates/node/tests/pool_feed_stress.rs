@@ -1,21 +1,22 @@
-//! Threaded submit-vs-mine stress for the sharded pool feed.
+//! Threaded stress for the pool feed.
 //!
 //! Submitter threads hammer `NodeHandle::receive_tx` (which verifies
-//! signatures and inserts into the pool's sender shards *outside* the
-//! node lock) while a miner thread continuously orders candidates from
-//! the incremental index and seals blocks. The test then proves nothing
-//! was lost or corrupted under the race: every accepted transaction
-//! commits exactly once, a follower validates every sealed block, and
-//! the pool drains to empty with its index having served the ordering
-//! passes.
+//! signatures and inserts into the pool *outside* the node lock) while a
+//! miner thread continuously orders candidates from the pool's price
+//! index and seals blocks. The test then proves nothing was lost or
+//! corrupted under the race: every accepted transaction commits exactly
+//! once, a follower validates every sealed block, and the pool drains to
+//! empty with its index having served the ordering passes. A second race
+//! pins that the pool's capacity bound holds at every instant.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Barrier;
 
 use bytes::Bytes;
 use sereth_chain::builder::BlockLimits;
 use sereth_chain::genesis::Genesis;
-use sereth_chain::txpool::PoolConfig;
+use sereth_chain::txpool::{PoolConfig, TxPool};
 use sereth_chain::GenesisBuilder;
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
@@ -61,8 +62,7 @@ fn genesis() -> Genesis {
 
 fn node(miner: bool) -> NodeHandle {
     let mut config = NodeConfig::geth(default_contract_address())
-        .limits(BlockLimits { gas_limit: 8_000_000, max_txs: Some(64) })
-        .pool(PoolConfig { shards: 16, ..PoolConfig::default() });
+        .limits(BlockLimits { gas_limit: 8_000_000, max_txs: Some(64) });
     if miner {
         config = config
             .mining(MinerPolicy::Standard)
@@ -161,18 +161,17 @@ fn concurrent_submitters_and_miner_lose_nothing() {
     }
     assert_eq!(follower.head_number(), miner.head_number());
 
-    // The ordering passes were served by the index, incrementally.
+    // The ordering passes were served by the index.
     let counters = miner.telemetry_snapshot().counters;
     let pool: Vec<(&String, &u64)> = counters.iter().filter(|(name, _)| name.starts_with("pool.")).collect();
     assert!(counters["pool.index_hits"] > 0, "mining must read the candidate index: {pool:?}");
-    assert!(counters["pool.events_applied"] > 0, "the index must have consumed pool events: {pool:?}");
     println!("pool feed under stress: {} blocks, {} txs, counters {pool:?}", blocks.len(), committed.len());
 }
 
 #[test]
 fn submissions_do_not_wait_for_the_ordering_pass() {
     // Direct (non-threaded) pin of the decoupling: a pool-level ordering
-    // read holds the index lock, not the node lock — receive_tx during a
+    // read holds the pool's lock, not the node lock — receive_tx during a
     // mining pass costs the same single node-lock acquisition as ever.
     let miner = node(true);
     for nonce in 0..NONCES_PER_SENDER {
@@ -190,4 +189,62 @@ fn submissions_do_not_wait_for_the_ordering_pass() {
     // Snapshot + import: the mining pass takes the node lock exactly
     // twice, bounding what any concurrent submitter can be blocked on.
     assert_eq!(mine_locks, 2, "mine() must hold the node lock only to snapshot and to import");
+}
+
+#[test]
+fn capacity_is_exact_under_concurrent_submitters() {
+    // Four submitters push far past capacity, each at rising prices
+    // (globally distinct), while a sampler watches the pool's length.
+    // Admission, eviction and the insert share one lock acquisition, so
+    // the bound holds at every observation, and the survivors are
+    // exactly the `CAPACITY` highest-priced transactions: a top-priced
+    // one always out-pays the cheapest entry of a full pool, and is never
+    // the cheapest itself while a newcomer out-pays it.
+    const CAPACITY: usize = 32;
+    const PER_SUBMITTER: u64 = 128;
+    let pool = TxPool::with_config(PoolConfig { capacity: CAPACITY, ..PoolConfig::default() });
+    let batches: Vec<Vec<Transaction>> = (0..SUBMITTERS as u64)
+        .map(|submitter| {
+            (0..PER_SUBMITTER)
+                .map(|i| {
+                    let key = SecretKey::from_label(8_000 + submitter * PER_SUBMITTER + i);
+                    transfer(&key, 0, 1 + i * SUBMITTERS as u64 + submitter)
+                })
+                .collect()
+        })
+        .collect();
+    let submitting = AtomicUsize::new(SUBMITTERS);
+    let start = Barrier::new(SUBMITTERS + 1);
+    let observations = std::thread::scope(|scope| {
+        for batch in &batches {
+            let (pool, submitting, start) = (&pool, &submitting, &start);
+            scope.spawn(move || {
+                start.wait();
+                for (now, tx) in batch.iter().enumerate() {
+                    // Refusals are expected: a pool full of pricier
+                    // entries turns a cheap newcomer away.
+                    let _ = pool.insert(tx.clone(), now as u64);
+                }
+                submitting.fetch_sub(1, Ordering::Release);
+            });
+        }
+        let sampler = scope.spawn(|| {
+            start.wait();
+            let mut observations = 0u64;
+            while submitting.load(Ordering::Acquire) > 0 {
+                let len = pool.len();
+                assert!(len <= CAPACITY, "pool held {len} entries with capacity {CAPACITY}");
+                observations += 1;
+            }
+            observations
+        });
+        sampler.join().expect("sampler thread")
+    });
+    assert!(observations > 0, "the sampler must observe the race");
+
+    let mut prices: Vec<u64> = batches.iter().flatten().map(Transaction::gas_price).collect();
+    prices.sort_unstable_by(|a, b| b.cmp(a));
+    let mut pooled: Vec<u64> = pool.pending_by_arrival().iter().map(|entry| entry.tx.gas_price()).collect();
+    pooled.sort_unstable_by(|a, b| b.cmp(a));
+    assert_eq!(pooled, prices[..CAPACITY], "the pool must keep exactly the highest-priced transactions");
 }

@@ -153,7 +153,7 @@ fn readers_never_observe_torn_state_while_writer_seals() {
                 let (height, view) = node.head_state_view();
                 held.lock().unwrap().push((height, block.header.state_root, view));
             }
-            // The sharded pool feed made sealing fast enough that on a
+            // The indexed pool makes sealing fast enough that on a
             // single-CPU host all 24 blocks can land inside one scheduler
             // quantum; hold the shutdown flag until at least one reader
             // iteration has genuinely raced the (now sealed) chain.

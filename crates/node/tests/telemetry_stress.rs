@@ -16,7 +16,6 @@ use std::sync::Barrier;
 use bytes::Bytes;
 use sereth_chain::builder::BlockLimits;
 use sereth_chain::genesis::Genesis;
-use sereth_chain::txpool::PoolConfig;
 use sereth_chain::GenesisBuilder;
 use sereth_crypto::address::Address;
 use sereth_crypto::sig::SecretKey;
@@ -67,7 +66,6 @@ fn node(telemetry: TelemetryConfig) -> NodeHandle {
             .coinbase(Address::from_low_u64(0xc01))
             .candidate_budget(Some(32))
             .limits(BlockLimits { gas_limit: 8_000_000, max_txs: Some(32) })
-            .pool(PoolConfig { shards: 8, ..PoolConfig::default() })
             .telemetry(telemetry)
             .build(),
     )

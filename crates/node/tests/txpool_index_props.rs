@@ -2,10 +2,9 @@
 //!
 //! The contract under test: for ANY pool history — randomized
 //! interleavings of inserts (transfers, replacements, market `set`s and
-//! `buy`s), removals, block commits, stale prunes, and forced index
-//! rebuilds — and ANY shard count, the pool's incrementally-indexed reads
-//! return **byte-identical** candidate lists to the pre-index rescan
-//! implementations:
+//! `buy`s), removals, block commits, stale prunes, and capacity
+//! evictions — the pool's indexed reads return **byte-identical**
+//! candidate lists to the pre-index rescan implementations:
 //!
 //! * `ready_by_price` (indexed lazy-merge) ≡ `ready_by_price_rescan`
 //!   (repeated selection over all sender queues), under several account
@@ -15,10 +14,7 @@
 //!   provably feeds HMS and the PWV scheduler the same series the full
 //!   pool walk produced;
 //! * `ready_by_price_limited(k)` is exactly the first `k` of the full
-//!   order;
-//! * arrival snapshots and orderings are invariant in the shard count
-//!   (1, 4, 16), and tiny event buffers — which force mid-history index
-//!   rebuilds through `EventLag` — change nothing.
+//!   order.
 
 use std::sync::Arc;
 
@@ -62,10 +58,6 @@ enum Op {
     Commit { pick: u8 },
     /// Prune everything below a per-sender floor.
     Prune { floor: u8 },
-    /// Force a full index rebuild (the production path only does this on
-    /// event-buffer overflow; the property exercises it at arbitrary
-    /// points).
-    Rebuild,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -90,7 +82,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u8..32).prop_map(|pick| Op::Remove { pick }),
         (0u8..32).prop_map(|pick| Op::Commit { pick }),
         (0u8..3).prop_map(|floor| Op::Prune { floor }),
-        Just(Op::Rebuild),
     ]
 }
 
@@ -177,7 +168,6 @@ fn apply(pool: &TxPool, op: &Op, log: &mut Vec<Transaction>, now: &mut u64) {
             let floor = *floor as u64;
             pool.prune_stale(|_| floor);
         }
-        Op::Rebuild => pool.rebuild_index(),
     }
 }
 
@@ -246,57 +236,37 @@ fn assert_indexed_matches_rescan(pool: &TxPool, label: &str) {
     }
 }
 
-/// Replays `ops` into a fresh pool, returning it with the telemetry hub
-/// its `pool.*` counters record into.
-fn run_history(
-    ops: &[Op],
-    shards: usize,
-    event_capacity: usize,
-    checkpoint_every: usize,
-) -> (TxPool, Arc<Telemetry>) {
-    let hub = Arc::new(Telemetry::enabled());
-    let pool = TxPool::with_telemetry(
-        PoolConfig { shards, event_capacity, market: Some(market_spec()), ..PoolConfig::default() },
-        hub.clone(),
-    );
+/// Replays `ops` into a fresh pool of `capacity` entries.
+fn run_history(ops: &[Op], capacity: usize, checkpoint_every: usize) -> TxPool {
+    let pool =
+        TxPool::with_config(PoolConfig { capacity, market: Some(market_spec()), ..PoolConfig::default() });
     let mut log = Vec::new();
     let mut now = 0u64;
     for (i, op) in ops.iter().enumerate() {
         apply(&pool, op, &mut log, &mut now);
         if checkpoint_every > 0 && i % checkpoint_every == checkpoint_every - 1 {
-            // Interleaved reads keep the index warm mid-history, so later
-            // events exercise the *incremental* path, not just rebuilds.
+            // Interleaved reads check the indexes mid-history, not only
+            // after the last mutation.
             assert_indexed_matches_rescan(&pool, &format!("step {i}"));
         }
     }
     assert_indexed_matches_rescan(&pool, "final");
-    (pool, hub)
+    pool
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(192)))]
 
     /// The headline property: indexed ≡ rescan at interleaved checkpoints
-    /// and at the end, across shard counts, with a roomy event buffer.
+    /// and at the end, in a roomy pool and in one small enough that
+    /// inserts evict.
     #[test]
-    fn indexed_reads_equal_rescan_across_shard_counts(
+    fn indexed_reads_equal_rescan(
         ops in proptest::collection::vec(op_strategy(), 1..60),
     ) {
-        for shards in [1usize, 4, 16] {
-            run_history(&ops, shards, 16_384, 13);
+        for capacity in [PoolConfig::default().capacity, 12] {
+            run_history(&ops, capacity, 13);
         }
-    }
-
-    /// A 4-event buffer overflows constantly: every ordering read after a
-    /// burst of mutations goes through the EventLag → full-rebuild path,
-    /// which must be invisible in the output.
-    #[test]
-    fn forced_rebuilds_are_invisible(
-        ops in proptest::collection::vec(op_strategy(), 1..60),
-    ) {
-        let (_, hub) = run_history(&ops, 4, 4, 9);
-        let rebuilds = hub.snapshot().counters["pool.index_rebuilds"];
-        prop_assert!(rebuilds >= 1, "a 4-event buffer must force at least one rebuild: {}", rebuilds);
     }
 
     /// After pruning against the same floor the ordering uses (the steady
@@ -308,7 +278,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..50),
         floor in 0u64..3,
     ) {
-        let (pool, _) = run_history(&ops, 4, 16_384, 17);
+        let pool = run_history(&ops, PoolConfig::default().capacity, 17);
         pool.prune_stale(|_| floor);
         let full = pool.ready_by_price(|_| floor);
         let rescan = pool.ready_by_price_rescan(|_| floor, usize::MAX);
@@ -323,32 +293,6 @@ proptest! {
                 floor
             );
         }
-    }
-
-    /// Shard count changes scheduling of locks, never observable state:
-    /// the arrival snapshot and the event stream agree entry-for-entry.
-    #[test]
-    fn shard_count_is_unobservable(
-        ops in proptest::collection::vec(op_strategy(), 1..50),
-    ) {
-        let snapshot = |shards: usize| {
-            let pool = TxPool::with_config(PoolConfig {
-                shards,
-                market: Some(market_spec()),
-                ..PoolConfig::default()
-            });
-            pool.subscribe();
-            let mut log = Vec::new();
-            let mut now = 0u64;
-            for op in &ops {
-                apply(&pool, op, &mut log, &mut now);
-            }
-            let entries: Vec<(H256, u64)> =
-                pool.pending_by_arrival().iter().map(|e| (e.tx.hash(), e.arrival_seq)).collect();
-            let events = pool.events_since(0).map(|records| records.len()).unwrap_or(usize::MAX);
-            (entries, events, pool.len())
-        };
-        prop_assert_eq!(snapshot(1), snapshot(16));
     }
 }
 

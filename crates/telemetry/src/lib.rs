@@ -1,7 +1,7 @@
 //! Unified telemetry: a lock-free metrics registry, block-lifecycle
 //! phase tracing, and exportable snapshots.
 //!
-//! Every subsystem of the stack (pool, store, RAA service, node) records
+//! Every subsystem of the stack (pool and its RAA views, store, node) records
 //! into one [`Registry`] of atomic counters, gauges, and fixed-bucket
 //! latency histograms. A lightweight span API ([`Telemetry::time`])
 //! stamps the block lifecycle as structured phase timings (`receive_tx →

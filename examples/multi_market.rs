@@ -92,10 +92,7 @@ fn main() {
     );
     // One RAA provider serves any number of markets: enable the energy
     // market's view selectors too.
-    node.with_inner_mut(|inner| {
-        inner.raa.enable(energy(), get_selector());
-        inner.raa.enable(energy(), mark_selector());
-    });
+    node.enable_market(energy());
 
     let mut grain_owner =
         Owner::with_value(grain_owner_key, grain(), genesis_mark(), H256::from_low_u64(GRAIN_PRICE), 1);

@@ -1,9 +1,9 @@
-//! The incremental RAA view service under a many-client read storm.
+//! The pool's cached RAA views under a many-client read storm.
 //!
-//! Many concurrent reader threads query the service while the main
-//! thread keeps inserting `set`s, showing that views stay exact (equal to
-//! batch Algorithm 1) under concurrency. The service records its `raa.*`
-//! counters into the example's own telemetry hub, printed at the end.
+//! Eight reader threads query `TxPool::market_view` while the main thread
+//! keeps inserting `set`s, showing that views stay exact (equal to batch
+//! Algorithm 1) under concurrency. The pool records its `raa.*` counters
+//! into the example's own telemetry hub, printed at the end.
 //!
 //! ```text
 //! cargo run --release --example raa_service
@@ -16,8 +16,7 @@ use sereth::crypto::{Address, SecretKey, H256};
 use sereth::hms::hms::{hash_mark_set, HmsConfig};
 use sereth::hms::mark::genesis_mark;
 use sereth::node::contract::set_selector;
-use sereth::node::miner::pending_view;
-use sereth::raa::{RaaConfig, RaaService};
+use sereth::node::miner::{market_spec, pending_view};
 use sereth::telemetry::Telemetry;
 use sereth::types::transaction::{Transaction, TxPayload};
 use sereth::types::U256;
@@ -27,22 +26,25 @@ fn main() {
     let markets: Vec<Address> = (0..8).map(|m| Address::from_low_u64(0xaaaa + m)).collect();
     let committed = (genesis_mark(), H256::from_low_u64(50));
     let hub = Arc::new(Telemetry::enabled());
-    let service = Arc::new(RaaService::with_telemetry(RaaConfig::new(set_selector()), hub.clone()));
-    // The pool is internally sharded and synchronized: no outer lock.
-    let pool = Arc::new(TxPool::with_config(PoolConfig::default()));
-    pool.subscribe();
+    // The pool is internally synchronized: no outer lock. Booking the
+    // market selectors is what lets it cache each market's view.
+    let pool = Arc::new(TxPool::with_telemetry(
+        PoolConfig { market: Some(market_spec()), ..PoolConfig::default() },
+        hub.clone(),
+    ));
 
     // Reader threads: each hammers a fixed quota of views while the
     // writer below streams sets into the pool concurrently.
     const READS_PER_READER: u64 = 25_000;
     let mut handles = Vec::new();
     for reader in 0..8u64 {
-        let service = service.clone();
+        let pool = pool.clone();
         let markets = markets.clone();
         handles.push(std::thread::spawn(move || {
+            let hms = HmsConfig::default();
             for read in 0..READS_PER_READER {
                 let market = markets[(reader + read) as usize % markets.len()];
-                std::hint::black_box(service.view(&market, committed));
+                std::hint::black_box(pool.market_view(&market, set_selector(), committed, &hms));
             }
             READS_PER_READER
         }));
@@ -77,10 +79,9 @@ fn main() {
             &owner_keys[market],
         );
         pool.insert(tx, step).expect("pool accepts the chain");
-        service.sync(&pool);
         if step % 8 == 0 {
             // Pace the writer so reads genuinely interleave with the
-            // event stream instead of racing past it.
+            // inserts instead of racing past them.
             std::thread::sleep(std::time::Duration::from_micros(200));
         }
     }
@@ -90,7 +91,7 @@ fn main() {
     let snapshot = pending_view(&pool);
     for market in &markets {
         let expected = hash_mark_set(&snapshot, market, set_selector(), committed, &HmsConfig::default());
-        let view = service.view(market, committed);
+        let view = pool.market_view(market, set_selector(), committed, &HmsConfig::default());
         assert_eq!(view, expected.view, "concurrent view diverged for {market:?}");
     }
     println!(

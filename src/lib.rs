@@ -18,7 +18,7 @@
 //! | [`vm`] | `sereth-vm` | EVM-subset interpreter, assembler, gas, **RAA hook** |
 //! | [`chain`] | `sereth-chain` | state, executor, TxPool, validation, store |
 //! | [`hms`] | `sereth-core` | **the paper's contribution**: Algorithms 1–3 |
-//! | [`raa`] | `sereth-raa` | incremental, concurrent RAA view service over pool events |
+//! | [`raa`] | `sereth-raa` | the RAA data service's VM adapter over the pool's cached views |
 //! | [`consistency`] | `sereth-consistency` | sequential-consistency & SSS history checkers |
 //! | [`net`] | `sereth-net` | deterministic discrete-event network |
 //! | [`node`] | `sereth-node` | Sereth contract, Geth/Sereth clients, miners |

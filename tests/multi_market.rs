@@ -10,7 +10,7 @@ use sereth::chain::genesis::GenesisBuilder;
 use sereth::crypto::{Address, SecretKey, H256};
 use sereth::hms::hms::{hash_mark_set, HmsConfig};
 use sereth::hms::mark::{compute_mark, genesis_mark};
-use sereth::node::client::{Buyer, Owner};
+use sereth::node::client::{transfer, Buyer, Owner};
 use sereth::node::contract::{buy_ok_topic, sereth_code, sereth_genesis_slots, set_selector, ContractForm};
 use sereth::node::miner::{committed_amv, pending_view, MinerPolicy};
 use sereth::node::node::{ClientKind, NodeConfig, NodeHandle};
@@ -53,10 +53,7 @@ fn setup() -> (NodeHandle, Owner, Owner) {
             .build(),
     );
     // Enable RAA for market B too — one provider, many markets.
-    node.with_inner_mut(|inner| {
-        inner.raa.enable(market_b(), sereth::node::contract::get_selector());
-        inner.raa.enable(market_b(), sereth::node::contract::mark_selector());
-    });
+    node.enable_market(market_b());
 
     let owner_a = Owner::with_value(owner_a_key, market_a(), genesis_mark(), H256::from_low_u64(100), 1);
     let owner_b = Owner::with_value(owner_b_key, market_b(), genesis_mark(), H256::from_low_u64(200), 1);
@@ -128,14 +125,32 @@ fn markets_have_independent_series() {
         assert_eq!(view_of(&node, market), (batch.view.mark, batch.view.value), "{market:?} diverged");
     }
 
-    // Repeated reads of an unchanged market come from the RAA cache,
-    // and no event-buffer lag forced a resync.
+    // Repeated reads of an unchanged market come from the RAA cache.
     for _ in 0..3 {
         assert_eq!(view_of(&node, market_a()), (mark_a, value_a));
     }
-    let counters = node.telemetry_snapshot().counters;
-    assert!(counters["raa.hits"] > 0, "repeat reads of an unchanged market must hit the cache");
-    assert_eq!(counters["raa.resyncs"], 0, "the event buffer is large enough for this workload");
+    let raa = |name: &str| node.telemetry_snapshot().counters[name];
+    assert!(raa("raa.hits") > 0, "repeat reads of an unchanged market must hit the cache");
+
+    // Only a `set` of market A drops A's cached view: buys for A, a
+    // plain transfer and a set for B leave it valid...
+    let trader = SecretKey::from_label(3);
+    let mut buyer = Buyer::new(trader.clone(), market_a(), ClientKind::Sereth, 1);
+    for now in 40..43 {
+        assert!(node.receive_tx(buyer.next_buy_at(mark_a, value_a), now));
+    }
+    assert!(node.receive_tx(transfer(&trader, 3, Address::from_low_u64(0xee), U256::from(1u64), 1), 50));
+    assert!(node.receive_tx(owner_b.next_set(&node, H256::from_low_u64(220)), 60));
+    let (hits, rebuilds) = (raa("raa.hits"), raa("raa.rebuilds"));
+    assert_eq!(view_of(&node, market_a()), (mark_a, value_a));
+    assert!(raa("raa.hits") > hits, "A's next read must be served from the cache");
+    assert_eq!(raa("raa.rebuilds"), rebuilds, "buys, transfers and B's sets must not rebuild A's view");
+
+    // ...and one more set for A makes A's next read a rebuild.
+    assert!(node.receive_tx(owner_a.next_set(&node, H256::from_low_u64(130)), 70));
+    let rebuilds = raa("raa.rebuilds");
+    assert_eq!(view_of(&node, market_a()).1.low_u64(), 130);
+    assert_eq!(raa("raa.rebuilds"), rebuilds + 1, "a set for A must rebuild A's view");
 }
 
 #[test]
