@@ -90,7 +90,7 @@ fn read_latency_us(level: IsolationLevel) -> f64 {
 }
 
 /// Prints one table row per rung, then gates the audit's anomaly counts.
-pub fn run(_smoke: bool) {
+pub fn run() {
     println!("Isolation frontier: sereth_client market, {BUYS} buys / {SETS} sets, {SEEDS} seeds per rung");
     println!("| level            | state tps | eta(buys) | observe/read | anomalies | dirty reads |");
     println!("|------------------|-----------|-----------|--------------|-----------|-------------|");

@@ -72,7 +72,7 @@ fn mean_convergence(config: &ScenarioConfig) -> (f64, f64, RunOutput) {
 }
 
 /// Prints one row per node count, asserting the gates as it goes.
-pub fn run(_smoke: bool) {
+pub fn run() {
     println!(
         "Cluster convergence: ring topology, {BUYS} buys / {SETS} sets edge-injected, \
          loss {LOSS:.3} dup {DUP:.3}, {SEEDS} seeds per point"

@@ -57,7 +57,6 @@ fn node(senders: u64, enabled: bool) -> NodeHandle {
         NodeConfig::miner(default_contract_address(), MinerPolicy::Standard)
             .schedule(BlockSchedule::Fixed(1_000))
             .coinbase(Address::from_low_u64(0xc01))
-            .candidate_budget(Some(256))
             .limits(BlockLimits { gas_limit: 30_000_000, max_txs: Some(256) })
             .telemetry(TelemetryConfig { enabled })
             .build(),
@@ -106,7 +105,7 @@ fn run_once(senders: u64, workload: &[(Transaction, u64)], enabled: bool) -> (Du
 
 /// Prints the enabled/disabled table, writes both artifacts, then gates
 /// the slowdown.
-pub fn run(_smoke: bool) {
+pub fn run() {
     println!(
         "telemetry overhead: submit + mine-to-drain, {NONCES_PER_SENDER} nonces/sender, \
          min over {REPS} interleaved reps"

@@ -68,7 +68,7 @@ fn sweep(
 /// FIG2: transaction efficiency η versus the READ-UNCOMMITTED/WRITE
 /// (buy:set) ratio for `geth_unmodified`, `sereth_client` and
 /// `semantic_mining`, plus the paper's in-text claims (TXT-5X, TXT-80).
-pub fn fig2(_smoke: bool) {
+pub fn fig2() {
     sweep("Figure 2: eta vs buy:set ratio", &paper_scenarios(), 10, "fig2.csv", |points| {
         let eta_of = |scenario: &str, sets: u64| {
             points
@@ -117,7 +117,7 @@ pub fn fig2(_smoke: bool) {
 /// block assembly. Expected shape: geth ≤ pwv ≤ sereth_client ≤
 /// semantic_mining — in-system visibility rescues only offers whose
 /// interval is still open when scheduled.
-pub fn pwv(_smoke: bool) {
+pub fn pwv() {
     sweep("EXT-PWV: early write visibility (Faleiro et al.) vs HMS", &WITH_PWV, 8, "pwv.csv", |points| {
         // The §VI comparison — but η alone is not the verdict. A miner-side
         // dependency scheduler holds inclusion freedom PWV's deterministic
@@ -147,7 +147,7 @@ pub fn pwv(_smoke: bool) {
 /// one possible history … the transaction failure rate was zero and the
 /// transaction efficiency η was 1.0." A run passes only if every planned
 /// pair was submitted and every transaction succeeded.
-pub fn sequential(_smoke: bool) {
+pub fn sequential() {
     const PAIRS: u64 = 50;
     const SEEDS: u64 = 5;
     println!("== Sequential history: single sender, set/buy alternation ==");
@@ -205,7 +205,7 @@ pub fn sequential(_smoke: bool) {
 /// 3. **tx-interval sensitivity at high buy ratios** (§V-A: "with few
 ///    state changes transaction efficiency becomes more sensitive to the
 ///    transaction interval").
-pub fn ablations(_smoke: bool) {
+pub fn ablations() {
     let seeds: Vec<u64> = (1..=8).collect();
 
     println!("== Ablation 1: committed-head extension (semantic mining, ratio 1:1 and 5:1) ==\n");
@@ -267,7 +267,7 @@ pub fn ablations(_smoke: bool) {
 /// success". Each buyer retries a single purchase until it lands while
 /// the owner keeps repricing: READ-COMMITTED views force many dead
 /// attempts, HMS's READ-UNCOMMITTED views collapse the retry count.
-pub fn abort_rate(_smoke: bool) {
+pub fn abort_rate() {
     let seeds: Vec<u64> = (1..=6).collect();
     let num_sets = 40u64;
     let num_buyers = 12usize;
@@ -318,7 +318,7 @@ pub fn abort_rate(_smoke: bool) {
 /// there would still be benefits proportional to the participation." The
 /// fraction of Sereth-enabled nodes sweeps from none to all at a mid-range
 /// ratio.
-pub fn participation(_smoke: bool) {
+pub fn participation() {
     let seeds: Vec<u64> = (1..=8).collect();
     let num_sets = 20u64;
     let num_nodes = 4usize;

@@ -55,7 +55,7 @@ fn mine_sets(node: &NodeHandle, owner: &SecretKey, blocks: u64) {
 }
 
 /// Prints one row per account count, then gates the read parity.
-pub fn run(_smoke: bool) {
+pub fn run() {
     let owner = SecretKey::from_label(1);
     let contract = default_contract_address();
     let caller = Address::from_low_u64(0x11);

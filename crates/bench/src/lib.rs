@@ -1,7 +1,7 @@
 //! Shared fixtures, artifact writing and the bench-trend gate for the
 //! sereth experiments. The experiments themselves are the entries of one
-//! runner, `cargo run --release -p sereth-bench -- <entry|all> [--smoke]`;
-//! the criterion benches live under `benches/`.
+//! runner, `cargo run --release -p sereth-bench -- <entry|all>`; the
+//! criterion benches live under `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,21 +42,6 @@ pub fn set_tx(
     )
 }
 
-/// A signed plain transfer from `sender` to a fixed foreign address.
-pub fn transfer(sender: &SecretKey, nonce: u64, gas_price: u64) -> Transaction {
-    Transaction::sign(
-        TxPayload {
-            nonce,
-            gas_price,
-            gas_limit: 21_000,
-            to: Some(Address::from_low_u64(0xee)),
-            value: U256::ZERO,
-            input: bytes::Bytes::new(),
-        },
-        sender,
-    )
-}
-
 /// Builds a pool snapshot containing one honest chain of `chain_len` sets
 /// plus `noise` non-HMS transactions — the input shape for the HMS
 /// overhead benchmarks (paper §III-C: "only a small percentage of the
@@ -87,78 +72,6 @@ pub fn pool_with_chain(chain_len: usize, noise: usize) -> Vec<PendingTx> {
         });
     }
     pool
-}
-
-/// Builds a live [`TxPool`](sereth_chain::txpool::TxPool) holding
-/// `markets` independent Sereth markets, each with a signed chain of
-/// `sets_per_market` `set` transactions, plus `noise` foreign transfers —
-/// the input shape for the RAA view scaling benchmarks. The pool books the
-/// Sereth market selectors, so its `market_view` serves from the market
-/// book. Returns the pool and the market contract addresses.
-///
-/// Market `m` lives at address `0x5e7e_0000 + m`, owned by the key with
-/// label `500 + m`; the committed AMV every market starts from is
-/// `(genesis_mark(), 50)`.
-pub fn market_txpool(
-    markets: usize,
-    sets_per_market: usize,
-    noise: usize,
-) -> (sereth_chain::txpool::TxPool, Vec<Address>) {
-    use sereth_chain::txpool::{PoolConfig, TxPool};
-
-    let total = markets * sets_per_market + noise;
-    let pool = TxPool::with_config(PoolConfig {
-        capacity: total + 1,
-        market: Some(sereth_node::miner::market_spec()),
-        ..PoolConfig::default()
-    });
-    let mut now = 0;
-    let contracts: Vec<Address> =
-        (0..markets).map(|m| Address::from_low_u64(0x5e7e_0000 + m as u64)).collect();
-    for (m, contract) in contracts.iter().enumerate() {
-        let owner = SecretKey::from_label(500 + m as u64);
-        let mut prev = genesis_mark();
-        for i in 0..sets_per_market as u64 {
-            let value = H256::from_low_u64(1_000 + i);
-            pool.insert(set_tx(&owner, *contract, i, prev, value, 1), now).expect("pool sized to fit");
-            prev = compute_mark(&prev, &value);
-            now += 1;
-        }
-    }
-    for j in 0..noise as u64 {
-        pool.insert(transfer(&SecretKey::from_label(100_000 + j), 0, 2), now).expect("pool sized to fit");
-        now += 1;
-    }
-    (pool, contracts)
-}
-
-/// The recompute baseline's data source for RAA benchmarks: a live pool,
-/// walked borrowed per query (so the baseline already benefits from the
-/// `for_each_pending` fast path; the pool's cached view must beat
-/// *that*).
-pub struct PoolSource {
-    /// The shared pool.
-    pub pool: std::sync::Arc<sereth_chain::txpool::TxPool>,
-    /// The committed `(mark, value)` reported for every contract.
-    pub committed: (H256, H256),
-}
-
-impl sereth_core::provider::HmsDataSource for PoolSource {
-    fn pending(&self) -> Vec<PendingTx> {
-        sereth_node::miner::pending_view(&self.pool)
-    }
-
-    fn for_each_pending(&self, visit: &mut dyn FnMut(&PendingTx)) {
-        self.pool.with_entries_by_arrival(|entries| {
-            for entry in entries {
-                visit(&entry.pending());
-            }
-        });
-    }
-
-    fn committed(&self, _contract: &Address) -> (H256, H256) {
-        self.committed
-    }
 }
 
 /// A genesis holding the Sereth market contract (owned by `owner`,

@@ -94,7 +94,9 @@ fn accounts_root(accounts: &Accounts) -> H256 {
 /// it in O(1), and the first mutation after a share unshares the map —
 /// clones of pointers, not of accounts — then unshares single accounts as
 /// they are touched. Held [`StateView`]s therefore stay frozen at the
-/// moment they were taken, including across [`StateDb::revert_to`].
+/// moment they were taken, including across [`StateDb::revert_to`]; the
+/// `state_view_props` suite holds each one equal to an eager copy of
+/// [`StateDb::iter`] taken at the same instant.
 #[derive(Debug, Clone, Default)]
 pub struct StateDb {
     accounts: Arc<Accounts>,
@@ -256,19 +258,6 @@ impl StateDb {
     /// is unaffected by any later mutation of `self` (writes unshare).
     pub fn view(&self) -> StateView {
         StateView { accounts: Arc::clone(&self.accounts), pin: None }
-    }
-
-    /// A structurally independent copy: every account duplicated, nothing
-    /// shared with `self`. This is the old `clone` semantics — O(state
-    /// size) — kept as the baseline for the RAA-STATE benchmark and as the
-    /// eager oracle in the view-equivalence property suite.
-    pub fn deep_clone(&self) -> StateDb {
-        let accounts: Accounts = self
-            .accounts
-            .iter()
-            .map(|(address, account)| (*address, Arc::new(Account::clone(account))))
-            .collect();
-        StateDb { accounts: Arc::new(accounts), journal: self.journal.clone() }
     }
 
     /// Rebuilds a state wholesale from recovered account images — the
@@ -658,17 +647,6 @@ mod tests {
     }
 
     #[test]
-    fn deep_clone_shares_nothing() {
-        let mut state = StateDb::new();
-        state.credit(&addr(1), U256::from(10u64));
-        state.clear_journal();
-        let copy = state.deep_clone();
-        assert!(!state.view().ptr_eq(&copy.view()));
-        assert_eq!(copy.state_root(), state.state_root());
-        assert_eq!(copy.balance_of(&addr(1)), U256::from(10u64));
-    }
-
-    #[test]
     fn storage_is_per_account() {
         let mut state = StateDb::new();
         state.storage_set(&addr(1), H256::from_low_u64(1), H256::from_low_u64(5));
@@ -707,8 +685,10 @@ mod tests {
             replayed.replace_account(address, post);
         }
         assert_eq!(replayed.state_root(), after.state_root());
-        // Unshared-but-equal maps (deep clone) still diff to empty.
-        assert!(a.deep_clone().view().diff_accounts(&before).is_empty());
+        // Unshared-but-equal maps still diff to empty.
+        let rebuilt = StateDb::from_accounts(before.iter().map(|(ad, acc)| (*ad, acc.clone())));
+        assert!(!rebuilt.view().ptr_eq(&before));
+        assert!(rebuilt.view().diff_accounts(&before).is_empty());
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   deferred to the next `prune_stale`), promote each emitted sender's
 //!   next nonce into a side heap when the walk has already passed it, and
 //!   always take the larger of (next walk entry, heap top) — `O(k log k)`
-//!   for `k` returned candidates instead of the rescan's `O(k · senders)`.
+//!   for `k` returned candidates, where a repeated-selection walk over
+//!   the sender queues would be `O(k · senders)`.
 //! * **market book** — per contract, the arrival-ordered `set`/`buy`
 //!   entries with their [`Fpv`] parsed once at insert, so semantic/PWV
 //!   miners never re-decode calldata per block, plus the contract's cached
@@ -21,16 +22,15 @@
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 use std::ops::RangeBounds;
 
-use sereth_core::fpv::Fpv;
+use sereth_core::fpv::{Fpv, BUY_SELECTOR, SET_SELECTOR};
 use sereth_core::hms::{hash_mark_set, HmsConfig, HmsView};
 use sereth_core::process::PendingTx;
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
 use sereth_types::transaction::Transaction;
 use sereth_types::SimTime;
-use sereth_vm::abi::Selector;
 
-use super::{MarketSpec, PoolCounters, PoolEntry};
+use super::{PoolCounters, PoolEntry};
 
 /// Which market call a [`MarketEntry`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,25 +57,18 @@ pub struct MarketEntry {
 }
 
 impl MarketEntry {
-    /// Classifies `tx` against a market's selectors: `Some` iff it calls
-    /// a contract with the `set` or `buy` selector. The single
-    /// classification rule shared by the book, the pool's rescan
-    /// fallback, and the miners' rescan baselines, so the paths cannot
-    /// drift.
-    pub fn classify(
-        tx: &Transaction,
-        arrival_seq: u64,
-        set_selector: Selector,
-        buy_selector: Selector,
-    ) -> Option<Self> {
+    /// Classifies `tx`: `Some` iff it calls a contract with
+    /// [`SET_SELECTOR`] or [`BUY_SELECTOR`]. The rule the market book
+    /// files every insert by.
+    pub fn classify(tx: &Transaction, arrival_seq: u64) -> Option<Self> {
         tx.to()?;
         let input = tx.input();
         if input.len() < 4 {
             return None;
         }
-        let kind = if input[..4] == set_selector {
+        let kind = if input[..4] == SET_SELECTOR {
             MarketKind::Set
-        } else if input[..4] == buy_selector {
+        } else if input[..4] == BUY_SELECTOR {
             MarketKind::Buy
         } else {
             return None;
@@ -133,7 +126,7 @@ pub(super) struct PoolState {
     /// The price index; `first()` is the eviction victim (cheapest,
     /// newest arrival on ties).
     by_price: BTreeSet<PriceKey>,
-    /// The market book, per contract (empty without a [`MarketSpec`]).
+    /// The market book, per contract.
     markets: HashMap<Address, MarketBook>,
     /// Arrival sequence number the next admitted transaction gets.
     next_arrival: u64,
@@ -181,19 +174,16 @@ impl PoolState {
     /// Stamps `tx` with the next arrival sequence number and files it in
     /// the queues and both indexes. The `(sender, nonce)` slot must be
     /// free.
-    pub fn add(&mut self, tx: Transaction, now: SimTime, market: Option<&MarketSpec>) {
+    pub fn add(&mut self, tx: Transaction, now: SimTime) {
         let arrival_seq = self.next_arrival;
         self.next_arrival += 1;
-        if let (Some(spec), Some(to)) = (market, tx.to()) {
-            if let Some(entry) = MarketEntry::classify(&tx, arrival_seq, spec.set_selector, spec.buy_selector)
-            {
-                let book = self.markets.entry(to).or_default();
-                if entry.kind == MarketKind::Set {
-                    book.sets += 1;
-                    book.view = None;
-                }
-                book.entries.insert(arrival_seq, entry);
+        if let (Some(to), Some(entry)) = (tx.to(), MarketEntry::classify(&tx, arrival_seq)) {
+            let book = self.markets.entry(to).or_default();
+            if entry.kind == MarketKind::Set {
+                book.sets += 1;
+                book.view = None;
             }
+            book.entries.insert(arrival_seq, entry);
         }
         let entry = PoolEntry { tx, arrival_seq, arrival_time: now };
         let (sender, nonce) = (entry.tx.sender(), entry.tx.nonce());
@@ -252,14 +242,13 @@ impl PoolState {
     pub fn market_view(
         &mut self,
         contract: &Address,
-        set_selector: Selector,
         committed: (H256, H256),
         config: &HmsConfig,
         counters: &PoolCounters,
     ) -> HmsView {
         let Some(book) = self.markets.get_mut(contract).filter(|book| book.sets > 0) else {
             counters.view_hits.inc();
-            return hash_mark_set(&[], contract, set_selector, committed, config).view;
+            return hash_mark_set(&[], contract, SET_SELECTOR, committed, config).view;
         };
         if let Some(cached) = &book.view {
             if cached.committed == committed && cached.config == *config {
@@ -273,19 +262,18 @@ impl PoolState {
             .filter(|entry| entry.kind == MarketKind::Set)
             .map(MarketEntry::pending)
             .collect();
-        let view = hash_mark_set(&sets, contract, set_selector, committed, config).view;
+        let view = hash_mark_set(&sets, contract, SET_SELECTOR, committed, config).view;
         book.view = Some(CachedView { committed, config: config.clone(), view });
         counters.view_rebuilds.inc();
         view
     }
 
-    /// The fee-priority ready order (see module docs): at most `limit`
-    /// transactions, price-descending with arrival tie-break, nonce-exact
-    /// against the caller's `base_nonce` — stale entries (nonce below
-    /// base) and gapped entries (nonce above the sender's next selectable
-    /// nonce) are skipped in place, so the result equals the full rescan's
-    /// for every pool shape and every limit, including pools whose
-    /// `prune_stale` has not yet caught up with the latest import.
+    /// The fee-priority ready order (see module docs): price-descending
+    /// with arrival tie-break, nonce-exact against the caller's
+    /// `base_nonce` — stale entries (nonce below base) and gapped entries
+    /// (nonce above the sender's next selectable nonce) are skipped in
+    /// place, so the result is exact for every pool shape, including pools
+    /// whose `prune_stale` has not yet caught up with the latest import.
     ///
     /// Why the walk is exact: it merges two price-descending streams —
     /// the price index walked backwards and a heap of *promoted
@@ -295,8 +283,9 @@ impl PoolState {
     /// (its cursor nonce) is either ahead of the walk or in the heap, so
     /// taking the larger of (heap top, next walk entry) and skipping
     /// cursor mismatches always emits the globally best selectable entry —
-    /// the same greedy choice the rescan makes.
-    pub fn ready_by_price(&self, base_nonce: &dyn Fn(&Address) -> u64, limit: usize) -> Vec<Transaction> {
+    /// the greedy choice a repeated-selection walk over every sender's
+    /// next nonce would make.
+    pub fn ready_by_price(&self, base_nonce: &dyn Fn(&Address) -> u64) -> Vec<Transaction> {
         let mut out = Vec::new();
         let mut walk = self.by_price.iter().rev().peekable();
         // Promoted nonce-chain successors, keyed like `by_price`.
@@ -304,7 +293,7 @@ impl PoolState {
         // Each sender's next selectable nonce, seeded from `base_nonce`
         // the first time the walk meets the sender.
         let mut cursors: HashMap<Address, u64> = HashMap::new();
-        while out.len() < limit {
+        loop {
             let from_heap = match (heap.peek(), walk.peek()) {
                 (Some(&(hp, hr, _, _)), Some(&&(wp, wr, _, _))) => (hp, hr) > (wp, wr),
                 (Some(_), None) => true,

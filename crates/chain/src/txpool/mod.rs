@@ -16,7 +16,9 @@
 //! replacement, removal, commit, prune and eviction updates both indexes
 //! in place, so no read ever has to catch up: an ordering read is
 //! `O(k log k)` in the `k` candidates it returns, and a view read whose
-//! cache is valid is `O(1)`.
+//! cache is valid is `O(1)`. Each read has this one implementation; the
+//! property suites hold it equal to oracles they build from
+//! [`TxPool::pending_by_arrival`].
 //!
 //! One lock rather than sender-keyed shards: a node submits from one
 //! thread and orders from another, and a 16-shard pool measured no
@@ -24,18 +26,16 @@
 
 mod index;
 
-use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sereth_core::hms::{hash_mark_set, HmsConfig, HmsView};
+use sereth_core::hms::{HmsConfig, HmsView};
 use sereth_core::process::PendingTx;
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
 use sereth_telemetry::{Counter, Phase, Telemetry};
 use sereth_types::transaction::Transaction;
 use sereth_types::SimTime;
-use sereth_vm::abi::Selector;
 
 pub use index::{MarketEntry, MarketKind};
 
@@ -52,8 +52,6 @@ pub enum PoolError {
     /// The pool is full and the transaction's price does not beat the
     /// cheapest pooled transaction.
     PoolFull,
-    /// The transaction's nonce is already below the sender's account nonce.
-    Stale,
 }
 
 impl core::fmt::Display for PoolError {
@@ -62,7 +60,6 @@ impl core::fmt::Display for PoolError {
             Self::Duplicate => write!(f, "transaction already pooled"),
             Self::ReplacementUnderpriced => write!(f, "replacement transaction underpriced"),
             Self::PoolFull => write!(f, "pool is full"),
-            Self::Stale => write!(f, "transaction nonce already consumed"),
         }
     }
 }
@@ -88,18 +85,6 @@ impl PoolEntry {
     }
 }
 
-/// The selectors of a managed market, configured so the pool can
-/// pre-parse `set`/`buy` calldata once at insert and serve semantic/PWV
-/// miners and RAA views from the per-contract market book (see
-/// [`TxPool::market_snapshot`] and [`TxPool::market_view`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MarketSpec {
-    /// The managed-write selector (`set`).
-    pub set_selector: Selector,
-    /// The dependent-read selector (`buy`).
-    pub buy_selector: Selector,
-}
-
 /// Pool configuration.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
@@ -109,30 +94,19 @@ pub struct PoolConfig {
     pub capacity: usize,
     /// Percentage price bump required to replace a same-nonce transaction.
     pub replace_bump_pct: u64,
-    /// Market selectors to pre-parse into the per-contract market book;
-    /// `None` serves [`TxPool::market_snapshot`] and
-    /// [`TxPool::market_view`] by (counted) rescan instead.
-    pub market: Option<MarketSpec>,
 }
 
 impl Default for PoolConfig {
     fn default() -> Self {
-        Self { capacity: 4096, replace_bump_pct: 10, market: None }
+        Self { capacity: 4096, replace_bump_pct: 10 }
     }
 }
 
-/// Monotone counters describing how the pool is read. They are telemetry
-/// cells, so a node-wide snapshot carries them for free.
+/// Monotone counters describing how the pool's cached views are read.
+/// They are telemetry cells, so a node-wide snapshot carries them for
+/// free.
 #[derive(Debug, Clone)]
 struct PoolCounters {
-    /// `pool.index_hits`: ordering/market reads served from the indexes.
-    index_hits: Counter,
-    /// `pool.rescans`: explicit `*_rescan` oracle calls.
-    rescans: Counter,
-    /// `pool.market_rescans`: market snapshots and views served by walking
-    /// the pool because the requested selectors are not the configured
-    /// [`PoolConfig::market`].
-    market_rescans: Counter,
     /// `raa.hits`: [`TxPool::market_view`] reads served from a valid
     /// cache, or for a contract with no pooled `set` straight from its
     /// committed view.
@@ -144,13 +118,7 @@ struct PoolCounters {
 
 impl PoolCounters {
     fn register(telemetry: &Telemetry) -> Self {
-        Self {
-            index_hits: telemetry.counter("pool.index_hits"),
-            rescans: telemetry.counter("pool.rescans"),
-            market_rescans: telemetry.counter("pool.market_rescans"),
-            view_hits: telemetry.counter("raa.hits"),
-            view_rebuilds: telemetry.counter("raa.rebuilds"),
-        }
+        Self { view_hits: telemetry.counter("raa.hits"), view_rebuilds: telemetry.counter("raa.rebuilds") }
     }
 }
 
@@ -206,8 +174,8 @@ impl TxPool {
     }
 
     /// An empty pool recording into a shared `telemetry` hub — what a
-    /// node does so the `pool.*` and `raa.*` counters and admission
-    /// latencies land in the node-wide registry. With a disabled hub, the
+    /// node does so the `raa.*` counters and admission latencies land in
+    /// the node-wide registry. With a disabled hub, the
     /// counters record nothing and inserts skip the clock.
     pub fn with_telemetry(config: PoolConfig, telemetry: Arc<Telemetry>) -> Self {
         Self {
@@ -274,7 +242,7 @@ impl TxPool {
                 _ => return Err(PoolError::PoolFull),
             }
         }
-        state.add(tx, now, self.config.market.as_ref());
+        state.add(tx, now);
         Ok(())
     }
 
@@ -341,139 +309,37 @@ impl TxPool {
     ///
     /// `base_nonce` supplies each sender's current account nonce; senders
     /// whose next pooled nonce is ahead of their account nonce (a gap) are
-    /// held back entirely.
+    /// held back entirely, and entries below it (a submission racing an
+    /// import before the next [`TxPool::prune_stale`]) are skipped.
     ///
     /// Served from the price index in `O(k log k)` for `k` returned
-    /// candidates — counted in `pool.index_hits`.
+    /// candidates.
     pub fn ready_by_price(&self, base_nonce: impl Fn(&Address) -> u64) -> Vec<Transaction> {
-        self.ready_by_price_limited(base_nonce, usize::MAX)
-    }
-
-    /// [`TxPool::ready_by_price`] emitting at most `limit` candidates —
-    /// the indexed read is then `O(limit)` regardless of pool size (what
-    /// a miner with a known block capacity should use).
-    ///
-    /// # Exactness
-    ///
-    /// Equal to the rescan oracle for every pool shape, every
-    /// `base_nonce`, and every `limit`. The indexed walk seeds each
-    /// sender's nonce cursor from `base_nonce` on first touch, so stale
-    /// entries (pooled nonce below the caller's account nonce — a
-    /// submission racing an import before the next [`TxPool::prune_stale`]
-    /// catches it) are skipped per-entry during the walk itself rather
-    /// than deferred to the next import's prune. The `txpool_index_props`
-    /// suite pins this against [`TxPool::ready_by_price_rescan`] across
-    /// randomized stale/gap/limit grids.
-    pub fn ready_by_price_limited(
-        &self,
-        base_nonce: impl Fn(&Address) -> u64,
-        limit: usize,
-    ) -> Vec<Transaction> {
-        let out = self.state.lock().ready_by_price(&|sender| base_nonce(sender), limit);
-        self.stats.index_hits.inc();
-        out
-    }
-
-    /// The pre-index implementation: a repeated-selection walk over every
-    /// sender queue, `O(candidates · senders)`. Kept verbatim as the
-    /// byte-equality oracle for the indexed read (the `txpool_index_props`
-    /// suite holds them equal) and as the benchmarks' baseline.
-    pub fn ready_by_price_rescan(
-        &self,
-        base_nonce: impl Fn(&Address) -> u64,
-        limit: usize,
-    ) -> Vec<Transaction> {
-        self.stats.rescans.inc();
-        let state = self.state.lock();
-        let queues: Vec<(&Address, &BTreeMap<u64, PoolEntry>)> = state.queues().collect();
-        let mut cursors: HashMap<Address, u64> =
-            queues.iter().map(|(sender, _)| (**sender, base_nonce(sender))).collect();
-        let mut out = Vec::new();
-        while out.len() < limit {
-            let mut best: Option<&PoolEntry> = None;
-            for (sender, queue) in &queues {
-                let next_nonce = cursors[*sender];
-                if let Some(entry) = queue.get(&next_nonce) {
-                    let better = match best {
-                        None => true,
-                        Some(current) => {
-                            (entry.tx.gas_price(), current.arrival_seq)
-                                > (current.tx.gas_price(), entry.arrival_seq)
-                        }
-                    };
-                    if better {
-                        best = Some(entry);
-                    }
-                }
-            }
-            match best {
-                Some(entry) => {
-                    out.push(entry.tx.clone());
-                    let cursor = cursors.get_mut(&entry.tx.sender()).expect("cursor exists");
-                    match cursor.checked_add(1) {
-                        Some(next) => *cursor = next,
-                        None => break,
-                    }
-                }
-                None => break,
-            }
-        }
-        out
+        self.state.lock().ready_by_price(&base_nonce)
     }
 
     /// Every pooled `set`/`buy` transaction addressed to `contract`, in
-    /// arrival order, with its FPV pre-parsed — what the semantic and PWV
-    /// miners consume instead of re-decoding the whole pool per block.
-    ///
-    /// Served from the market book when the selectors match the
-    /// configured [`PoolConfig::market`]; otherwise (unconfigured pools,
-    /// foreign selectors) computed by a counted rescan with the identical
-    /// classification rule.
-    pub fn market_snapshot(
-        &self,
-        contract: &Address,
-        set_selector: Selector,
-        buy_selector: Selector,
-    ) -> Vec<MarketEntry> {
-        if self.config.market == Some(MarketSpec { set_selector, buy_selector }) {
-            self.stats.index_hits.inc();
-            return self.state.lock().market(contract);
-        }
-        self.stats.market_rescans.inc();
-        self.with_entries_by_arrival(|entries| {
-            entries
-                .iter()
-                .filter(|e| e.tx.to() == Some(*contract))
-                .filter_map(|e| MarketEntry::classify(&e.tx, e.arrival_seq, set_selector, buy_selector))
-                .collect()
-        })
+    /// arrival order, with its FPV pre-parsed at insert — what the
+    /// semantic and PWV miners consume instead of re-decoding the whole
+    /// pool per block. A market call is any transaction whose calldata
+    /// starts with [`SET_SELECTOR`](sereth_core::fpv::SET_SELECTOR) or
+    /// [`BUY_SELECTOR`](sereth_core::fpv::BUY_SELECTOR).
+    pub fn market_snapshot(&self, contract: &Address) -> Vec<MarketEntry> {
+        self.state.lock().market(contract)
     }
 
     /// The READ-UNCOMMITTED view of `contract` given its committed
     /// `(mark, value)`: byte-identical to batch
-    /// [`hash_mark_set`] over [`TxPool::pending_by_arrival`] with the same
-    /// arguments.
+    /// [`hash_mark_set`](sereth_core::hms::hash_mark_set) with
+    /// [`SET_SELECTOR`](sereth_core::fpv::SET_SELECTOR) over
+    /// [`TxPool::pending_by_arrival`] with the same arguments.
     ///
-    /// When `set_selector` is the configured [`PoolConfig::market`]'s, the
-    /// view comes from the contract's market book, which caches it until
-    /// one of the contract's `set` entries is inserted or removed (or the
-    /// caller's `committed`/`config` differ). Cached reads count on
-    /// `raa.hits`, recomputations on `raa.rebuilds`. Otherwise the whole
-    /// pool is filtered per call, counted on `pool.market_rescans`.
-    pub fn market_view(
-        &self,
-        contract: &Address,
-        set_selector: Selector,
-        committed: (H256, H256),
-        config: &HmsConfig,
-    ) -> HmsView {
-        if self.config.market.is_some_and(|spec| spec.set_selector == set_selector) {
-            return self.state.lock().market_view(contract, set_selector, committed, config, &self.stats);
-        }
-        self.stats.market_rescans.inc();
-        let pending: Vec<PendingTx> =
-            self.with_entries_by_arrival(|entries| entries.iter().map(|entry| entry.pending()).collect());
-        hash_mark_set(&pending, contract, set_selector, committed, config).view
+    /// The view comes from the contract's market book, which caches it
+    /// until one of the contract's `set` entries is inserted or removed
+    /// (or the caller's `committed`/`config` differ). Cached reads count on
+    /// `raa.hits`, recomputations on `raa.rebuilds`.
+    pub fn market_view(&self, contract: &Address, committed: (H256, H256), config: &HmsConfig) -> HmsView {
+        self.state.lock().market_view(contract, committed, config, &self.stats)
     }
 }
 
@@ -497,11 +363,6 @@ mod tests {
             },
             key,
         )
-    }
-
-    /// A `pool.*` counter, read from the pool's own telemetry hub.
-    fn counter(pool: &TxPool, name: &str) -> u64 {
-        pool.telemetry.snapshot().counters[name]
     }
 
     #[test]
@@ -598,7 +459,6 @@ mod tests {
         let ready = pool.ready_by_price(|_| 0);
         let prices: Vec<u64> = ready.iter().map(Transaction::gas_price).collect();
         assert_eq!(prices, vec![100, 10, 500]);
-        assert_eq!(counter(&pool, "pool.index_hits"), 1);
     }
 
     #[test]
@@ -612,69 +472,27 @@ mod tests {
     }
 
     #[test]
-    fn ready_by_price_limited_is_a_prefix_of_the_full_order() {
-        let pool = TxPool::new();
-        for label in 1..=20u64 {
-            let key = SecretKey::from_label(label);
-            pool.insert(tx(&key, 0, label * 3 % 17 + 1), label).unwrap();
-            pool.insert(tx(&key, 1, label * 5 % 13 + 1), 100 + label).unwrap();
-        }
-        let full = pool.ready_by_price(|_| 0);
-        for limit in [0usize, 1, 7, 23, 40, 100] {
-            let limited = pool.ready_by_price_limited(|_| 0, limit);
-            assert_eq!(limited.len(), full.len().min(limit));
-            assert_eq!(limited[..], full[..limited.len()]);
-        }
-    }
-
-    #[test]
-    fn indexed_ready_matches_rescan_after_churn() {
-        let pool = TxPool::new();
-        let keys: Vec<SecretKey> = (1..=12).map(SecretKey::from_label).collect();
-        for (i, key) in keys.iter().enumerate() {
-            for nonce in 0..3 {
-                pool.insert(tx(key, nonce, (i as u64 * 7 + nonce * 3) % 19 + 1), i as u64 * 10 + nonce)
-                    .unwrap();
-            }
-        }
-        // Churn: remove some, commit some, replace some.
-        pool.remove(&tx(&keys[0], 1, 8).hash());
-        pool.remove_committed([&tx(&keys[3], 0, 2)]);
-        pool.insert(tx(&keys[5], 0, 50), 999).unwrap(); // replacement
-        let indexed = pool.ready_by_price(|_| 0);
-        let rescan = pool.ready_by_price_rescan(|_| 0, usize::MAX);
-        assert_eq!(indexed, rescan);
-    }
-
-    #[test]
     fn stale_prefix_is_served_exactly_by_the_index() {
         let pool = TxPool::new();
         let key = SecretKey::from_label(1);
         pool.insert(tx(&key, 0, 10), 0).unwrap();
         pool.insert(tx(&key, 1, 20), 1).unwrap();
-        // Warm the index.
         assert_eq!(pool.ready_by_price(|_| 0).len(), 2);
-        let (rescans, index_hits) = (counter(&pool, "pool.rescans"), counter(&pool, "pool.index_hits"));
         // Account nonce moved past the pooled head without a prune: the
-        // indexed walk skips the stale entry in place — no rescan.
+        // indexed walk skips the stale entry in place.
         let ready = pool.ready_by_price(|_| 1);
         assert_eq!(ready.len(), 1);
         assert_eq!(ready[0].nonce(), 1);
-        assert_eq!(counter(&pool, "pool.rescans"), rescans);
-        assert_eq!(counter(&pool, "pool.index_hits"), index_hits + 1);
         // Pruning leaves the answer unchanged.
         pool.prune_stale(|_| 1);
-        let pruned = pool.ready_by_price(|_| 1);
-        assert_eq!(pruned.len(), 1);
-        assert_eq!(counter(&pool, "pool.rescans"), rescans);
+        assert_eq!(pool.ready_by_price(|_| 1), ready);
     }
 
     #[test]
-    fn limited_read_ranks_by_the_effective_entry_not_the_stale_head() {
+    fn ready_read_ranks_by_the_effective_entry_not_the_stale_head() {
         // Sender A's head is a stale cheap nonce-0, but its effective
         // entry (nonce 1) outprices everyone. A head-ranked walk would
-        // place A below B and emit B under limit 1; the exact walk must
-        // emit A's nonce-1 first, like the rescan.
+        // place A below B; the exact walk must emit A's nonce-1 first.
         let pool = TxPool::new();
         let a = SecretKey::from_label(1);
         let b = SecretKey::from_label(2);
@@ -682,14 +500,9 @@ mod tests {
         pool.insert(tx(&a, 1, 100), 1).unwrap();
         pool.insert(tx(&b, 0, 50), 2).unwrap();
         let base = |sender: &Address| if *sender == a.address() { 1 } else { 0 };
-        let limited = pool.ready_by_price_limited(base, 1);
-        assert_eq!(limited.len(), 1);
-        assert_eq!(limited[0].sender(), a.address());
-        assert_eq!(limited[0].nonce(), 1);
-        assert_eq!(limited, pool.ready_by_price_rescan(base, 1));
-        let full = pool.ready_by_price(base);
-        assert_eq!(full, pool.ready_by_price_rescan(base, usize::MAX));
-        assert_eq!(full.len(), 2);
+        let order: Vec<(Address, u64)> =
+            pool.ready_by_price(base).iter().map(|tx| (tx.sender(), tx.nonce())).collect();
+        assert_eq!(order, vec![(a.address(), 1), (b.address(), 0)]);
     }
 
     #[test]
@@ -717,11 +530,11 @@ mod tests {
         let key = SecretKey::from_label(1);
         pool.insert(tx(&key, 0, 10), 0).unwrap();
         pool.insert(tx(&key, 1, 30), 1).unwrap();
+        let ready = pool.ready_by_price(|_| 0);
         let snapshot = pool.clone();
         pool.insert(tx(&key, 2, 20), 2).unwrap();
         assert_eq!(snapshot.len(), 2);
-        assert_eq!(snapshot.ready_by_price(|_| 0).len(), 2);
-        assert_eq!(snapshot.ready_by_price(|_| 0), snapshot.ready_by_price_rescan(|_| 0, usize::MAX));
+        assert_eq!(snapshot.ready_by_price(|_| 0), ready);
         assert_eq!(pool.len(), 3);
     }
 }

@@ -2,10 +2,12 @@
 //!
 //! The contract under test: a [`StateView`] taken at any point in an
 //! arbitrary interleaving of mutations, snapshots, reverts, and seals is
-//! byte-equal to an **eagerly deep-cloned** `StateDb` taken at the same
-//! instant — and stays that way while the live state keeps mutating.
-//! `deep_clone` is the old O(state) clone semantics, kept precisely to
-//! serve as the oracle here (and as the RAA-STATE bench baseline).
+//! byte-equal to an **eager copy** of the state taken at the same instant
+//! — every account copied out of [`StateDb::iter`] into a `BTreeMap`,
+//! sharing nothing with the live state — and stays that way while the
+//! live state keeps mutating.
+
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -31,7 +33,7 @@ enum Op {
     Revert,
     /// Seal: clear the journal, dropping all snapshots (block boundary).
     Seal,
-    /// Capture a `StateView` plus its eager deep-clone oracle.
+    /// Capture a `StateView` plus its eager-copy oracle.
     TakeView,
 }
 
@@ -53,12 +55,32 @@ fn addr(n: u8) -> Address {
     Address::from_low_u64(n as u64)
 }
 
+/// The oracle: every account copied out of the state, plus the root the
+/// state reported at the same instant.
+struct Eager {
+    accounts: BTreeMap<Address, Account>,
+    root: H256,
+}
+
+impl Eager {
+    fn of(state: &StateDb) -> Self {
+        Self {
+            accounts: state.iter().map(|(address, account)| (*address, account.clone())).collect(),
+            root: state.state_root(),
+        }
+    }
+
+    fn account(&self, address: &Address) -> Account {
+        self.accounts.get(address).cloned().unwrap_or_default()
+    }
+}
+
 /// A captured (view, oracle) pair, tagged with the op index it was taken
 /// at for failure messages.
 struct Capture {
     at: usize,
     view: StateView,
-    oracle: StateDb,
+    oracle: Eager,
 }
 
 /// Applies one *mutation* op (the journaled kinds); the control ops are
@@ -99,7 +121,7 @@ fn run_ops(ops: &[Op]) -> (StateDb, Vec<Capture>) {
                 snapshots.clear();
             }
             Op::TakeView => {
-                captures.push(Capture { at, view: state.view(), oracle: state.deep_clone() });
+                captures.push(Capture { at, view: state.view(), oracle: Eager::of(&state) });
             }
             mutation => run_one(&mut state, mutation),
         }
@@ -109,12 +131,12 @@ fn run_ops(ops: &[Op]) -> (StateDb, Vec<Capture>) {
 
 /// Full byte-level comparison: same addresses, same nonce/balance/code,
 /// same storage maps — not just matching commitments.
-fn assert_view_matches(view: &StateView, oracle: &StateDb, at: usize) -> Result<(), TestCaseError> {
+fn assert_view_matches(view: &StateView, oracle: &Eager, at: usize) -> Result<(), TestCaseError> {
     let viewed: Vec<(Address, Account)> = view.iter().map(|(a, acct)| (*a, acct.clone())).collect();
-    let expected: Vec<(Address, Account)> = oracle.iter().map(|(a, acct)| (*a, acct.clone())).collect();
+    let expected: Vec<(Address, Account)> = oracle.accounts.clone().into_iter().collect();
     prop_assert_eq!(&viewed, &expected, "account content diverged for view taken at op {}", at);
-    prop_assert_eq!(view.state_root(), oracle.state_root(), "root diverged for view taken at op {}", at);
-    prop_assert_eq!(view.len(), oracle.len());
+    prop_assert_eq!(view.state_root(), oracle.root, "root diverged for view taken at op {}", at);
+    prop_assert_eq!(view.len(), oracle.accounts.len());
     Ok(())
 }
 
@@ -123,8 +145,8 @@ proptest! {
 
     /// The headline property: every view captured during an arbitrary
     /// interleaving — including reverts that cross the COW boundary and
-    /// seals that drop the journal — equals its eager deep-clone oracle
-    /// once the whole sequence has run.
+    /// seals that drop the journal — equals its eager-copy oracle once the
+    /// whole sequence has run.
     #[test]
     fn views_equal_eager_deep_clones_at_every_capture_point(
         ops in proptest::collection::vec(op_strategy(), 0..60),
@@ -133,8 +155,8 @@ proptest! {
         for capture in &captures {
             assert_view_matches(&capture.view, &capture.oracle, capture.at)?;
         }
-        // And a view of the final state equals a deep clone of it.
-        assert_view_matches(&live.view(), &live.deep_clone(), ops.len())?;
+        // And a view of the final state equals an eager copy of it.
+        assert_view_matches(&live.view(), &Eager::of(&live), ops.len())?;
     }
 }
 
@@ -164,7 +186,7 @@ proptest! {
             run_one(&mut state, op);
         }
         let view = state.view();
-        let oracle = state.deep_clone();
+        let oracle = Eager::of(&state);
 
         state.revert_to(snapshot);
         prop_assert_eq!(state.state_root(), root_before, "revert restored the live state");
@@ -181,15 +203,17 @@ proptest! {
     ) {
         let (state, _) = run_ops(&ops);
         let view = state.view();
-        let oracle = state.deep_clone();
+        let oracle = Eager::of(&state);
         for a in 0u8..=255 {
             let address = addr(a);
-            prop_assert_eq!(view.nonce_of(&address), oracle.nonce_of(&address));
-            prop_assert_eq!(view.balance_of(&address), oracle.balance_of(&address));
-            prop_assert_eq!(view.code_of(&address), oracle.code_of(&address));
+            let expected = oracle.account(&address);
+            prop_assert_eq!(view.nonce_of(&address), expected.nonce);
+            prop_assert_eq!(view.balance_of(&address), expected.balance);
+            prop_assert_eq!(view.code_of(&address), expected.code.clone());
             for k in 0u8..4 {
                 let key = H256::from_low_u64(k as u64);
-                prop_assert_eq!(view.storage_get(&address, &key), oracle.storage_get(&address, &key));
+                let slot = expected.storage.get(&key).copied().unwrap_or(H256::ZERO);
+                prop_assert_eq!(view.storage_get(&address, &key), slot);
             }
         }
     }

@@ -17,6 +17,14 @@ pub const HEAD_FLAG: H256 = H256::new(head_flag_bytes());
 /// series" (paper §III-C).
 pub const SUCCESS_FLAG: H256 = H256::new(success_flag_bytes());
 
+/// Selector of the Sereth contract's managed write, `set(bytes32[3])`:
+/// the SIGNATURE Algorithm 2 filters the pool for.
+pub const SET_SELECTOR: abi::Selector = [0xd1, 0x60, 0x27, 0x37];
+
+/// Selector of the Sereth contract's dependent read, `buy(bytes32[3])`,
+/// whose offer words name the mark interval it was built against.
+pub const BUY_SELECTOR: abi::Selector = [0x3f, 0x91, 0xe2, 0x38];
+
 /// The sentinel Algorithm 1 writes into the RAA words when the filtered
 /// transaction list is empty (line 1:5, `RAA ← specialValue`): it tells the
 /// caller the view was served from *committed* state and a new transaction
@@ -163,6 +171,12 @@ mod tests {
     #[should_panic(expected = "no canonical word")]
     fn rejected_has_no_word() {
         let _ = Flag::Rejected.to_word();
+    }
+
+    #[test]
+    fn market_selectors_are_the_signature_hashes() {
+        assert_eq!(SET_SELECTOR, abi::selector("set(bytes32[3])"));
+        assert_eq!(BUY_SELECTOR, abi::selector("buy(bytes32[3])"));
     }
 
     #[test]

@@ -100,12 +100,9 @@ pub fn hash_mark_set(
     outcome_from_nodes(txn_list, committed, config)
 }
 
-/// Algorithm 1 lines 3–9 over an already-filtered transaction list: the
-/// series extraction and view construction behind [`hash_mark_set`], for
-/// callers that already hold `PROCESS`'s output.
-///
-/// `txn_list` must be the output of [`process`] in pool-arrival order.
-pub fn outcome_from_nodes(txn_list: Vec<TxnNode>, committed: (H256, H256), config: &HmsConfig) -> HmsOutcome {
+/// Algorithm 1 lines 3–9 over `PROCESS`'s output, in pool-arrival order:
+/// the series extraction and view construction.
+fn outcome_from_nodes(txn_list: Vec<TxnNode>, committed: (H256, H256), config: &HmsConfig) -> HmsOutcome {
     let (committed_mark, committed_value) = committed;
     let committed_outcome = || HmsOutcome {
         view: HmsView {

@@ -16,26 +16,24 @@
 //!
 //! | paper | module |
 //! |---|---|
-//! | FPV/flags (§III-C) | [`fpv`] |
+//! | FPV/flags, `set`/`buy` selectors (§III-C) | [`fpv`] |
 //! | mark definition, AMV (§III-C) | [`mark`] |
 //! | Algorithm 2 `PROCESS` | [`mod@process`] |
 //! | Algorithm 3 `SERIES` / `DEEPESTBRANCH` | [`series`] |
 //! | Algorithm 1 `HASHMARKSET` | [`hms`] |
-//! | RAA data service (Fig. 1) | [`provider`] |
+//! | RAA data service (Fig. 1) | `sereth-raa`, over the pool's cached `TxPool::market_view` |
 //!
 //! # Examples
 //!
 //! Serializing a pool by hand:
 //!
 //! ```
-//! use sereth_core::fpv::{Flag, Fpv};
+//! use sereth_core::fpv::{Flag, Fpv, SET_SELECTOR};
 //! use sereth_core::hms::{hash_mark_set, HmsConfig, ViewSource};
 //! use sereth_core::mark::{compute_mark, genesis_mark};
 //! use sereth_core::process::PendingTx;
 //! use sereth_crypto::{Address, H256};
-//! use sereth_vm::abi;
 //!
-//! let set = abi::selector("set(bytes32[3])");
 //! let market = Address::from_low_u64(0x5e7e);
 //! let committed = (genesis_mark(), H256::from_low_u64(50));
 //!
@@ -44,11 +42,11 @@
 //!     hash: H256::keccak(b"tx"),
 //!     sender: Address::from_low_u64(1),
 //!     to: Some(market),
-//!     input: Fpv::new(Flag::Head, genesis_mark(), H256::from_low_u64(60)).to_calldata(set),
+//!     input: Fpv::new(Flag::Head, genesis_mark(), H256::from_low_u64(60)).to_calldata(SET_SELECTOR),
 //!     arrival_seq: 0,
 //! };
 //!
-//! let outcome = hash_mark_set(&[tx], &market, set, committed, &HmsConfig::default());
+//! let outcome = hash_mark_set(&[tx], &market, SET_SELECTOR, committed, &HmsConfig::default());
 //! assert_eq!(outcome.view.source, ViewSource::Uncommitted);
 //! assert_eq!(outcome.view.value, H256::from_low_u64(60));
 //! assert_eq!(outcome.view.mark, compute_mark(&genesis_mark(), &H256::from_low_u64(60)));
@@ -61,12 +59,10 @@ pub mod fpv;
 pub mod hms;
 pub mod mark;
 pub mod process;
-pub mod provider;
 pub mod series;
 
-pub use fpv::{Flag, Fpv, HEAD_FLAG, SPECIAL_VALUE, SUCCESS_FLAG};
-pub use hms::{hash_mark_set, outcome_from_nodes, HmsConfig, HmsOutcome, HmsView, ViewSource};
+pub use fpv::{Flag, Fpv, BUY_SELECTOR, HEAD_FLAG, SET_SELECTOR, SPECIAL_VALUE, SUCCESS_FLAG};
+pub use hms::{hash_mark_set, HmsConfig, HmsOutcome, HmsView, ViewSource};
 pub use mark::{compute_mark, genesis_mark, Amv};
-pub use process::{filter_one, process, process_iter, PendingTx, TxnNode};
-pub use provider::{HmsDataSource, HmsRaaProvider};
+pub use process::{process, PendingTx, TxnNode};
 pub use series::SeriesGraph;

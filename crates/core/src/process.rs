@@ -59,33 +59,12 @@ impl TxnNode {
 /// processing, so the overhead of HMS is relatively small" (paper §III-C) —
 /// the `hms_process` benchmark quantifies that claim.
 pub fn process(pool: &[PendingTx], contract: &Address, set_selector: Selector) -> Vec<TxnNode> {
-    process_iter(pool, contract, set_selector)
-}
-
-/// [`process`] over any borrowed iterator of pending transactions — the
-/// allocation-free path: callers that already hold pool entries (e.g. a
-/// node's `HmsDataSource`) can filter without first materialising a
-/// `Vec<PendingTx>` of the entire pool.
-pub fn process_iter<'a>(
-    pool: impl IntoIterator<Item = &'a PendingTx>,
-    contract: &Address,
-    set_selector: Selector,
-) -> Vec<TxnNode> {
-    let mut filtered = Vec::new();
-    for pending in pool {
-        if let Some(node) = filter_one(pending, contract, set_selector) {
-            filtered.push(node);
-        }
-    }
-    filtered
+    pool.iter().filter_map(|pending| filter_one(pending, contract, set_selector)).collect()
 }
 
 /// Algorithm 2's per-transaction body: `Some(node)` iff `pending` is a
-/// Sereth `set` on `contract` with an accepted flag. Exposed so callers
-/// that walk a pool one borrowed entry at a time (the
-/// [`HmsRaaProvider`](crate::provider::HmsRaaProvider)) apply the exact
-/// same filter that [`process`] applies to snapshots.
-pub fn filter_one(pending: &PendingTx, contract: &Address, set_selector: Selector) -> Option<TxnNode> {
+/// Sereth `set` on `contract` with an accepted flag.
+fn filter_one(pending: &PendingTx, contract: &Address, set_selector: Selector) -> Option<TxnNode> {
     // The transaction must target the managed contract…
     if pending.to != Some(*contract) {
         return None;

@@ -14,6 +14,7 @@
 //! | 4 | `nBuy` — successful `buy` count |
 
 use bytes::Bytes;
+use sereth_core::fpv::{BUY_SELECTOR, SET_SELECTOR};
 use sereth_core::mark::genesis_mark;
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
@@ -47,34 +48,44 @@ pub fn default_contract_address() -> Address {
     Address::from_low_u64(0x5e7e_7411)
 }
 
+// The ABI values below are precomputed (the contract compares calldata
+// against them on every call); `tests::selectors_are_stable` pins each
+// against its signature hash.
+
 /// Selector of `set(bytes32[3])`.
 pub fn set_selector() -> Selector {
-    abi::selector("set(bytes32[3])")
+    SET_SELECTOR
 }
 
 /// Selector of `buy(bytes32[3])`.
 pub fn buy_selector() -> Selector {
-    abi::selector("buy(bytes32[3])")
+    BUY_SELECTOR
 }
 
 /// Selector of `get(bytes32[3])` (read-only, RAA-augmented).
 pub fn get_selector() -> Selector {
-    abi::selector("get(bytes32[3])")
+    [0x15, 0x22, 0x27, 0xad]
 }
 
 /// Selector of `mark(bytes32[3])` (read-only, RAA-augmented).
 pub fn mark_selector() -> Selector {
-    abi::selector("mark(bytes32[3])")
+    [0xe4, 0x47, 0x25, 0x25]
 }
 
-/// Event topic emitted by a successful `set`.
+/// Event topic emitted by a successful `set`: `keccak("SetOk(bytes32)")`.
 pub fn set_ok_topic() -> H256 {
-    H256::keccak(b"SetOk(bytes32)")
+    H256::new([
+        0xbc, 0xaa, 0xc1, 0x06, 0x64, 0xac, 0x77, 0x3d, 0x8f, 0x2f, 0x15, 0x8b, 0xe6, 0xfd, 0x1e, 0x73, 0x50,
+        0x24, 0x21, 0x80, 0xe9, 0xbe, 0x42, 0x47, 0x38, 0x4c, 0x70, 0x14, 0x19, 0xeb, 0x81, 0x5e,
+    ])
 }
 
-/// Event topic emitted by a successful `buy`.
+/// Event topic emitted by a successful `buy`: `keccak("BuyOk(bytes32)")`.
 pub fn buy_ok_topic() -> H256 {
-    H256::keccak(b"BuyOk(bytes32)")
+    H256::new([
+        0x5c, 0x4f, 0xfb, 0x6d, 0x07, 0x38, 0x94, 0xaa, 0x77, 0x0e, 0xe8, 0x39, 0xc5, 0xc3, 0xea, 0x0c, 0x87,
+        0x35, 0x02, 0x2b, 0x51, 0x83, 0x60, 0x02, 0x43, 0x65, 0x1f, 0x50, 0x22, 0x52, 0x4a, 0xb3,
+    ])
 }
 
 fn selector_hex(sel: Selector) -> String {
@@ -522,7 +533,10 @@ mod tests {
         // Pin the ABI: changing a signature silently would break recorded
         // experiments.
         assert_eq!(set_selector(), abi::selector("set(bytes32[3])"));
-        assert_ne!(set_selector(), buy_selector());
-        assert_ne!(get_selector(), mark_selector());
+        assert_eq!(buy_selector(), abi::selector("buy(bytes32[3])"));
+        assert_eq!(get_selector(), abi::selector("get(bytes32[3])"));
+        assert_eq!(mark_selector(), abi::selector("mark(bytes32[3])"));
+        assert_eq!(set_ok_topic(), H256::keccak(b"SetOk(bytes32)"));
+        assert_eq!(buy_ok_topic(), H256::keccak(b"BuyOk(bytes32)"));
     }
 }

@@ -10,20 +10,18 @@
 //! dependency scheduler with early write visibility confined to block
 //! assembly; see [`MinerPolicy::Pwv`].
 //!
-//! Every policy exists twice: the default implementations read the pool's
-//! two indexes, which every pool mutation keeps current
-//! ([`order_candidates`] / [`order_candidates_limited`] — `ready_by_price`
-//! is an `O(k)` walk of the price index, and market calldata is
-//! pre-parsed into the market book at insert), and the pre-index rescan
-//! implementations are kept verbatim as the byte-equality oracle and
-//! benchmark baseline ([`order_candidates_rescan`]; the
-//! `txpool_index_props` suite holds the two equal over randomized pool
-//! histories).
+//! Every policy reads only the pool's two indexes, which every pool
+//! mutation keeps current: `ready_by_price` walks the price index in
+//! `O(k log k)` for `k` candidates, and `market_snapshot` returns the
+//! market book, whose calldata was parsed once at insert. The
+//! `txpool_index_props` suite holds both reads equal to oracles it builds
+//! from the pool's arrival-ordered snapshot, so an order depends only on
+//! what is pooled.
 
 use std::collections::{HashMap, HashSet};
 
 use sereth_chain::state::StateView;
-use sereth_chain::txpool::{MarketEntry, MarketKind, MarketSpec, TxPool};
+use sereth_chain::txpool::{MarketEntry, MarketKind, TxPool};
 use sereth_core::fpv::Fpv;
 use sereth_core::hms::{hash_mark_set, HmsConfig};
 use sereth_core::process::PendingTx;
@@ -31,7 +29,7 @@ use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
 use sereth_types::transaction::Transaction;
 
-use crate::contract::{buy_selector, set_selector, SLOT_MARK, SLOT_VALUE};
+use crate::contract::{set_selector, SLOT_MARK, SLOT_VALUE};
 
 /// How a miner orders candidate transactions.
 #[derive(Debug, Clone, Default)]
@@ -56,13 +54,6 @@ pub enum MinerPolicy {
     Pwv,
 }
 
-/// The Sereth market's selectors as a pool [`MarketSpec`] — what a node
-/// configures its pool with so `set`/`buy` calldata is parsed exactly
-/// once, at insert.
-pub fn market_spec() -> MarketSpec {
-    MarketSpec { set_selector: set_selector(), buy_selector: buy_selector() }
-}
-
 /// Converts pool entries into the lightweight view HMS consumes, borrowed
 /// in place (no entry is cloned).
 pub fn pending_view(pool: &TxPool) -> Vec<PendingTx> {
@@ -85,62 +76,27 @@ pub fn order_candidates(
     contract: &Address,
     policy: &MinerPolicy,
 ) -> Vec<Transaction> {
-    order_candidates_limited(pool, state, contract, policy, usize::MAX)
-}
-
-/// [`order_candidates`] emitting at most `limit` candidates — what a
-/// miner with a known block capacity uses so the per-block ordering cost
-/// is `O(limit)`, independent of the backlog behind it
-/// ([`MinerSetup::candidate_budget`](crate::node::MinerSetup)).
-pub fn order_candidates_limited(
-    pool: &TxPool,
-    state: &StateView,
-    contract: &Address,
-    policy: &MinerPolicy,
-    limit: usize,
-) -> Vec<Transaction> {
     match policy {
-        MinerPolicy::Standard => pool.ready_by_price_limited(|sender| state.nonce_of(sender), limit),
-        MinerPolicy::Semantic(config) => semantic_order(pool, state, contract, config, limit),
-        MinerPolicy::Pwv => pwv_order(pool, state, contract, limit),
-    }
-}
-
-/// The pre-index implementation of every policy: full pool walks with
-/// per-block calldata decoding, `O(pool)` (and worse) per block. Kept as
-/// the byte-equality oracle for the indexed paths and as the POOL-SCALE
-/// benchmark baseline.
-pub fn order_candidates_rescan(
-    pool: &TxPool,
-    state: &StateView,
-    contract: &Address,
-    policy: &MinerPolicy,
-    limit: usize,
-) -> Vec<Transaction> {
-    match policy {
-        MinerPolicy::Standard => pool.ready_by_price_rescan(|sender| state.nonce_of(sender), limit),
-        MinerPolicy::Semantic(config) => semantic_order_rescan(pool, state, contract, config, limit),
-        MinerPolicy::Pwv => pwv_order_rescan(pool, state, contract, limit),
+        MinerPolicy::Standard => pool.ready_by_price(|sender| state.nonce_of(sender)),
+        MinerPolicy::Semantic(config) => semantic_order(pool, state, contract, config),
+        MinerPolicy::Pwv => pwv_order(pool, state, contract),
     }
 }
 
 /// Shared tail of the semantic/PWV policies: append the fee-priority
-/// order (minus what the market schedule already placed), repair nonce
-/// order, and apply the candidate limit.
+/// order (minus what the market schedule already placed) and repair
+/// nonce order.
 fn finish_order(
     mut ordered: Vec<Transaction>,
     mut used: HashSet<H256>,
     tail: Vec<Transaction>,
-    limit: usize,
 ) -> Vec<Transaction> {
     for tx in tail {
         if used.insert(tx.hash()) {
             ordered.push(tx);
         }
     }
-    let mut repaired = enforce_nonce_order(ordered);
-    repaired.truncate(limit);
-    repaired
+    enforce_nonce_order(ordered)
 }
 
 /// The PWV schedule over pre-parsed market entries: starting from the
@@ -187,34 +143,13 @@ fn pwv_schedule(market: &[MarketEntry], committed: (H256, H256)) -> (Vec<Transac
 /// The PWV order (see [`MinerPolicy::Pwv`]), from the pre-parsed market
 /// book: no pool walk, no per-block calldata decoding. Unready market
 /// traffic and foreign transactions follow by fee priority.
-fn pwv_order(pool: &TxPool, state: &StateView, contract: &Address, limit: usize) -> Vec<Transaction> {
+fn pwv_order(pool: &TxPool, state: &StateView, contract: &Address) -> Vec<Transaction> {
     let committed = committed_amv(state, contract);
-    let market = pool.market_snapshot(contract, set_selector(), buy_selector());
-    let (ordered, used) = pwv_schedule(&market, committed);
-    let tail = pool.ready_by_price_limited(|sender| state.nonce_of(sender), limit);
-    finish_order(ordered, used, tail, limit)
+    let (ordered, used) = pwv_schedule(&pool.market_snapshot(contract), committed);
+    finish_order(ordered, used, pool.ready_by_price(|sender| state.nonce_of(sender)))
 }
 
-/// The pre-index PWV implementation: walks the whole pool (borrowed, not
-/// cloned) and decodes every entry's calldata per block.
-fn pwv_order_rescan(pool: &TxPool, state: &StateView, contract: &Address, limit: usize) -> Vec<Transaction> {
-    let committed = committed_amv(state, contract);
-    let market: Vec<MarketEntry> = pool.with_entries_by_arrival(|entries| {
-        entries
-            .iter()
-            .filter(|entry| entry.tx.to() == Some(*contract))
-            .filter_map(|entry| {
-                MarketEntry::classify(&entry.tx, entry.arrival_seq, set_selector(), buy_selector())
-            })
-            .collect()
-    });
-    let (ordered, used) = pwv_schedule(&market, committed);
-    let tail = pool.ready_by_price_rescan(|sender| state.nonce_of(sender), limit);
-    finish_order(ordered, used, tail, limit)
-}
-
-/// The semantic-mining series assembly (paper §V-C), shared by the
-/// indexed and rescan paths:
+/// The semantic-mining series assembly (paper §V-C):
 ///
 /// 1. run Hash-Mark-Set over the market's `set`s to obtain the series;
 /// 2. bucket pending `buy`s by the mark they offer against;
@@ -272,37 +207,10 @@ fn semantic_order(
     state: &StateView,
     contract: &Address,
     config: &HmsConfig,
-    limit: usize,
 ) -> Vec<Transaction> {
     let committed = committed_amv(state, contract);
-    let market = pool.market_snapshot(contract, set_selector(), buy_selector());
-    let (ordered, used) = semantic_schedule(&market, contract, committed, config);
-    let tail = pool.ready_by_price_limited(|sender| state.nonce_of(sender), limit);
-    finish_order(ordered, used, tail, limit)
-}
-
-/// The pre-index semantic implementation: filters and decodes the whole
-/// pool per block (borrowed walk), then runs the identical schedule.
-fn semantic_order_rescan(
-    pool: &TxPool,
-    state: &StateView,
-    contract: &Address,
-    config: &HmsConfig,
-    limit: usize,
-) -> Vec<Transaction> {
-    let committed = committed_amv(state, contract);
-    let market: Vec<MarketEntry> = pool.with_entries_by_arrival(|entries| {
-        entries
-            .iter()
-            .filter(|entry| entry.tx.to() == Some(*contract))
-            .filter_map(|entry| {
-                MarketEntry::classify(&entry.tx, entry.arrival_seq, set_selector(), buy_selector())
-            })
-            .collect()
-    });
-    let (ordered, used) = semantic_schedule(&market, contract, committed, config);
-    let tail = pool.ready_by_price_rescan(|sender| state.nonce_of(sender), limit);
-    finish_order(ordered, used, tail, limit)
+    let (ordered, used) = semantic_schedule(&pool.market_snapshot(contract), contract, committed, config);
+    finish_order(ordered, used, pool.ready_by_price(|sender| state.nonce_of(sender)))
 }
 
 /// Rewrites `candidates` so each sender's transactions appear in ascending
@@ -335,10 +243,9 @@ pub fn enforce_nonce_order(candidates: Vec<Transaction>) -> Vec<Transaction> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contract::{default_contract_address, sereth_genesis_slots};
+    use crate::contract::{buy_selector, default_contract_address, sereth_genesis_slots};
     use bytes::Bytes;
     use sereth_chain::state::StateDb;
-    use sereth_chain::txpool::PoolConfig;
     use sereth_core::fpv::Flag;
     use sereth_core::mark::{compute_mark, genesis_mark};
     use sereth_crypto::sig::SecretKey;
@@ -359,28 +266,8 @@ mod tests {
         (state, contract)
     }
 
-    /// A pool with the Sereth market selectors pre-indexed, as nodes
-    /// construct theirs.
-    fn market_pool() -> TxPool {
-        TxPool::with_config(PoolConfig { market: Some(market_spec()), ..PoolConfig::default() })
-    }
-
-    /// Every policy, indexed and rescan, must agree before we assert on
-    /// the indexed output's shape.
-    fn ordered_checked(
-        pool: &TxPool,
-        state: &StateDb,
-        contract: &Address,
-        policy: &MinerPolicy,
-    ) -> Vec<Transaction> {
-        let indexed = order_candidates(pool, &state.view(), contract, policy);
-        let rescan = order_candidates_rescan(pool, &state.view(), contract, policy, usize::MAX);
-        assert_eq!(
-            indexed.iter().map(Transaction::hash).collect::<Vec<_>>(),
-            rescan.iter().map(Transaction::hash).collect::<Vec<_>>(),
-            "indexed and rescan orders diverged for {policy:?}"
-        );
-        indexed
+    fn ordered(pool: &TxPool, state: &StateDb, contract: &Address, policy: &MinerPolicy) -> Vec<Transaction> {
+        order_candidates(pool, &state.view(), contract, policy)
     }
 
     fn sereth_tx(
@@ -426,12 +313,12 @@ mod tests {
     #[test]
     fn standard_policy_orders_by_fee() {
         let (state, contract) = state_with_contract();
-        let pool = market_pool();
+        let pool = TxPool::new();
         let a = SecretKey::from_label(1);
         let b = SecretKey::from_label(2);
         pool.insert(plain_tx(&a, 0, 5), 0).unwrap();
         pool.insert(plain_tx(&b, 0, 50), 1).unwrap();
-        let ordered = ordered_checked(&pool, &state, &contract, &MinerPolicy::Standard);
+        let ordered = ordered(&pool, &state, &contract, &MinerPolicy::Standard);
         assert_eq!(ordered[0].gas_price(), 50);
         assert_eq!(ordered[1].gas_price(), 5);
     }
@@ -442,7 +329,7 @@ mod tests {
         let owner = SecretKey::from_label(1);
         let buyer1 = SecretKey::from_label(2);
         let buyer2 = SecretKey::from_label(3);
-        let pool = market_pool();
+        let pool = TxPool::new();
 
         let m0 = genesis_mark();
         let m1 = compute_mark(&m0, &H256::from_low_u64(60));
@@ -460,7 +347,7 @@ mod tests {
         pool.insert(set1.clone(), 3).unwrap();
         pool.insert(buy_at_m0.clone(), 4).unwrap();
 
-        let ordered = ordered_checked(&pool, &state, &contract, &MinerPolicy::Semantic(HmsConfig::default()));
+        let ordered = ordered(&pool, &state, &contract, &MinerPolicy::Semantic(HmsConfig::default()));
         let hashes: Vec<H256> = ordered.iter().map(Transaction::hash).collect();
         // Expected semantic order before nonce repair:
         //   buy@m0, set1, buy@m1, set2, buy@m2
@@ -480,7 +367,7 @@ mod tests {
     fn semantic_policy_keeps_independent_buyers_in_mark_order() {
         let (state, contract) = state_with_contract();
         let owner = SecretKey::from_label(1);
-        let pool = market_pool();
+        let pool = TxPool::new();
         let m0 = genesis_mark();
         let m1 = compute_mark(&m0, &H256::from_low_u64(60));
         let set1 = sereth_tx(&owner, 0, set_selector(), Flag::Head, m0, 60);
@@ -494,7 +381,7 @@ mod tests {
         }
         pool.insert(set1.clone(), 99).unwrap();
 
-        let ordered = ordered_checked(&pool, &state, &contract, &MinerPolicy::Semantic(HmsConfig::default()));
+        let ordered = ordered(&pool, &state, &contract, &MinerPolicy::Semantic(HmsConfig::default()));
         assert_eq!(ordered[0].hash(), set1.hash());
         assert_eq!(ordered.len(), 11);
         for (i, buy) in buys.iter().enumerate() {
@@ -507,7 +394,7 @@ mod tests {
         let (state, contract) = state_with_contract();
         let owner = SecretKey::from_label(1);
         let stranger = SecretKey::from_label(9);
-        let pool = market_pool();
+        let pool = TxPool::new();
         let m0 = genesis_mark();
         let set1 = sereth_tx(&owner, 0, set_selector(), Flag::Head, m0, 60);
         let stale_buy = sereth_tx(&stranger, 0, buy_selector(), Flag::Success, H256::keccak(b"gone"), 1);
@@ -516,7 +403,7 @@ mod tests {
         pool.insert(set1.clone(), 1).unwrap();
         pool.insert(transfer.clone(), 2).unwrap();
 
-        let ordered = ordered_checked(&pool, &state, &contract, &MinerPolicy::Semantic(HmsConfig::default()));
+        let ordered = ordered(&pool, &state, &contract, &MinerPolicy::Semantic(HmsConfig::default()));
         assert_eq!(ordered.len(), 3);
         assert_eq!(ordered[0].hash(), set1.hash(), "series first");
         let tail: Vec<H256> = ordered[1..].iter().map(Transaction::hash).collect();
@@ -530,7 +417,7 @@ mod tests {
         let owner = SecretKey::from_label(1);
         let buyer1 = SecretKey::from_label(2);
         let buyer2 = SecretKey::from_label(3);
-        let pool = market_pool();
+        let pool = TxPool::new();
 
         let m0 = genesis_mark();
         // Buys at the *committed* state (mark m0, price 50) — what
@@ -543,7 +430,7 @@ mod tests {
         pool.insert(buy_a.clone(), 1).unwrap();
         pool.insert(buy_b.clone(), 2).unwrap();
 
-        let ordered = ordered_checked(&pool, &state, &contract, &MinerPolicy::Pwv);
+        let ordered = ordered(&pool, &state, &contract, &MinerPolicy::Pwv);
         let hashes: Vec<H256> = ordered.iter().map(Transaction::hash).collect();
         assert_eq!(hashes, vec![buy_a.hash(), buy_b.hash(), set1.hash()]);
     }
@@ -553,7 +440,7 @@ mod tests {
         let (state, contract) = state_with_contract();
         let owner = SecretKey::from_label(1);
         let buyer = SecretKey::from_label(2);
-        let pool = market_pool();
+        let pool = TxPool::new();
 
         let m0 = genesis_mark();
         let m1 = compute_mark(&m0, &H256::from_low_u64(60));
@@ -567,7 +454,7 @@ mod tests {
         pool.insert(buy_mid.clone(), 1).unwrap();
         pool.insert(set1.clone(), 2).unwrap();
 
-        let ordered = ordered_checked(&pool, &state, &contract, &MinerPolicy::Pwv);
+        let ordered = ordered(&pool, &state, &contract, &MinerPolicy::Pwv);
         let hashes: Vec<H256> = ordered.iter().map(Transaction::hash).collect();
         assert_eq!(hashes, vec![set1.hash(), buy_mid.hash(), set2.hash()]);
     }
@@ -577,7 +464,7 @@ mod tests {
         let (state, contract) = state_with_contract();
         let owner = SecretKey::from_label(1);
         let stranger = SecretKey::from_label(9);
-        let pool = market_pool();
+        let pool = TxPool::new();
 
         let m0 = genesis_mark();
         let set1 = sereth_tx(&owner, 0, set_selector(), Flag::Head, m0, 60);
@@ -588,7 +475,7 @@ mod tests {
         pool.insert(transfer.clone(), 1).unwrap();
         pool.insert(set1.clone(), 2).unwrap();
 
-        let ordered = ordered_checked(&pool, &state, &contract, &MinerPolicy::Pwv);
+        let ordered = ordered(&pool, &state, &contract, &MinerPolicy::Pwv);
         assert_eq!(ordered.len(), 3);
         assert_eq!(ordered[0].hash(), set1.hash());
         let tail: Vec<H256> = ordered[1..].iter().map(Transaction::hash).collect();
@@ -611,49 +498,15 @@ mod tests {
         state.storage_set(&contract, SLOT_VALUE, H256::from_low_u64(60));
         state.clear_journal();
 
-        let pool = market_pool();
+        let pool = TxPool::new();
         let stale_buy = sereth_tx(&buyer, 0, buy_selector(), Flag::Success, m0, 50);
         pool.insert(stale_buy.clone(), 0).unwrap();
 
-        let ordered = ordered_checked(&pool, &state, &contract, &MinerPolicy::Pwv);
+        let ordered = ordered(&pool, &state, &contract, &MinerPolicy::Pwv);
         // Scheduled (it occupies block space) but only via the fee-order
         // tail — the dependency loop never picked it up.
         assert_eq!(ordered.len(), 1);
         assert_eq!(ordered[0].hash(), stale_buy.hash());
-    }
-
-    #[test]
-    fn policies_agree_between_indexed_and_rescan_on_unconfigured_pools() {
-        // A pool built WITHOUT a market spec (the default config) must
-        // still order identically: market_snapshot falls back to a
-        // counted rescan with the same classification rule.
-        let (state, contract) = state_with_contract();
-        let owner = SecretKey::from_label(1);
-        let buyer = SecretKey::from_label(2);
-        let hub = std::sync::Arc::new(sereth_telemetry::Telemetry::enabled());
-        let pool = TxPool::with_telemetry(PoolConfig::default(), hub.clone());
-        let m0 = genesis_mark();
-        pool.insert(sereth_tx(&owner, 0, set_selector(), Flag::Head, m0, 60), 0).unwrap();
-        pool.insert(sereth_tx(&buyer, 0, buy_selector(), Flag::Success, m0, 50), 1).unwrap();
-        pool.insert(plain_tx(&SecretKey::from_label(9), 0, 7), 2).unwrap();
-        for policy in [MinerPolicy::Standard, MinerPolicy::Semantic(HmsConfig::default()), MinerPolicy::Pwv] {
-            ordered_checked(&pool, &state, &contract, &policy);
-        }
-        assert!(hub.snapshot().counters["pool.market_rescans"] > 0, "unconfigured market must rescan");
-    }
-
-    #[test]
-    fn limited_order_is_a_prefix_for_the_standard_policy() {
-        let (state, contract) = state_with_contract();
-        let pool = market_pool();
-        for label in 1..=9u64 {
-            let key = SecretKey::from_label(label);
-            pool.insert(plain_tx(&key, 0, label * 3 % 7 + 1), label).unwrap();
-        }
-        let full = order_candidates(&pool, &state.view(), &contract, &MinerPolicy::Standard);
-        let limited = order_candidates_limited(&pool, &state.view(), &contract, &MinerPolicy::Standard, 4);
-        assert_eq!(limited.len(), 4);
-        assert_eq!(limited[..], full[..4]);
     }
 
     #[test]

@@ -35,8 +35,8 @@ use sereth_types::{IsolationLevel, SimTime};
 use sereth_vm::abi;
 use sereth_vm::raa::RaaRegistry;
 
-use crate::contract::{get_selector, mark_selector, set_selector};
-use crate::miner::{committed_amv, market_spec, order_candidates_limited, MinerPolicy};
+use crate::contract::{get_selector, mark_selector};
+use crate::miner::{committed_amv, order_candidates, MinerPolicy};
 
 /// Standard vs. modified client (paper §III-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,12 +86,6 @@ pub struct MinerSetup {
     pub schedule: BlockSchedule,
     /// Address credited with fees.
     pub coinbase: Address,
-    /// Cap on how many candidates each ordering pass emits. With a cap
-    /// the per-block ordering cost is `O(cap)` — independent of the pool
-    /// backlog — at the price of not seeing past the cap when candidates
-    /// fail execution; `None` (the default everywhere) orders the whole
-    /// ready set, exactly as before the indexed pool feed.
-    pub candidate_budget: Option<usize>,
 }
 
 impl Default for MinerSetup {
@@ -100,7 +94,6 @@ impl Default for MinerSetup {
             policy: MinerPolicy::Standard,
             schedule: BlockSchedule::Fixed(15_000),
             coinbase: Address::from_low_u64(0xc0b0),
-            candidate_budget: None,
         }
     }
 }
@@ -124,10 +117,7 @@ pub struct NodeConfig {
     pub limits: BlockLimits,
     /// HMS extensions (committed-head).
     pub hms: HmsConfig,
-    /// Transaction-pool configuration (capacity, replacement bump). The
-    /// node overrides [`PoolConfig::market`] with the Sereth contract's
-    /// selectors so `set`/`buy` calldata is pre-parsed at insert and RAA
-    /// views are served from the pool's market book.
+    /// Transaction-pool configuration (capacity, replacement bump).
     pub pool: PoolConfig,
     /// The telemetry switch. On by default (the layer is cheap enough to
     /// leave running); disabled, every subsystem records nothing and the
@@ -251,9 +241,8 @@ impl NodeConfigBuilder {
     }
 
     /// Makes this node mine with `policy` (default schedule and
-    /// coinbase; refine with [`NodeConfigBuilder::schedule`],
-    /// [`NodeConfigBuilder::coinbase`],
-    /// [`NodeConfigBuilder::candidate_budget`]).
+    /// coinbase; refine with [`NodeConfigBuilder::schedule`] and
+    /// [`NodeConfigBuilder::coinbase`]).
     pub fn mining(mut self, policy: MinerPolicy) -> Self {
         self.miner_mut().policy = policy;
         self
@@ -277,13 +266,6 @@ impl NodeConfigBuilder {
     /// if none exists yet).
     pub fn coinbase(mut self, coinbase: Address) -> Self {
         self.miner_mut().coinbase = coinbase;
-        self
-    }
-
-    /// Caps the per-block candidate-ordering pass (installing a
-    /// standard-ordering setup if none exists yet).
-    pub fn candidate_budget(mut self, budget: Option<usize>) -> Self {
-        self.miner_mut().candidate_budget = budget;
         self
     }
 
@@ -558,14 +540,13 @@ impl NodeHandle {
     /// on-disk data, or a directory from a different genesis.
     pub fn open(genesis: Genesis, config: NodeConfig) -> Result<Self, StoreError> {
         let telemetry = Arc::new(Telemetry::new(config.telemetry));
-        let pool_config = PoolConfig { market: Some(market_spec()), ..config.pool.clone() };
         let chain = ChainStore::open(
             StoreConfig::in_memory(genesis).with_backend(config.store.clone()).telemetry(telemetry.clone()),
         )?;
         let pinned_view = (chain.head_number(), chain.head_state_view());
         let inner = NodeInner {
             chain,
-            pool: Arc::new(TxPool::with_telemetry(pool_config, telemetry.clone())),
+            pool: Arc::new(TxPool::with_telemetry(config.pool.clone(), telemetry.clone())),
             raa: RaaRegistry::new(),
             config,
             orphans: Vec::new(),
@@ -583,12 +564,7 @@ impl NodeHandle {
                 && inner.config.isolation == IsolationLevel::ReadUncommitted
             {
                 let source = Arc::new(NodeSource(Arc::downgrade(&handle.inner)));
-                let provider = PoolRaaProvider::new(
-                    inner.pool.clone(),
-                    source,
-                    set_selector(),
-                    inner.config.hms.clone(),
-                );
+                let provider = PoolRaaProvider::new(inner.pool.clone(), source, inner.config.hms.clone());
                 let contract = inner.config.contract;
                 inner.raa.enable(contract, get_selector());
                 inner.raa.enable(contract, mark_selector());
@@ -873,9 +849,16 @@ impl NodeHandle {
         }
         match self.import(&mut inner, block.clone()) {
             Ok(ImportOutcome::AlreadyKnown) => BlockReceipt::Known,
+            // A block that lost fork choice commits nothing: its
+            // transactions stay pooled for this node to mine.
+            Ok(ImportOutcome::SideChain) => {
+                self.retry_orphans(&mut inner);
+                BlockReceipt::Imported
+            }
             // A Store error still imported the block in memory: keep
             // serving (and forwarding) from memory; `import` counted it.
-            Ok(_) | Err(ImportError::Store(_)) => {
+            Ok(ImportOutcome::ExtendedCanonical | ImportOutcome::Reorged { .. })
+            | Err(ImportError::Store(_)) => {
                 Self::after_import(&mut inner, &block);
                 self.retry_orphans(&mut inner);
                 BlockReceipt::Imported
@@ -902,6 +885,10 @@ impl NodeHandle {
         result
     }
 
+    /// Pool and pin upkeep after `block` became canonical. Never run for a
+    /// side-chain block: its transactions are not committed, and dropping
+    /// them would leave them unminable here, since `seen_txs` refuses them
+    /// when they are gossiped again.
     fn after_import(inner: &mut NodeInner, block: &Block) {
         let NodeInner { chain, pool, .. } = inner;
         pool.remove_committed(block.transactions.iter());
@@ -924,9 +911,13 @@ impl NodeHandle {
                 }
                 match self.import(inner, block.clone()) {
                     Ok(ImportOutcome::AlreadyKnown) => {}
-                    // A Store error still imported in memory — same as Ok
-                    // here; `import` counted the persistence fault.
-                    Ok(_) | Err(ImportError::Store(_)) => {
+                    // Stored but not canonical: nothing committed, and
+                    // its descendants may now import.
+                    Ok(ImportOutcome::SideChain) => progressed = true,
+                    // A Store error still imported in memory — same as a
+                    // canonical import here; `import` counted the fault.
+                    Ok(ImportOutcome::ExtendedCanonical | ImportOutcome::Reorged { .. })
+                    | Err(ImportError::Store(_)) => {
                         Self::after_import(inner, &block);
                         progressed = true;
                     }
@@ -976,11 +967,10 @@ impl NodeHandle {
                 inner.config.isolation,
             )
         };
-        let budget = setup.candidate_budget.unwrap_or(usize::MAX);
         let policy = effective_policy(&setup.policy, isolation, &self.telemetry);
-        let (candidates, order_ns) = self.telemetry.time_ns(Phase::OrderCandidates, || {
-            order_candidates_limited(&pool, &state.view(), &contract, &policy, budget)
-        });
+        let (candidates, order_ns) = self
+            .telemetry
+            .time_ns(Phase::OrderCandidates, || order_candidates(&pool, &state.view(), &contract, &policy));
         let timestamp = now.max(parent.timestamp_ms + 1);
         let built = build_block_traced(
             &parent,
@@ -1098,7 +1088,9 @@ impl std::fmt::Debug for NodeHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contract::{default_contract_address, sereth_code, sereth_genesis_slots, ContractForm};
+    use crate::contract::{
+        default_contract_address, sereth_code, sereth_genesis_slots, set_selector, ContractForm,
+    };
     use sereth_chain::genesis::GenesisBuilder;
     use sereth_core::mark::genesis_mark;
     use sereth_crypto::sig::SecretKey;
@@ -1327,6 +1319,17 @@ mod tests {
         assert_eq!(node.telemetry_snapshot().counters.get("node.self_import_failed").copied(), Some(1));
     }
 
+    /// A standard miner on the test genesis whose blocks differ from the
+    /// default miner's (another coinbase), to race it for a height.
+    fn rival(owner: &SecretKey) -> NodeHandle {
+        NodeHandle::new(
+            test_genesis(owner),
+            NodeConfig::miner(default_contract_address(), MinerPolicy::Standard)
+                .coinbase(Address::from_low_u64(0xd1f))
+                .build(),
+        )
+    }
+
     #[test]
     fn sealed_block_beaten_to_the_head_keeps_its_transactions_pooled() {
         // `mine()` builds without the node lock, so a gossip block can
@@ -1344,13 +1347,7 @@ mod tests {
         let sealed = twin.mine(15_000).expect("twin seals");
         assert!(sealed.transactions.contains(&tx));
 
-        let rival = NodeHandle::new(
-            test_genesis(&owner),
-            NodeConfig::miner(default_contract_address(), MinerPolicy::Standard)
-                .coinbase(Address::from_low_u64(0xd1f))
-                .build(),
-        );
-        let gossip = rival.mine(14_000).expect("rival seals");
+        let gossip = rival(&owner).mine(14_000).expect("rival seals");
         assert_eq!(miner.receive_block(gossip.clone()), BlockReceipt::Imported);
 
         assert_eq!(miner.import_mined(sealed.clone()), Some(sealed));
@@ -1362,6 +1359,61 @@ mod tests {
         assert_eq!(next.header.parent_hash, gossip.hash());
         assert!(next.transactions.contains(&tx), "the pooled transaction commits next");
         assert!(!miner.pool_contains(&tx.hash()));
+    }
+
+    #[test]
+    fn gossiped_block_beaten_to_the_head_keeps_its_transactions_pooled() {
+        // The gossip path of the race above: a rival block takes height
+        // 1, then a twin's block carrying the pooled `tx` arrives. It
+        // loses fork choice, so it commits nothing and `tx` stays pooled;
+        // `seen_txs` would refuse `tx` if it were gossiped again.
+        let owner = SecretKey::from_label(1);
+        let miner = node(ClientKind::Geth, &owner, true);
+        let twin = node(ClientKind::Geth, &owner, true);
+        let tx = set_tx(&owner, 0, genesis_mark(), 75);
+        assert!(miner.receive_tx(tx.clone(), 100));
+        assert!(twin.receive_tx(tx.clone(), 100));
+        let sealed = twin.mine(15_000).expect("twin seals");
+        assert!(sealed.transactions.contains(&tx));
+        let gossip = rival(&owner).mine(14_000).expect("rival seals");
+
+        assert_eq!(miner.receive_block(gossip.clone()), BlockReceipt::Imported);
+        assert_eq!(miner.receive_block(sealed), BlockReceipt::Imported);
+        assert_eq!(miner.head_hash(), gossip.hash(), "the first block at height 1 keeps the head");
+        assert!(miner.pool_contains(&tx.hash()), "a side-chain block commits nothing");
+
+        let next = miner.mine(30_000).expect("miner seals");
+        assert!(next.transactions.contains(&tx), "the pooled transaction commits next");
+    }
+
+    #[test]
+    fn released_orphan_on_a_side_chain_keeps_its_transactions_pooled() {
+        // The orphan path: the twin's block 2 carries `tx` and arrives
+        // before its parent, while the rival's chain already holds height
+        // 2. Releasing it after its parent puts it on a side chain.
+        let owner = SecretKey::from_label(1);
+        let miner = node(ClientKind::Geth, &owner, true);
+        let twin = node(ClientKind::Geth, &owner, true);
+        let rival = rival(&owner);
+        let tx = set_tx(&owner, 0, genesis_mark(), 75);
+        let t1 = twin.mine(15_000).expect("twin seals");
+        assert!(twin.receive_tx(tx.clone(), 100));
+        let t2 = twin.mine(30_000).expect("twin seals");
+        assert!(t2.transactions.contains(&tx));
+        for block in [rival.mine(14_000), rival.mine(29_000)] {
+            assert_eq!(miner.receive_block(block.expect("rival seals")), BlockReceipt::Imported);
+        }
+        assert!(miner.receive_tx(tx.clone(), 100));
+
+        assert_eq!(miner.receive_block(t2), BlockReceipt::Orphaned);
+        assert_eq!(miner.receive_block(t1), BlockReceipt::Imported);
+        assert!(miner.orphan_parents().is_empty(), "block 2 was released");
+        assert_eq!(miner.stored_blocks(), 5, "genesis, two rival blocks, two twin blocks");
+        assert_eq!(miner.head_number(), 2);
+        assert!(miner.pool_contains(&tx.hash()), "a released side-chain block commits nothing");
+
+        let next = miner.mine(45_000).expect("miner seals");
+        assert!(next.transactions.contains(&tx), "the pooled transaction commits next");
     }
 
     #[test]
@@ -1452,14 +1504,12 @@ mod tests {
 
         let miner = NodeConfig::miner(contract, MinerPolicy::Semantic(HmsConfig::default()))
             .coinbase(Address::from_low_u64(0xc0de))
-            .candidate_budget(Some(64))
             .max_txs(Some(10))
             .build();
         assert_eq!(miner.kind, ClientKind::Sereth, "semantic mining implies the modified client");
         let setup = miner.miner.expect("preset installs a miner");
         assert!(matches!(setup.policy, MinerPolicy::Semantic(_)));
         assert_eq!(setup.coinbase, Address::from_low_u64(0xc0de));
-        assert_eq!(setup.candidate_budget, Some(64));
         assert_eq!(miner.limits.max_txs, Some(10));
 
         let standard = NodeConfig::miner(contract, MinerPolicy::Standard).build();
@@ -1543,8 +1593,7 @@ mod tests {
             assert_eq!(counters.get("iso.policy_degraded").copied(), Some(1), "degraded at {level}");
         }
         // At READ UNCOMMITTED the semantic and PWV policies run
-        // undegraded, and every ordering pass reads the pool's market
-        // index: each mine adds index hits and no market rescans.
+        // undegraded: each mine is one ordering pass that commits the set.
         for policy in [MinerPolicy::Semantic(HmsConfig::default()), MinerPolicy::Pwv] {
             let node = NodeHandle::new(
                 test_genesis(&owner),
@@ -1554,13 +1603,11 @@ mod tests {
             for nonce in 0..2 {
                 let value = 75 + nonce;
                 assert!(node.receive_tx(set_tx(&owner, nonce, mark, value), 100 + nonce));
-                let before = node.telemetry_snapshot().counters;
+                let passes = || node.telemetry_snapshot().histograms["phase.order_candidates"].count();
+                let before = passes();
                 let block = node.mine(15_000 * (nonce + 1)).expect("miner seals");
                 assert_eq!(block.transactions.len(), 1, "{policy:?} commits the set");
-                let after = node.telemetry_snapshot().counters;
-                let delta = |name: &str| after[name] - before[name];
-                assert!(delta("pool.index_hits") >= 1, "{policy:?} ordering must read the index");
-                assert_eq!(delta("pool.market_rescans"), 0, "{policy:?} market reads must hit the index");
+                assert_eq!(passes() - before, 1, "{policy:?} orders once per mine");
                 mark = sereth_core::mark::compute_mark(&mark, &H256::from_low_u64(value));
             }
             assert_eq!(node.telemetry_snapshot().counters.get("iso.policy_degraded").copied(), None);

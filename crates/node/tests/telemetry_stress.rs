@@ -64,7 +64,6 @@ fn node(telemetry: TelemetryConfig) -> NodeHandle {
         NodeConfig::miner(default_contract_address(), MinerPolicy::Standard)
             .schedule(BlockSchedule::Fixed(1_000))
             .coinbase(Address::from_low_u64(0xc01))
-            .candidate_budget(Some(32))
             .limits(BlockLimits { gas_limit: 8_000_000, max_txs: Some(32) })
             .telemetry(telemetry)
             .build(),

@@ -1,37 +1,33 @@
-//! Byte-equality of the indexed pool feed against the rescan oracle.
+//! The pool's two indexes against oracles built from its arrival-ordered
+//! snapshot ([`TxPool::pending_by_arrival`]).
 //!
-//! The contract under test: for ANY pool history — randomized
-//! interleavings of inserts (transfers, replacements, market `set`s and
-//! `buy`s), removals, block commits, stale prunes, and capacity
-//! evictions — the pool's indexed reads return **byte-identical**
-//! candidate lists to the pre-index rescan implementations:
+//! The contract under test: after EVERY operation of any pool history —
+//! randomized interleavings of inserts (transfers, replacements, market
+//! `set`s and `buy`s), removals, block commits, stale prunes, and
+//! capacity evictions — the pool's indexed reads equal this suite's own
+//! oracles:
 //!
-//! * `ready_by_price` (indexed lazy-merge) ≡ `ready_by_price_rescan`
-//!   (repeated selection over all sender queues), under several account
-//!   nonce assignments including stale prefixes and nonce gaps;
-//! * `order_candidates` ≡ `order_candidates_rescan` for all three miner
-//!   policies (Standard / Semantic / PWV), so the pre-parsed market index
-//!   provably feeds HMS and the PWV scheduler the same series the full
-//!   pool walk produced;
-//! * `ready_by_price_limited(k)` is exactly the first `k` of the full
-//!   order.
+//! * `ready_by_price` (the price-index walk) equals a repeated-selection
+//!   walk over every sender's next nonce, under several account nonce
+//!   assignments including stale prefixes and nonce gaps;
+//! * `market_snapshot` (the market book) equals
+//!   [`MarketEntry::classify`] over the arrival-ordered entries addressed
+//!   to the contract.
+//!
+//! The miner policies read nothing else from the pool, so equal reads
+//! give equal orders.
 
-use std::sync::Arc;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap};
 
 use proptest::prelude::*;
-use sereth_chain::state::StateDb;
-use sereth_chain::txpool::{PoolConfig, TxPool};
+use sereth_chain::txpool::{MarketEntry, MarketKind, PoolConfig, PoolEntry, TxPool};
 use sereth_core::fpv::{Flag, Fpv};
-use sereth_core::hms::HmsConfig;
 use sereth_core::mark::{compute_mark, genesis_mark};
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
 use sereth_crypto::sig::SecretKey;
-use sereth_node::contract::{buy_selector, default_contract_address, sereth_genesis_slots, set_selector};
-use sereth_node::miner::{
-    market_spec, order_candidates, order_candidates_limited, order_candidates_rescan, MinerPolicy,
-};
-use sereth_telemetry::Telemetry;
+use sereth_node::contract::{buy_selector, default_contract_address, set_selector};
 use sereth_types::transaction::{Transaction, TxPayload};
 use sereth_types::u256::U256;
 
@@ -171,29 +167,56 @@ fn apply(pool: &TxPool, op: &Op, log: &mut Vec<Transaction>, now: &mut u64) {
     }
 }
 
-fn market_state() -> StateDb {
-    sereth_chain::genesis::GenesisBuilder::new()
-        .contract_with_storage(
-            default_contract_address(),
-            sereth_vm::exec::ContractCode::None,
-            sereth_genesis_slots(&Address::from_low_u64(1), H256::from_low_u64(50)),
-        )
-        .build()
-        .state
-}
-
 fn hashes(txs: &[Transaction]) -> Vec<H256> {
     txs.iter().map(Transaction::hash).collect()
+}
+
+/// The fee-priority oracle: repeated selection over every sender's next
+/// nonce, from the arrival-ordered snapshot alone. Each step emits the
+/// highest-priced selectable entry, the earliest arrival on ties, and
+/// advances that sender's cursor; senders start at `base_nonce`.
+fn ready_oracle(pool: &TxPool, base_nonce: &dyn Fn(&Address) -> u64) -> Vec<Transaction> {
+    let entries = pool.pending_by_arrival();
+    let mut queues: HashMap<Address, BTreeMap<u64, &PoolEntry>> = HashMap::new();
+    for entry in &entries {
+        queues.entry(entry.tx.sender()).or_default().insert(entry.tx.nonce(), entry);
+    }
+    let mut cursors: HashMap<Address, u64> =
+        queues.keys().map(|sender| (*sender, base_nonce(sender))).collect();
+    let mut out = Vec::new();
+    while let Some(entry) = queues
+        .iter()
+        .filter_map(|(sender, queue)| queue.get(&cursors[sender]))
+        .max_by_key(|entry| (entry.tx.gas_price(), Reverse(entry.arrival_seq)))
+    {
+        out.push(entry.tx.clone());
+        *cursors.get_mut(&entry.tx.sender()).expect("cursor exists") += 1;
+    }
+    out
+}
+
+/// A market entry's observable content.
+type MarketKey = (H256, u64, MarketKind, Option<Fpv>);
+
+fn market_keys(entries: &[MarketEntry]) -> Vec<MarketKey> {
+    entries.iter().map(|entry| (entry.tx.hash(), entry.arrival_seq, entry.kind, entry.fpv)).collect()
+}
+
+/// The market oracle: the arrival-ordered entries addressed to
+/// `contract`, classified one by one.
+fn market_oracle(pool: &TxPool, contract: &Address) -> Vec<MarketEntry> {
+    pool.pending_by_arrival()
+        .iter()
+        .filter(|entry| entry.tx.to() == Some(*contract))
+        .filter_map(|entry| MarketEntry::classify(&entry.tx, entry.arrival_seq))
+        .collect()
 }
 
 /// A labelled account-nonce assignment for the equivalence assertions.
 type NonceFn<'a> = (&'a str, Box<dyn Fn(&Address) -> u64>);
 
-/// All the equivalence assertions over one pool state.
-fn assert_indexed_matches_rescan(pool: &TxPool, label: &str) {
-    let state = market_state();
-    let contract = default_contract_address();
-
+/// Both reads against their oracles over one pool state.
+fn assert_reads_match_oracles(pool: &TxPool, label: &str) {
     // Several account-nonce assignments: all-zero (the common case),
     // a flat floor of 1 (creates gaps AND stale prefixes depending on
     // what is pooled), and a mixed per-sender map.
@@ -206,128 +229,64 @@ fn assert_indexed_matches_rescan(pool: &TxPool, label: &str) {
         }),
     ];
     for (name, base) in &nonce_fns {
-        let indexed = pool.ready_by_price(base);
-        let rescan = pool.ready_by_price_rescan(base, usize::MAX);
-        assert_eq!(hashes(&indexed), hashes(&rescan), "{label}: ready_by_price diverged (base={name})");
-        // The limited read is exactly a prefix of the full order under
-        // EVERY floor — including floors the pool was never pruned
-        // against (stale prefixes), which the per-entry cursor walk now
-        // serves exactly instead of deferring to the next prune.
-        for limit in [0usize, 1, 3, indexed.len() / 2, indexed.len() + 3] {
-            let limited = pool.ready_by_price_limited(base, limit);
-            assert_eq!(
-                hashes(&limited),
-                hashes(&indexed[..indexed.len().min(limit)]),
-                "{label}: limited({limit}) is not a prefix (base={name})"
-            );
-        }
+        assert_eq!(
+            hashes(&pool.ready_by_price(base)),
+            hashes(&ready_oracle(pool, base)),
+            "{label}: ready_by_price diverged (base={name})"
+        );
     }
-
-    // Every miner policy, indexed vs rescan, full and limited.
-    let view = state.view();
-    for policy in [MinerPolicy::Standard, MinerPolicy::Semantic(HmsConfig::default()), MinerPolicy::Pwv] {
-        let indexed = order_candidates(pool, &view, &contract, &policy);
-        let rescan = order_candidates_rescan(pool, &view, &contract, &policy, usize::MAX);
-        assert_eq!(hashes(&indexed), hashes(&rescan), "{label}: {policy:?} order diverged");
-        let limit = (indexed.len() / 2).max(1);
-        let limited = order_candidates_limited(pool, &view, &contract, &policy, limit);
-        let limited_rescan = order_candidates_rescan(pool, &view, &contract, &policy, limit);
-        assert_eq!(hashes(&limited), hashes(&limited_rescan), "{label}: {policy:?} limited order diverged");
+    // The market contract, and the transfers' target, which books nothing.
+    for contract in [default_contract_address(), Address::from_low_u64(0xee)] {
+        assert_eq!(
+            market_keys(&pool.market_snapshot(&contract)),
+            market_keys(&market_oracle(pool, &contract)),
+            "{label}: market_snapshot diverged for {contract:?}"
+        );
     }
 }
 
-/// Replays `ops` into a fresh pool of `capacity` entries.
-fn run_history(ops: &[Op], capacity: usize, checkpoint_every: usize) -> TxPool {
-    let pool =
-        TxPool::with_config(PoolConfig { capacity, market: Some(market_spec()), ..PoolConfig::default() });
+/// Replays `ops` into a fresh pool of `capacity` entries, checking both
+/// reads after every operation.
+fn run_history(ops: &[Op], capacity: usize) {
+    let pool = TxPool::with_config(PoolConfig { capacity, ..PoolConfig::default() });
     let mut log = Vec::new();
     let mut now = 0u64;
     for (i, op) in ops.iter().enumerate() {
         apply(&pool, op, &mut log, &mut now);
-        if checkpoint_every > 0 && i % checkpoint_every == checkpoint_every - 1 {
-            // Interleaved reads check the indexes mid-history, not only
-            // after the last mutation.
-            assert_indexed_matches_rescan(&pool, &format!("step {i}"));
-        }
+        assert_reads_match_oracles(&pool, &format!("step {i} ({op:?})"));
     }
-    assert_indexed_matches_rescan(&pool, "final");
-    pool
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(192)))]
 
-    /// The headline property: indexed ≡ rescan at interleaved checkpoints
-    /// and at the end, in a roomy pool and in one small enough that
-    /// inserts evict.
+    /// The headline property: indexed ≡ oracle after every operation, in
+    /// a roomy pool and in one small enough that inserts evict.
     #[test]
     fn indexed_reads_equal_rescan(
         ops in proptest::collection::vec(op_strategy(), 1..60),
     ) {
         for capacity in [PoolConfig::default().capacity, 12] {
-            run_history(&ops, capacity, 13);
-        }
-    }
-
-    /// After pruning against the same floor the ordering uses (the steady
-    /// state every node maintains on import), limited reads are exact
-    /// prefixes under ANY floor — the exactness contract of
-    /// `ready_by_price_limited`.
-    #[test]
-    fn limited_reads_are_exact_on_pruned_pools(
-        ops in proptest::collection::vec(op_strategy(), 1..50),
-        floor in 0u64..3,
-    ) {
-        let pool = run_history(&ops, PoolConfig::default().capacity, 17);
-        pool.prune_stale(|_| floor);
-        let full = pool.ready_by_price(|_| floor);
-        let rescan = pool.ready_by_price_rescan(|_| floor, usize::MAX);
-        prop_assert_eq!(hashes(&full), hashes(&rescan));
-        for limit in [1usize, 2, 5, full.len()] {
-            let limited = pool.ready_by_price_limited(|_| floor, limit);
-            prop_assert_eq!(
-                hashes(&limited),
-                hashes(&full[..full.len().min(limit)]),
-                "limited({}) under floor {} is not a prefix",
-                limit,
-                floor
-            );
+            run_history(&ops, capacity);
         }
     }
 }
 
 /// Deterministic regression: a stale prefix (account nonce beyond the
-/// pooled head without a prune) is served by the *index*, exactly —
-/// limited reads included. Before the cursor walk this case diverted to
-/// the rescan fallback (full reads) or was only documented (limited
-/// reads); pinned here so the property suite's random coverage of this
-/// corner is not the only guard.
+/// pooled head without a prune) is served by the index exactly, pinned
+/// here so the property suite's random coverage of this corner is not
+/// the only guard.
 #[test]
 fn stale_prefix_reads_match_oracle_exactly() {
-    let hub = Arc::new(Telemetry::enabled());
-    let pool = TxPool::with_telemetry(
-        PoolConfig { market: Some(market_spec()), ..PoolConfig::default() },
-        hub.clone(),
-    );
-    let rescans = || hub.snapshot().counters["pool.rescans"];
+    let pool = TxPool::new();
     for sender in 0..3u8 {
         for nonce in 0..3u8 {
             pool.insert(transfer(sender, nonce, 10 + sender * 3 + nonce), (sender + nonce) as u64).unwrap();
         }
     }
-    // Warm the index, then read with a nonce floor the pool was never
-    // pruned against.
     assert_eq!(pool.ready_by_price(|_| 0).len(), 9);
-    let rescans_before = rescans();
+    // Read with a nonce floor the pool was never pruned against.
     let indexed = pool.ready_by_price(|_| 2);
-    let oracle = pool.ready_by_price_rescan(|_| 2, usize::MAX);
-    assert_eq!(hashes(&indexed), hashes(&oracle));
+    assert_eq!(hashes(&indexed), hashes(&ready_oracle(&pool, &|_| 2)));
     assert_eq!(indexed.len(), 3);
-    for limit in 0..4usize {
-        let limited = pool.ready_by_price_limited(|_| 2, limit);
-        assert_eq!(hashes(&limited), hashes(&indexed[..indexed.len().min(limit)]));
-    }
-    // Only the oracle calls above rescanned; every read under test was
-    // index-served.
-    assert_eq!(rescans(), rescans_before + 1);
 }

@@ -1,11 +1,9 @@
 //! The adapter wiring [`TxPool::market_view`] into the VM's RAA hook.
 //!
-//! [`PoolRaaProvider`] is the drop-in replacement for the
-//! recompute-per-query `HmsRaaProvider` in `sereth-core`: on each
-//! read-only call it (1) reads the contract's committed AMV from its
-//! [`RaaDataSource`], (2) reads the pool's cached view, and (3) writes it
-//! into the call's three argument words exactly as Fig. 1 activity R3
-//! prescribes.
+//! On each read-only call [`PoolRaaProvider`] (1) reads the contract's
+//! committed AMV from its [`RaaDataSource`], (2) reads the pool's cached
+//! view, and (3) writes it into the call's three argument words exactly
+//! as Fig. 1 activity R3 prescribes.
 
 use std::sync::Arc;
 
@@ -14,7 +12,7 @@ use sereth_chain::txpool::TxPool;
 use sereth_core::hms::HmsConfig;
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
-use sereth_vm::abi::{self, Selector};
+use sereth_vm::abi;
 use sereth_vm::raa::{RaaProvider, RaaRequest};
 
 /// The committed state the adapter needs per query. `sereth-node`
@@ -29,29 +27,21 @@ pub trait RaaDataSource: Send + Sync {
 pub struct PoolRaaProvider {
     pool: Arc<TxPool>,
     source: Arc<dyn RaaDataSource>,
-    set_selector: Selector,
     hms: HmsConfig,
 }
 
 impl PoolRaaProvider {
     /// Builds the adapter over a shared pool and its committed-state
-    /// source. `set_selector` identifies Sereth `set` transactions
-    /// (Algorithm 2's SIGNATURE filter); `hms` carries the extension
-    /// toggles.
-    pub fn new(
-        pool: Arc<TxPool>,
-        source: Arc<dyn RaaDataSource>,
-        set_selector: Selector,
-        hms: HmsConfig,
-    ) -> Self {
-        Self { pool, source, set_selector, hms }
+    /// source; `hms` carries the extension toggles.
+    pub fn new(pool: Arc<TxPool>, source: Arc<dyn RaaDataSource>, hms: HmsConfig) -> Self {
+        Self { pool, source, hms }
     }
 }
 
 impl RaaProvider for PoolRaaProvider {
     fn augment(&self, request: &RaaRequest<'_>) -> Option<Bytes> {
         let committed = self.source.committed(&request.contract);
-        let view = self.pool.market_view(&request.contract, self.set_selector, committed, &self.hms);
+        let view = self.pool.market_view(&request.contract, committed, &self.hms);
         let words = view.to_words();
         // Write the view into the three argument words (Fig. 1, R3).
         let with_hint = abi::replace_arg_word(request.calldata, 0, words[0])?;
@@ -63,5 +53,111 @@ impl RaaProvider for PoolRaaProvider {
 impl core::fmt::Debug for PoolRaaProvider {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("PoolRaaProvider").field("pool", &self.pool).field("hms", &self.hms).finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sereth_core::fpv::{Flag, Fpv, SET_SELECTOR, SPECIAL_VALUE};
+    use sereth_core::mark::{compute_mark, genesis_mark};
+    use sereth_crypto::sig::SecretKey;
+    use sereth_types::transaction::{Transaction, TxPayload};
+    use sereth_types::u256::U256;
+    use sereth_vm::abi::Selector;
+
+    struct FixtureSource;
+
+    impl RaaDataSource for FixtureSource {
+        fn committed(&self, _contract: &Address) -> (H256, H256) {
+            (genesis_mark(), H256::from_low_u64(50))
+        }
+    }
+
+    fn market() -> Address {
+        Address::from_low_u64(7)
+    }
+
+    fn get_sel() -> Selector {
+        abi::selector("get(bytes32[3])")
+    }
+
+    fn set_tx(nonce: u64, flag: Flag, prev: H256, value: u64) -> Transaction {
+        Transaction::sign(
+            TxPayload {
+                nonce,
+                gas_price: 1,
+                gas_limit: 100_000,
+                to: Some(market()),
+                value: U256::ZERO,
+                input: Fpv::new(flag, prev, H256::from_low_u64(value)).to_calldata(SET_SELECTOR),
+            },
+            &SecretKey::from_label(1),
+        )
+    }
+
+    fn provider_with(pool: Vec<Transaction>) -> (PoolRaaProvider, Arc<TxPool>) {
+        let shared = Arc::new(TxPool::new());
+        for (now, tx) in pool.into_iter().enumerate() {
+            shared.insert(tx, now as u64).unwrap();
+        }
+        (PoolRaaProvider::new(shared.clone(), Arc::new(FixtureSource), HmsConfig::default()), shared)
+    }
+
+    fn request(calldata: &[u8]) -> RaaRequest<'_> {
+        RaaRequest { contract: market(), selector: get_sel(), calldata, caller: Address::from_low_u64(1) }
+    }
+
+    fn raa_call(provider: &PoolRaaProvider) -> [H256; 3] {
+        let calldata = abi::encode_call(get_sel(), &[H256::ZERO, H256::ZERO, H256::ZERO]);
+        let augmented = provider.augment(&request(&calldata)).expect("three words present");
+        [0, 1, 2].map(|i| abi::arg_word(&augmented, i).unwrap())
+    }
+
+    #[test]
+    fn empty_pool_serves_special_value_and_committed_state() {
+        let (provider, _) = provider_with(vec![]);
+        let [hint, mark, value] = raa_call(&provider);
+        assert_eq!(hint, SPECIAL_VALUE);
+        assert_eq!(mark, genesis_mark());
+        assert_eq!(value, H256::from_low_u64(50));
+    }
+
+    #[test]
+    fn pending_series_serves_tail_view() {
+        let m1 = compute_mark(&genesis_mark(), &H256::from_low_u64(60));
+        let m2 = compute_mark(&m1, &H256::from_low_u64(70));
+        let (provider, _) =
+            provider_with(vec![set_tx(0, Flag::Head, genesis_mark(), 60), set_tx(1, Flag::Success, m1, 70)]);
+        let [hint, mark, value] = raa_call(&provider);
+        assert_eq!(hint, Flag::Success.to_word());
+        assert_eq!(mark, m2);
+        assert_eq!(value, H256::from_low_u64(70));
+    }
+
+    #[test]
+    fn augment_preserves_selector_and_length() {
+        let (provider, _) = provider_with(vec![]);
+        let calldata = abi::encode_call(get_sel(), &[H256::ZERO, H256::ZERO, H256::ZERO]);
+        let augmented = provider.augment(&request(&calldata)).unwrap();
+        assert_eq!(augmented.len(), calldata.len());
+        assert_eq!(&augmented[..4], &calldata[..4]);
+    }
+
+    #[test]
+    fn augment_fails_gracefully_on_short_calldata() {
+        let (provider, _) = provider_with(vec![]);
+        let calldata = abi::encode_call(get_sel(), &[H256::ZERO]); // only one word
+        assert!(provider.augment(&request(&calldata)).is_none());
+    }
+
+    #[test]
+    fn provider_observes_live_pool_changes() {
+        let (provider, pool) = provider_with(vec![]);
+        assert_eq!(raa_call(&provider)[0], SPECIAL_VALUE);
+        pool.insert(set_tx(0, Flag::Head, genesis_mark(), 99), 0).unwrap();
+        let [hint, _, value] = raa_call(&provider);
+        assert_eq!(hint, Flag::Success.to_word());
+        assert_eq!(value, H256::from_low_u64(99));
     }
 }

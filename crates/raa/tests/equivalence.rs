@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use sereth_chain::txpool::{MarketSpec, PoolConfig, TxPool};
+use sereth_chain::txpool::{PoolConfig, TxPool};
 use sereth_core::fpv::{Flag, Fpv};
 use sereth_core::hms::{hash_mark_set, HmsConfig, HmsView};
 use sereth_core::mark::{compute_mark, genesis_mark};
@@ -94,14 +94,8 @@ fn market_tx(
 /// oracle.
 fn replay_and_check(ops: &[RawOp], read_every: usize, config: &HmsConfig) -> Result<(), TestCaseError> {
     let hub = Arc::new(Telemetry::enabled());
-    let pool = TxPool::with_telemetry(
-        PoolConfig {
-            capacity: CAPACITY,
-            market: Some(MarketSpec { set_selector: set_selector(), buy_selector: buy_selector() }),
-            ..PoolConfig::default()
-        },
-        hub.clone(),
-    );
+    let pool =
+        TxPool::with_telemetry(PoolConfig { capacity: CAPACITY, ..PoolConfig::default() }, hub.clone());
     let counter = |name: &str| hub.snapshot().counters[name];
     let other = HmsConfig { committed_head: !config.committed_head };
 
@@ -210,7 +204,7 @@ fn replay_and_check(ops: &[RawOp], read_every: usize, config: &HmsConfig) -> Res
             // cached view survives until a mutation must drop it.
             for (market, contract) in contracts().iter().enumerate() {
                 let committed = committed_for(contract, &seen_marks[market], 0);
-                let view = pool.market_view(contract, set_selector(), committed, config);
+                let view = pool.market_view(contract, committed, config);
                 prop_assert_eq!(
                     view,
                     batch_view(&pool, contract, committed, config),
@@ -227,11 +221,11 @@ fn replay_and_check(ops: &[RawOp], read_every: usize, config: &HmsConfig) -> Res
         for (variant, hms) in [(0, config), (0, &other), (1, &other)] {
             let committed = committed_for(contract, &seen_marks[market], variant);
             let expected = batch_view(&pool, contract, committed, hms);
-            let view = pool.market_view(contract, set_selector(), committed, hms);
+            let view = pool.market_view(contract, committed, hms);
             prop_assert_eq!(view, expected, "view diverged for contract {:?}", contract);
             // A repeat read is a cache hit and stays identical.
             let (hits, rebuilds) = (counter("raa.hits"), counter("raa.rebuilds"));
-            prop_assert_eq!(pool.market_view(contract, set_selector(), committed, hms), expected);
+            prop_assert_eq!(pool.market_view(contract, committed, hms), expected);
             prop_assert_eq!(counter("raa.hits"), hits + 1);
             prop_assert_eq!(counter("raa.rebuilds"), rebuilds);
         }

@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use crate::registry::HISTOGRAM_BUCKET_BOUNDS;
 use crate::snapshot::TelemetrySnapshot;
 
-/// Turns `pool.index_hits` into a Prometheus-legal `pool_index_hits`.
+/// Turns `raa.hits` into a Prometheus-legal `raa_hits`.
 fn prometheus_name(name: &str) -> String {
     name.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect()
 }
@@ -164,7 +164,7 @@ mod tests {
 
     fn sample_snapshot() -> TelemetrySnapshot {
         let telemetry = Telemetry::enabled();
-        telemetry.counter("pool.index_hits").add(3);
+        telemetry.counter("raa.hits").add(3);
         telemetry.gauge("pool.len").set(17);
         telemetry.phase(Phase::Seal).record_ns(1_500);
         telemetry.phase(Phase::Seal).record_ns(2_000_000_000_000);
@@ -179,8 +179,8 @@ mod tests {
     #[test]
     fn prometheus_export_has_counter_gauge_and_histogram_series() {
         let text = sample_snapshot().to_prometheus();
-        assert!(text.contains("# TYPE sereth_pool_index_hits counter"));
-        assert!(text.contains("sereth_pool_index_hits 3"));
+        assert!(text.contains("# TYPE sereth_raa_hits counter"));
+        assert!(text.contains("sereth_raa_hits 3"));
         assert!(text.contains("sereth_pool_len 17"));
         assert!(text.contains("sereth_phase_seal_ns_bucket{le=\"2000\"} 1"));
         assert!(text.contains("sereth_phase_seal_ns_bucket{le=\"+Inf\"} 2"));
@@ -190,7 +190,7 @@ mod tests {
     #[test]
     fn json_export_is_structured_and_size_free() {
         let json = sample_snapshot().to_json();
-        assert!(json.contains("\"pool.index_hits\": 3"));
+        assert!(json.contains("\"raa.hits\": 3"));
         assert!(json.contains("\"phase.seal\""));
         assert!(json.contains("\"p99_ns\""));
         assert!(json.contains("\"role\": \"build\""));

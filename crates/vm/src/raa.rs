@@ -39,8 +39,9 @@ pub struct RaaRequest<'a> {
 }
 
 /// An external data service wired into the interpreter (paper Fig. 1,
-/// "RAA Data Service"). The Hash-Mark-Set provider in `sereth-core` is the
-/// canonical implementation; the `raa_oracle` example shows a conventional
+/// "RAA Data Service"). `sereth-raa`'s `PoolRaaProvider`, which serves
+/// the pool's cached Hash-Mark-Set views, is the canonical
+/// implementation; the `raa_oracle` example shows a conventional
 /// price-feed oracle built on the same hook.
 pub trait RaaProvider: Send + Sync {
     /// Optionally rewrites the calldata of a pending read-only call.

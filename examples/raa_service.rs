@@ -16,7 +16,7 @@ use sereth::crypto::{Address, SecretKey, H256};
 use sereth::hms::hms::{hash_mark_set, HmsConfig};
 use sereth::hms::mark::genesis_mark;
 use sereth::node::contract::set_selector;
-use sereth::node::miner::{market_spec, pending_view};
+use sereth::node::miner::pending_view;
 use sereth::telemetry::Telemetry;
 use sereth::types::transaction::{Transaction, TxPayload};
 use sereth::types::U256;
@@ -26,12 +26,10 @@ fn main() {
     let markets: Vec<Address> = (0..8).map(|m| Address::from_low_u64(0xaaaa + m)).collect();
     let committed = (genesis_mark(), H256::from_low_u64(50));
     let hub = Arc::new(Telemetry::enabled());
-    // The pool is internally synchronized: no outer lock. Booking the
-    // market selectors is what lets it cache each market's view.
-    let pool = Arc::new(TxPool::with_telemetry(
-        PoolConfig { market: Some(market_spec()), ..PoolConfig::default() },
-        hub.clone(),
-    ));
+    // The pool is internally synchronized: no outer lock. It books every
+    // `set`/`buy` at insert, which is what lets it cache each market's
+    // view.
+    let pool = Arc::new(TxPool::with_telemetry(PoolConfig::default(), hub.clone()));
 
     // Reader threads: each hammers a fixed quota of views while the
     // writer below streams sets into the pool concurrently.
@@ -44,7 +42,7 @@ fn main() {
             let hms = HmsConfig::default();
             for read in 0..READS_PER_READER {
                 let market = markets[(reader + read) as usize % markets.len()];
-                std::hint::black_box(pool.market_view(&market, set_selector(), committed, &hms));
+                std::hint::black_box(pool.market_view(&market, committed, &hms));
             }
             READS_PER_READER
         }));
@@ -91,7 +89,7 @@ fn main() {
     let snapshot = pending_view(&pool);
     for market in &markets {
         let expected = hash_mark_set(&snapshot, market, set_selector(), committed, &HmsConfig::default());
-        let view = pool.market_view(market, set_selector(), committed, &HmsConfig::default());
+        let view = pool.market_view(market, committed, &HmsConfig::default());
         assert_eq!(view, expected.view, "concurrent view diverged for {market:?}");
     }
     println!(
