@@ -4,20 +4,18 @@
 //! Runs the Figure 2 `sereth_client` market scenario once per
 //! [`IsolationLevel`] (read-uncommitted → read-committed → sequential),
 //! audits every run through the offline `sereth-consistency` checker, and
-//! reports, per rung: state throughput, buy efficiency η, observe-path
-//! read latency (micro-measured against a node with a pending write in
-//! its pool, so the read-uncommitted rung pays its real speculation
-//! cost), and the anomaly count the audit found. This is the paper's
-//! trade made explicit: read-uncommitted buys throughput by admitting
-//! dirty reads; the stricter rungs give them back.
-//!
-//! Writes `BENCH_iso.json` where `size` is the level ordinal and
-//! `speedup` is `throughput(level) / throughput(sequential)` — the
-//! ladder's performance frontier, tracked by `bench_trend` like every
-//! other artifact. Gates: the audit finds **zero** anomalies at
-//! sequential, and counts are monotone non-increasing up the ladder.
+//! prints, per rung: state throughput, its ratio to the sequential rung's,
+//! buy efficiency η, and the anomaly count the audit found. This is the
+//! paper's trade made explicit: read-uncommitted buys throughput by
+//! admitting dirty reads; the stricter rungs give them back. All of that is
+//! simulated, so stdout is a pure function of the constants below and has
+//! a golden file. The observe-path read latency (micro-measured against a
+//! node with a pending write in its pool, so the read-uncommitted rung pays
+//! its real speculation cost) is wall-clock time and goes to stderr.
+//! Gates: the audit finds **zero** anomalies at sequential, and counts are
+//! monotone non-increasing up the ladder.
 
-use sereth_bench::{artifact, market_genesis, mean_latency, BenchPoint};
+use sereth_bench::{market_genesis, mean_latency};
 use sereth_core::mark::genesis_mark;
 use sereth_crypto::hash::H256;
 use sereth_crypto::sig::SecretKey;
@@ -89,60 +87,28 @@ fn read_latency_us(level: IsolationLevel) -> f64 {
     mean_latency(READS, || node.query_observed(caller).expect("sereth node answers")).as_nanos() as f64 / 1e3
 }
 
-/// Prints one table row per rung, then gates the audit's anomaly counts.
+/// Prints one table row per rung and each rung's read latency, then
+/// gates the audit's anomaly counts.
 pub fn run() {
-    println!("Isolation frontier: sereth_client market, {BUYS} buys / {SETS} sets, {SEEDS} seeds per rung");
-    println!("| level            | state tps | eta(buys) | observe/read | anomalies | dirty reads |");
-    println!("|------------------|-----------|-----------|--------------|-----------|-------------|");
-    let mut results: Vec<RungResult> = Vec::new();
-    for level in IsolationLevel::ALL {
-        let result = sweep_rung(level);
-        println!(
-            "| {:<16} | {:>9.2} | {:>9.3} | {:>9.2} µs | {:>9} | {:>11} |",
-            level.label(),
-            result.throughput_tps,
-            result.eta_buys,
-            result.read_us,
-            result.anomalies,
-            result.dirty_reads,
-        );
-        results.push(result);
-    }
-
-    // Sequential is the ladder's top rung and the frontier's baseline:
-    // `speedup` is how much throughput each weaker rung buys over it.
+    let results: Vec<RungResult> = IsolationLevel::ALL.into_iter().map(sweep_rung).collect();
+    // Sequential is the ladder's top rung and the frontier's baseline.
     let sequential = results.last().expect("ALL is non-empty");
-    let base_us = 1e6 / sequential.throughput_tps.max(1e-9);
-    let points: Vec<BenchPoint> = results
-        .iter()
-        .map(|rung| BenchPoint {
-            size: rung.level.ordinal() as u64,
-            base_us,
-            fast_us: 1e6 / rung.throughput_tps.max(1e-9),
-            speedup: rung.throughput_tps / sequential.throughput_tps.max(1e-9),
-        })
-        .collect();
 
-    let mut config: Vec<(&str, String)> = vec![
-        ("buys", BUYS.to_string()),
-        ("sets", SETS.to_string()),
-        ("seeds", SEEDS.to_string()),
-        ("reads", READS.to_string()),
-    ];
-    let per_rung: Vec<(String, String)> = results
-        .iter()
-        .flat_map(|rung| {
-            let level = rung.level.ordinal();
-            [
-                (format!("anomalies_{level}"), rung.anomalies.to_string()),
-                (format!("throughput_tps_{level}"), format!("{:.3}", rung.throughput_tps)),
-                (format!("read_us_{level}"), format!("{:.3}", rung.read_us)),
-            ]
-        })
-        .collect();
-    config.extend(per_rung.iter().map(|(name, value)| (name.as_str(), value.clone())));
-
-    artifact("iso", "iso_frontier", &config, &points);
+    println!("Isolation frontier: sereth_client market, {BUYS} buys / {SETS} sets, {SEEDS} seeds per rung");
+    println!("| level            | state tps | vs sequential | eta(buys) | anomalies | dirty reads |");
+    println!("|------------------|-----------|---------------|-----------|-----------|-------------|");
+    for rung in &results {
+        println!(
+            "| {:<16} | {:>9.3} | {:>12.3}x | {:>9.3} | {:>9} | {:>11} |",
+            rung.level.label(),
+            rung.throughput_tps,
+            rung.throughput_tps / sequential.throughput_tps.max(1e-9),
+            rung.eta_buys,
+            rung.anomalies,
+            rung.dirty_reads,
+        );
+        eprintln!("{:<16} observe/read {:.2} µs (mean of {READS})", rung.level.label(), rung.read_us);
+    }
 
     assert_eq!(
         sequential.anomalies, 0,

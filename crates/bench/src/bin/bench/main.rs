@@ -6,66 +6,81 @@
 //! cargo run --release -p sereth-bench -- all
 //! ```
 //!
-//! An entry prints its table, writes its artifacts (`BENCH_<key>.json`,
-//! `fig2.csv`, `pwv.csv`, `TELEMETRY_node.json`) into `$BENCH_ARTIFACT_DIR`
-//! or the current directory, and then asserts its gates: a failed gate is
-//! a nonzero exit status. `all` runs every entry in table order, each in a
-//! fresh process, carries on past failures, and exits 1 naming every entry
-//! that failed; `bench_trend` comes last, so it gates the artifacts the
-//! others just wrote. Anything but one known entry or `all` exits 2.
+//! An entry prints its table, writes its artifacts (`fig2.csv`, `pwv.csv`,
+//! `TELEMETRY_node.json`) into `$BENCH_ARTIFACT_DIR` or the current
+//! directory, and then asserts its gates: a failed gate is a nonzero exit
+//! status. `all` runs every entry in table order, each in a fresh process,
+//! echoes its stdout and saves it beside the artifacts as `<entry>.stdout`,
+//! then compares each of the entry's goldens (see [`golden`]) with the
+//! fresh file of the same name. It carries on past failures and exits 1
+//! naming every entry that failed its gates or a golden. Anything but one
+//! known entry or `all` exits 2.
 
+mod golden;
 mod iso_frontier;
 mod net_scale;
 mod obs_overhead;
 mod paper;
 mod store_scale;
 
-use std::path::PathBuf;
-use std::process::{exit, Command};
+use std::io::Write;
+use std::path::Path;
+use std::process::{exit, Command, Stdio};
 
-/// An entry's name (what the artifacts' `bench` field records) and its
-/// body.
-type Entry = (&'static str, fn());
+/// An entry's name, its body, and the golden files its run must reproduce
+/// byte for byte: its stdout capture `<name>.stdout` and any CSV it writes.
+/// An entry that measures wall-clock time has none.
+type Entry = (&'static str, fn(), &'static [&'static str]);
 
 const ENTRIES: &[Entry] = &[
-    ("fig2", paper::fig2),
-    ("pwv", paper::pwv),
-    ("sequential", paper::sequential),
-    ("ablations", paper::ablations),
-    ("abort_rate", paper::abort_rate),
-    ("participation", paper::participation),
-    ("iso_frontier", iso_frontier::run),
-    ("obs_overhead", obs_overhead::run),
-    ("net_scale", net_scale::run),
-    ("store_scale", store_scale::run),
-    ("bench_trend", bench_trend),
+    ("fig2", paper::fig2, &["fig2.stdout", "fig2.csv"]),
+    ("pwv", paper::pwv, &["pwv.stdout", "pwv.csv"]),
+    ("sequential", paper::sequential, &["sequential.stdout"]),
+    ("ablations", paper::ablations, &["ablations.stdout"]),
+    ("abort_rate", paper::abort_rate, &["abort_rate.stdout"]),
+    ("participation", paper::participation, &["participation.stdout"]),
+    ("iso_frontier", iso_frontier::run, &["iso_frontier.stdout"]),
+    ("obs_overhead", obs_overhead::run, &[]),
+    ("net_scale", net_scale::run, &["net_scale.stdout"]),
+    ("store_scale", store_scale::run, &[]),
 ];
 
-/// Compares the fresh `BENCH_*.json` artifacts against the committed
-/// baselines in `$TREND_BASELINE_DIR` (default `bench/baselines`); see
-/// [`sereth_bench::trend::gate`].
-fn bench_trend() {
-    let baselines =
-        std::env::var_os("TREND_BASELINE_DIR").map_or_else(|| "bench/baselines".into(), PathBuf::from);
-    let failures = sereth_bench::trend::gate(&baselines, &sereth_bench::artifact_dir());
-    if failures.is_empty() {
-        println!("\nbench trend OK");
-        return;
+/// Runs entry `name` in a fresh process with stderr passed through, echoes
+/// its stdout and saves it to `capture`; true when the entry exited 0.
+fn run_captured(runner: &Path, name: &str, capture: &Path) -> bool {
+    let output = match Command::new(runner).arg(name).stderr(Stdio::inherit()).output() {
+        Ok(output) => output,
+        Err(error) => {
+            eprintln!("could not start {name}: {error}");
+            return false;
+        }
+    };
+    std::io::stdout().write_all(&output.stdout).expect("stdout accepts the entry's output");
+    if let Err(error) = std::fs::write(capture, &output.stdout) {
+        eprintln!("could not write {}: {error}", capture.display());
     }
-    eprintln!("\nbench trend FAILED:");
-    for failure in &failures {
-        eprintln!("  - {failure}");
-    }
-    exit(1);
+    output.status.success()
 }
 
 fn all() -> ! {
     let runner = std::env::current_exe().expect("the runner can locate its own executable");
+    let dir = sereth_bench::artifact_dir();
     let mut failed: Vec<&str> = Vec::new();
-    for (name, _) in ENTRIES {
+    for (name, _, goldens) in ENTRIES {
         println!("\n### {name}\n");
-        let status = Command::new(&runner).arg(name).status();
-        if !status.is_ok_and(|status| status.success()) {
+        // A file left by an earlier run must not stand in for one this run
+        // failed to write.
+        for file in *goldens {
+            let _ = std::fs::remove_file(dir.join(file));
+        }
+        let mut passed = run_captured(&runner, name, &dir.join(format!("{name}.stdout")));
+        for file in *goldens {
+            if let Err(mismatch) = golden::check(file, &dir) {
+                eprintln!("\ngolden mismatch: {mismatch}");
+                passed = false;
+            }
+        }
+        if !passed {
             failed.push(name);
         }
     }
@@ -78,7 +93,7 @@ fn all() -> ! {
 }
 
 fn usage() -> ! {
-    let names: Vec<&str> = ENTRIES.iter().map(|(name, _)| *name).collect();
+    let names: Vec<&str> = ENTRIES.iter().map(|(name, ..)| *name).collect();
     eprintln!("usage: bench <entry|all>\nentries: {}", names.join(", "));
     exit(2);
 }
@@ -87,8 +102,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.iter().map(String::as_str).collect::<Vec<_>>().as_slice() {
         ["all"] => all(),
-        [target] => match ENTRIES.iter().find(|(name, _)| name == target) {
-            Some((_, run)) => run(),
+        [target] => match ENTRIES.iter().find(|(name, ..)| name == target) {
+            Some((_, run, _)) => run(),
             None => usage(),
         },
         _ => usage(),
@@ -100,12 +115,45 @@ mod tests {
     use super::*;
 
     #[test]
-    fn entry_names_are_unique_and_the_trend_gate_runs_last() {
-        let mut names: Vec<&str> = ENTRIES.iter().map(|(name, _)| *name).collect();
-        assert_eq!(names.last(), Some(&"bench_trend"), "bench_trend gates what the entries before it wrote");
+    fn entry_names_are_unique() {
+        let mut names: Vec<&str> = ENTRIES.iter().map(|(name, ..)| *name).collect();
         assert!(!names.contains(&"all"), "`all` is the runner's own target");
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), ENTRIES.len(), "entry names must be unique");
+    }
+
+    #[test]
+    fn every_deterministic_entry_has_goldens_and_every_golden_an_entry() {
+        const DETERMINISTIC: [&str; 8] = [
+            "fig2",
+            "pwv",
+            "sequential",
+            "ablations",
+            "abort_rate",
+            "participation",
+            "iso_frontier",
+            "net_scale",
+        ];
+        let mut claimed: Vec<&str> = Vec::new();
+        for (name, _, goldens) in ENTRIES {
+            let pins_stdout = goldens.contains(&format!("{name}.stdout").as_str());
+            assert_eq!(
+                pins_stdout,
+                DETERMINISTIC.contains(name),
+                "{name} pins its stdout exactly when it is deterministic"
+            );
+            for file in *goldens {
+                assert!(golden::dir().join(file).is_file(), "{name}'s golden bench/golden/{file} exists");
+            }
+            claimed.extend(goldens.iter());
+        }
+        let mut on_disk: Vec<String> = std::fs::read_dir(golden::dir())
+            .expect("bench/golden/ exists")
+            .map(|entry| entry.expect("golden dir entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        on_disk.sort_unstable();
+        claimed.sort_unstable();
+        assert_eq!(on_disk, claimed, "every golden belongs to exactly one entry");
     }
 }

@@ -4,19 +4,14 @@
 //! ring, edge-injected market workload) once **clean** (no faults) and
 //! once **lossy** (drop + duplication on every link plus one
 //! partition/heal episode) per node count, and reports the simulated time
-//! at which every node agreed on the head, plus gossip traffic per
-//! committed block. Times are *simulated*, so the numbers are a pure
-//! function of `(config, seed)` — host-independent, which is what lets
-//! `bench_trend` compare them against a committed baseline.
-//!
-//! Writes `BENCH_net.json` where `size` is the node count, `fast_us` the
-//! clean convergence time (simulated µs), `base_us` the lossy one, and
-//! `speedup` their ratio — how much longer agreement takes when the
-//! network misbehaves. Gates: every run converges, a replayed seed
-//! reproduces its run, and the clean run settles within a bounded window
-//! after mining stops.
+//! at which every node agreed on the head, the lossy/clean ratio of those
+//! times (how much longer agreement takes when the network misbehaves),
+//! and gossip traffic per committed block. Times are *simulated*, so
+//! stdout is a pure function of `(config, seed)` — host-independent, which
+//! is what lets a golden file pin it byte for byte. Gates: every run
+//! converges, a replayed seed reproduces its run, and the clean run settles
+//! within a bounded window after mining stops.
 
-use sereth_bench::{artifact, BenchPoint};
 use sereth_sim::scenario::{run_scenario, RunOutput, ScenarioConfig, MAX_SIM_MS, SYNC_EVERY_MS};
 use sereth_types::SimTime;
 
@@ -77,11 +72,13 @@ pub fn run() {
         "Cluster convergence: ring topology, {BUYS} buys / {SETS} sets edge-injected, \
          loss {LOSS:.3} dup {DUP:.3}, {SEEDS} seeds per point"
     );
-    println!("| nodes | clean conv (sim s) | lossy conv (sim s) | clean msg/blk | lossy msg/blk |");
-    println!("|-------|--------------------|--------------------|---------------|---------------|");
+    println!(
+        "| nodes | clean conv (sim ms) | lossy conv (sim ms) | lossy/clean | clean msg/blk | lossy msg/blk |"
+    );
+    println!(
+        "|-------|---------------------|---------------------|-------------|---------------|---------------|"
+    );
 
-    let mut points: Vec<BenchPoint> = Vec::new();
-    let mut traffic: Vec<(String, String)> = Vec::new();
     for nodes in NODE_COUNTS {
         let clean = base_config(nodes as usize);
         let lossy = lossy_config(nodes as usize);
@@ -103,33 +100,9 @@ pub fn run() {
         );
 
         println!(
-            "| {:>5} | {:>18.1} | {:>18.1} | {:>13.1} | {:>13.1} |",
-            nodes,
-            clean_ms / 1e3,
-            lossy_ms / 1e3,
-            clean_mpb,
-            lossy_mpb,
+            "| {nodes:>5} | {clean_ms:>19.1} | {lossy_ms:>19.1} | {:>10.3}x | {clean_mpb:>13.1} | {lossy_mpb:>13.1} |",
+            lossy_ms / clean_ms.max(1e-9),
         );
-        points.push(BenchPoint {
-            size: nodes,
-            base_us: lossy_ms * 1e3,
-            fast_us: clean_ms * 1e3,
-            speedup: lossy_ms / clean_ms.max(1e-9),
-        });
-        traffic.push((format!("clean_msgs_per_block_{nodes}"), format!("{clean_mpb:.1}")));
-        traffic.push((format!("lossy_msgs_per_block_{nodes}"), format!("{lossy_mpb:.1}")));
     }
-
-    let mut config: Vec<(&str, String)> = vec![
-        ("buys", BUYS.to_string()),
-        ("sets", SETS.to_string()),
-        ("loss", format!("{LOSS:.3}")),
-        ("dup", format!("{DUP:.3}")),
-        ("seeds", SEEDS.to_string()),
-        ("topology", "ring".to_string()),
-    ];
-    config.extend(traffic.iter().map(|(name, value)| (name.as_str(), value.clone())));
-
-    artifact("net", "net_scale", &config, &points);
     println!("gates: all runs converged, determinism reproduced, clean convergence bounded");
 }

@@ -11,20 +11,16 @@
 //! alike. The gated slowdown is the **minimum over repetitions of each rep's
 //! paired enabled/disabled ratio**: a real overhead regression shows
 //! up in every pair, a scheduler noise spike only in some, so the min
-//! pair is robust against false alarms on busy hosts.
+//! pair is robust against false alarms on busy hosts. The table also
+//! prints each arm's fastest run and the host's CPU count.
 //!
-//! The artifact (`BENCH_obs.json`) maps the shared schema as: `base_us`
-//! = telemetry **enabled**, `fast_us` = telemetry **disabled** (each
-//! the minimum over repetitions), so `speedup` is an enabled/disabled
-//! slowdown estimate alongside the gated paired statistic.
-//! The enabled run's final snapshot is also written as
-//! `TELEMETRY_node.json` — the exportable-instrumentation artifact CI
-//! uploads next to the bench JSON.
+//! The enabled run's final snapshot is written as `TELEMETRY_node.json`
+//! — the exportable-instrumentation artifact CI uploads.
 
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use sereth_bench::{artifact, host_cpus, BenchPoint};
+use sereth_bench::host_cpus;
 use sereth_chain::builder::BlockLimits;
 use sereth_chain::GenesisBuilder;
 use sereth_crypto::address::Address;
@@ -103,15 +99,15 @@ fn run_once(senders: u64, workload: &[(Transaction, u64)], enabled: bool) -> (Du
     (start.elapsed(), node.telemetry_snapshot())
 }
 
-/// Prints the enabled/disabled table, writes both artifacts, then gates
+/// Prints the enabled/disabled table, writes the telemetry artifact, then gates
 /// the slowdown.
 pub fn run() {
     println!(
         "telemetry overhead: submit + mine-to-drain, {NONCES_PER_SENDER} nonces/sender, \
          min over {REPS} interleaved reps"
     );
-    println!("| txs | enabled/run | disabled/run | slowdown |");
-    println!("|-----|-------------|--------------|----------|");
+    println!("| txs | enabled/run | disabled/run | slowdown | host cpus |");
+    println!("|-----|-------------|--------------|----------|-----------|");
 
     let senders = TXS.div_ceil(NONCES_PER_SENDER);
     let workload = sign_workload(senders);
@@ -145,26 +141,15 @@ pub fn run() {
         }
         off = off.min(rep_off);
     }
-    let point = BenchPoint::from_durations(workload.len() as u64, on, off);
     println!(
-        "| {:>4} | {:>8.2} ms | {:>9.2} ms | {:>7.3}x |",
-        point.size,
+        "| {:>4} | {:>8.2} ms | {:>9.2} ms | {:>7.3}x | {:>9} |",
+        workload.len(),
         on.as_nanos() as f64 / 1e6,
         off.as_nanos() as f64 / 1e6,
         slowdown,
+        host_cpus(),
     );
 
-    artifact(
-        "obs",
-        "obs_overhead",
-        &[
-            ("reps", REPS.to_string()),
-            ("nonces_per_sender", NONCES_PER_SENDER.to_string()),
-            ("semantics", "base=telemetry-on fast=telemetry-off speedup=slowdown".to_string()),
-            ("host_cpus", host_cpus().to_string()),
-        ],
-        &[point],
-    );
     match exemplar.expect("REPS >= 1").write_artifact("node") {
         Ok(path) => println!("wrote {}", path.display()),
         Err(error) => eprintln!("failed to write TELEMETRY_node.json: {error}"),
@@ -173,7 +158,7 @@ pub fn run() {
     assert!(
         slowdown <= MAX_SLOWDOWN,
         "telemetry overhead budget exceeded: {slowdown:.3}x > allowed {MAX_SLOWDOWN:.2}x at {} transactions",
-        point.size
+        workload.len()
     );
     println!("overhead gate: worst slowdown {slowdown:.3}x <= {MAX_SLOWDOWN:.2}x");
 }

@@ -26,14 +26,15 @@ const WITH_PWV: [(&str, ScenarioFactory); 4] = [
 
 /// Runs every scenario at every paper ratio over seeds `1..=seed_count`,
 /// prints the table and the plot, lets `report` print the entry's own
-/// summary, and writes the points to `csv_name` in the artifact directory.
+/// summary, writes the points to `csv_name` in the artifact directory, and
+/// returns them.
 fn sweep(
     title: &str,
     scenarios: &[(&str, ScenarioFactory)],
     seed_count: u64,
     csv_name: &str,
     report: impl FnOnce(&[SweepPoint]),
-) {
+) -> Vec<SweepPoint> {
     let seeds: Vec<u64> = (1..=seed_count).collect();
     println!("== {title} ==");
     println!("buys per point: {BUYS}; set counts: {PAPER_SET_COUNTS:?}; seeds: {seed_count}\n");
@@ -63,20 +64,23 @@ fn sweep(
         Ok(()) => println!("\nwrote {csv_name} ({} rows)", all_points.len()),
         Err(err) => eprintln!("could not write {}: {err}", path.display()),
     }
+    all_points
+}
+
+/// Mean η of `scenario` at `sets` sets per run (0 when the sweep has no
+/// such point).
+fn eta_of(points: &[SweepPoint], scenario: &str, sets: u64) -> f64 {
+    points.iter().find(|p| p.scenario == scenario && p.num_sets == sets).map_or(0.0, |p| p.eta.mean)
 }
 
 /// FIG2: transaction efficiency η versus the READ-UNCOMMITTED/WRITE
 /// (buy:set) ratio for `geth_unmodified`, `sereth_client` and
 /// `semantic_mining`, plus the paper's in-text claims (TXT-5X, TXT-80).
+/// Gate: at every ratio, η(semantic_mining) ≥ η(sereth_client) ≥
+/// η(geth_unmodified) — the figure's shape.
 pub fn fig2() {
-    sweep("Figure 2: eta vs buy:set ratio", &paper_scenarios(), 10, "fig2.csv", |points| {
-        let eta_of = |scenario: &str, sets: u64| {
-            points
-                .iter()
-                .find(|p| p.scenario == scenario && p.num_sets == sets)
-                .map(|p| p.eta.mean)
-                .unwrap_or(0.0)
-        };
+    let points = sweep("Figure 2: eta vs buy:set ratio", &paper_scenarios(), 10, "fig2.csv", |points| {
+        let eta_of = |scenario: &str, sets: u64| eta_of(points, scenario, sets);
         println!("-- in-text claims --");
         let improvements: Vec<f64> = PAPER_SET_COUNTS
             .iter()
@@ -98,6 +102,15 @@ pub fn fig2() {
             "at 1:1 ratio: geth {geth_low:.3} -> semantic {semantic_low:.3} (paper: 'a few percent' -> 'almost 90 percent')"
         );
     });
+    for sets in PAPER_SET_COUNTS {
+        let [geth, sereth, semantic] = ["geth_unmodified", "sereth_client", "semantic_mining"]
+            .map(|scenario| eta_of(&points, scenario, sets));
+        assert!(
+            semantic >= sereth && sereth >= geth,
+            "Figure 2's order broke at {sets} sets: semantic_mining {semantic:.3}, sereth_client \
+             {sereth:.3}, geth_unmodified {geth:.3}"
+        );
+    }
 }
 
 /// EXT-PWV, the piece-wise-visibility comparator of paper §VI.
@@ -114,9 +127,10 @@ pub fn fig2() {
 /// `pwv_scheduler` scenario keeps clients unmodified (offers built on
 /// committed state, as in the baseline) and gives the *miner* a PWV-style
 /// deterministic dependency scheduler with early write visibility during
-/// block assembly. Expected shape: geth ≤ pwv ≤ sereth_client ≤
-/// semantic_mining — in-system visibility rescues only offers whose
-/// interval is still open when scheduled.
+/// block assembly. Measured mean η: geth 0.181 < sereth_client 0.622 <
+/// semantic_mining 0.868 < pwv 0.990. The scheduler buys its η by holding
+/// sets back, so the owner waits longer: mean set latency 32,039 ms under
+/// pwv against 20,257 ms under geth and sereth_client.
 pub fn pwv() {
     sweep("EXT-PWV: early write visibility (Faleiro et al.) vs HMS", &WITH_PWV, 8, "pwv.csv", |points| {
         // The §VI comparison — but η alone is not the verdict. A miner-side
@@ -309,6 +323,7 @@ pub fn abort_rate() {
         );
     } else {
         println!("NOTE: abort rates unexpectedly close; inspect seeds.");
+        std::process::exit(1);
     }
 }
 
@@ -366,5 +381,6 @@ pub fn participation() {
         println!("PASS: efficiency grows (within noise) with Sereth participation, as §V-C predicts.");
     } else {
         println!("NOTE: efficiency was not monotone in participation; inspect seeds/ratio.");
+        std::process::exit(1);
     }
 }

@@ -14,17 +14,14 @@
 //!   the in-memory twin holds, or the bench exits nonzero;
 //! * **committed reads** — the full two-call `mark()`/`get()` query per
 //!   node. Both paths ride the same O(1) epoch-pinned `StateView`, so
-//!   the headline artifact (`BENCH_store.json`, gated by `bench_trend`)
-//!   pins their *parity*: `base_us` is the in-memory read, `fast_us`
-//!   the durable read, speedup ≈ 1.0. A durable-side regression (e.g. a
-//!   deep copy or disk touch sneaking into the read path) drags the
-//!   speedup toward zero and trips the gate: the durable read may cost
-//!   at most [`MAX_READ_OVERHEAD`] times the in-memory one at the
-//!   largest size.
+//!   the gate pins their *parity*: at every account count the durable
+//!   read may cost at most [`MAX_READ_OVERHEAD`] times the in-memory one.
+//!   A durable-side regression (e.g. a deep copy or disk touch sneaking
+//!   into the read path) pushes that overhead up and trips it.
 
 use std::time::Instant;
 
-use sereth_bench::{artifact, market_genesis, mean_latency, set_tx, BenchPoint};
+use sereth_bench::{market_genesis, mean_latency, set_tx};
 use sereth_core::mark::{compute_mark, genesis_mark};
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
@@ -38,7 +35,9 @@ const ACCOUNTS: [u64; 3] = [256, 2_048, 16_384];
 /// Blocks mined before the crash, and committed reads per node.
 const BLOCKS: u64 = 8;
 const READS: u32 = 500;
-const MAX_READ_OVERHEAD: f64 = 4.0;
+/// The most a durable committed read may cost over the in-memory one, at
+/// any account count (six runs on a 2-vCPU host measured 0.90–1.22×).
+const MAX_READ_OVERHEAD: f64 = 2.1;
 
 /// Mines `blocks` chained sets; the same sequence on every node keeps the
 /// twins byte-identical.
@@ -64,8 +63,7 @@ pub fn run() {
     println!("| accounts | cold start | recovery | mem-read | durable-read | overhead |");
     println!("|----------|------------|----------|----------|--------------|----------|");
 
-    let mut points: Vec<BenchPoint> = Vec::new();
-    let mut recovery_meta: Vec<String> = Vec::new();
+    let mut overheads: Vec<(u64, f64)> = Vec::new();
     for accounts in ACCOUNTS {
         let genesis = market_genesis(&owner, accounts);
         let dir = scratch_dir("store-scale");
@@ -94,8 +92,7 @@ pub fn run() {
         let mem_read = mean_latency(READS, || mem.query_view(caller).expect("sereth node answers"));
         let durable_read = mean_latency(READS, || recovered.query_view(caller).expect("sereth node answers"));
         let overhead = durable_read.as_nanos() as f64 / mem_read.as_nanos().max(1) as f64;
-        points.push(BenchPoint::from_durations(accounts, mem_read, durable_read));
-        recovery_meta.push(format!("{accounts}:{:.1}ms", recovery.as_secs_f64() * 1e3));
+        overheads.push((accounts, overhead));
         println!(
             "| {accounts:>8} | {:>7.1} ms | {:>5.1} ms | {:>5.2} µs | {:>9.2} µs | {overhead:>7.2}x |",
             cold_start.as_secs_f64() * 1e3,
@@ -108,24 +105,14 @@ pub fn run() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    artifact(
-        "store",
-        "store_scale",
-        &[
-            ("blocks", BLOCKS.to_string()),
-            ("reads", READS.to_string()),
-            ("recovery", recovery_meta.join(",")),
-        ],
-        &points,
-    );
-
     // The parity gate: both read paths are O(1) views off the same COW
     // map; if the durable side ever grows a per-read disk or copy cost,
     // its overhead factor explodes and this fails.
-    let overhead = 1.0 / points.last().expect("ACCOUNTS is non-empty").speedup;
-    assert!(
-        overhead <= MAX_READ_OVERHEAD,
-        "durable committed read regressed: {overhead:.2}x > allowed {MAX_READ_OVERHEAD:.2}x \
-         over the in-memory read at the largest size"
-    );
+    for (accounts, overhead) in overheads {
+        assert!(
+            overhead <= MAX_READ_OVERHEAD,
+            "durable committed read regressed: {overhead:.2}x > allowed {MAX_READ_OVERHEAD:.2}x \
+             over the in-memory read at {accounts} accounts"
+        );
+    }
 }

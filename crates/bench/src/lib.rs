@@ -1,12 +1,9 @@
-//! Shared fixtures, artifact writing and the bench-trend gate for the
-//! sereth experiments. The experiments themselves are the entries of one
-//! runner, `cargo run --release -p sereth-bench -- <entry|all>`; the
-//! criterion benches live under `benches/`.
+//! Shared fixtures for the sereth experiments. The experiments themselves
+//! are the entries of one runner, `cargo run --release -p sereth-bench --
+//! <entry|all>`; the criterion benches live under `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod trend;
 
 use sereth_core::fpv::{Flag, Fpv};
 use sereth_core::mark::{compute_mark, genesis_mark};
@@ -104,40 +101,6 @@ pub fn mean_latency<T: PartialEq + std::fmt::Debug>(reads: u32, read: impl Fn() 
     start.elapsed() / reads
 }
 
-/// One measured point of a scale benchmark: workload `size`, baseline and
-/// fast-path mean latencies in microseconds, and their ratio.
-#[derive(Debug, Clone, Copy)]
-pub struct BenchPoint {
-    /// Workload size (accounts, pool entries, transactions, …).
-    pub size: u64,
-    /// Baseline latency, µs.
-    pub base_us: f64,
-    /// Fast-path latency, µs.
-    pub fast_us: f64,
-    /// `base_us / fast_us`.
-    pub speedup: f64,
-}
-
-impl BenchPoint {
-    /// Builds a point from two mean durations.
-    pub fn from_durations(size: u64, base: std::time::Duration, fast: std::time::Duration) -> Self {
-        let base_us = base.as_nanos() as f64 / 1e3;
-        let fast_us = fast.as_nanos() as f64 / 1e3;
-        Self { size, base_us, fast_us, speedup: base.as_nanos() as f64 / fast.as_nanos().max(1) as f64 }
-    }
-}
-
-fn json_escape(raw: &str) -> String {
-    raw.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 /// The host's CPU count as the standard library reports it (0 when
 /// unknown); recorded with every thread-dependent result.
 pub fn host_cpus() -> usize {
@@ -148,51 +111,6 @@ pub fn host_cpus() -> usize {
 /// current directory when unset.
 pub fn artifact_dir() -> std::path::PathBuf {
     std::env::var_os("BENCH_ARTIFACT_DIR").map_or_else(|| ".".into(), std::path::PathBuf::from)
-}
-
-/// Writes the machine-readable benchmark artifact `BENCH_<key>.json`
-/// (schema: `{bench, config, points:[{size, base_us, fast_us, speedup}]}`)
-/// into [`artifact_dir`] and reports on stdout where it went. `bench` names
-/// the runner entry that measured it. CI uploads these so the performance
-/// trajectory is recorded per commit. A write failure is reported, not
-/// fatal: the entry's own gates still run.
-pub fn artifact(key: &str, bench: &str, config: &[(&str, String)], points: &[BenchPoint]) {
-    match write_bench_artifact(&artifact_dir(), key, bench, config, points) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(error) => eprintln!("\nfailed to write BENCH_{key}.json: {error}"),
-    }
-}
-
-/// The env-free core of [`artifact`]. The build is offline (no serde), so
-/// the JSON is assembled by hand from flat types.
-pub(crate) fn write_bench_artifact(
-    dir: &std::path::Path,
-    key: &str,
-    bench: &str,
-    config: &[(&str, String)],
-    points: &[BenchPoint],
-) -> std::io::Result<std::path::PathBuf> {
-    use std::fmt::Write as _;
-    let mut body = String::new();
-    let _ = write!(body, "{{\n  \"bench\": \"{}\",\n  \"config\": {{", json_escape(bench));
-    for (i, (name, value)) in config.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(body, "{sep}\n    \"{}\": \"{}\"", json_escape(name), json_escape(value));
-    }
-    let _ = write!(body, "\n  }},\n  \"points\": [");
-    for (i, point) in points.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(
-            body,
-            "{sep}\n    {{\"size\": {}, \"base_us\": {:.3}, \"fast_us\": {:.3}, \"speedup\": {:.3}}}",
-            point.size, point.base_us, point.fast_us, point.speedup
-        );
-    }
-    body.push_str("\n  ]\n}\n");
-
-    let path = dir.join(format!("BENCH_{key}.json"));
-    std::fs::write(&path, body)?;
-    Ok(path)
 }
 
 #[cfg(test)]
@@ -206,34 +124,5 @@ mod tests {
         assert_eq!(pool.len(), 30);
         let nodes = process(&pool, &default_contract_address(), set_selector());
         assert_eq!(nodes.len(), 10, "noise filtered out");
-    }
-
-    #[test]
-    fn bench_artifact_round_trips_through_disk() {
-        // Uses the env-free core directly: mutating BENCH_ARTIFACT_DIR via
-        // set_var would race sibling tests reading the environment.
-        let dir = std::env::temp_dir().join(format!("sereth-bench-artifact-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let point = BenchPoint::from_durations(
-            512,
-            std::time::Duration::from_micros(100),
-            std::time::Duration::from_micros(25),
-        );
-        let path = write_bench_artifact(
-            &dir,
-            "test",
-            "exec_scale",
-            &[("threads", "4".into()), ("note", "with \"quotes\"".into())],
-            &[point],
-        )
-        .unwrap();
-        let written = std::fs::read_to_string(&path).unwrap();
-        assert!(path.ends_with("BENCH_test.json"));
-        assert!(written.contains("\"bench\": \"exec_scale\""));
-        assert!(written.contains("\"size\": 512"));
-        assert!(written.contains("\"speedup\": 4.000"));
-        assert!(written.contains("with \\\"quotes\\\""));
-        std::fs::remove_file(&path).unwrap();
-        assert!((point.speedup - 4.0).abs() < 1e-9);
     }
 }

@@ -143,8 +143,8 @@ impl TelemetrySnapshot {
 
     /// Writes the JSON rendering to `TELEMETRY_<key>.json` in
     /// `$BENCH_ARTIFACT_DIR` (or the current directory), returning the
-    /// path — the same drop-location contract as `BENCH_<key>.json`,
-    /// so CI uploads them side by side.
+    /// path — the same drop-location contract as the experiment runner's
+    /// other artifacts, so CI uploads them side by side.
     ///
     /// # Errors
     ///
@@ -195,9 +195,6 @@ mod tests {
         assert!(json.contains("\"p99_ns\""));
         assert!(json.contains("\"role\": \"build\""));
         assert!(json.contains("\"order_candidates\": 10"));
-        // The bench-trend parser treats any `"size"` key as a bench
-        // point; telemetry JSON must never introduce one.
-        assert!(!json.contains("\"size\""));
     }
 
     #[test]

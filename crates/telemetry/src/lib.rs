@@ -16,7 +16,7 @@
 //! ([`TelemetrySnapshot::merge`]), renders as Prometheus exposition
 //! text ([`TelemetrySnapshot::to_prometheus`]), renders as JSON
 //! ([`TelemetrySnapshot::to_json`]), and writes `TELEMETRY_<key>.json`
-//! artifacts next to the `BENCH_*.json` files
+//! artifacts next to the experiment runner's other artifacts
 //! ([`TelemetrySnapshot::write_artifact`]).
 //!
 //! # Cost model

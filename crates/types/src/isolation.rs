@@ -40,34 +40,13 @@ impl IsolationLevel {
     pub const ALL: [IsolationLevel; 3] =
         [IsolationLevel::ReadUncommitted, IsolationLevel::ReadCommitted, IsolationLevel::Sequential];
 
-    /// Position on the ladder: 0 (weakest) ‥ 2 (strongest). Doubles as
-    /// the `size` key of `BENCH_iso.json` points.
-    pub fn ordinal(self) -> usize {
-        match self {
-            Self::ReadUncommitted => 0,
-            Self::ReadCommitted => 1,
-            Self::Sequential => 2,
-        }
-    }
-
-    /// Stable kebab-case label (telemetry counter suffixes, bench
-    /// artifacts, env parsing).
+    /// Stable kebab-case name, also what `Display` prints (ISO-FRONTIER's
+    /// level column, the consistency-audit example's verdicts).
     pub fn label(self) -> &'static str {
         match self {
             Self::ReadUncommitted => "read-uncommitted",
             Self::ReadCommitted => "read-committed",
             Self::Sequential => "sequential",
-        }
-    }
-
-    /// Parses [`IsolationLevel::label`] output (also accepts the bare
-    /// ordinal), for bench/CLI env knobs.
-    pub fn parse(text: &str) -> Option<IsolationLevel> {
-        match text.trim() {
-            "read-uncommitted" | "ru" | "0" => Some(Self::ReadUncommitted),
-            "read-committed" | "rc" | "1" => Some(Self::ReadCommitted),
-            "sequential" | "seq" | "2" => Some(Self::Sequential),
-            _ => None,
         }
     }
 }
@@ -87,17 +66,5 @@ mod tests {
         assert!(IsolationLevel::ReadUncommitted < IsolationLevel::ReadCommitted);
         assert!(IsolationLevel::ReadCommitted < IsolationLevel::Sequential);
         assert_eq!(IsolationLevel::default(), IsolationLevel::ReadUncommitted);
-        let ordinals: Vec<usize> = IsolationLevel::ALL.iter().map(|l| l.ordinal()).collect();
-        assert_eq!(ordinals, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn labels_round_trip() {
-        for level in IsolationLevel::ALL {
-            assert_eq!(IsolationLevel::parse(level.label()), Some(level));
-            assert_eq!(IsolationLevel::parse(&level.ordinal().to_string()), Some(level));
-        }
-        assert_eq!(IsolationLevel::parse("ru"), Some(IsolationLevel::ReadUncommitted));
-        assert_eq!(IsolationLevel::parse("serializable"), None);
     }
 }
