@@ -124,10 +124,8 @@ impl NetNode {
         // Re-offer a bounded slice of the pool, oldest first — pulls
         // partition-stranded transactions toward the miners. Receivers
         // dedup via `seen_txs`, so repeats die after one hop.
-        let pending: Vec<Transaction> = self.handle.with_inner(|inner| {
-            inner.pool.with_entries_by_arrival(|entries| {
-                entries.iter().take(SYNC_REGOSSIP_CAP).map(|entry| entry.tx.clone()).collect()
-            })
+        let pending: Vec<Transaction> = self.handle.pool().with_entries_by_arrival(|entries| {
+            entries.iter().take(SYNC_REGOSSIP_CAP).map(|entry| entry.tx.clone()).collect()
         });
         for tx in pending {
             self.gossip(ctx, Msg::NewTransaction(tx));

@@ -12,11 +12,12 @@
 //! both kinds interoperate on one network here too, which
 //! `tests/interop.rs` exercises.
 
+use std::collections::HashSet;
 use std::ops::{Deref, DerefMut};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use sereth_chain::builder::{build_block_traced, BlockLimits};
 use sereth_chain::executor::{call_readonly, BlockEnv};
 use sereth_chain::genesis::Genesis;
@@ -33,9 +34,10 @@ use sereth_types::block::Block;
 use sereth_types::transaction::Transaction;
 use sereth_types::{IsolationLevel, SimTime};
 use sereth_vm::abi;
+use sereth_vm::exec::Storage;
 use sereth_vm::raa::RaaRegistry;
 
-use crate::contract::{get_selector, mark_selector};
+use crate::contract::{get_selector, mark_selector, SLOT_MARK, SLOT_VALUE};
 use crate::miner::{committed_amv, order_candidates, MinerPolicy};
 
 /// Standard vs. modified client (paper §III-B).
@@ -321,53 +323,67 @@ impl NodeConfigBuilder {
     }
 }
 
-/// The lock-protected node state.
+/// The lock-protected node state: what writers (mining, imports, orphan
+/// retry) change and the historical reads that need the whole chain.
 pub struct NodeInner {
     /// Chain store (canonical chain + side chains).
     pub chain: ChainStore,
-    /// Pending transaction pool. Internally synchronized (one lock of its
-    /// own) and held by `Arc`, so submission, the miner's ordering pass
-    /// and RAA reads run *outside* the node lock against the same pool.
-    pub pool: Arc<TxPool>,
-    /// RAA registry (holds the HMS provider on Sereth nodes).
-    pub raa: RaaRegistry,
     /// Static configuration.
     pub config: NodeConfig,
     /// Blocks whose parents have not arrived yet.
     orphans: Vec<Block>,
-    /// Gossip dedup for transactions.
-    seen_txs: std::collections::HashSet<H256>,
-    /// The SEQUENTIAL rung's serialization point: the head `(height,
-    /// view)` as of the last import. Queries at
-    /// [`IsolationLevel::Sequential`] answer from this pin — never from
-    /// a head that moved mid-conversation — so every read between two
-    /// imports observes one consistent height.
-    pinned_view: (u64, sereth_chain::state::StateView),
 }
 
-impl NodeInner {
-    /// The head read transaction: height and epoch-pinned view captured
-    /// together under the lock already held. Every committed read path
-    /// goes through this (or [`NodeInner::pinned_reader`]) so height and
-    /// view can never disagree.
-    pub fn head_reader(&self) -> StateReader {
-        StateReader { height: self.chain.head_number(), view: self.chain.head_state_view() }
-    }
+/// The canonical head as readers see it: everything a head read needs,
+/// captured together when the head moves. [`NodeHandle`] publishes it as
+/// one `Arc` and replaces it only under the node lock, so a read clones
+/// the `Arc` and never waits for an import; the height, the view and the
+/// env it answers from always describe the same block.
+struct Head {
+    /// Canonical head hash.
+    hash: H256,
+    /// The env read-only calls execute under: the head block's, so
+    /// `env.number` is the canonical height.
+    env: BlockEnv,
+    /// Epoch-pinned view of the head's post-state. The head is replaced
+    /// only at import, so this is also the SEQUENTIAL rung's pin: every
+    /// read between two imports observes this one height.
+    view: StateView,
+    /// RAA registry (holds the HMS provider on Sereth nodes).
+    raa: RaaRegistry,
+    /// The rung read-only queries are served at.
+    isolation: IsolationLevel,
+    /// The contract a query without an explicit one reads.
+    contract: Address,
+}
 
-    /// The SEQUENTIAL-rung read transaction: the view pinned at the last
-    /// import (its epoch pin travels with the stored view).
-    pub fn pinned_reader(&self) -> StateReader {
-        let (height, view) = self.pinned_view.clone();
-        StateReader { height, view }
+impl Head {
+    /// The head of `chain` as of now, with `raa` and the read settings
+    /// of `config`.
+    fn capture(chain: &ChainStore, raa: RaaRegistry, config: &NodeConfig) -> Self {
+        let header = &chain.head_block().header;
+        Self {
+            hash: chain.head_hash(),
+            env: BlockEnv {
+                number: header.number,
+                timestamp_ms: header.timestamp_ms,
+                gas_limit: header.gas_limit,
+                miner: header.miner,
+            },
+            view: chain.head_state_view(),
+            raa,
+            isolation: config.isolation,
+            contract: config.contract,
+        }
     }
 }
 
 /// An epoch-pinned read transaction over a node's committed state: an
-/// O(1) [`StateView`] stamped with the height it was captured at, taken
-/// in a single lock acquisition. While any clone is alive, garbage
-/// collection keeps that epoch servable (durable backends included), and
-/// copy-on-write keeps the bytes frozen — reads through a reader are
-/// repeatable no matter how far the chain advances.
+/// O(1) [`StateView`] stamped with the height it was captured at. While
+/// any clone is alive, garbage collection keeps that epoch servable
+/// (durable backends included), and copy-on-write keeps the bytes frozen
+/// — reads through a reader are repeatable no matter how far the chain
+/// advances.
 #[derive(Debug, Clone)]
 pub struct StateReader {
     height: u64,
@@ -453,16 +469,30 @@ fn effective_policy(policy: &MinerPolicy, isolation: IsolationLevel, telemetry: 
 /// A shareable handle to one node. Clients attached to the node (the
 /// paper's smart-contract users) query through this handle — the analogue
 /// of local RPC against one's own client process.
+///
+/// Only writers take the node lock: mining, imports, orphan retry,
+/// [`NodeHandle::with_inner`] and the historical reads that need the
+/// chain. Head reads clone the published `Head`, pool reads go to the
+/// pool, and admission dedups on its own set, so none of them waits for
+/// an import.
 #[derive(Clone)]
 pub struct NodeHandle {
     inner: Arc<Mutex<NodeInner>>,
+    /// The published head. The `RwLock` is held only to clone or swap
+    /// the `Arc`.
+    head: Arc<RwLock<Arc<Head>>>,
+    /// Pending transaction pool. Internally synchronized (one lock of its
+    /// own), so submission, the miner's ordering pass and RAA reads run
+    /// outside the node lock against the same pool.
+    pool: Arc<TxPool>,
+    /// Gossip dedup for transactions.
+    seen_txs: Arc<Mutex<HashSet<H256>>>,
     /// The node-wide telemetry hub every subsystem (pool and its RAA
     /// views, store, miner) records into.
     telemetry: Arc<Telemetry>,
     /// Hold-time histogram of the node lock (`node.lock_hold`): one
-    /// sample per acquisition through this handle, so the lock-discipline
-    /// regression tests count acquisitions as deltas of its count (the
-    /// RAA provider's data source locks separately, by design).
+    /// sample per acquisition, so the lock-discipline regression tests
+    /// count acquisitions as deltas of its count.
     lock_hold: Histogram,
 }
 
@@ -505,17 +535,31 @@ impl NodeHandle {
         let held_since = self.lock_hold.is_enabled().then(Instant::now);
         NodeLockGuard { guard, held_since, hold: &self.lock_hold }
     }
+
+    /// The published head: one `Arc` clone under a read lock that no one
+    /// holds for longer than a swap.
+    fn head(&self) -> Arc<Head> {
+        self.head.read().clone()
+    }
+
+    /// Publishes the head of `inner.chain`, serving `raa`. Callers hold
+    /// the node lock, so two publishers never race.
+    fn publish(&self, inner: &NodeInner, raa: RaaRegistry) {
+        let head = Arc::new(Head::capture(&inner.chain, raa, &inner.config));
+        // Dropped after the write lock is released: the last clone of the
+        // old head unpins its epoch, which readers need not wait for.
+        let _previous = std::mem::replace(&mut *self.head.write(), head);
+    }
 }
 
-/// [`RaaDataSource`] over a node, held weakly by the RAA provider to avoid
-/// a reference cycle.
-struct NodeSource(Weak<Mutex<NodeInner>>);
+/// [`RaaDataSource`] for the Sereth contract's slot layout: the
+/// committed `(mark, value)` comes from the state the query's call runs
+/// on, so the answer and the height the query stamps describe one head.
+struct NodeSource;
 
 impl RaaDataSource for NodeSource {
-    fn committed(&self, contract: &Address) -> (H256, H256) {
-        let Some(node) = self.0.upgrade() else { return (H256::ZERO, H256::ZERO) };
-        let view = node.lock().chain.head_state_view();
-        committed_amv(&view, contract)
+    fn committed(&self, state: &dyn Storage, contract: &Address) -> (H256, H256) {
+        (state.storage_get(contract, &SLOT_MARK), state.storage_get(contract, &SLOT_VALUE))
     }
 }
 
@@ -543,35 +587,30 @@ impl NodeHandle {
         let chain = ChainStore::open(
             StoreConfig::in_memory(genesis).with_backend(config.store.clone()).telemetry(telemetry.clone()),
         )?;
-        let pinned_view = (chain.head_number(), chain.head_state_view());
-        let inner = NodeInner {
-            chain,
-            pool: Arc::new(TxPool::with_telemetry(config.pool.clone(), telemetry.clone())),
-            raa: RaaRegistry::new(),
-            config,
-            orphans: Vec::new(),
-            seen_txs: std::collections::HashSet::new(),
-            pinned_view,
-        };
-        let lock_hold = telemetry.histogram("node.lock_hold");
-        let handle = Self { inner: Arc::new(Mutex::new(inner)), telemetry, lock_hold };
-        {
-            let mut inner = handle.inner.lock();
-            // The RAA provider exists to serve READ-UNCOMMITTED views;
-            // at the stronger rungs queries never consult it, so it is
-            // not installed and no pool view is ever computed.
-            if inner.config.kind == ClientKind::Sereth
-                && inner.config.isolation == IsolationLevel::ReadUncommitted
-            {
-                let source = Arc::new(NodeSource(Arc::downgrade(&handle.inner)));
-                let provider = PoolRaaProvider::new(inner.pool.clone(), source, inner.config.hms.clone());
-                let contract = inner.config.contract;
-                inner.raa.enable(contract, get_selector());
-                inner.raa.enable(contract, mark_selector());
-                inner.raa.set_provider(Arc::new(provider));
-            }
+        let pool = Arc::new(TxPool::with_telemetry(config.pool.clone(), telemetry.clone()));
+        let mut raa = RaaRegistry::new();
+        // The RAA provider exists to serve READ-UNCOMMITTED views; at the
+        // stronger rungs queries never consult it, so it is not installed
+        // and no pool view is ever computed.
+        if config.kind == ClientKind::Sereth && config.isolation == IsolationLevel::ReadUncommitted {
+            let provider = PoolRaaProvider::new(pool.clone(), Arc::new(NodeSource), config.hms.clone());
+            raa.enable(config.contract, get_selector());
+            raa.enable(config.contract, mark_selector());
+            raa.set_provider(Arc::new(provider));
         }
-        Ok(handle)
+        // The first head is captured before the handle exists, so opening
+        // takes no lock at all.
+        let head = Head::capture(&chain, raa, &config);
+        let inner = NodeInner { chain, config, orphans: Vec::new() };
+        let lock_hold = telemetry.histogram("node.lock_hold");
+        Ok(Self {
+            inner: Arc::new(Mutex::new(inner)),
+            head: Arc::new(RwLock::new(Arc::new(head))),
+            pool,
+            seen_txs: Arc::default(),
+            telemetry,
+            lock_hold,
+        })
     }
 
     /// The node's client kind.
@@ -581,37 +620,37 @@ impl NodeHandle {
 
     /// The isolation level this node serves read-only queries at.
     pub fn isolation(&self) -> IsolationLevel {
-        self.lock().config.isolation
+        self.head().isolation
     }
 
     /// The height the SEQUENTIAL rung is currently pinned to (the head
     /// as of the last import).
     pub fn pinned_height(&self) -> u64 {
-        self.lock().pinned_view.0
+        self.head().env.number
     }
 
     /// Canonical head height.
     pub fn head_number(&self) -> u64 {
-        self.lock().chain.head_number()
+        self.head().env.number
     }
 
-    /// Canonical head hash, with the height it was read at — one lock
-    /// acquisition, so the pair is consistent (gossip can move the head
-    /// between two separate calls).
+    /// Canonical head hash, with the height it was read at — one
+    /// published head, so the pair is consistent (gossip can move the
+    /// head between two separate calls).
     pub fn head_id(&self) -> (u64, H256) {
-        let inner = self.lock();
-        (inner.chain.head_number(), inner.chain.head_hash())
+        let head = self.head();
+        (head.env.number, head.hash)
     }
 
     /// Canonical head hash.
     pub fn head_hash(&self) -> H256 {
-        self.lock().chain.head_hash()
+        self.head().hash
     }
 
     /// The state root at the canonical head — what cluster convergence
     /// checks compare byte-for-byte across nodes.
     pub fn head_state_root(&self) -> H256 {
-        self.lock().chain.head_state().state_root()
+        self.head().view.state_root()
     }
 
     /// The parent hashes this node is still missing for its stashed
@@ -637,14 +676,19 @@ impl NodeHandle {
         self.lock().chain.len()
     }
 
+    /// The node's pending pool: its own lock, not the node's.
+    pub fn pool(&self) -> &Arc<TxPool> {
+        &self.pool
+    }
+
     /// Number of pooled transactions.
     pub fn pool_len(&self) -> usize {
-        self.lock().pool.len()
+        self.pool.len()
     }
 
     /// `true` if the pool currently holds `hash`.
     pub fn pool_contains(&self, hash: &H256) -> bool {
-        self.lock().pool.contains(hash)
+        self.pool.contains(hash)
     }
 
     /// The committed `(mark, value)` of the managed contract — what a
@@ -655,21 +699,18 @@ impl NodeHandle {
     }
 
     /// [`NodeHandle::committed_amv`] with its serialization point: the
-    /// committed `(mark, value)` stamped with the head height it was
-    /// read at, in the same single lock acquisition. This is the
-    /// observation clients log for the offline dirty-read audit.
+    /// committed `(mark, value)` stamped with the height of the head it
+    /// was read from. This is the observation clients log for the
+    /// offline dirty-read audit.
     pub fn committed_observed(&self) -> IsoObservation {
-        let (reader, contract) = {
-            let inner = self.lock();
-            (inner.head_reader(), inner.config.contract)
-        };
-        let (mark, value) = committed_amv(reader.view(), &contract);
-        IsoObservation { level: IsolationLevel::ReadCommitted, height: reader.height(), mark, value }
+        let head = self.head();
+        let (mark, value) = committed_amv(&head.view, &head.contract);
+        IsoObservation { level: IsolationLevel::ReadCommitted, height: head.env.number, mark, value }
     }
 
     /// Account nonce at the canonical head.
     pub fn account_nonce(&self, address: &Address) -> u64 {
-        self.lock().chain.head_state_view().nonce_of(address)
+        self.head().view.nonce_of(address)
     }
 
     /// An O(1) immutable snapshot of the canonical head state, plus the
@@ -682,15 +723,17 @@ impl NodeHandle {
     }
 
     /// Opens an epoch-pinned read transaction at the canonical head —
-    /// one lock acquisition, O(1), frozen and GC-protected until the
-    /// last clone drops.
+    /// no node lock, O(1), frozen and GC-protected until the last clone
+    /// drops.
     pub fn state_reader(&self) -> StateReader {
-        self.lock().head_reader()
+        let head = self.head();
+        StateReader { height: head.env.number, view: head.view.clone() }
     }
 
     /// Opens an epoch-pinned read transaction at a historical canonical
     /// `height` — `None` when the height does not exist or was pruned
-    /// below the durable backend's retention floor.
+    /// below the durable backend's retention floor. This one needs the
+    /// chain, so it takes the node lock once.
     pub fn state_reader_at(&self, height: u64) -> Option<StateReader> {
         self.lock().chain.state_view_at(height).map(|view| StateReader { height, view })
     }
@@ -733,110 +776,75 @@ impl NodeHandle {
         self.query_observed_inner(Some(contract), caller)
     }
 
-    /// The single-lock read path behind every query entry point: ONE
-    /// lock acquisition captures the configured contract (when none was
-    /// given) and whatever the isolation level serves from — head view +
-    /// RAA registry + block env at READ UNCOMMITTED, the bare head view
-    /// at READ COMMITTED, the pinned view at SEQUENTIAL. The answer is
-    /// produced outside the lock against the frozen view, so read
-    /// latency is independent of both state size and writer activity at
-    /// every rung, and each rung counts its reads (`iso.reads.*`).
+    /// The read path behind every query entry point. It clones the
+    /// published head and answers from it at the configured rung: the
+    /// RAA-augmented calls over the head view at READ UNCOMMITTED, the
+    /// committed `(mark, value)` of the head view at READ COMMITTED and
+    /// SEQUENTIAL (the head moves only at import, so it is the pin). No
+    /// node lock is taken, so read latency is independent of both state
+    /// size and writer activity at every rung, and each rung counts its
+    /// reads (`iso.reads.*`).
     fn query_observed_inner(&self, contract: Option<Address>, caller: Address) -> Option<IsoObservation> {
-        enum ReadMode {
-            Speculative { raa: RaaRegistry, env: BlockEnv },
-            Committed,
-        }
-        let (level, contract, height, state, mode) = {
-            let inner = self.lock();
-            let level = inner.config.isolation;
-            let contract = contract.unwrap_or(inner.config.contract);
-            match level {
-                IsolationLevel::ReadUncommitted => {
-                    let head = inner.chain.head_block().header.clone();
-                    let env = BlockEnv {
-                        number: head.number,
-                        timestamp_ms: head.timestamp_ms,
-                        gas_limit: head.gas_limit,
-                        miner: head.miner,
-                    };
-                    let mode = ReadMode::Speculative { raa: inner.raa.clone(), env };
-                    (level, contract, head.number, inner.chain.head_state_view(), mode)
-                }
-                IsolationLevel::ReadCommitted => {
-                    let reader = inner.head_reader();
-                    (level, contract, reader.height(), reader.into_view(), ReadMode::Committed)
-                }
-                IsolationLevel::Sequential => {
-                    let reader = inner.pinned_reader();
-                    (level, contract, reader.height(), reader.into_view(), ReadMode::Committed)
-                }
-            }
-        };
+        let head = self.head();
+        let level = head.isolation;
+        let contract = contract.unwrap_or(head.contract);
         self.telemetry.counter(iso_read_counter(level)).inc();
-        let (mark, value) = match mode {
-            ReadMode::Speculative { raa, env } => {
-                // The lock is released: the provider re-locks the node
-                // for the committed AMV inside `augment` without
-                // deadlocking.
-                let zero = [H256::ZERO, H256::ZERO, H256::ZERO];
-                let mark_out = call_readonly(
-                    &state,
-                    caller,
-                    contract,
-                    abi::encode_call(mark_selector(), &zero),
-                    &env,
-                    &raa,
-                );
-                let mark = abi::decode_word(&mark_out.return_data)?;
-                let get_out = call_readonly(
-                    &state,
-                    caller,
-                    contract,
-                    abi::encode_call(get_selector(), &zero),
-                    &env,
-                    &raa,
-                );
-                (mark, abi::decode_word(&get_out.return_data)?)
+        let (mark, value) = match level {
+            IsolationLevel::ReadUncommitted => {
+                // The provider reads the committed AMV from the call's
+                // state, i.e. from this head view.
+                let call = |selector| {
+                    let zero = [H256::ZERO, H256::ZERO, H256::ZERO];
+                    let out = call_readonly(
+                        &head.view,
+                        caller,
+                        contract,
+                        abi::encode_call(selector, &zero),
+                        &head.env,
+                        &head.raa,
+                    );
+                    abi::decode_word(&out.return_data)
+                };
+                (call(mark_selector())?, call(get_selector())?)
             }
-            ReadMode::Committed => committed_amv(&state, &contract),
+            IsolationLevel::ReadCommitted | IsolationLevel::Sequential => {
+                committed_amv(&head.view, &contract)
+            }
         };
-        Some(IsoObservation { level, height, mark, value })
+        Some(IsoObservation { level, height: head.env.number, mark, value })
     }
 
     /// Enables RAA on this node for an additional market contract's
     /// `get`/`mark` selectors (the configured contract is enabled at
     /// construction). No-op on Geth nodes.
     pub fn enable_market(&self, contract: Address) {
-        let mut inner = self.lock();
+        let inner = self.lock();
         if inner.config.kind == ClientKind::Sereth {
-            inner.raa.enable(contract, get_selector());
-            inner.raa.enable(contract, mark_selector());
+            let mut raa = self.head().raa.clone();
+            raa.enable(contract, get_selector());
+            raa.enable(contract, mark_selector());
+            self.publish(&inner, raa);
         }
     }
 
     /// Accepts a transaction from gossip or local submission. Returns
     /// `true` when newly accepted (the caller should gossip it onward).
     ///
-    /// The node lock is held only for the gossip-dedup check and an O(1)
-    /// state-view capture; signature verification and the pool insert run
-    /// outside it, so submission contends on the pool's own lock — not on
-    /// the miner's node lock.
+    /// Takes no node lock: the gossip dedup has its own set, the stale
+    /// nonce check reads the published head, and the insert contends on
+    /// the pool's own lock, so admission never waits for an import.
     pub fn receive_tx(&self, tx: Transaction, now: SimTime) -> bool {
         self.telemetry.time(Phase::ReceiveTx, || {
-            let (pool, view) = {
-                let mut inner = self.lock();
-                if !inner.seen_txs.insert(tx.hash()) {
-                    return false;
-                }
-                (inner.pool.clone(), inner.chain.head_state_view())
-            };
+            if !self.seen_txs.lock().insert(tx.hash()) {
+                return false;
+            }
             if !tx.verify_signature() {
                 return false;
             }
-            if tx.nonce() < view.nonce_of(&tx.sender()) {
+            if tx.nonce() < self.head().view.nonce_of(&tx.sender()) {
                 return false; // stale
             }
-            pool.insert(tx, now).is_ok()
+            self.pool.insert(tx, now).is_ok()
         })
     }
 
@@ -859,7 +867,7 @@ impl NodeHandle {
             // serving (and forwarding) from memory; `import` counted it.
             Ok(ImportOutcome::ExtendedCanonical | ImportOutcome::Reorged { .. })
             | Err(ImportError::Store(_)) => {
-                Self::after_import(&mut inner, &block);
+                self.after_import(&inner, &block);
                 self.retry_orphans(&mut inner);
                 BlockReceipt::Imported
             }
@@ -885,19 +893,21 @@ impl NodeHandle {
         result
     }
 
-    /// Pool and pin upkeep after `block` became canonical. Never run for a
-    /// side-chain block: its transactions are not committed, and dropping
-    /// them would leave them unminable here, since `seen_txs` refuses them
-    /// when they are gossiped again.
-    fn after_import(inner: &mut NodeInner, block: &Block) {
-        let NodeInner { chain, pool, .. } = inner;
-        pool.remove_committed(block.transactions.iter());
-        let head_state = chain.head_state();
-        pool.prune_stale(|sender| head_state.nonce_of(sender));
-        // Advance the SEQUENTIAL serialization point: imports are the
-        // only place the pin moves, so between two imports every pinned
-        // query answers at one height.
-        inner.pinned_view = (inner.chain.head_number(), inner.chain.head_state_view());
+    /// Head publication and pool upkeep after `block` became canonical.
+    /// Never run for a side-chain block: its transactions are not
+    /// committed, and dropping them would leave them unminable here,
+    /// since `seen_txs` refuses them when they are gossiped again.
+    fn after_import(&self, inner: &NodeInner, block: &Block) {
+        // Imports are the only place the head moves, so between two
+        // imports every read, the SEQUENTIAL rung's included, answers at
+        // one height. The head goes first: until the upkeep below, an RU
+        // read pairs the new head with a pool that still holds the
+        // block's sets. The other order would pair the old head with a
+        // pool that lacks them, a view older than both.
+        self.publish(inner, self.head().raa.clone());
+        self.pool.remove_committed(block.transactions.iter());
+        let head_state = inner.chain.head_state();
+        self.pool.prune_stale(|sender| head_state.nonce_of(sender));
     }
 
     fn retry_orphans(&self, inner: &mut NodeInner) {
@@ -918,7 +928,7 @@ impl NodeHandle {
                     // canonical import here; `import` counted the fault.
                     Ok(ImportOutcome::ExtendedCanonical | ImportOutcome::Reorged { .. })
                     | Err(ImportError::Store(_)) => {
-                        Self::after_import(inner, &block);
+                        self.after_import(inner, &block);
                         progressed = true;
                     }
                     Err(ImportError::UnknownParent) => remaining.push(block),
@@ -941,7 +951,8 @@ impl NodeHandle {
     /// (`pool.*`, `raa.*`, `node.*`), gauges, phase and
     /// lock-hold histograms, and the recent block traces. Reads only
     /// atomics and the short trace ring lock: **zero** node-lock
-    /// acquisitions, which `telemetry_reads_take_zero_node_locks` pins.
+    /// acquisitions, which `telemetry_reads_take_zero_node_locks` pins
+    /// along with every head and pool read and `receive_tx`.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
         self.telemetry.snapshot()
     }
@@ -949,28 +960,27 @@ impl NodeHandle {
     /// Seals a block at `now` (miner nodes only) and imports it locally.
     ///
     /// The node lock is held twice, briefly: once to snapshot the parent
-    /// header, a COW state clone, and the pool handle; once to import the
+    /// header, a COW state clone and the mining config; once to import the
     /// sealed block. Candidate ordering and execution run in between,
     /// unlocked — client submission keeps flowing into the pool while the
     /// block is being built.
     pub fn mine(&self, now: SimTime) -> Option<Block> {
-        let (setup, parent, state, pool, contract, limits, isolation) = {
+        let (setup, parent, state, contract, limits, isolation) = {
             let inner = self.lock();
             let setup = inner.config.miner.clone()?;
             (
                 setup,
                 inner.chain.head_block().header.clone(),
                 inner.chain.head_state().clone(),
-                inner.pool.clone(),
                 inner.config.contract,
                 inner.config.limits.clone(),
                 inner.config.isolation,
             )
         };
         let policy = effective_policy(&setup.policy, isolation, &self.telemetry);
-        let (candidates, order_ns) = self
-            .telemetry
-            .time_ns(Phase::OrderCandidates, || order_candidates(&pool, &state.view(), &contract, &policy));
+        let (candidates, order_ns) = self.telemetry.time_ns(Phase::OrderCandidates, || {
+            order_candidates(&self.pool, &state.view(), &contract, &policy)
+        });
         let timestamp = now.max(parent.timestamp_ms + 1);
         let built = build_block_traced(
             &parent,
@@ -1002,7 +1012,7 @@ impl NodeHandle {
             Ok(ImportOutcome::ExtendedCanonical)
             | Ok(ImportOutcome::Reorged { .. })
             | Err(ImportError::Store(_)) => {
-                Self::after_import(&mut inner, &block);
+                self.after_import(&inner, &block);
                 Some(block)
             }
             // A gossip block imported while we were building can beat us
@@ -1080,7 +1090,7 @@ impl std::fmt::Debug for NodeHandle {
         f.debug_struct("NodeHandle")
             .field("kind", &inner.config.kind)
             .field("head", &inner.chain.head_number())
-            .field("pool", &inner.pool.len())
+            .field("pool", &self.pool.len())
             .finish()
     }
 }
@@ -1124,6 +1134,34 @@ mod tests {
     /// handle records one `node.lock_hold` sample when its guard drops.
     fn lock_count(node: &NodeHandle) -> u64 {
         node.telemetry_snapshot().histograms["node.lock_hold"].count()
+    }
+
+    /// How long a thread holding the node lock waits for a read to finish
+    /// before it gives up and releases the lock.
+    const HOLD_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(3);
+
+    /// Runs `read` while another thread holds the node lock inside
+    /// `with_inner`, and returns whether `read` finished before the holder
+    /// gave up. A read that takes the node lock, raw or timed, can only
+    /// finish after the holder's timeout, so it reports `false` instead of
+    /// deadlocking.
+    fn finishes_under_a_held_node_lock(node: &NodeHandle, read: impl FnOnce()) -> bool {
+        let parked = std::sync::Barrier::new(2);
+        let (finished, done) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let parked = &parked;
+            let holder = scope.spawn(move || {
+                node.with_inner(|_| {
+                    parked.wait();
+                    done.recv_timeout(HOLD_TIMEOUT).is_ok()
+                })
+            });
+            parked.wait();
+            read();
+            // The holder has dropped its receiver if it already gave up.
+            let _ = finished.send(());
+            holder.join().expect("the lock holder does not panic")
+        })
     }
 
     fn set_tx(owner: &SecretKey, nonce: u64, prev: H256, value: u64) -> Transaction {
@@ -1182,44 +1220,40 @@ mod tests {
     }
 
     #[test]
-    fn query_view_acquires_the_node_lock_exactly_once() {
-        // Regression for the historical double-lock: `query_view` used to
-        // lock once to read `config.contract` and then again inside
-        // `query_view_for`. Both entry points must now cost exactly one
-        // handle-lock round-trip per query, on both client kinds. (On a
-        // Sereth node the RAA provider's data source takes its own locks
-        // via a separate path; the handle's discipline is what is pinned
-        // here.)
+    fn query_view_takes_zero_node_locks() {
+        // Both entry points answer from the published head, on both
+        // client kinds. A Sereth node's RAA provider reads the committed
+        // AMV from the call's own state, so it takes no lock either; the
+        // barrier test below also catches a raw lock this count cannot
+        // see.
         let owner = SecretKey::from_label(1);
         for kind in [ClientKind::Geth, ClientKind::Sereth] {
             let node = node(kind, &owner, false);
             let before = lock_count(&node);
             node.query_view(owner.address()).unwrap();
-            assert_eq!(lock_count(&node) - before, 1, "query_view on {kind:?}");
-
-            let before = lock_count(&node);
+            assert_eq!(lock_count(&node), before, "query_view on {kind:?}");
             node.query_view_for(default_contract_address(), owner.address()).unwrap();
-            assert_eq!(lock_count(&node) - before, 1, "query_view_for on {kind:?}");
+            assert_eq!(lock_count(&node), before, "query_view_for on {kind:?}");
         }
     }
 
     #[test]
-    fn committed_reads_cost_one_lock_each() {
+    fn committed_reads_take_zero_node_locks() {
         let owner = SecretKey::from_label(1);
         let node = node(ClientKind::Geth, &owner, false);
         let before = lock_count(&node);
         node.committed_amv();
         node.account_nonce(&owner.address());
         node.head_state_view();
-        assert_eq!(lock_count(&node) - before, 3, "one acquisition per read API call");
+        assert_eq!(lock_count(&node), before, "committed reads answer from the published head");
     }
 
     #[test]
-    fn state_readers_cost_one_lock_and_pin_their_epoch() {
-        // The unified `StateReader` surface must keep the PR 8 lock
-        // discipline: one handle-lock round-trip per read transaction,
-        // and the returned view pins its epoch so durable-backend GC can
-        // never reclaim the snapshot under the reader.
+    fn state_reader_takes_zero_node_locks_and_readers_pin_their_epoch() {
+        // A head reader clones the published head; a historical one needs
+        // the chain and takes the node lock once. Either view pins its
+        // epoch, so durable-backend GC can never reclaim the snapshot
+        // under the reader.
         let owner = SecretKey::from_label(1);
         let node = node(ClientKind::Geth, &owner, true);
         node.receive_tx(set_tx(&owner, 0, genesis_mark(), 75), 100);
@@ -1228,7 +1262,7 @@ mod tests {
 
         let before = lock_count(&node);
         let reader = node.state_reader();
-        assert_eq!(lock_count(&node) - before, 1, "state_reader is one lock");
+        assert_eq!(lock_count(&node), before, "state_reader takes no node lock");
         assert_eq!(reader.height(), 1);
         assert_eq!(reader.view().pinned_epoch(), Some(1), "head reader pins the head epoch");
 
@@ -1446,19 +1480,39 @@ mod tests {
 
     #[test]
     fn telemetry_reads_take_zero_node_locks() {
-        // Satellite of the telemetry layer: metrics consumers must never
-        // contend with the miner. The snapshot reads registry atomics,
-        // so the node-lock sample count must not move at all — a
-        // snapshot that locked would add its own sample on unlock.
+        // Metrics consumers, readers and submitters must never contend
+        // with the miner. The snapshot reads registry atomics, head reads
+        // clone the published head, pool reads go to the pool, and
+        // admission dedups on its own set, so the node-lock sample count
+        // must not move at all: a call that locked would add its own
+        // sample on unlock.
         let owner = SecretKey::from_label(1);
         let node = node(ClientKind::Sereth, &owner, true);
-        assert!(node.receive_tx(set_tx(&owner, 0, genesis_mark(), 75), 100));
+        let first = set_tx(&owner, 0, genesis_mark(), 75);
+        assert!(node.receive_tx(first.clone(), 100));
         node.mine(15_000).expect("miner seals");
 
         let before = lock_count(&node);
         let snapshot = node.telemetry_snapshot();
         assert_eq!(snapshot.histograms["node.lock_hold"].count(), before, "metrics reads must not lock");
         assert_eq!(lock_count(&node), before, "metrics reads must not take the node lock");
+
+        let mark = sereth_core::mark::compute_mark(&genesis_mark(), &H256::from_low_u64(75));
+        let second = set_tx(&owner, 1, mark, 80);
+        assert!(node.receive_tx(second.clone(), 200));
+        assert!(!node.receive_tx(first, 300), "a duplicate is refused without the node lock too");
+        node.query_observed(owner.address()).unwrap();
+        node.query_view_for(default_contract_address(), owner.address()).unwrap();
+        node.committed_observed();
+        node.state_reader();
+        node.account_nonce(&owner.address());
+        node.head_id();
+        node.head_state_root();
+        node.pinned_height();
+        node.isolation();
+        assert!(node.pool_contains(&second.hash()));
+        assert_eq!(node.pool_len(), 1);
+        assert_eq!(lock_count(&node), before, "reads and admission must not take the node lock");
 
         assert!(snapshot.histograms["phase.receive_tx"].count() >= 1);
         assert!(snapshot.histograms["phase.admission"].count() >= 1);
@@ -1560,18 +1614,80 @@ mod tests {
     }
 
     #[test]
-    fn every_isolation_level_keeps_the_single_lock_read_discipline() {
+    fn every_isolation_level_reads_with_zero_node_locks() {
         let owner = SecretKey::from_label(1);
         for level in IsolationLevel::ALL {
             for kind in [ClientKind::Geth, ClientKind::Sereth] {
                 let node = node_at(kind, &owner, false, level);
                 let before = lock_count(&node);
                 node.query_view(owner.address()).unwrap();
-                assert_eq!(lock_count(&node) - before, 1, "query_view at {level} on {kind:?}");
-                let before = lock_count(&node);
+                assert_eq!(lock_count(&node), before, "query_view at {level} on {kind:?}");
                 node.committed_observed();
-                assert_eq!(lock_count(&node) - before, 1, "committed_observed at {level}");
+                assert_eq!(lock_count(&node), before, "committed_observed at {level} on {kind:?}");
             }
+        }
+    }
+
+    #[test]
+    fn reads_and_admission_finish_while_the_node_lock_is_held() {
+        // A thread parked inside `with_inner` stands in for an import
+        // holding the node lock through replay and a state root. Every
+        // head and pool read and `receive_tx` must still finish on
+        // another thread. Unlike `lock_count`, this also catches a raw
+        // re-lock that bypasses the timed guard.
+        let owner = SecretKey::from_label(1);
+        let tx = set_tx(&owner, 0, genesis_mark(), 75);
+        let mut waited = Vec::new();
+        let mut check = |node: &NodeHandle, name: String, read: &dyn Fn()| {
+            if !finishes_under_a_held_node_lock(node, read) {
+                waited.push(name);
+            }
+        };
+        for level in IsolationLevel::ALL {
+            for kind in [ClientKind::Geth, ClientKind::Sereth] {
+                let node = node_at(kind, &owner, false, level);
+                let on = format!("at {level} on {kind:?}");
+                check(&node, format!("receive_tx {on}"), &|| assert!(node.receive_tx(tx.clone(), 100)));
+                check(&node, format!("query_observed {on}"), &|| {
+                    node.query_observed(owner.address()).unwrap();
+                });
+            }
+        }
+
+        let node = node(ClientKind::Sereth, &owner, false);
+        assert!(node.receive_tx(tx.clone(), 100));
+        check(&node, "committed_observed".into(), &|| assert_eq!(node.committed_observed().height, 0));
+        check(&node, "state_reader".into(), &|| assert_eq!(node.state_reader().height(), 0));
+        check(&node, "account_nonce".into(), &|| assert_eq!(node.account_nonce(&owner.address()), 0));
+        check(&node, "pool_len".into(), &|| assert_eq!(node.pool_len(), 1));
+        check(&node, "pool_contains".into(), &|| assert!(node.pool_contains(&tx.hash())));
+        assert!(waited.is_empty(), "these waited for the node lock: {waited:?}");
+    }
+
+    #[test]
+    fn ru_observations_match_the_committed_state_at_their_stamped_height() {
+        // With the pool empty, a READ-UNCOMMITTED answer is the committed
+        // `(mark, value)`. The RAA provider reads it from the head the
+        // query captured, so it must be the state at the stamped height.
+        use sereth_core::mark::compute_mark;
+        let owner = SecretKey::from_label(1);
+        let node = node(ClientKind::Sereth, &owner, true);
+        let mut mark = genesis_mark();
+        for nonce in 0..4 {
+            let value = 60 + nonce;
+            assert!(node.receive_tx(set_tx(&owner, nonce, mark, value), 100 * (nonce + 1)));
+            node.mine(15_000 * (nonce + 1)).expect("miner seals");
+            assert_eq!(node.pool_len(), 0, "the set committed");
+            mark = compute_mark(&mark, &H256::from_low_u64(value));
+
+            let observation = node.query_observed(owner.address()).unwrap();
+            assert_eq!(observation.height, nonce + 1);
+            let reader = node.state_reader_at(observation.height).expect("canonical height");
+            assert_eq!(
+                (observation.mark, observation.value),
+                committed_amv(reader.view(), &default_contract_address())
+            );
+            assert_eq!((observation.mark, observation.value), (mark, H256::from_low_u64(value)));
         }
     }
 

@@ -171,8 +171,8 @@ fn concurrent_submitters_and_miner_lose_nothing() {
 #[test]
 fn submissions_do_not_wait_for_the_ordering_pass() {
     // Direct (non-threaded) pin of the decoupling: a pool-level ordering
-    // read holds the pool's lock, not the node lock — receive_tx during a
-    // mining pass costs the same single node-lock acquisition as ever.
+    // read holds the pool's lock, not the node lock, and receive_tx takes
+    // no node lock at all.
     let miner = node(true);
     for nonce in 0..NONCES_PER_SENDER {
         for sender in 0..SENDERS_PER_SUBMITTER {

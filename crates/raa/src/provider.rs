@@ -1,9 +1,9 @@
 //! The adapter wiring [`TxPool::market_view`] into the VM's RAA hook.
 //!
 //! On each read-only call [`PoolRaaProvider`] (1) reads the contract's
-//! committed AMV from its [`RaaDataSource`], (2) reads the pool's cached
-//! view, and (3) writes it into the call's three argument words exactly
-//! as Fig. 1 activity R3 prescribes.
+//! committed AMV through its [`RaaDataSource`] from the state the call
+//! runs on, (2) reads the pool's cached view, and (3) writes it into the
+//! call's three argument words exactly as Fig. 1 activity R3 prescribes.
 
 use std::sync::Arc;
 
@@ -13,14 +13,18 @@ use sereth_core::hms::HmsConfig;
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
 use sereth_vm::abi;
+use sereth_vm::exec::Storage;
 use sereth_vm::raa::{RaaProvider, RaaRequest};
 
-/// The committed state the adapter needs per query. `sereth-node`
-/// implements this over its chain; tests use fixtures.
+/// Where the committed state the adapter needs per query lives in a
+/// contract's storage. `sereth-node` implements this for the Sereth
+/// contract's slot layout; tests use fixtures.
 pub trait RaaDataSource: Send + Sync {
-    /// The committed `(mark, value)` of `contract` at the canonical
-    /// head.
-    fn committed(&self, contract: &Address) -> (H256, H256);
+    /// The committed `(mark, value)` of `contract` in `state`: the
+    /// read-only state of the call being augmented
+    /// ([`RaaRequest::state`]), so the answer describes the same head
+    /// as the call.
+    fn committed(&self, state: &dyn Storage, contract: &Address) -> (H256, H256);
 }
 
 /// An [`RaaProvider`] serving [`TxPool::market_view`].
@@ -40,7 +44,7 @@ impl PoolRaaProvider {
 
 impl RaaProvider for PoolRaaProvider {
     fn augment(&self, request: &RaaRequest<'_>) -> Option<Bytes> {
-        let committed = self.source.committed(&request.contract);
+        let committed = self.source.committed(request.state, &request.contract);
         let view = self.pool.market_view(&request.contract, committed, &self.hms);
         let words = view.to_words();
         // Write the view into the three argument words (Fig. 1, R3).
@@ -65,17 +69,32 @@ mod tests {
     use sereth_types::transaction::{Transaction, TxPayload};
     use sereth_types::u256::U256;
     use sereth_vm::abi::Selector;
+    use sereth_vm::exec::MemStorage;
 
-    struct FixtureSource;
+    /// A fixture layout: the committed mark in slot 0, the value in 1.
+    struct SlotSource;
 
-    impl RaaDataSource for FixtureSource {
-        fn committed(&self, _contract: &Address) -> (H256, H256) {
-            (genesis_mark(), H256::from_low_u64(50))
+    impl RaaDataSource for SlotSource {
+        fn committed(&self, state: &dyn Storage, contract: &Address) -> (H256, H256) {
+            (state.storage_get(contract, &H256::ZERO), state.storage_get(contract, &H256::from_low_u64(1)))
         }
     }
 
     fn market() -> Address {
         Address::from_low_u64(7)
+    }
+
+    /// A state whose committed `(mark, value)` for [`market`] is the given
+    /// pair.
+    fn committed_state(mark: H256, value: u64) -> MemStorage {
+        let mut state = MemStorage::new();
+        state.storage_set(&market(), H256::ZERO, mark);
+        state.storage_set(&market(), H256::from_low_u64(1), H256::from_low_u64(value));
+        state
+    }
+
+    fn genesis_state() -> MemStorage {
+        committed_state(genesis_mark(), 50)
     }
 
     fn get_sel() -> Selector {
@@ -101,17 +120,27 @@ mod tests {
         for (now, tx) in pool.into_iter().enumerate() {
             shared.insert(tx, now as u64).unwrap();
         }
-        (PoolRaaProvider::new(shared.clone(), Arc::new(FixtureSource), HmsConfig::default()), shared)
+        (PoolRaaProvider::new(shared.clone(), Arc::new(SlotSource), HmsConfig::default()), shared)
     }
 
-    fn request(calldata: &[u8]) -> RaaRequest<'_> {
-        RaaRequest { contract: market(), selector: get_sel(), calldata, caller: Address::from_low_u64(1) }
+    fn request<'a>(calldata: &'a [u8], state: &'a MemStorage) -> RaaRequest<'a> {
+        RaaRequest {
+            contract: market(),
+            selector: get_sel(),
+            calldata,
+            caller: Address::from_low_u64(1),
+            state,
+        }
+    }
+
+    fn raa_call_on(provider: &PoolRaaProvider, state: &MemStorage) -> [H256; 3] {
+        let calldata = abi::encode_call(get_sel(), &[H256::ZERO, H256::ZERO, H256::ZERO]);
+        let augmented = provider.augment(&request(&calldata, state)).expect("three words present");
+        [0, 1, 2].map(|i| abi::arg_word(&augmented, i).unwrap())
     }
 
     fn raa_call(provider: &PoolRaaProvider) -> [H256; 3] {
-        let calldata = abi::encode_call(get_sel(), &[H256::ZERO, H256::ZERO, H256::ZERO]);
-        let augmented = provider.augment(&request(&calldata)).expect("three words present");
-        [0, 1, 2].map(|i| abi::arg_word(&augmented, i).unwrap())
+        raa_call_on(provider, &genesis_state())
     }
 
     #[test]
@@ -121,6 +150,21 @@ mod tests {
         assert_eq!(hint, SPECIAL_VALUE);
         assert_eq!(mark, genesis_mark());
         assert_eq!(value, H256::from_low_u64(50));
+    }
+
+    #[test]
+    fn committed_amv_comes_from_the_state_the_call_runs_on() {
+        // One provider, two states: each answer carries that state's
+        // committed `(mark, value)`, never one read from anywhere else.
+        let (provider, _) = provider_with(vec![]);
+        let later_mark = compute_mark(&genesis_mark(), &H256::from_low_u64(80));
+        for (state, mark, value) in
+            [(genesis_state(), genesis_mark(), 50), (committed_state(later_mark, 80), later_mark, 80)]
+        {
+            let [hint, served_mark, served_value] = raa_call_on(&provider, &state);
+            assert_eq!(hint, SPECIAL_VALUE);
+            assert_eq!((served_mark, served_value), (mark, H256::from_low_u64(value)));
+        }
     }
 
     #[test]
@@ -139,7 +183,7 @@ mod tests {
     fn augment_preserves_selector_and_length() {
         let (provider, _) = provider_with(vec![]);
         let calldata = abi::encode_call(get_sel(), &[H256::ZERO, H256::ZERO, H256::ZERO]);
-        let augmented = provider.augment(&request(&calldata)).unwrap();
+        let augmented = provider.augment(&request(&calldata, &genesis_state())).unwrap();
         assert_eq!(augmented.len(), calldata.len());
         assert_eq!(&augmented[..4], &calldata[..4]);
     }
@@ -148,7 +192,7 @@ mod tests {
     fn augment_fails_gracefully_on_short_calldata() {
         let (provider, _) = provider_with(vec![]);
         let calldata = abi::encode_call(get_sel(), &[H256::ZERO]); // only one word
-        assert!(provider.augment(&request(&calldata)).is_none());
+        assert!(provider.augment(&request(&calldata, &genesis_state())).is_none());
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::{interpreter, subcall};
 use sereth_types::receipt::TxStatus;
 
 /// A read-only call about to execute, as presented to an [`RaaProvider`].
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct RaaRequest<'a> {
     /// The contract being called.
     pub contract: Address,
@@ -36,6 +36,10 @@ pub struct RaaRequest<'a> {
     pub calldata: &'a [u8],
     /// Who is asking.
     pub caller: Address,
+    /// The state the call executes against, read-only here. A provider
+    /// that needs committed facts reads them from it, so its answer
+    /// describes the same snapshot the call runs on.
+    pub state: &'a dyn Storage,
 }
 
 /// An external data service wired into the interpreter (paper Fig. 1,
@@ -83,8 +87,9 @@ impl RaaRegistry {
     }
 
     /// Applies augmentation to `env` if eligible; returns the possibly
-    /// rewritten environment.
-    pub fn apply(&self, env: CallEnv) -> CallEnv {
+    /// rewritten environment. `state` is what the call will read; the
+    /// provider sees it as [`RaaRequest::state`].
+    pub fn apply(&self, env: CallEnv, state: &dyn Storage) -> CallEnv {
         if !env.is_static {
             // Signed transaction calldata is immutable (paper §III-D).
             return env;
@@ -95,7 +100,7 @@ impl RaaRegistry {
         }
         let provider = self.provider.as_ref().expect("checked by is_enabled");
         let request =
-            RaaRequest { contract: env.callee, selector, calldata: &env.calldata, caller: env.caller };
+            RaaRequest { contract: env.callee, selector, calldata: &env.calldata, caller: env.caller, state };
         match provider.augment(&request) {
             Some(new_calldata) if new_calldata.len() >= 4 && new_calldata[..4] == selector => {
                 let mut env = env;
@@ -130,7 +135,7 @@ pub fn execute_call(
     gas_limit: u64,
     raa: &RaaRegistry,
 ) -> CallOutcome {
-    let env = raa.apply(env);
+    let env = raa.apply(env, storage);
     match code {
         ContractCode::None => CallOutcome {
             // Plain value transfer to an account with no code.
@@ -186,7 +191,7 @@ mod tests {
         registry.set_provider(Arc::new(FixedProvider(H256::from_low_u64(0x1234))));
 
         let calldata = encode_call(sel, &[H256::ZERO, H256::ZERO, H256::ZERO]);
-        let env = registry.apply(static_env(contract, calldata));
+        let env = registry.apply(static_env(contract, calldata), &MemStorage::new());
         assert_eq!(abi::arg_word(&env.calldata, 0), Some(H256::from_low_u64(0x1234)));
     }
 
@@ -201,7 +206,7 @@ mod tests {
         let calldata = encode_call(sel, &[H256::ZERO]);
         let mut env = CallEnv::test_env(Address::from_low_u64(1), contract, calldata.clone());
         env.is_static = false; // a transaction
-        let env = registry.apply(env);
+        let env = registry.apply(env, &MemStorage::new());
         assert_eq!(env.calldata, calldata, "signed calldata must be untouched");
     }
 
@@ -215,7 +220,7 @@ mod tests {
         registry.set_provider(Arc::new(FixedProvider(H256::from_low_u64(1))));
 
         let calldata = encode_call(other, &[H256::ZERO]);
-        let env = registry.apply(static_env(contract, calldata.clone()));
+        let env = registry.apply(static_env(contract, calldata.clone()), &MemStorage::new());
         assert_eq!(env.calldata, calldata);
     }
 
@@ -227,7 +232,7 @@ mod tests {
         registry.set_provider(Arc::new(FixedProvider(H256::from_low_u64(1))));
 
         let calldata = encode_call(sel, &[H256::ZERO]);
-        let env = registry.apply(static_env(Address::from_low_u64(8), calldata.clone()));
+        let env = registry.apply(static_env(Address::from_low_u64(8), calldata.clone()), &MemStorage::new());
         assert_eq!(env.calldata, calldata);
     }
 
@@ -240,7 +245,7 @@ mod tests {
 
         let calldata = encode_call(sel, &[H256::ZERO]);
         assert!(!registry.is_enabled(&contract, &sel));
-        let env = registry.apply(static_env(contract, calldata.clone()));
+        let env = registry.apply(static_env(contract, calldata.clone()), &MemStorage::new());
         assert_eq!(env.calldata, calldata);
     }
 
@@ -253,7 +258,7 @@ mod tests {
         registry.set_provider(Arc::new(EvilProvider));
 
         let calldata = encode_call(sel, &[H256::ZERO]);
-        let env = registry.apply(static_env(contract, calldata.clone()));
+        let env = registry.apply(static_env(contract, calldata.clone()), &MemStorage::new());
         assert_eq!(env.calldata, calldata);
     }
 

@@ -11,19 +11,15 @@
 //! cargo run --example multi_market
 //! ```
 
-use sereth::chain::executor::{call_readonly, BlockEnv};
 use sereth::chain::genesis::GenesisBuilder;
 use sereth::crypto::{Address, SecretKey, H256};
 use sereth::hms::hms::HmsConfig;
 use sereth::hms::mark::genesis_mark;
 use sereth::node::client::{Buyer, Owner};
-use sereth::node::contract::{
-    buy_ok_topic, get_selector, mark_selector, sereth_code, sereth_genesis_slots, ContractForm,
-};
+use sereth::node::contract::{buy_ok_topic, sereth_code, sereth_genesis_slots, ContractForm};
 use sereth::node::miner::MinerPolicy;
 use sereth::node::node::{ClientKind, NodeConfig, NodeHandle};
 use sereth::types::U256;
-use sereth::vm::abi;
 
 const GRAIN_PRICE: u64 = 100;
 const ENERGY_PRICE: u64 = 200;
@@ -39,28 +35,7 @@ fn energy() -> Address {
 /// Reads a market's READ-UNCOMMITTED `(mark, value)` through the node's
 /// RAA-augmented read-only calls (the paper's `mark`/`get` functions).
 fn hms_view(node: &NodeHandle, market: Address) -> (H256, H256) {
-    let caller = Address::from_low_u64(0x11);
-    let zero = [H256::ZERO, H256::ZERO, H256::ZERO];
-    // An O(1) state view and the registry are taken out of the node lock:
-    // the HMS provider re-enters the node inside `augment`.
-    let (state, raa, env) = node.with_inner(|inner| {
-        let head = inner.chain.head_block().header.clone();
-        (
-            inner.chain.head_state_view(),
-            inner.raa.clone(),
-            BlockEnv {
-                number: head.number,
-                timestamp_ms: head.timestamp_ms,
-                gas_limit: head.gas_limit,
-                miner: head.miner,
-            },
-        )
-    });
-    let query = |selector: [u8; 4]| {
-        let out = call_readonly(&state, caller, market, abi::encode_call(selector, &zero), &env, &raa);
-        abi::decode_word(&out.return_data).expect("view calls return one word")
-    };
-    (query(mark_selector()), query(get_selector()))
+    node.query_view_for(market, Address::from_low_u64(0x11)).expect("view calls return one word")
 }
 
 fn main() {

@@ -15,7 +15,6 @@ use sereth::node::contract::{buy_ok_topic, sereth_code, sereth_genesis_slots, se
 use sereth::node::miner::{committed_amv, pending_view, MinerPolicy};
 use sereth::node::node::{ClientKind, NodeConfig, NodeHandle};
 use sereth::types::U256;
-use sereth::vm::abi;
 
 fn market_a() -> Address {
     Address::from_low_u64(0xaaaa)
@@ -60,40 +59,10 @@ fn setup() -> (NodeHandle, Owner, Owner) {
     (node, owner_a, owner_b)
 }
 
-/// Reads the HMS view of a given market through the RAA-augmented
+/// Reads the HMS view of a given market through the node's RAA-augmented
 /// read-only calls.
 fn view_of(node: &NodeHandle, market: Address) -> (H256, H256) {
-    let caller = Address::from_low_u64(0x11);
-    let zero = [H256::ZERO, H256::ZERO, H256::ZERO];
-    // Take an O(1) state view and the registry OUT of the lock: the RAA
-    // provider re-locks the node inside `augment`, so running the call
-    // under `with_inner` would deadlock (the same discipline
-    // `NodeHandle::query_view` uses).
-    let (state, raa, env) = node.with_inner(|inner| {
-        let head = inner.chain.head_block().header.clone();
-        (
-            inner.chain.head_state_view(),
-            inner.raa.clone(),
-            sereth::chain::executor::BlockEnv {
-                number: head.number,
-                timestamp_ms: head.timestamp_ms,
-                gas_limit: head.gas_limit,
-                miner: head.miner,
-            },
-        )
-    });
-    let query = |selector: [u8; 4]| {
-        let out = sereth::chain::executor::call_readonly(
-            &state,
-            caller,
-            market,
-            abi::encode_call(selector, &zero),
-            &env,
-            &raa,
-        );
-        abi::decode_word(&out.return_data).expect("one word")
-    };
-    (query(sereth::node::contract::mark_selector()), query(sereth::node::contract::get_selector()))
+    node.query_view_for(market, Address::from_low_u64(0x11)).expect("view calls return one word")
 }
 
 #[test]
@@ -118,7 +87,7 @@ fn markets_have_independent_series() {
     assert_eq!(mark_b, compute_mark(&genesis_mark(), &H256::from_low_u64(210)));
 
     // Each market's view is batch Algorithm 1 over the node's own pool.
-    let pending = node.with_inner(|inner| pending_view(&inner.pool));
+    let pending = pending_view(node.pool());
     for market in [market_a(), market_b()] {
         let committed = node.with_inner(|inner| committed_amv(&inner.chain.head_state_view(), &market));
         let batch = hash_mark_set(&pending, &market, set_selector(), committed, &HmsConfig::default());

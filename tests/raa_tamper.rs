@@ -131,6 +131,6 @@ fn raa_never_rewrites_transaction_calldata() {
     let calldata = Fpv::new(Flag::Head, genesis_mark(), H256::from_low_u64(60)).to_calldata(set_selector());
     let mut env = sereth::vm::exec::CallEnv::test_env(Address::from_low_u64(1), contract, calldata.clone());
     env.is_static = false; // a transaction
-    let env = registry.apply(env);
+    let env = registry.apply(env, &sereth::vm::exec::MemStorage::new());
     assert_eq!(env.calldata, calldata, "transaction calldata must pass through untouched");
 }
