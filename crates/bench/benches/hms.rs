@@ -1,8 +1,7 @@
 //! HMS micro-benchmarks (ABL-OVERHEAD in DESIGN.md): the paper's §III-C
 //! claims "the overhead of HMS is relatively small" thanks to the
 //! signature filter; these benches quantify PROCESS and SERIES over pool
-//! sizes from 10² to 10⁴, plus the recursive-vs-dynamic-program ablation
-//! for DEEPESTBRANCH.
+//! sizes from 10² to 10⁴.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use sereth_bench::pool_with_chain;
@@ -41,9 +40,6 @@ fn bench_series(c: &mut Criterion) {
         let graph = SeriesGraph::build(nodes, None);
         group.bench_with_input(BenchmarkId::new("longest_dp", len), &graph, |b, graph| {
             b.iter(|| black_box(graph).longest_series())
-        });
-        group.bench_with_input(BenchmarkId::new("longest_recursive_paper", len), &graph, |b, graph| {
-            b.iter(|| black_box(graph).longest_series_recursive())
         });
     }
     group.finish();

@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use sereth_crypto::address::{contract_address, Address};
-use sereth_crypto::hash::H256;
+use sereth_types::block::BlockHeader;
 use sereth_types::receipt::{Receipt, TxStatus};
 use sereth_types::transaction::Transaction;
 use sereth_types::u256::U256;
@@ -25,6 +25,18 @@ pub struct BlockEnv {
     pub gas_limit: u64,
     /// The block's miner, credited with fees.
     pub miner: Address,
+}
+
+impl From<&BlockHeader> for BlockEnv {
+    /// The env of the block `header` seals.
+    fn from(header: &BlockHeader) -> Self {
+        Self {
+            number: header.number,
+            timestamp_ms: header.timestamp_ms,
+            gas_limit: header.gas_limit,
+            miner: header.miner,
+        }
+    }
 }
 
 /// Reasons a transaction cannot be included in a block at all.
@@ -187,15 +199,10 @@ pub fn call_readonly(
     execute_call(&code, call_env, &mut scratch, env.gas_limit, raa)
 }
 
-/// Reads a storage slot directly (a `view`-style getter without code
-/// execution).
-pub fn read_slot(state: &StateDb, contract: &Address, slot: &H256) -> H256 {
-    state.storage_get(contract, slot)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sereth_crypto::hash::H256;
     use sereth_crypto::sig::SecretKey;
     use sereth_types::transaction::TxPayload;
     use sereth_vm::asm::assemble;
@@ -324,7 +331,7 @@ mod tests {
         assert_eq!(receipt.status, TxStatus::Reverted);
         assert!(receipt.logs.is_empty());
         // The slot write was rolled back…
-        assert_eq!(read_slot(&state, &contract, &H256::ZERO), H256::ZERO);
+        assert_eq!(state.storage_get(&contract, &H256::ZERO), H256::ZERO);
         // …but the nonce advanced and gas was paid: the failure is recorded
         // on-chain, exactly as the paper describes.
         assert_eq!(state.nonce_of(&key.address()), 1);
@@ -357,7 +364,7 @@ mod tests {
         assert_eq!(receipt.status, TxStatus::Success);
         assert_eq!(receipt.index, 3);
         assert_eq!(receipt.logs.len(), 1);
-        assert_eq!(read_slot(&state, &contract, &H256::ZERO), H256::from_low_u64(0x2a));
+        assert_eq!(state.storage_get(&contract, &H256::ZERO), H256::from_low_u64(0x2a));
     }
 
     #[test]

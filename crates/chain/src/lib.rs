@@ -27,7 +27,7 @@ pub mod txpool;
 pub mod validation;
 
 pub use builder::{build_block, build_block_traced, BlockLimits, BuiltBlock};
-pub use executor::{apply_transaction, call_readonly, read_slot, BlockEnv, TxApplyError};
+pub use executor::{apply_transaction, call_readonly, BlockEnv, TxApplyError};
 pub use genesis::{Genesis, GenesisBuilder};
 pub use state::{Account, Snapshot, StateDb, StateView};
 pub use store::{ChainStore, ImportError, ImportOutcome, StateBackendConfig, StoreConfig, StoredBlock};

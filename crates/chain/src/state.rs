@@ -234,6 +234,15 @@ impl StateView {
     }
 }
 
+impl From<&StateView> for StateDb {
+    /// A mutable state over `view`'s accounts, in O(1) and with an empty
+    /// journal: the first write unshares them, so the view stays frozen.
+    /// The view's epoch pin does not travel.
+    fn from(view: &StateView) -> Self {
+        Self { accounts: Arc::clone(&view.accounts), journal: Vec::new() }
+    }
+}
+
 impl sereth_vm::exec::ReadStorage for StateView {
     fn storage_get(&self, address: &Address, key: &H256) -> H256 {
         StateView::storage_get(self, address, key)

@@ -108,12 +108,7 @@ pub fn validate_block(
 
     let mut state = parent_state.clone();
     state.clear_journal();
-    let env = BlockEnv {
-        number: block.header.number,
-        timestamp_ms: block.header.timestamp_ms,
-        gas_limit: block.header.gas_limit,
-        miner: block.header.miner,
-    };
+    let env = BlockEnv::from(&block.header);
 
     let mut receipts = Vec::with_capacity(block.transactions.len());
     let mut gas_used = 0u64;

@@ -11,14 +11,10 @@
 //! blockchain, in which branches are resolved by taking the longest
 //! branch." (paper §III-C)
 //!
-//! Two extractors are provided:
-//!
-//! * [`SeriesGraph::longest_series_recursive`] — the paper's Algorithm 3,
-//!   verbatim recursion (exponential on adversarial diamond graphs, fine on
-//!   real pools);
-//! * [`SeriesGraph::longest_series`] — an `O(V + E)` dynamic program over
-//!   the DAG, proven equivalent by property test and compared in the
-//!   `hms_series` benchmark (an ablation the paper does not perform).
+//! [`SeriesGraph::longest_series`] extracts it with an `O(V + E)` dynamic
+//! program over the DAG. The paper's verbatim recursion is exponential on
+//! adversarial diamond graphs; it lives in `tests/lemmas.rs` as the
+//! oracle the dynamic program must equal, series for series.
 
 use std::collections::HashMap;
 
@@ -150,47 +146,6 @@ impl SeriesGraph {
         }
         series
     }
-
-    /// The paper's Algorithm 3, lines 7–28, as written: iterate head
-    /// candidates, recursively explore every path, keep the strictly
-    /// deepest. Exposed for fidelity testing and the ablation benchmark.
-    pub fn longest_series_recursive(&self) -> Vec<usize> {
-        let mut highest_depth = 0usize;
-        let mut longest: Vec<usize> = Vec::new();
-        for &head in &self.heads {
-            let mut path = vec![head];
-            let mut max_depth = 0usize;
-            let mut max_path = Vec::new();
-            self.deepest_branch(head, 1, &mut path, &mut max_depth, &mut max_path);
-            if max_depth > highest_depth {
-                highest_depth = max_depth;
-                longest = max_path;
-            }
-        }
-        longest
-    }
-
-    fn deepest_branch(
-        &self,
-        head: usize,
-        depth: usize,
-        path: &mut Vec<usize>,
-        max_depth: &mut usize,
-        max_path: &mut Vec<usize>,
-    ) {
-        if self.successors[head].is_empty() {
-            if depth > *max_depth {
-                *max_depth = depth;
-                *max_path = path.clone();
-            }
-            return;
-        }
-        for &txn in &self.successors[head] {
-            path.push(txn);
-            self.deepest_branch(txn, depth + 1, path, max_depth, max_path);
-            path.pop();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -239,16 +194,9 @@ mod tests {
     }
 
     #[test]
-    fn recursive_agrees_on_straight_chain() {
-        let graph = SeriesGraph::build(chain(6), None);
-        assert_eq!(graph.longest_series(), graph.longest_series_recursive());
-    }
-
-    #[test]
     fn empty_graph_gives_empty_series() {
         let graph = SeriesGraph::build(vec![], None);
         assert!(graph.longest_series().is_empty());
-        assert!(graph.longest_series_recursive().is_empty());
     }
 
     #[test]
@@ -257,7 +205,6 @@ mod tests {
         let orphan = node(0, Flag::Success, H256::keccak(b"unknown"), 5);
         let graph = SeriesGraph::build(vec![orphan], None);
         assert!(graph.longest_series().is_empty());
-        assert!(graph.longest_series_recursive().is_empty());
     }
 
     #[test]
@@ -271,7 +218,6 @@ mod tests {
         let graph = SeriesGraph::build(vec![head, a, b, c], None);
         let series = graph.longest_series();
         assert_eq!(series, vec![0, 1, 2]);
-        assert_eq!(series, graph.longest_series_recursive());
     }
 
     #[test]
@@ -285,7 +231,6 @@ mod tests {
         let graph = SeriesGraph::build(vec![head_a, head_b, b1, b2], None);
         let series = graph.longest_series();
         assert_eq!(series, vec![1, 2, 3]);
-        assert_eq!(series, graph.longest_series_recursive());
     }
 
     #[test]
@@ -294,7 +239,6 @@ mod tests {
         let head_b = node(1, Flag::Head, H256::keccak(b"other-root"), 2);
         let graph = SeriesGraph::build(vec![head_a, head_b], None);
         assert_eq!(graph.longest_series(), vec![0]);
-        assert_eq!(graph.longest_series_recursive(), vec![0]);
     }
 
     #[test]
@@ -336,7 +280,6 @@ mod tests {
         let graph = SeriesGraph::build(vec![dup1, dup2, succ], None);
         let series = graph.longest_series();
         assert_eq!(series, vec![0, 2]);
-        assert_eq!(series, graph.longest_series_recursive());
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   unrepresentable; forged claims merely fail to form edges).
 //!
 //! Plus an implementation property the paper does not need but we rely on:
-//! the O(V+E) dynamic program and the paper's verbatim recursion return the
-//! *identical* series.
+//! the O(V+E) dynamic program and the paper's verbatim recursion
+//! (`algorithm3_series`, the oracle) return the *identical* series.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -38,6 +38,51 @@ fn pending(seq: u64, fpv: Fpv) -> PendingTx {
         to: Some(market()),
         input: fpv.to_calldata(set_sel()),
         arrival_seq: seq,
+    }
+}
+
+/// The oracle: the paper's Algorithm 3, lines 7–28, as written. It
+/// iterates the head candidates, recursively explores every path
+/// (exponential on adversarial diamond graphs) and keeps the strictly
+/// deepest, so the first head and the first branch win ties.
+fn algorithm3_series(graph: &SeriesGraph) -> Vec<usize> {
+    let mut highest_depth = 0usize;
+    let mut longest = Vec::new();
+    for &head in graph.heads() {
+        let mut path = vec![head];
+        let mut max_depth = 0usize;
+        let mut max_path = Vec::new();
+        algorithm3_branch(graph, head, 1, &mut path, &mut max_depth, &mut max_path);
+        if max_depth > highest_depth {
+            highest_depth = max_depth;
+            longest = max_path;
+        }
+    }
+    longest
+}
+
+/// `DEEPESTBRANCH`: extends `path` through every successor of `node` and
+/// keeps the first complete path that is strictly deeper than `max_depth`.
+fn algorithm3_branch(
+    graph: &SeriesGraph,
+    node: usize,
+    depth: usize,
+    path: &mut Vec<usize>,
+    max_depth: &mut usize,
+    max_path: &mut Vec<usize>,
+) {
+    let successors = graph.successors_of(node);
+    if successors.is_empty() {
+        if depth > *max_depth {
+            *max_depth = depth;
+            *max_path = path.clone();
+        }
+        return;
+    }
+    for &next in successors {
+        path.push(next);
+        algorithm3_branch(graph, next, depth + 1, path, max_depth, max_path);
+        path.pop();
     }
 }
 
@@ -114,7 +159,7 @@ proptest! {
         let graph = SeriesGraph::build(nodes, None);
         let series_len = graph.longest_series().len();
         // Exhaustively compute depths via the recursion used in the paper.
-        let reference = graph.longest_series_recursive().len();
+        let reference = algorithm3_series(&graph).len();
         prop_assert_eq!(series_len, reference);
     }
 
@@ -140,7 +185,7 @@ proptest! {
     fn dp_equals_paper_recursion(pool in pool_strategy()) {
         let nodes = process(&pool, &market(), set_sel());
         let graph = SeriesGraph::build(nodes, None);
-        prop_assert_eq!(graph.longest_series(), graph.longest_series_recursive());
+        prop_assert_eq!(graph.longest_series(), algorithm3_series(&graph));
     }
 
     /// Algorithm 1 end-to-end: the served view is either the committed
@@ -201,4 +246,20 @@ proptest! {
         let with_noise = hash_mark_set(&noisy, &market(), set_sel(), committed, &HmsConfig::default());
         prop_assert_eq!(base.view, with_noise.view);
     }
+}
+
+#[test]
+fn recursive_agrees_on_straight_chain() {
+    let mut prev = genesis_mark();
+    let pool: Vec<PendingTx> = (0..6u64)
+        .map(|seq| {
+            let value = H256::from_low_u64(100 + seq);
+            let fpv = Fpv::new(if seq == 0 { Flag::Head } else { Flag::Success }, prev, value);
+            prev = compute_mark(&prev, &value);
+            pending(seq, fpv)
+        })
+        .collect();
+    let graph = SeriesGraph::build(process(&pool, &market(), set_sel()), None);
+    assert_eq!(graph.longest_series(), vec![0, 1, 2, 3, 4, 5]);
+    assert_eq!(algorithm3_series(&graph), graph.longest_series());
 }

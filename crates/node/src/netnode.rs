@@ -17,13 +17,14 @@
 //!    each sync round, so transactions stranded on one side of a healed
 //!    partition still reach the miners.
 //!
-//! De-duplication lives where the state lives: the node's `seen_txs` set
-//! makes [`NodeHandle::receive_tx`] return `false` for repeats (no
-//! re-forward), and [`NodeHandle::receive_block`] answers
-//! [`BlockReceipt::Known`] for repeated blocks. Reorgs need no special
-//! handling here — the chain store's fork-choice imports competing
-//! branches as side chains and switches heads when one grows strictly
-//! longer, exactly as for blocks imported any other way.
+//! De-duplication lives where the state lives: [`NodeHandle::receive_tx`]
+//! returns `false` (no re-forward) for a transaction its pool already
+//! holds or whose nonce its head has passed, and
+//! [`NodeHandle::receive_block`] answers [`BlockReceipt::Known`] for
+//! repeated blocks. Reorgs need no special handling here — the chain
+//! store's fork-choice imports competing branches as side chains and
+//! switches heads when one grows strictly longer, exactly as for blocks
+//! imported any other way.
 //!
 //! Every behaviour is deterministic: the only randomness an actor may
 //! consume is [`Context::rng`] (here, only the mining schedule), so a
@@ -122,8 +123,9 @@ impl NetNode {
             self.request_block(ctx, parent);
         }
         // Re-offer a bounded slice of the pool, oldest first — pulls
-        // partition-stranded transactions toward the miners. Receivers
-        // dedup via `seen_txs`, so repeats die after one hop.
+        // partition-stranded transactions toward the miners. A receiver
+        // that pools or has committed one refuses it, so repeats die
+        // after one hop.
         let pending: Vec<Transaction> = self.handle.pool().with_entries_by_arrival(|entries| {
             entries.iter().take(SYNC_REGOSSIP_CAP).map(|entry| entry.tx.clone()).collect()
         });
@@ -146,10 +148,8 @@ impl NetNode {
         if let Some(block) = self.handle.mine(ctx.now()) {
             self.gossip(ctx, Msg::NewBlock(block));
         }
-        let schedule =
-            self.handle.with_inner(|inner| inner.config.miner.as_ref().map(|setup| setup.schedule.clone()));
-        if let Some(schedule) = schedule {
-            let delay = schedule.next_delay(ctx.rng());
+        if let Some(setup) = &self.handle.config().miner {
+            let delay = setup.schedule.next_delay(ctx.rng());
             ctx.wake_self(delay, Msg::MineTick);
         }
     }

@@ -12,7 +12,6 @@
 //! both kinds interoperate on one network here too, which
 //! `tests/interop.rs` exercises.
 
-use std::collections::HashSet;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use std::time::Instant;
@@ -21,20 +20,19 @@ use parking_lot::{Mutex, MutexGuard, RwLock};
 use sereth_chain::builder::{build_block_traced, BlockLimits};
 use sereth_chain::executor::{call_readonly, BlockEnv};
 use sereth_chain::genesis::Genesis;
-use sereth_chain::state::StateView;
+use sereth_chain::state::{StateDb, StateView};
 use sereth_chain::store::{ChainStore, ImportError, ImportOutcome, StateBackendConfig, StoreConfig};
 use sereth_chain::txpool::{PoolConfig, TxPool};
 use sereth_chain::StoreError;
 use sereth_core::hms::HmsConfig;
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
-use sereth_raa::{PoolRaaProvider, RaaDataSource};
+use sereth_raa::PoolRaaProvider;
 use sereth_telemetry::{BlockTrace, Histogram, Phase, Telemetry, TelemetryConfig, TelemetrySnapshot};
-use sereth_types::block::Block;
+use sereth_types::block::{Block, BlockHeader};
 use sereth_types::transaction::Transaction;
 use sereth_types::{IsolationLevel, SimTime};
 use sereth_vm::abi;
-use sereth_vm::exec::Storage;
 use sereth_vm::raa::RaaRegistry;
 
 use crate::contract::{get_selector, mark_selector, SLOT_MARK, SLOT_VALUE};
@@ -323,13 +321,12 @@ impl NodeConfigBuilder {
     }
 }
 
-/// The lock-protected node state: what writers (mining, imports, orphan
-/// retry) change and the historical reads that need the whole chain.
+/// The lock-protected node state: what writers (mining's import, block
+/// imports, orphan retry) change and the historical reads that need the
+/// whole chain.
 pub struct NodeInner {
     /// Chain store (canonical chain + side chains).
     pub chain: ChainStore,
-    /// Static configuration.
-    pub config: NodeConfig,
     /// Blocks whose parents have not arrived yet.
     orphans: Vec<Block>,
 }
@@ -342,38 +339,25 @@ pub struct NodeInner {
 struct Head {
     /// Canonical head hash.
     hash: H256,
-    /// The env read-only calls execute under: the head block's, so
-    /// `env.number` is the canonical height.
-    env: BlockEnv,
+    /// The head block's header: the canonical height, the env read-only
+    /// calls execute under, and the parent the miner builds on.
+    header: BlockHeader,
     /// Epoch-pinned view of the head's post-state. The head is replaced
     /// only at import, so this is also the SEQUENTIAL rung's pin: every
     /// read between two imports observes this one height.
     view: StateView,
     /// RAA registry (holds the HMS provider on Sereth nodes).
     raa: RaaRegistry,
-    /// The rung read-only queries are served at.
-    isolation: IsolationLevel,
-    /// The contract a query without an explicit one reads.
-    contract: Address,
 }
 
 impl Head {
-    /// The head of `chain` as of now, with `raa` and the read settings
-    /// of `config`.
-    fn capture(chain: &ChainStore, raa: RaaRegistry, config: &NodeConfig) -> Self {
-        let header = &chain.head_block().header;
+    /// The head of `chain` as of now, with `raa`.
+    fn capture(chain: &ChainStore, raa: RaaRegistry) -> Self {
         Self {
             hash: chain.head_hash(),
-            env: BlockEnv {
-                number: header.number,
-                timestamp_ms: header.timestamp_ms,
-                gas_limit: header.gas_limit,
-                miner: header.miner,
-            },
+            header: chain.head_block().header.clone(),
             view: chain.head_state_view(),
             raa,
-            isolation: config.isolation,
-            contract: config.contract,
         }
     }
 }
@@ -470,23 +454,24 @@ fn effective_policy(policy: &MinerPolicy, isolation: IsolationLevel, telemetry: 
 /// paper's smart-contract users) query through this handle — the analogue
 /// of local RPC against one's own client process.
 ///
-/// Only writers take the node lock: mining, imports, orphan retry,
-/// [`NodeHandle::with_inner`] and the historical reads that need the
-/// chain. Head reads clone the published `Head`, pool reads go to the
-/// pool, and admission dedups on its own set, so none of them waits for
-/// an import.
+/// Only writers take the node lock: mining's import, block imports,
+/// orphan retry, `enable_market`, [`NodeHandle::with_inner`] and the
+/// historical reads that need the chain. Head reads clone the published
+/// `Head`, pool reads go to the pool, admission checks the head and the
+/// pool, and the config is fixed at `open`, so none of them waits for an
+/// import.
 #[derive(Clone)]
 pub struct NodeHandle {
     inner: Arc<Mutex<NodeInner>>,
     /// The published head. The `RwLock` is held only to clone or swap
     /// the `Arc`.
     head: Arc<RwLock<Arc<Head>>>,
+    /// The configuration the node was opened with; it never changes.
+    config: Arc<NodeConfig>,
     /// Pending transaction pool. Internally synchronized (one lock of its
     /// own), so submission, the miner's ordering pass and RAA reads run
     /// outside the node lock against the same pool.
     pool: Arc<TxPool>,
-    /// Gossip dedup for transactions.
-    seen_txs: Arc<Mutex<HashSet<H256>>>,
     /// The node-wide telemetry hub every subsystem (pool and its RAA
     /// views, store, miner) records into.
     telemetry: Arc<Telemetry>,
@@ -545,21 +530,10 @@ impl NodeHandle {
     /// Publishes the head of `inner.chain`, serving `raa`. Callers hold
     /// the node lock, so two publishers never race.
     fn publish(&self, inner: &NodeInner, raa: RaaRegistry) {
-        let head = Arc::new(Head::capture(&inner.chain, raa, &inner.config));
+        let head = Arc::new(Head::capture(&inner.chain, raa));
         // Dropped after the write lock is released: the last clone of the
         // old head unpins its epoch, which readers need not wait for.
         let _previous = std::mem::replace(&mut *self.head.write(), head);
-    }
-}
-
-/// [`RaaDataSource`] for the Sereth contract's slot layout: the
-/// committed `(mark, value)` comes from the state the query's call runs
-/// on, so the answer and the height the query stamps describe one head.
-struct NodeSource;
-
-impl RaaDataSource for NodeSource {
-    fn committed(&self, state: &dyn Storage, contract: &Address) -> (H256, H256) {
-        (state.storage_get(contract, &SLOT_MARK), state.storage_get(contract, &SLOT_VALUE))
     }
 }
 
@@ -593,45 +567,45 @@ impl NodeHandle {
         // stronger rungs queries never consult it, so it is not installed
         // and no pool view is ever computed.
         if config.kind == ClientKind::Sereth && config.isolation == IsolationLevel::ReadUncommitted {
-            let provider = PoolRaaProvider::new(pool.clone(), Arc::new(NodeSource), config.hms.clone());
+            let provider = PoolRaaProvider::new(pool.clone(), (SLOT_MARK, SLOT_VALUE), config.hms.clone());
             raa.enable(config.contract, get_selector());
             raa.enable(config.contract, mark_selector());
             raa.set_provider(Arc::new(provider));
         }
         // The first head is captured before the handle exists, so opening
         // takes no lock at all.
-        let head = Head::capture(&chain, raa, &config);
-        let inner = NodeInner { chain, config, orphans: Vec::new() };
+        let head = Head::capture(&chain, raa);
+        let inner = NodeInner { chain, orphans: Vec::new() };
         let lock_hold = telemetry.histogram("node.lock_hold");
         Ok(Self {
             inner: Arc::new(Mutex::new(inner)),
             head: Arc::new(RwLock::new(Arc::new(head))),
+            config: Arc::new(config),
             pool,
-            seen_txs: Arc::default(),
             telemetry,
             lock_hold,
         })
     }
 
+    /// The configuration this node was opened with.
+    pub fn config(&self) -> &NodeConfig {
+        &self.config
+    }
+
     /// The node's client kind.
     pub fn kind(&self) -> ClientKind {
-        self.lock().config.kind
+        self.config.kind
     }
 
     /// The isolation level this node serves read-only queries at.
     pub fn isolation(&self) -> IsolationLevel {
-        self.head().isolation
+        self.config.isolation
     }
 
-    /// The height the SEQUENTIAL rung is currently pinned to (the head
-    /// as of the last import).
-    pub fn pinned_height(&self) -> u64 {
-        self.head().env.number
-    }
-
-    /// Canonical head height.
+    /// Canonical head height. At SEQUENTIAL it is also the height every
+    /// query is pinned to: the head moves only on import.
     pub fn head_number(&self) -> u64 {
-        self.head().env.number
+        self.head().header.number
     }
 
     /// Canonical head hash, with the height it was read at — one
@@ -639,7 +613,7 @@ impl NodeHandle {
     /// head between two separate calls).
     pub fn head_id(&self) -> (u64, H256) {
         let head = self.head();
-        (head.env.number, head.hash)
+        (head.header.number, head.hash)
     }
 
     /// Canonical head hash.
@@ -704,8 +678,8 @@ impl NodeHandle {
     /// offline dirty-read audit.
     pub fn committed_observed(&self) -> IsoObservation {
         let head = self.head();
-        let (mark, value) = committed_amv(&head.view, &head.contract);
-        IsoObservation { level: IsolationLevel::ReadCommitted, height: head.env.number, mark, value }
+        let (mark, value) = committed_amv(&head.view, &self.config.contract);
+        IsoObservation { level: IsolationLevel::ReadCommitted, height: head.header.number, mark, value }
     }
 
     /// Account nonce at the canonical head.
@@ -727,7 +701,7 @@ impl NodeHandle {
     /// drops.
     pub fn state_reader(&self) -> StateReader {
         let head = self.head();
-        StateReader { height: head.env.number, view: head.view.clone() }
+        StateReader { height: head.header.number, view: head.view.clone() }
     }
 
     /// Opens an epoch-pinned read transaction at a historical canonical
@@ -786,13 +760,14 @@ impl NodeHandle {
     /// reads (`iso.reads.*`).
     fn query_observed_inner(&self, contract: Option<Address>, caller: Address) -> Option<IsoObservation> {
         let head = self.head();
-        let level = head.isolation;
-        let contract = contract.unwrap_or(head.contract);
+        let level = self.config.isolation;
+        let contract = contract.unwrap_or(self.config.contract);
         self.telemetry.counter(iso_read_counter(level)).inc();
         let (mark, value) = match level {
             IsolationLevel::ReadUncommitted => {
                 // The provider reads the committed AMV from the call's
                 // state, i.e. from this head view.
+                let env = BlockEnv::from(&head.header);
                 let call = |selector| {
                     let zero = [H256::ZERO, H256::ZERO, H256::ZERO];
                     let out = call_readonly(
@@ -800,7 +775,7 @@ impl NodeHandle {
                         caller,
                         contract,
                         abi::encode_call(selector, &zero),
-                        &head.env,
+                        &env,
                         &head.raa,
                     );
                     abi::decode_word(&out.return_data)
@@ -811,15 +786,17 @@ impl NodeHandle {
                 committed_amv(&head.view, &contract)
             }
         };
-        Some(IsoObservation { level, height: head.env.number, mark, value })
+        Some(IsoObservation { level, height: head.header.number, mark, value })
     }
 
     /// Enables RAA on this node for an additional market contract's
     /// `get`/`mark` selectors (the configured contract is enabled at
     /// construction). No-op on Geth nodes.
     pub fn enable_market(&self, contract: Address) {
-        let inner = self.lock();
-        if inner.config.kind == ClientKind::Sereth {
+        if self.config.kind == ClientKind::Sereth {
+            // Publishers hold the node lock, so no import publishes
+            // between the read of the registry and the swap.
+            let inner = self.lock();
             let mut raa = self.head().raa.clone();
             raa.enable(contract, get_selector());
             raa.enable(contract, mark_selector());
@@ -830,21 +807,17 @@ impl NodeHandle {
     /// Accepts a transaction from gossip or local submission. Returns
     /// `true` when newly accepted (the caller should gossip it onward).
     ///
-    /// Takes no node lock: the gossip dedup has its own set, the stale
-    /// nonce check reads the published head, and the insert contends on
-    /// the pool's own lock, so admission never waits for an import.
+    /// The head and the pool are the dedup: a transaction whose nonce the
+    /// published head has passed, or that the pool already holds, is
+    /// refused before its signature is checked. One whose signature
+    /// failed never reaches the pool, so a repeat is verified again.
+    /// Takes no node lock, so admission never waits for an import.
     pub fn receive_tx(&self, tx: Transaction, now: SimTime) -> bool {
         self.telemetry.time(Phase::ReceiveTx, || {
-            if !self.seen_txs.lock().insert(tx.hash()) {
-                return false;
-            }
-            if !tx.verify_signature() {
-                return false;
-            }
-            if tx.nonce() < self.head().view.nonce_of(&tx.sender()) {
-                return false; // stale
-            }
-            self.pool.insert(tx, now).is_ok()
+            tx.nonce() >= self.head().view.nonce_of(&tx.sender())
+                && !self.pool.contains(&tx.hash())
+                && tx.verify_signature()
+                && self.pool.insert(tx, now).is_ok()
         })
     }
 
@@ -852,22 +825,11 @@ impl NodeHandle {
     /// unblocks.
     pub fn receive_block(&self, block: Block) -> BlockReceipt {
         let mut inner = self.lock();
-        if inner.chain.get(&block.hash()).is_some() {
-            return BlockReceipt::Known;
-        }
-        match self.import(&mut inner, block.clone()) {
+        match self.import(&mut inner, &block) {
             Ok(ImportOutcome::AlreadyKnown) => BlockReceipt::Known,
-            // A block that lost fork choice commits nothing: its
-            // transactions stay pooled for this node to mine.
-            Ok(ImportOutcome::SideChain) => {
-                self.retry_orphans(&mut inner);
-                BlockReceipt::Imported
-            }
             // A Store error still imported the block in memory: keep
-            // serving (and forwarding) from memory; `import` counted it.
-            Ok(ImportOutcome::ExtendedCanonical | ImportOutcome::Reorged { .. })
-            | Err(ImportError::Store(_)) => {
-                self.after_import(&inner, &block);
+            // serving (and forwarding) from memory.
+            Ok(_) | Err(ImportError::Store(_)) => {
                 self.retry_orphans(&mut inner);
                 BlockReceipt::Imported
             }
@@ -881,22 +843,31 @@ impl NodeHandle {
         }
     }
 
-    /// Imports `block` into the chain. `ImportError::Store` means the
-    /// block entered the in-memory chain and only its persistence failed;
-    /// every such fault is counted here on `node.store_failed`, once per
-    /// block, whichever path ran the import.
-    fn import(&self, inner: &mut NodeInner, block: Block) -> Result<ImportOutcome, ImportError> {
-        let result = inner.chain.import(block);
+    /// Imports `block`: the one routine behind block receipt, orphan
+    /// release and mining. A block the chain already stores is answered
+    /// before it is cloned. `ImportError::Store` means the block entered
+    /// the in-memory chain and only its persistence failed; every such
+    /// fault is counted here on `node.store_failed`, once per block. When
+    /// the canonical head moved, the head is published and the pool
+    /// brought up to date; a block that lost fork choice commits nothing,
+    /// so its transactions stay pooled for this node to mine.
+    fn import(&self, inner: &mut NodeInner, block: &Block) -> Result<ImportOutcome, ImportError> {
+        if inner.chain.get(&block.hash()).is_some() {
+            return Ok(ImportOutcome::AlreadyKnown);
+        }
+        let previous_head = inner.chain.head_hash();
+        let result = inner.chain.import(block.clone());
         if matches!(result, Err(ImportError::Store(_))) {
             self.telemetry.counter("node.store_failed").inc();
+        }
+        if inner.chain.head_hash() != previous_head {
+            self.after_import(inner, block);
         }
         result
     }
 
-    /// Head publication and pool upkeep after `block` became canonical.
-    /// Never run for a side-chain block: its transactions are not
-    /// committed, and dropping them would leave them unminable here,
-    /// since `seen_txs` refuses them when they are gossiped again.
+    /// Head publication and pool upkeep after `block` became the
+    /// canonical head.
     fn after_import(&self, inner: &NodeInner, block: &Block) {
         // Imports are the only place the head moves, so between two
         // imports every read, the SEQUENTIAL rung's included, answers at
@@ -910,32 +881,20 @@ impl NodeHandle {
         self.pool.prune_stale(|sender| head_state.nonce_of(sender));
     }
 
+    /// Imports every stashed orphan whose parent has arrived, repeating
+    /// until a pass releases none.
     fn retry_orphans(&self, inner: &mut NodeInner) {
         loop {
             let mut progressed = false;
-            let mut remaining = Vec::new();
-            let orphans = std::mem::take(&mut inner.orphans);
-            for block in orphans {
-                if inner.chain.get(&block.hash()).is_some() {
-                    continue;
-                }
-                match self.import(inner, block.clone()) {
-                    Ok(ImportOutcome::AlreadyKnown) => {}
-                    // Stored but not canonical: nothing committed, and
-                    // its descendants may now import.
-                    Ok(ImportOutcome::SideChain) => progressed = true,
-                    // A Store error still imported in memory — same as a
-                    // canonical import here; `import` counted the fault.
-                    Ok(ImportOutcome::ExtendedCanonical | ImportOutcome::Reorged { .. })
-                    | Err(ImportError::Store(_)) => {
-                        self.after_import(inner, &block);
-                        progressed = true;
-                    }
-                    Err(ImportError::UnknownParent) => remaining.push(block),
-                    Err(ImportError::Invalid(_)) => {}
+            for block in std::mem::take(&mut inner.orphans) {
+                match self.import(inner, &block) {
+                    Err(ImportError::UnknownParent) => inner.orphans.push(block),
+                    Ok(ImportOutcome::AlreadyKnown) | Err(ImportError::Invalid(_)) => {}
+                    // Stored, canonical or not (a Store error still
+                    // imported it in memory): its descendants may import.
+                    Ok(_) | Err(ImportError::Store(_)) => progressed = true,
                 }
             }
-            inner.orphans = remaining;
             if !progressed {
                 break;
             }
@@ -959,41 +918,32 @@ impl NodeHandle {
 
     /// Seals a block at `now` (miner nodes only) and imports it locally.
     ///
-    /// The node lock is held twice, briefly: once to snapshot the parent
-    /// header, a COW state clone and the mining config; once to import the
-    /// sealed block. Candidate ordering and execution run in between,
-    /// unlocked — client submission keeps flowing into the pool while the
-    /// block is being built.
+    /// The block is ordered and built on the published head: its header
+    /// is the parent, and a COW state over its view is the parent state.
+    /// So the node lock is taken once, briefly, to import the sealed
+    /// block, and client submission keeps flowing into the pool while
+    /// the block is being built.
     pub fn mine(&self, now: SimTime) -> Option<Block> {
-        let (setup, parent, state, contract, limits, isolation) = {
-            let inner = self.lock();
-            let setup = inner.config.miner.clone()?;
-            (
-                setup,
-                inner.chain.head_block().header.clone(),
-                inner.chain.head_state().clone(),
-                inner.config.contract,
-                inner.config.limits.clone(),
-                inner.config.isolation,
-            )
-        };
-        let policy = effective_policy(&setup.policy, isolation, &self.telemetry);
+        let config = &*self.config;
+        let setup = config.miner.as_ref()?;
+        let head = self.head();
+        let policy = effective_policy(&setup.policy, config.isolation, &self.telemetry);
         let (candidates, order_ns) = self.telemetry.time_ns(Phase::OrderCandidates, || {
-            order_candidates(&self.pool, &state.view(), &contract, &policy)
+            order_candidates(&self.pool, &head.view, &config.contract, &policy)
         });
-        let timestamp = now.max(parent.timestamp_ms + 1);
+        let timestamp = now.max(head.header.timestamp_ms + 1);
         let built = build_block_traced(
-            &parent,
-            &state,
+            &head.header,
+            &StateDb::from(&head.view),
             &candidates,
             setup.coinbase,
             timestamp,
-            &limits,
+            &config.limits,
             &self.telemetry,
         );
-        // Lock-free bookkeeping before re-locking: the ordering span goes
-        // in the block's trace (the store adds an `import`-role trace for
-        // the same number).
+        // Lock-free bookkeeping before locking: the ordering span goes in
+        // the block's trace (the store adds an `import`-role trace for the
+        // same number).
         self.telemetry.trace_block(BlockTrace {
             number: built.block.number(),
             role: "build",
@@ -1002,40 +952,24 @@ impl NodeHandle {
         self.import_mined(built.block)
     }
 
-    /// The second lock of a mining pass: imports a block this node just
+    /// The one lock of a mining pass: imports a block this node just
     /// sealed, counting every self-import failure by kind.
     fn import_mined(&self, block: Block) -> Option<Block> {
-        let mut inner = self.lock();
-        match self.import(&mut inner, block.clone()) {
-            // A Store error leaves the sealed block canonical in memory;
-            // only persistence failed, and `import` counted it.
-            Ok(ImportOutcome::ExtendedCanonical)
-            | Ok(ImportOutcome::Reorged { .. })
-            | Err(ImportError::Store(_)) => {
-                self.after_import(&inner, &block);
-                Some(block)
-            }
-            // A gossip block imported while we were building can beat us
-            // to the head: our block is then a side chain and its
-            // transactions are NOT committed — they must stay pooled for
-            // the next attempt (before the pool feed, building happened
-            // under the node lock and this race could not exist).
-            Ok(ImportOutcome::SideChain) | Ok(ImportOutcome::AlreadyKnown) => Some(block),
+        let kind = match self.import(&mut self.lock(), &block) {
+            // A gossip block imported while this one was built can beat it
+            // to the head: it is then a side chain and its transactions
+            // stay pooled for the next attempt. A Store error leaves it in
+            // memory; only persistence failed.
+            Ok(_) | Err(ImportError::Store(_)) => return Some(block),
             // A block this node sealed failing its own import is a real
             // fault (a reorg mid-build can orphan the parent; anything
             // else is a bug) — count it by kind instead of swallowing it.
-            Err(error) => {
-                drop(inner);
-                self.telemetry.counter("node.self_import_failed").inc();
-                let kind = match error {
-                    ImportError::UnknownParent => "node.self_import_failed.unknown_parent",
-                    ImportError::Invalid(_) => "node.self_import_failed.invalid",
-                    ImportError::Store(_) => "node.self_import_failed.store",
-                };
-                self.telemetry.counter(kind).inc();
-                None
-            }
-        }
+            Err(ImportError::UnknownParent) => "node.self_import_failed.unknown_parent",
+            Err(ImportError::Invalid(_)) => "node.self_import_failed.invalid",
+        };
+        self.telemetry.counter("node.self_import_failed").inc();
+        self.telemetry.counter(kind).inc();
+        None
     }
 
     /// Looks up a block by hash (canonical or side-chain), for sync
@@ -1086,10 +1020,9 @@ pub enum TxCommitStatus {
 
 impl std::fmt::Debug for NodeHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.lock();
         f.debug_struct("NodeHandle")
-            .field("kind", &inner.config.kind)
-            .field("head", &inner.chain.head_number())
+            .field("kind", &self.config.kind)
+            .field("head", &self.head_number())
             .field("pool", &self.pool.len())
             .finish()
     }
@@ -1298,10 +1231,53 @@ mod tests {
     #[test]
     fn duplicate_tx_not_accepted_twice() {
         let owner = SecretKey::from_label(1);
-        let node = node(ClientKind::Geth, &owner, false);
+        let node = node(ClientKind::Geth, &owner, true);
         let tx = set_tx(&owner, 0, genesis_mark(), 75);
         assert!(node.receive_tx(tx.clone(), 100));
-        assert!(!node.receive_tx(tx, 200), "gossip dedup");
+        assert!(!node.receive_tx(tx.clone(), 200), "the pool holds it");
+        node.mine(15_000).expect("miner seals");
+        assert!(!node.pool_contains(&tx.hash()));
+        assert!(!node.receive_tx(tx, 300), "the head has passed its nonce");
+    }
+
+    #[test]
+    fn a_transaction_displaced_by_a_reorg_can_be_submitted_again() {
+        // The reorg does not put `tx` back in the pool, but neither the
+        // pool nor the new head holds it, so a client (or a peer's
+        // re-offer) can submit it again.
+        let owner = SecretKey::from_label(1);
+        let miner = node(ClientKind::Geth, &owner, true);
+        let rival = rival(&owner);
+        let tx = set_tx(&owner, 0, genesis_mark(), 75);
+        assert!(miner.receive_tx(tx.clone(), 100));
+        assert!(miner.mine(15_000).expect("miner seals").transactions.contains(&tx));
+        for block in [rival.mine(14_000), rival.mine(29_000)] {
+            assert_eq!(miner.receive_block(block.expect("rival seals")), BlockReceipt::Imported);
+        }
+        assert_eq!(miner.head_number(), 2, "the rival's longer branch is canonical");
+        assert_eq!(miner.account_nonce(&owner.address()), 0);
+
+        assert!(miner.receive_tx(tx.clone(), 200), "the displaced transaction is admitted again");
+        assert!(miner.mine(45_000).expect("miner seals").transactions.contains(&tx));
+        assert_eq!(miner.account_nonce(&owner.address()), 1);
+    }
+
+    #[test]
+    fn a_transaction_refused_by_a_full_pool_is_admitted_once_there_is_room() {
+        let owner = SecretKey::from_label(1);
+        let node = NodeHandle::new(
+            test_genesis(&owner),
+            NodeConfig::miner(default_contract_address(), MinerPolicy::Standard)
+                .coinbase(Address::from_low_u64(0xc01))
+                .pool(PoolConfig { capacity: 1, ..PoolConfig::default() })
+                .build(),
+        );
+        let pricier = crate::client::transfer(&owner, 0, Address::from_low_u64(0xb0b), U256::from(1u64), 10);
+        let cheaper = crate::client::transfer(&SecretKey::from_label(2), 0, owner.address(), U256::ZERO, 1);
+        assert!(node.receive_tx(pricier.clone(), 100));
+        assert!(!node.receive_tx(cheaper.clone(), 200), "a full pool of pricier entries refuses it");
+        assert!(node.mine(15_000).expect("miner seals").transactions.contains(&pricier));
+        assert!(node.receive_tx(cheaper, 300), "the same transaction fits now");
     }
 
     #[test]
@@ -1399,8 +1375,7 @@ mod tests {
     fn gossiped_block_beaten_to_the_head_keeps_its_transactions_pooled() {
         // The gossip path of the race above: a rival block takes height
         // 1, then a twin's block carrying the pooled `tx` arrives. It
-        // loses fork choice, so it commits nothing and `tx` stays pooled;
-        // `seen_txs` would refuse `tx` if it were gossiped again.
+        // loses fork choice, so it commits nothing and `tx` stays pooled.
         let owner = SecretKey::from_label(1);
         let miner = node(ClientKind::Geth, &owner, true);
         let twin = node(ClientKind::Geth, &owner, true);
@@ -1482,10 +1457,10 @@ mod tests {
     fn telemetry_reads_take_zero_node_locks() {
         // Metrics consumers, readers and submitters must never contend
         // with the miner. The snapshot reads registry atomics, head reads
-        // clone the published head, pool reads go to the pool, and
-        // admission dedups on its own set, so the node-lock sample count
-        // must not move at all: a call that locked would add its own
-        // sample on unlock.
+        // clone the published head, pool reads go to the pool, and the
+        // config is fixed at `open`, so the node-lock sample count must
+        // not move at all: a call that locked would add its own sample on
+        // unlock.
         let owner = SecretKey::from_label(1);
         let node = node(ClientKind::Sereth, &owner, true);
         let first = set_tx(&owner, 0, genesis_mark(), 75);
@@ -1508,8 +1483,8 @@ mod tests {
         node.account_nonce(&owner.address());
         node.head_id();
         node.head_state_root();
-        node.pinned_height();
         node.isolation();
+        node.kind();
         assert!(node.pool_contains(&second.hash()));
         assert_eq!(node.pool_len(), 1);
         assert_eq!(lock_count(&node), before, "reads and admission must not take the node lock");
@@ -1593,7 +1568,6 @@ mod tests {
         use sereth_core::mark::compute_mark;
         let owner = SecretKey::from_label(1);
         let node = node_at(ClientKind::Sereth, &owner, true, IsolationLevel::Sequential);
-        assert_eq!(node.pinned_height(), 0);
         assert!(node.receive_tx(set_tx(&owner, 0, genesis_mark(), 75), 100));
         let observation = node.query_observed(owner.address()).unwrap();
         assert_eq!(observation.level, IsolationLevel::Sequential);
@@ -1601,9 +1575,8 @@ mod tests {
         assert_eq!(observation.value, H256::from_low_u64(50));
 
         node.mine(15_000).expect("miner seals");
-        assert_eq!(node.pinned_height(), 1, "the import advanced the pin");
         let observation = node.query_observed(owner.address()).unwrap();
-        assert_eq!(observation.height, 1);
+        assert_eq!(observation.height, 1, "the import advanced the pin");
         assert_eq!(observation.mark, compute_mark(&genesis_mark(), &H256::from_low_u64(75)));
         assert_eq!(observation.value, H256::from_low_u64(75));
         assert_eq!(
@@ -1661,6 +1634,9 @@ mod tests {
         check(&node, "account_nonce".into(), &|| assert_eq!(node.account_nonce(&owner.address()), 0));
         check(&node, "pool_len".into(), &|| assert_eq!(node.pool_len(), 1));
         check(&node, "pool_contains".into(), &|| assert!(node.pool_contains(&tx.hash())));
+        check(&node, "kind".into(), &|| assert_eq!(node.kind(), ClientKind::Sereth));
+        check(&node, "config".into(), &|| assert_eq!(node.config().contract, default_contract_address()));
+        check(&node, "Debug".into(), &|| assert!(format!("{node:?}").contains("Sereth")));
         assert!(waited.is_empty(), "these waited for the node lock: {waited:?}");
     }
 

@@ -10,10 +10,11 @@
 //! journaled by name and re-resolved against genesis on reopen), not
 //! just balances.
 //!
-//! The fault test removes a durable follower's directory under it, so
+//! The fault tests remove a durable follower's directory under it, so
 //! every snapshot write fails after the block entered the in-memory
 //! chain: each such import must count one `node.store_failed`, including
-//! the orphans a parent's arrival releases.
+//! the orphans a parent's arrival releases, and a block that lost fork
+//! choice must leave its transactions pooled.
 
 use std::fs;
 use std::path::PathBuf;
@@ -205,17 +206,10 @@ fn restart_with_no_new_blocks_is_a_pure_recovery() {
     assert!(out.peer_converged());
 }
 
-#[test]
-fn released_orphans_count_their_persistence_faults_too() {
-    let owner = SecretKey::from_label(1);
-    let contract = default_contract_address();
-    let genesis = market_genesis(&owner, contract);
-    let miner = NodeHandle::new(genesis.clone(), NodeConfig::miner(contract, MinerPolicy::Standard).build());
-    let b1 = miner.mine(15_000).expect("miner seals block 1");
-    let b2 = miner.mine(30_000).expect("miner seals block 2");
-
-    // A snapshot after every block, into a directory that is gone: each
-    // import lands in memory and then fails to persist.
+/// A durable follower that takes a snapshot after every block, into a
+/// directory that is gone: each import lands in memory and then fails to
+/// persist.
+fn follower_that_cannot_persist(genesis: Genesis, contract: Address) -> NodeHandle {
     let dir = scratch_dir("node-store-fault");
     let options = DurableOptions { snapshot_every: 1, ..DurableOptions::default() };
     let follower = NodeHandle::open(
@@ -224,6 +218,18 @@ fn released_orphans_count_their_persistence_faults_too() {
     )
     .expect("fresh dir opens");
     fs::remove_dir_all(&dir).expect("scratch dir removable");
+    follower
+}
+
+#[test]
+fn released_orphans_count_their_persistence_faults_too() {
+    let owner = SecretKey::from_label(1);
+    let contract = default_contract_address();
+    let genesis = market_genesis(&owner, contract);
+    let miner = NodeHandle::new(genesis.clone(), NodeConfig::miner(contract, MinerPolicy::Standard).build());
+    let b1 = miner.mine(15_000).expect("miner seals block 1");
+    let b2 = miner.mine(30_000).expect("miner seals block 2");
+    let follower = follower_that_cannot_persist(genesis, contract);
 
     assert_eq!(follower.receive_block(b2), BlockReceipt::Orphaned);
     assert_eq!(follower.receive_block(b1), BlockReceipt::Imported);
@@ -234,4 +240,32 @@ fn released_orphans_count_their_persistence_faults_too() {
         Some(2),
         "block 1 and the orphan it released both failed to persist"
     );
+}
+
+#[test]
+fn a_side_chain_block_that_fails_to_persist_keeps_its_transactions_pooled() {
+    // The block is stored in memory but loses fork choice, so it commits
+    // nothing: its persistence fault is counted, and the pool keeps the
+    // transaction it carries.
+    let owner = SecretKey::from_label(1);
+    let contract = default_contract_address();
+    let genesis = market_genesis(&owner, contract);
+    let tx = set_tx(&owner, contract, 0, genesis_mark(), H256::from_low_u64(60));
+    let miner = NodeHandle::new(genesis.clone(), NodeConfig::miner(contract, MinerPolicy::Standard).build());
+    let twin = NodeHandle::new(
+        genesis.clone(),
+        NodeConfig::miner(contract, MinerPolicy::Standard).coinbase(Address::from_low_u64(0xd1f)).build(),
+    );
+    assert!(twin.receive_tx(tx.clone(), 10));
+    let rival = twin.mine(15_000).expect("twin seals");
+    assert!(rival.transactions.contains(&tx));
+    let follower = follower_that_cannot_persist(genesis, contract);
+    assert!(follower.receive_tx(tx.clone(), 10));
+
+    let first = miner.mine(14_000).expect("miner seals block 1");
+    assert_eq!(follower.receive_block(first.clone()), BlockReceipt::Imported);
+    assert_eq!(follower.receive_block(rival), BlockReceipt::Imported);
+    assert_eq!(follower.head_hash(), first.hash(), "the first block at height 1 keeps the head");
+    assert_eq!(follower.telemetry_snapshot().counters.get("node.store_failed").copied(), Some(2));
+    assert!(follower.pool_contains(&tx.hash()), "a side-chain block commits nothing");
 }

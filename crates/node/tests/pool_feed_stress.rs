@@ -186,9 +186,10 @@ fn submissions_do_not_wait_for_the_ordering_pass() {
     let block = miner.mine(10_000).expect("seals");
     assert!(!block.transactions.is_empty());
     let mine_locks = lock_count() - locks_before;
-    // Snapshot + import: the mining pass takes the node lock exactly
-    // twice, bounding what any concurrent submitter can be blocked on.
-    assert_eq!(mine_locks, 2, "mine() must hold the node lock only to snapshot and to import");
+    // The mining pass builds on the published head and takes the node
+    // lock exactly once, to import, bounding what any concurrent
+    // submitter can be blocked on.
+    assert_eq!(mine_locks, 1, "mine() must hold the node lock only to import");
 }
 
 #[test]

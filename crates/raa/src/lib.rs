@@ -17,4 +17,4 @@
 
 pub mod provider;
 
-pub use provider::{PoolRaaProvider, RaaDataSource};
+pub use provider::PoolRaaProvider;

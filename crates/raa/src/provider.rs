@@ -1,8 +1,8 @@
 //! The adapter wiring [`TxPool::market_view`] into the VM's RAA hook.
 //!
 //! On each read-only call [`PoolRaaProvider`] (1) reads the contract's
-//! committed AMV through its [`RaaDataSource`] from the state the call
-//! runs on, (2) reads the pool's cached view, and (3) writes it into the
+//! committed AMV from its two storage slots in the state the call runs
+//! on, (2) reads the pool's cached view, and (3) writes it into the
 //! call's three argument words exactly as Fig. 1 activity R3 prescribes.
 
 use std::sync::Arc;
@@ -10,41 +10,34 @@ use std::sync::Arc;
 use bytes::Bytes;
 use sereth_chain::txpool::TxPool;
 use sereth_core::hms::HmsConfig;
-use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
 use sereth_vm::abi;
-use sereth_vm::exec::Storage;
 use sereth_vm::raa::{RaaProvider, RaaRequest};
-
-/// Where the committed state the adapter needs per query lives in a
-/// contract's storage. `sereth-node` implements this for the Sereth
-/// contract's slot layout; tests use fixtures.
-pub trait RaaDataSource: Send + Sync {
-    /// The committed `(mark, value)` of `contract` in `state`: the
-    /// read-only state of the call being augmented
-    /// ([`RaaRequest::state`]), so the answer describes the same head
-    /// as the call.
-    fn committed(&self, state: &dyn Storage, contract: &Address) -> (H256, H256);
-}
 
 /// An [`RaaProvider`] serving [`TxPool::market_view`].
 pub struct PoolRaaProvider {
     pool: Arc<TxPool>,
-    source: Arc<dyn RaaDataSource>,
+    /// The storage slots of a market's committed `(mark, value)`.
+    slots: (H256, H256),
     hms: HmsConfig,
 }
 
 impl PoolRaaProvider {
-    /// Builds the adapter over a shared pool and its committed-state
-    /// source; `hms` carries the extension toggles.
-    pub fn new(pool: Arc<TxPool>, source: Arc<dyn RaaDataSource>, hms: HmsConfig) -> Self {
-        Self { pool, source, hms }
+    /// Builds the adapter over a shared pool. `slots` are the `(mark,
+    /// value)` storage keys the committed AMV is read from, in the
+    /// read-only state of the call being augmented
+    /// ([`RaaRequest::state`]), so the answer describes the same head as
+    /// the call; `hms` carries the extension toggles.
+    pub fn new(pool: Arc<TxPool>, slots: (H256, H256), hms: HmsConfig) -> Self {
+        Self { pool, slots, hms }
     }
 }
 
 impl RaaProvider for PoolRaaProvider {
     fn augment(&self, request: &RaaRequest<'_>) -> Option<Bytes> {
-        let committed = self.source.committed(request.state, &request.contract);
+        let (mark, value) = &self.slots;
+        let committed_slot = |slot| request.state.storage_get(&request.contract, slot);
+        let committed = (committed_slot(mark), committed_slot(value));
         let view = self.pool.market_view(&request.contract, committed, &self.hms);
         let words = view.to_words();
         // Write the view into the three argument words (Fig. 1, R3).
@@ -65,20 +58,12 @@ mod tests {
     use super::*;
     use sereth_core::fpv::{Flag, Fpv, SET_SELECTOR, SPECIAL_VALUE};
     use sereth_core::mark::{compute_mark, genesis_mark};
+    use sereth_crypto::address::Address;
     use sereth_crypto::sig::SecretKey;
     use sereth_types::transaction::{Transaction, TxPayload};
     use sereth_types::u256::U256;
     use sereth_vm::abi::Selector;
-    use sereth_vm::exec::MemStorage;
-
-    /// A fixture layout: the committed mark in slot 0, the value in 1.
-    struct SlotSource;
-
-    impl RaaDataSource for SlotSource {
-        fn committed(&self, state: &dyn Storage, contract: &Address) -> (H256, H256) {
-            (state.storage_get(contract, &H256::ZERO), state.storage_get(contract, &H256::from_low_u64(1)))
-        }
-    }
+    use sereth_vm::exec::{MemStorage, Storage};
 
     fn market() -> Address {
         Address::from_low_u64(7)
@@ -120,7 +105,9 @@ mod tests {
         for (now, tx) in pool.into_iter().enumerate() {
             shared.insert(tx, now as u64).unwrap();
         }
-        (PoolRaaProvider::new(shared.clone(), Arc::new(SlotSource), HmsConfig::default()), shared)
+        // The fixture layout: the committed mark in slot 0, the value in 1.
+        let slots = (H256::ZERO, H256::from_low_u64(1));
+        (PoolRaaProvider::new(shared.clone(), slots, HmsConfig::default()), shared)
     }
 
     fn request<'a>(calldata: &'a [u8], state: &'a MemStorage) -> RaaRequest<'a> {

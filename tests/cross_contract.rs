@@ -8,7 +8,6 @@
 //! survive an extra call hop.
 
 use bytes::Bytes;
-use sereth::chain::executor::read_slot;
 use sereth::chain::genesis::GenesisBuilder;
 use sereth::crypto::{Address, SecretKey, H256};
 use sereth::hms::fpv::{Flag, Fpv};
@@ -21,6 +20,7 @@ use sereth::node::miner::MinerPolicy;
 use sereth::node::node::{NodeConfig, NodeHandle};
 use sereth::types::{Transaction, TxPayload, U256};
 use sereth::vm::asm::assemble;
+use sereth::vm::exec::Storage;
 use sereth::vm::ContractCode;
 
 fn router_address() -> Address {
@@ -100,10 +100,10 @@ fn run_routed_set_updates_market(form: ContractForm) {
         let state = inner.chain.head_state();
         // The market's storage changed even though the tx targeted the
         // router: the value is 60 and one set is recorded.
-        assert_eq!(read_slot(state, &market, &SLOT_VALUE), H256::from_low_u64(60));
-        assert_eq!(read_slot(state, &market, &SLOT_N_SET), H256::from_low_u64(1));
+        assert_eq!(state.storage_get(&market, &SLOT_VALUE), H256::from_low_u64(60));
+        assert_eq!(state.storage_get(&market, &SLOT_N_SET), H256::from_low_u64(1));
         // The router itself holds no state.
-        assert_eq!(read_slot(state, &router_address(), &SLOT_VALUE), H256::ZERO);
+        assert_eq!(state.storage_get(&router_address(), &SLOT_VALUE), H256::ZERO);
 
         // The SetOk log bubbled out of the child frame and is attributed
         // to the *market*, not the router.
@@ -150,8 +150,8 @@ fn routed_stale_set_is_a_silent_no_op_through_the_hop() {
         let (_, receipt) = inner.chain.find_receipt(&stale_hash).expect("included");
         assert!(receipt.status.is_success(), "semantic no-op, not a revert");
         assert!(!receipt.logs.iter().any(|log| log.topics.contains(&set_ok_topic())));
-        assert_eq!(read_slot(state, &market, &SLOT_VALUE), H256::from_low_u64(60));
-        assert_eq!(read_slot(state, &market, &SLOT_N_SET), H256::from_low_u64(1));
+        assert_eq!(state.storage_get(&market, &SLOT_VALUE), H256::from_low_u64(60));
+        assert_eq!(state.storage_get(&market, &SLOT_N_SET), H256::from_low_u64(1));
     });
 }
 
@@ -185,7 +185,7 @@ fn routed_and_direct_sets_interleave_on_one_market() {
 
     node.with_inner(|inner| {
         let state = inner.chain.head_state();
-        assert_eq!(read_slot(state, &market, &SLOT_VALUE), H256::from_low_u64(70));
-        assert_eq!(read_slot(state, &market, &SLOT_N_SET), H256::from_low_u64(2));
+        assert_eq!(state.storage_get(&market, &SLOT_VALUE), H256::from_low_u64(70));
+        assert_eq!(state.storage_get(&market, &SLOT_N_SET), H256::from_low_u64(2));
     });
 }
