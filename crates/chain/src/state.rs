@@ -5,7 +5,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
@@ -73,15 +73,87 @@ enum JournalEntry {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Snapshot(usize);
 
-/// The persistent account map both [`StateDb`] and [`StateView`] hang off:
-/// an `Arc` over the map, `Arc` per account. Sharing either level is O(1);
-/// mutation clones lazily (the map of pointers on the first write after a
-/// share, one account on the first write to it).
-type Accounts = BTreeMap<Address, Arc<Account>>;
+/// One account in the map, with its [`Account::account_hash`] memoised.
+/// The memo is filled by the first root that reads the leaf and cleared
+/// by [`StateDb::account_mut`], the only path to a `&mut Account`, so a
+/// block's root rehashes only the accounts the block wrote. A shared
+/// leaf is never written, so every state and view holding it may fill
+/// its memo, from any thread.
+#[derive(Clone)]
+struct Leaf {
+    account: Account,
+    hash: OnceLock<H256>,
+}
 
-fn accounts_root(accounts: &Accounts) -> H256 {
-    let leaves: Vec<H256> = accounts.iter().map(|(address, account)| account.account_hash(address)).collect();
-    merkle_root(&leaves)
+impl Leaf {
+    fn new(account: Account) -> Arc<Self> {
+        Arc::new(Self { account, hash: OnceLock::new() })
+    }
+
+    fn hash(&self, address: &Address) -> H256 {
+        *self.hash.get_or_init(|| self.account.account_hash(address))
+    }
+}
+
+/// The accounts whose address starts with one byte.
+type Shard = BTreeMap<Address, Arc<Leaf>>;
+
+/// The persistent account map both [`StateDb`] and [`StateView`] hang off:
+/// 256 copy-on-write shards keyed by the first address byte, `Arc` per
+/// shard and per account. Sharing the map is O(1); the first write after
+/// a share copies the 256-pointer table, then each shard it touches, then
+/// each account. Reading the shards in order visits every address in
+/// order.
+#[derive(Clone)]
+struct Accounts {
+    shards: [Arc<Shard>; 256],
+}
+
+impl Default for Accounts {
+    fn default() -> Self {
+        Self { shards: std::array::from_fn(|_| Arc::default()) }
+    }
+}
+
+impl core::fmt::Debug for Accounts {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_map().entries(self.iter().map(|(address, leaf)| (address, &leaf.account))).finish()
+    }
+}
+
+impl Accounts {
+    fn shard_of(address: &Address) -> usize {
+        usize::from(address.as_bytes()[0])
+    }
+
+    fn get(&self, address: &Address) -> Option<&Account> {
+        self.shards[Self::shard_of(address)].get(address).map(|leaf| &leaf.account)
+    }
+
+    /// The shard holding `address`, unshared from every other map first.
+    fn shard_mut(&mut self, address: &Address) -> &mut Shard {
+        Arc::make_mut(&mut self.shards[Self::shard_of(address)])
+    }
+
+    /// Every leaf, in address order.
+    fn iter(&self) -> impl Iterator<Item = (&Address, &Arc<Leaf>)> {
+        self.shards.iter().flat_map(|shard| shard.iter())
+    }
+
+    fn len(&self) -> usize {
+        self.shards.iter().map(|shard| shard.len()).sum()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.shards.iter().all(|shard| shard.is_empty())
+    }
+
+    /// A Merkle root over the account hashes in address order; only
+    /// leaves whose memo is empty are hashed.
+    fn root(&self) -> H256 {
+        let leaves: Vec<H256> = self.iter().map(|(address, leaf)| leaf.hash(address)).collect();
+        merkle_root(&leaves)
+    }
 }
 
 /// The journaled world state.
@@ -91,11 +163,11 @@ fn accounts_root(accounts: &Accounts) -> H256 {
 /// cleared wholesale with [`StateDb::clear_journal`] once a block is sealed.
 ///
 /// The account map is copy-on-write: [`StateDb::view`] (and `clone`) share
-/// it in O(1), and the first mutation after a share unshares the map —
-/// clones of pointers, not of accounts — then unshares single accounts as
-/// they are touched. Held [`StateView`]s therefore stay frozen at the
-/// moment they were taken, including across [`StateDb::revert_to`]; the
-/// `state_view_props` suite holds each one equal to an eager copy of
+/// it in O(1), and the first mutation after a share unshares the table of
+/// 256 shard pointers, then each shard and each account as it is touched.
+/// Held [`StateView`]s therefore stay frozen at the moment they were taken,
+/// including across [`StateDb::revert_to`]; the `state_view_props` suite
+/// holds each one, and its root, equal to an eager copy of
 /// [`StateDb::iter`] taken at the same instant.
 #[derive(Debug, Clone, Default)]
 pub struct StateDb {
@@ -136,7 +208,7 @@ impl StateView {
     }
     /// Read-only view of an account, if it exists.
     pub fn account(&self, address: &Address) -> Option<&Account> {
-        self.accounts.get(address).map(Arc::as_ref)
+        self.accounts.get(address)
     }
 
     /// The account's nonce (0 if absent).
@@ -172,12 +244,12 @@ impl StateView {
     /// Deterministic commitment to the viewed state (same function as
     /// [`StateDb::state_root`]).
     pub fn state_root(&self) -> H256 {
-        accounts_root(&self.accounts)
+        self.accounts.root()
     }
 
     /// Iterates accounts in address order.
     pub fn iter(&self) -> impl Iterator<Item = (&Address, &Account)> {
-        self.accounts.iter().map(|(address, account)| (address, account.as_ref()))
+        self.accounts.iter().map(|(address, leaf)| (address, &leaf.account))
     }
 
     /// `true` if both views share the same underlying account map.
@@ -191,46 +263,56 @@ impl StateView {
     /// the durable journal records per block, taken as
     /// `parent_view.diff_accounts(&child_view)`.
     ///
-    /// Exploits the copy-on-write sharing: accounts whose `Arc`s are
-    /// still shared are skipped without comparison, so the diff costs only
-    /// the accounts a block actually touched.
+    /// Exploits the copy-on-write sharing: shards and accounts whose
+    /// `Arc`s are still shared are skipped without comparison, so the
+    /// diff costs only the shards and accounts a block actually touched.
     pub fn diff_accounts(&self, other: &StateView) -> Vec<(Address, Option<Account>)> {
         let mut writes = Vec::new();
-        let mut left_iter = self.accounts.iter();
-        let mut right_iter = other.accounts.iter();
-        let mut left = left_iter.next();
-        let mut right = right_iter.next();
-        loop {
-            match (left, right) {
-                (Some((la, lacc)), Some((ra, racc))) => match la.cmp(ra) {
-                    Ordering::Equal => {
-                        if !Arc::ptr_eq(lacc, racc) && lacc != racc {
-                            writes.push((*la, Some(Account::clone(racc))));
-                        }
-                        left = left_iter.next();
-                        right = right_iter.next();
-                    }
-                    Ordering::Less => {
-                        writes.push((*la, None));
-                        left = left_iter.next();
-                    }
-                    Ordering::Greater => {
-                        writes.push((*ra, Some(Account::clone(racc))));
-                        right = right_iter.next();
-                    }
-                },
-                (Some((la, _)), None) => {
-                    writes.push((*la, None));
-                    left = left_iter.next();
-                }
-                (None, Some((ra, racc))) => {
-                    writes.push((*ra, Some(Account::clone(racc))));
-                    right = right_iter.next();
-                }
-                (None, None) => break,
+        for (left, right) in self.accounts.shards.iter().zip(&other.accounts.shards) {
+            if !Arc::ptr_eq(left, right) {
+                diff_shard(left, right, &mut writes);
             }
         }
         writes
+    }
+}
+
+/// Appends to `writes` the post-image in `right` of every account of one
+/// shard whose content differs from `left`, address-ordered.
+fn diff_shard(left: &Shard, right: &Shard, writes: &mut Vec<(Address, Option<Account>)>) {
+    let mut left_iter = left.iter();
+    let mut right_iter = right.iter();
+    let mut left = left_iter.next();
+    let mut right = right_iter.next();
+    loop {
+        match (left, right) {
+            (Some((la, lleaf)), Some((ra, rleaf))) => match la.cmp(ra) {
+                Ordering::Equal => {
+                    if !Arc::ptr_eq(lleaf, rleaf) && lleaf.account != rleaf.account {
+                        writes.push((*la, Some(rleaf.account.clone())));
+                    }
+                    left = left_iter.next();
+                    right = right_iter.next();
+                }
+                Ordering::Less => {
+                    writes.push((*la, None));
+                    left = left_iter.next();
+                }
+                Ordering::Greater => {
+                    writes.push((*ra, Some(rleaf.account.clone())));
+                    right = right_iter.next();
+                }
+            },
+            (Some((la, _)), None) => {
+                writes.push((*la, None));
+                left = left_iter.next();
+            }
+            (None, Some((ra, rleaf))) => {
+                writes.push((*ra, Some(rleaf.account.clone())));
+                right = right_iter.next();
+            }
+            (None, None) => break,
+        }
     }
 }
 
@@ -272,9 +354,11 @@ impl StateDb {
     /// Rebuilds a state wholesale from recovered account images — the
     /// durable store's snapshot-restore path. The journal starts empty.
     pub(crate) fn from_accounts(accounts: impl IntoIterator<Item = (Address, Account)>) -> Self {
-        let accounts: Accounts =
-            accounts.into_iter().map(|(address, account)| (address, Arc::new(account))).collect();
-        Self { accounts: Arc::new(accounts), journal: Vec::new() }
+        let mut map = Accounts::default();
+        for (address, account) in accounts {
+            map.shard_mut(&address).insert(address, Leaf::new(account));
+        }
+        Self { accounts: Arc::new(map), journal: Vec::new() }
     }
 
     /// Installs (or, on `None`, deletes) an account post-image without
@@ -284,44 +368,48 @@ impl StateDb {
     pub(crate) fn replace_account(&mut self, address: Address, account: Option<Account>) {
         match account {
             Some(account) => {
-                self.accounts_mut().insert(address, Arc::new(account));
+                self.shard_mut(&address).insert(address, Leaf::new(account));
             }
             None => {
-                self.accounts_mut().remove(&address);
+                self.shard_mut(&address).remove(&address);
             }
         }
     }
 
-    /// The mutable account map, unsharing it first if any view or clone
-    /// still holds the previous version.
-    fn accounts_mut(&mut self) -> &mut Accounts {
-        Arc::make_mut(&mut self.accounts)
+    /// The mutable shard holding `address`, unsharing the shard table and
+    /// the shard first if any view or clone still holds them.
+    fn shard_mut(&mut self, address: &Address) -> &mut Shard {
+        Arc::make_mut(&mut self.accounts).shard_mut(address)
     }
 
-    /// Mutable access to an existing account (unshares map and account).
+    /// Mutable access to an existing account (unshares the shard table,
+    /// the shard and the account) and the one place a leaf's memoised
+    /// hash is cleared.
     fn account_mut(&mut self, address: &Address) -> &mut Account {
-        let account = Arc::make_mut(&mut self.accounts).get_mut(address).expect("journaled account exists");
-        Arc::make_mut(account)
+        let leaf = self.shard_mut(address).get_mut(address).expect("journaled account exists");
+        let leaf = Arc::make_mut(leaf);
+        leaf.hash.take();
+        &mut leaf.account
     }
 
     /// Read-only view of an account, if it exists.
     pub fn account(&self, address: &Address) -> Option<&Account> {
-        self.accounts.get(address).map(Arc::as_ref)
+        self.accounts.get(address)
     }
 
     /// The account's nonce (0 if absent).
     pub fn nonce_of(&self, address: &Address) -> u64 {
-        self.accounts.get(address).map_or(0, |a| a.nonce)
+        self.account(address).map_or(0, |a| a.nonce)
     }
 
     /// The account's balance (0 if absent).
     pub fn balance_of(&self, address: &Address) -> U256 {
-        self.accounts.get(address).map_or(U256::ZERO, |a| a.balance)
+        self.account(address).map_or(U256::ZERO, |a| a.balance)
     }
 
     /// The account's code (empty if absent).
     pub fn code_of(&self, address: &Address) -> ContractCode {
-        self.accounts.get(address).map_or(ContractCode::None, |a| a.code.clone())
+        self.account(address).map_or(ContractCode::None, |a| a.code.clone())
     }
 
     /// Number of accounts in the state.
@@ -335,9 +423,9 @@ impl StateDb {
     }
 
     fn ensure_account(&mut self, address: &Address) -> &mut Account {
-        if !self.accounts.contains_key(address) {
+        if self.account(address).is_none() {
             self.journal.push(JournalEntry::AccountCreated { address: *address });
-            self.accounts_mut().insert(*address, Arc::new(Account::default()));
+            self.shard_mut(address).insert(*address, Leaf::new(Account::default()));
         }
         self.account_mut(address)
     }
@@ -413,7 +501,7 @@ impl StateDb {
                     self.account_mut(&address).code = prev;
                 }
                 JournalEntry::AccountCreated { address } => {
-                    self.accounts_mut().remove(&address);
+                    self.shard_mut(&address).remove(&address);
                 }
             }
         }
@@ -427,19 +515,20 @@ impl StateDb {
 
     /// Deterministic commitment to the entire state: a Merkle root over the
     /// sorted account hashes (see `DESIGN.md` §7 for the trie substitution).
+    /// Only accounts written since their hash was last read are rehashed.
     pub fn state_root(&self) -> H256 {
-        accounts_root(&self.accounts)
+        self.accounts.root()
     }
 
     /// Iterates accounts in address order.
     pub fn iter(&self) -> impl Iterator<Item = (&Address, &Account)> {
-        self.accounts.iter().map(|(address, account)| (address, account.as_ref()))
+        self.accounts.iter().map(|(address, leaf)| (address, &leaf.account))
     }
 }
 
 impl Storage for StateDb {
     fn storage_get(&self, address: &Address, key: &H256) -> H256 {
-        self.accounts.get(address).and_then(|account| account.storage.get(key)).copied().unwrap_or(H256::ZERO)
+        self.account(address).and_then(|account| account.storage.get(key)).copied().unwrap_or(H256::ZERO)
     }
 
     fn storage_set(&mut self, address: &Address, key: H256, value: H256) {
@@ -698,6 +787,85 @@ mod tests {
         let rebuilt = StateDb::from_accounts(before.iter().map(|(ad, acc)| (*ad, acc.clone())));
         assert!(!rebuilt.view().ptr_eq(&before));
         assert!(rebuilt.view().diff_accounts(&before).is_empty());
+    }
+
+    /// An address in shard `shard`, distinct per `n` within the shard.
+    fn in_shard(shard: u8, n: u64) -> Address {
+        let mut bytes = *Address::from_low_u64(n).as_bytes();
+        bytes[0] = shard;
+        Address::new(bytes)
+    }
+
+    #[test]
+    fn a_write_after_a_share_copies_only_the_shard_it_touches() {
+        let mut state = StateDb::new();
+        for shard in 0..=255u8 {
+            state.credit(&in_shard(shard, 1), U256::from(1u64));
+            state.credit(&in_shard(shard, 2), U256::from(2u64));
+        }
+        state.clear_journal();
+        let view = state.view();
+
+        state.credit(&in_shard(7, 2), U256::from(5u64));
+        let shared = state.accounts.shards.iter().zip(&view.accounts.shards);
+        let unshared: Vec<usize> =
+            shared.enumerate().filter(|(_, (live, held))| !Arc::ptr_eq(live, held)).map(|(i, _)| i).collect();
+        assert_eq!(unshared, vec![7], "255 of the 256 shards stay shared with the view");
+        let (live, held) = (&state.accounts.shards[7], &view.accounts.shards[7]);
+        assert!(
+            Arc::ptr_eq(&live[&in_shard(7, 1)], &held[&in_shard(7, 1)]),
+            "untouched account stays shared"
+        );
+        assert!(!Arc::ptr_eq(&live[&in_shard(7, 2)], &held[&in_shard(7, 2)]));
+        assert_eq!(view.balance_of(&in_shard(7, 2)), U256::from(2u64));
+    }
+
+    #[test]
+    fn diff_accounts_equals_a_plain_merge_walk() {
+        // The walk the shard skipping must agree with: every address of
+        // either map whose account differs, with its post-image.
+        fn merge_walk(before: &StateView, after: &StateView) -> Vec<(Address, Option<Account>)> {
+            let old: BTreeMap<Address, &Account> = before.iter().map(|(a, acc)| (*a, acc)).collect();
+            let new: BTreeMap<Address, &Account> = after.iter().map(|(a, acc)| (*a, acc)).collect();
+            let mut addresses: Vec<Address> = old.keys().chain(new.keys()).copied().collect();
+            addresses.sort();
+            addresses.dedup();
+            addresses
+                .into_iter()
+                .filter(|address| old.get(address) != new.get(address))
+                .map(|address| (address, new.get(&address).map(|account| (*account).clone())))
+                .collect()
+        }
+        let mut state = StateDb::new();
+        for n in 0..300u64 {
+            state.credit(&in_shard((n % 97) as u8, n), U256::from(n + 1));
+        }
+        state.clear_journal();
+        let mut views = vec![state.view()];
+        for round in 0..6u64 {
+            for n in (round..300).step_by(37) {
+                state.credit(&in_shard((n % 97) as u8, n), U256::from(round + 1));
+                state.storage_set(
+                    &in_shard((n % 97) as u8, n),
+                    H256::from_low_u64(round),
+                    H256::from_low_u64(n),
+                );
+            }
+            state.credit(&in_shard(250, 10_000 + round), U256::from(1u64));
+            state.replace_account(in_shard((round * 13 % 97) as u8, round * 13), None);
+            // Written back to what it was: unshared but equal, so no write.
+            let address = in_shard(90, 90);
+            let balance = state.balance_of(&address);
+            state.set_balance(&address, balance + U256::from(1u64));
+            state.set_balance(&address, balance);
+            state.clear_journal();
+            views.push(state.view());
+        }
+        for before in &views {
+            for after in &views {
+                assert_eq!(before.diff_accounts(after), merge_walk(before, after));
+            }
+        }
     }
 
     #[test]

@@ -24,6 +24,7 @@ use sereth_types::block::Block;
 use sereth_types::receipt::Receipt;
 use sereth_vm::exec::ContractCode;
 
+use crate::builder::BuiltBlock;
 use crate::genesis::Genesis;
 use crate::state::{Account, StateDb, StateView};
 use crate::validation::{validate_block, ValidationError};
@@ -33,7 +34,8 @@ use crate::validation::{validate_block, ValidationError};
 pub struct StoredBlock {
     /// The block itself.
     pub block: Block,
-    /// Receipts from validation replay.
+    /// Receipts, from validation replay or, for a block this process
+    /// built, from the builder.
     pub receipts: Vec<Receipt>,
     /// State after the block.
     pub post_state: StateDb,
@@ -55,7 +57,7 @@ pub enum ImportOutcome {
     AlreadyKnown,
 }
 
-/// Errors from [`ChainStore::import`].
+/// Errors from [`ChainStore::import`] and [`ChainStore::import_built`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ImportError {
     /// The parent block is unknown (the substrate does not buffer orphans;
@@ -378,31 +380,65 @@ impl ChainStore {
         if self.blocks.contains_key(&hash) {
             return Ok(ImportOutcome::AlreadyKnown);
         }
-        let telemetry = Arc::clone(&self.telemetry);
         let parent = self.blocks.get(&block.header.parent_hash).ok_or(ImportError::UnknownParent)?;
-        // O(1) capture for the write-set diff after validation; only the
-        // durable path pays for it (and the diff itself is COW-pruned).
-        let parent_view = self.backend.is_durable().then(|| parent.post_state.view());
         // Timed whether or not the block is accepted: an invalid block
         // costs (up to) a full replay before its verdict, and that spend
         // must show in `phase.validate`.
-        let (validated, validate_ns) = telemetry
+        let (validated, validate_ns) = self
+            .telemetry
             .time_ns(Phase::Validate, || validate_block(&parent.block.header, &parent.post_state, &block));
         let validated = validated.map_err(ImportError::Invalid)?;
+        let stored = StoredBlock { block, receipts: validated.receipts, post_state: validated.post_state };
+        self.commit(hash, stored, vec![(Phase::Validate, validate_ns)])
+    }
 
-        let number = block.number();
+    /// Stores a block this process built with
+    /// [`build_block_traced`](crate::builder::build_block_traced) on a
+    /// stored parent, as [`ChainStore::import`] does but without replaying
+    /// it: building and replay run the one `apply_transaction`, so the
+    /// builder's receipts and post-state are what a replay would produce.
+    /// Blocks from anywhere else go through [`ChainStore::import`].
+    ///
+    /// # Errors
+    ///
+    /// [`ImportError::UnknownParent`] when the parent is not stored and
+    /// [`ImportError::Store`] as for [`ChainStore::import`]; never
+    /// [`ImportError::Invalid`].
+    pub fn import_built(&mut self, built: BuiltBlock) -> Result<ImportOutcome, ImportError> {
+        let BuiltBlock { block, receipts, post_state, .. } = built;
+        let hash = block.hash();
+        if self.blocks.contains_key(&hash) {
+            return Ok(ImportOutcome::AlreadyKnown);
+        }
+        if !self.blocks.contains_key(&block.header.parent_hash) {
+            return Err(ImportError::UnknownParent);
+        }
+        self.commit(hash, StoredBlock { block, receipts, post_state }, Vec::new())
+    }
+
+    /// The commit both imports share: insert, fork choice, the
+    /// `import`-role trace (after the phases in `phase_ns`) and, on a
+    /// durable backend, persistence of the write-set against the parent.
+    fn commit(
+        &mut self,
+        hash: H256,
+        stored: StoredBlock,
+        mut phase_ns: Vec<(Phase, u64)>,
+    ) -> Result<ImportOutcome, ImportError> {
+        let telemetry = Arc::clone(&self.telemetry);
+        // O(1) capture for the write-set diff; only the durable path pays
+        // for it (and the diff itself skips what the block did not touch).
+        let parent_view = self
+            .backend
+            .is_durable()
+            .then(|| self.blocks[&stored.block.header.parent_hash].post_state.view());
+        let number = stored.block.number();
         let (outcome, import_ns) = telemetry.time_ns(Phase::Import, || {
-            self.blocks.insert(
-                hash,
-                StoredBlock { block, receipts: validated.receipts, post_state: validated.post_state },
-            );
+            self.blocks.insert(hash, stored);
             self.place_block(hash, number)
         });
-        telemetry.trace_block(BlockTrace {
-            number,
-            role: "import",
-            phase_ns: vec![(Phase::Validate, validate_ns), (Phase::Import, import_ns)],
-        });
+        phase_ns.push((Phase::Import, import_ns));
+        telemetry.trace_block(BlockTrace { number, role: "import", phase_ns });
         if let Some(parent_view) = parent_view {
             self.persist_block(&hash, &parent_view).map_err(ImportError::Store)?;
         }
@@ -840,6 +876,42 @@ mod tests {
         assert_eq!(store.import(evil).unwrap_err(), ImportError::Invalid(ValidationError::StateRootMismatch));
         assert_eq!(validations(), 2, "the rejected block's replay is recorded");
         assert_eq!(store.head_number(), 1, "head unchanged after rejection");
+    }
+
+    #[test]
+    fn built_blocks_commit_without_replay() {
+        let key = SecretKey::from_label(1);
+        let telemetry = Arc::new(Telemetry::enabled());
+        let mut store =
+            ChainStore::open(StoreConfig::in_memory(genesis(&key)).telemetry(telemetry.clone())).unwrap();
+        let parent = store.head_block().header.clone();
+        let built = build_block(
+            &parent,
+            store.head_state(),
+            vec![transfer(&key, 0, 5)],
+            Address::from_low_u64(1),
+            15_000,
+            &BlockLimits::default(),
+        );
+        let hash = built.block.hash();
+        assert_eq!(store.import_built(built.clone()).unwrap(), ImportOutcome::ExtendedCanonical);
+        assert_eq!(store.head_hash(), hash);
+        assert_eq!(store.head_state().balance_of(&Address::from_low_u64(7)), U256::from(5u64));
+        assert_eq!(store.import_built(built).unwrap(), ImportOutcome::AlreadyKnown);
+        assert_eq!(telemetry.phase(Phase::Validate).snapshot().count(), 0, "nothing was replayed");
+        assert_eq!(telemetry.phase(Phase::Import).snapshot().count(), 1);
+
+        let mut stray = build_block(
+            &parent,
+            &store.canonical_block(0).unwrap().post_state,
+            vec![],
+            Address::from_low_u64(2),
+            16_000,
+            &BlockLimits::default(),
+        );
+        stray.block.header.parent_hash = H256::keccak(b"nowhere");
+        assert_eq!(store.import_built(stray).unwrap_err(), ImportError::UnknownParent);
+        assert_eq!(store.head_hash(), hash);
     }
 
     #[test]

@@ -6,6 +6,12 @@
 //! — every account copied out of [`StateDb::iter`] into a `BTreeMap`,
 //! sharing nothing with the live state — and stays that way while the
 //! live state keeps mutating.
+//!
+//! The oracle's root is hashed from its copied accounts with
+//! [`Account::account_hash`] and [`merkle_root`], never read from the
+//! state, so a leaf hash memo that a write or a revert left stale fails
+//! here. Addresses spread over many of the account map's 256 shards
+//! (keyed by the first address byte), several to a shard.
 
 use std::collections::BTreeMap;
 
@@ -14,6 +20,7 @@ use proptest::prelude::*;
 use sereth_chain::state::{Account, Snapshot, StateDb, StateView};
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
+use sereth_crypto::merkle::merkle_root;
 use sereth_types::u256::U256;
 use sereth_vm::exec::{ContractCode, Storage};
 
@@ -33,7 +40,8 @@ enum Op {
     Revert,
     /// Seal: clear the journal, dropping all snapshots (block boundary).
     Seal,
-    /// Capture a `StateView` plus its eager-copy oracle.
+    /// Capture a `StateView` plus its eager-copy oracle and the live
+    /// state's root, which fills every leaf's hash memo.
     TakeView,
 }
 
@@ -51,12 +59,16 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// One of 256 addresses: its first byte, and so its shard, is one of
+/// 64 values spread over the whole byte range, four addresses to each.
 fn addr(n: u8) -> Address {
-    Address::from_low_u64(n as u64)
+    let mut bytes = *Address::from_low_u64(n as u64).as_bytes();
+    bytes[0] = n & 0xfc;
+    Address::new(bytes)
 }
 
-/// The oracle: every account copied out of the state, plus the root the
-/// state reported at the same instant.
+/// The oracle: every account copied out of the state, plus the root
+/// hashed from those copies alone.
 struct Eager {
     accounts: BTreeMap<Address, Account>,
     root: H256,
@@ -64,10 +76,11 @@ struct Eager {
 
 impl Eager {
     fn of(state: &StateDb) -> Self {
-        Self {
-            accounts: state.iter().map(|(address, account)| (*address, account.clone())).collect(),
-            root: state.state_root(),
-        }
+        let accounts: BTreeMap<Address, Account> =
+            state.iter().map(|(address, account)| (*address, account.clone())).collect();
+        let leaves: Vec<H256> =
+            accounts.iter().map(|(address, account)| account.account_hash(address)).collect();
+        Self { root: merkle_root(&leaves), accounts }
     }
 
     fn account(&self, address: &Address) -> Account {
@@ -75,12 +88,14 @@ impl Eager {
     }
 }
 
-/// A captured (view, oracle) pair, tagged with the op index it was taken
-/// at for failure messages.
+/// A captured (view, oracle) pair with the live state's root at the same
+/// instant, tagged with the op index it was taken at for failure
+/// messages.
 struct Capture {
     at: usize,
     view: StateView,
     oracle: Eager,
+    live_root: H256,
 }
 
 /// Applies one *mutation* op (the journaled kinds); the control ops are
@@ -121,7 +136,8 @@ fn run_ops(ops: &[Op]) -> (StateDb, Vec<Capture>) {
                 snapshots.clear();
             }
             Op::TakeView => {
-                captures.push(Capture { at, view: state.view(), oracle: Eager::of(&state) });
+                let live_root = state.state_root();
+                captures.push(Capture { at, view: state.view(), oracle: Eager::of(&state), live_root });
             }
             mutation => run_one(&mut state, mutation),
         }
@@ -153,6 +169,7 @@ proptest! {
     ) {
         let (live, captures) = run_ops(&ops);
         for capture in &captures {
+            prop_assert_eq!(capture.live_root, capture.oracle.root, "live root diverged at op {}", capture.at);
             assert_view_matches(&capture.view, &capture.oracle, capture.at)?;
         }
         // And a view of the final state equals an eager copy of it.
@@ -180,16 +197,18 @@ proptest! {
             .collect();
 
         let (mut state, _) = run_ops(&prefix);
-        let root_before = state.state_root();
+        let before = Eager::of(&state);
+        prop_assert_eq!(state.state_root(), before.root);
         let snapshot = state.snapshot();
         for op in &suffix {
             run_one(&mut state, op);
         }
         let view = state.view();
         let oracle = Eager::of(&state);
+        prop_assert_eq!(state.state_root(), oracle.root, "written leaves were rehashed");
 
         state.revert_to(snapshot);
-        prop_assert_eq!(state.state_root(), root_before, "revert restored the live state");
+        prop_assert_eq!(state.state_root(), before.root, "revert restored the live state");
         // The held view is untouched by the revert.
         assert_view_matches(&view, &oracle, prefix.len() + suffix.len())?;
     }

@@ -4,22 +4,29 @@
 //! exactly the builder's receipts and post-state root, and every tamper
 //! draws the `ValidationError` it targets — including the
 //! `BadTransaction` index and inner `TxApplyError` of a rewritten
-//! transaction. Workloads include nonce chains, overlapping transfers,
+//! transaction. A miner stores the blocks it builds without replaying
+//! them, so committing a built block with `ChainStore::import_built` must
+//! leave a store exactly where importing it into a twin store leaves
+//! that one, on both backends and after a durable reopen. Workloads include nonce chains, overlapping transfers,
 //! shared-slot contract calls, cross-contract sub-calls, reverting
 //! executions, and out-of-gas calls; tampers cover calldata rewrites,
 //! body reorders (resealed and not), gas inflation, shrunken gas limits,
 //! and wrong roots, parents, numbers and timestamps.
 
+use std::path::PathBuf;
+
 use bytes::Bytes;
 use proptest::prelude::*;
 use sereth_chain::builder::{build_block, BlockLimits, BuiltBlock};
 use sereth_chain::executor::TxApplyError;
-use sereth_chain::state::StateDb;
+use sereth_chain::state::{Account, StateDb};
+use sereth_chain::store::{ChainStore, StoreConfig};
 use sereth_chain::validation::{validate_block, ValidationError};
-use sereth_chain::GenesisBuilder;
+use sereth_chain::{DurableOptions, Genesis, GenesisBuilder};
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
 use sereth_crypto::sig::SecretKey;
+use sereth_store::scratch_dir;
 use sereth_types::block::{Block, BlockHeader};
 use sereth_types::receipt::TxStatus;
 use sereth_types::transaction::{Transaction, TxPayload};
@@ -85,18 +92,20 @@ fn sender_key(index: u8) -> SecretKey {
     SecretKey::from_label(2_000 + index as u64)
 }
 
-fn genesis() -> (BlockHeader, StateDb) {
+fn chain_genesis() -> Genesis {
     let mut builder = GenesisBuilder::new();
     for s in 0..SENDERS {
         builder = builder.fund(sender_key(s as u8).address(), U256::from(10_000_000u64));
     }
-    let built = builder.build();
-    let mut state = built.state;
     for (address, code) in contract_codes() {
-        state.set_code(&Address::from_low_u64(address), ContractCode::Bytecode(code));
+        builder = builder.contract(Address::from_low_u64(address), ContractCode::Bytecode(code));
     }
-    state.clear_journal();
-    (built.block.header, state)
+    builder.build()
+}
+
+fn genesis() -> (BlockHeader, StateDb) {
+    let genesis = chain_genesis();
+    (genesis.block.header, genesis.state)
 }
 
 /// Turns kinds into signed transactions with per-sender nonce tracking.
@@ -298,6 +307,107 @@ fn drew_its_target(tamper: &Tamper, honest: &Block, error: &ValidationError) -> 
         | (Tamper::WrongNumber, ValidationError::WrongNumber)
         | (Tamper::StaleTimestamp, ValidationError::NonMonotonicTimestamp) => true,
         _ => false,
+    }
+}
+
+/// A store directory, removed when the case ends, pass or fail.
+struct Dir(PathBuf);
+
+impl Drop for Dir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn open_store(dir: Option<&Dir>) -> ChainStore {
+    let config = match dir {
+        Some(dir) => StoreConfig::durable(chain_genesis(), &dir.0)
+            .durable_options(DurableOptions { snapshot_every: 2, ..DurableOptions::default() }),
+        None => StoreConfig::in_memory(chain_genesis()),
+    };
+    ChainStore::open(config).expect("store opens")
+}
+
+fn head_accounts(store: &ChainStore) -> Vec<(Address, Account)> {
+    store.head_state().iter().map(|(address, account)| (*address, account.clone())).collect()
+}
+
+/// The head, its receipts, every account of its post-state and the root
+/// are the same in both stores, and the root is the header's.
+fn assert_twins_agree(built: &ChainStore, replayed: &ChainStore) -> Result<(), TestCaseError> {
+    prop_assert_eq!(built.head_hash(), replayed.head_hash());
+    let receipts =
+        |store: &ChainStore| store.get(&store.head_hash()).expect("head is stored").receipts.clone();
+    prop_assert_eq!(receipts(built), receipts(replayed));
+    prop_assert_eq!(head_accounts(built), head_accounts(replayed));
+    prop_assert_eq!(built.head_state().state_root(), replayed.head_state().state_root());
+    prop_assert_eq!(built.head_state().state_root(), built.head_block().header.state_root);
+    Ok(())
+}
+
+/// Builds one block per entry of `blocks` on the first store's head,
+/// commits it there with `import_built` and imports it into the second,
+/// and holds the two stores equal after each block and, durable, after
+/// both reopen.
+fn commit_equals_import(blocks: &[Vec<TxKind>], durable: bool) -> Result<(), TestCaseError> {
+    let dirs = durable.then(|| (Dir(scratch_dir("commit-built")), Dir(scratch_dir("commit-replayed"))));
+    let mut built_store = open_store(dirs.as_ref().map(|(dir, _)| dir));
+    let mut replayed_store = open_store(dirs.as_ref().map(|(_, dir)| dir));
+    let kinds: Vec<TxKind> = blocks.iter().flatten().cloned().collect();
+    let mut candidates = assemble_candidates(&kinds).into_iter();
+    for (index, block_kinds) in blocks.iter().enumerate() {
+        let txs: Vec<Transaction> = candidates.by_ref().take(block_kinds.len()).collect();
+        let parent = built_store.head_block().header.clone();
+        let built = build_block(
+            &parent,
+            built_store.head_state(),
+            txs,
+            Address::from_low_u64(MINER),
+            15_000 * (index as u64 + 1),
+            &BlockLimits::default(),
+        );
+        prop_assert_eq!(built.skipped, 0, "every candidate must be included");
+        let block = built.block.clone();
+        let committed = built_store.import_built(built);
+        let imported = replayed_store.import(block);
+        prop_assert!(committed.is_ok(), "commit failed: {:?}", committed);
+        prop_assert_eq!(committed, imported);
+        assert_twins_agree(&built_store, &replayed_store)?;
+    }
+    if let Some((built_dir, replayed_dir)) = &dirs {
+        let (head, accounts) = (built_store.head_hash(), head_accounts(&built_store));
+        drop((built_store, replayed_store));
+        let (built_store, replayed_store) = (open_store(Some(built_dir)), open_store(Some(replayed_dir)));
+        prop_assert_eq!(built_store.head_hash(), head, "the reopened head is the committed one");
+        prop_assert_eq!(head_accounts(&built_store), accounts);
+        assert_twins_agree(&built_store, &replayed_store)?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(256)))]
+
+    /// A block committed as built equals the same block imported by
+    /// replay: the same outcome, head, receipts, accounts and root.
+    #[test]
+    fn committing_a_built_block_equals_importing_it(
+        blocks in prop::collection::vec(prop::collection::vec(kind_strategy(), 0..12), 1..4),
+    ) {
+        commit_equals_import(&blocks, false)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(32)))]
+
+    /// The same on the durable backend, where the commit also journals
+    /// the block's write-set and a snapshot falls every second block.
+    #[test]
+    fn committing_a_built_block_equals_importing_it_durably(
+        blocks in prop::collection::vec(prop::collection::vec(kind_strategy(), 0..12), 1..4),
+    ) {
+        commit_equals_import(&blocks, true)?;
     }
 }
 

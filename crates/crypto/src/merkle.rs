@@ -7,12 +7,17 @@
 //! hashed pairwise with Keccak-256, odd nodes are carried up unchanged, and
 //! the empty list commits to `keccak256("sereth/empty-merkle")`.
 
+use std::sync::OnceLock;
+
 use crate::hash::H256;
 use crate::keccak::{keccak256, keccak256_concat};
 
-/// Commitment to the empty list.
+/// Commitment to the empty list, hashed once per process: every account
+/// without storage commits to it, and so does an empty block's
+/// transaction and receipt list.
 pub fn empty_root() -> H256 {
-    H256::new(keccak256(b"sereth/empty-merkle"))
+    static EMPTY: OnceLock<H256> = OnceLock::new();
+    *EMPTY.get_or_init(|| H256::new(keccak256(b"sereth/empty-merkle")))
 }
 
 /// Computes the binary Merkle root of `leaves` in order.
@@ -55,7 +60,11 @@ mod tests {
     #[test]
     fn empty_list_commits_to_constant() {
         assert_eq!(merkle_root(&[]), empty_root());
-        assert!(!empty_root().is_zero());
+        assert_eq!(
+            empty_root().to_hex(),
+            "0x524ef16d2d2c496d1ad29d48705c4e572039d1484020e9f96e360ba94822df96"
+        );
+        assert_eq!(empty_root(), H256::keccak(b"sereth/empty-merkle"));
     }
 
     #[test]

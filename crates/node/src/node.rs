@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
-use sereth_chain::builder::{build_block_traced, BlockLimits};
+use sereth_chain::builder::{build_block_traced, BlockLimits, BuiltBlock};
 use sereth_chain::executor::{call_readonly, BlockEnv};
 use sereth_chain::genesis::Genesis;
 use sereth_chain::state::{StateDb, StateView};
@@ -825,7 +825,7 @@ impl NodeHandle {
     /// unblocks.
     pub fn receive_block(&self, block: Block) -> BlockReceipt {
         let mut inner = self.lock();
-        match self.import(&mut inner, &block) {
+        match self.import(&mut inner, block.hash(), |chain| chain.import(block.clone())) {
             Ok(ImportOutcome::AlreadyKnown) => BlockReceipt::Known,
             // A Store error still imported the block in memory: keep
             // serving (and forwarding) from memory.
@@ -843,32 +843,40 @@ impl NodeHandle {
         }
     }
 
-    /// Imports `block`: the one routine behind block receipt, orphan
-    /// release and mining. A block the chain already stores is answered
-    /// before it is cloned. `ImportError::Store` means the block entered
-    /// the in-memory chain and only its persistence failed; every such
-    /// fault is counted here on `node.store_failed`, once per block. When
-    /// the canonical head moved, the head is published and the pool
-    /// brought up to date; a block that lost fork choice commits nothing,
-    /// so its transactions stay pooled for this node to mine.
-    fn import(&self, inner: &mut NodeInner, block: &Block) -> Result<ImportOutcome, ImportError> {
-        if inner.chain.get(&block.hash()).is_some() {
+    /// Imports the block `hash` with `store`: the one routine behind
+    /// block receipt and orphan release, which replay the block
+    /// (`ChainStore::import`), and mining, which commits it as built
+    /// (`ChainStore::import_built`). A block the chain already stores is
+    /// answered before `store` runs, so before it is cloned.
+    /// `ImportError::Store` means the block entered the in-memory chain
+    /// and only its persistence failed; every such fault is counted here
+    /// on `node.store_failed`, once per block. When the canonical head
+    /// moved, the head is published and the pool brought up to date; a
+    /// block that lost fork choice commits nothing, so its transactions
+    /// stay pooled for this node to mine.
+    fn import(
+        &self,
+        inner: &mut NodeInner,
+        hash: H256,
+        store: impl FnOnce(&mut ChainStore) -> Result<ImportOutcome, ImportError>,
+    ) -> Result<ImportOutcome, ImportError> {
+        if inner.chain.get(&hash).is_some() {
             return Ok(ImportOutcome::AlreadyKnown);
         }
         let previous_head = inner.chain.head_hash();
-        let result = inner.chain.import(block.clone());
+        let result = store(&mut inner.chain);
         if matches!(result, Err(ImportError::Store(_))) {
             self.telemetry.counter("node.store_failed").inc();
         }
         if inner.chain.head_hash() != previous_head {
-            self.after_import(inner, block);
+            self.after_import(inner);
         }
         result
     }
 
-    /// Head publication and pool upkeep after `block` became the
-    /// canonical head.
-    fn after_import(&self, inner: &NodeInner, block: &Block) {
+    /// Head publication and pool upkeep after an import moved the
+    /// canonical head, which is then the imported block.
+    fn after_import(&self, inner: &NodeInner) {
         // Imports are the only place the head moves, so between two
         // imports every read, the SEQUENTIAL rung's included, answers at
         // one height. The head goes first: until the upkeep below, an RU
@@ -876,7 +884,7 @@ impl NodeHandle {
         // block's sets. The other order would pair the old head with a
         // pool that lacks them, a view older than both.
         self.publish(inner, self.head().raa.clone());
-        self.pool.remove_committed(block.transactions.iter());
+        self.pool.remove_committed(inner.chain.head_block().transactions.iter());
         let head_state = inner.chain.head_state();
         self.pool.prune_stale(|sender| head_state.nonce_of(sender));
     }
@@ -887,7 +895,7 @@ impl NodeHandle {
         loop {
             let mut progressed = false;
             for block in std::mem::take(&mut inner.orphans) {
-                match self.import(inner, &block) {
+                match self.import(inner, block.hash(), |chain| chain.import(block.clone())) {
                     Err(ImportError::UnknownParent) => inner.orphans.push(block),
                     Ok(ImportOutcome::AlreadyKnown) | Err(ImportError::Invalid(_)) => {}
                     // Stored, canonical or not (a Store error still
@@ -920,10 +928,17 @@ impl NodeHandle {
     ///
     /// The block is ordered and built on the published head: its header
     /// is the parent, and a COW state over its view is the parent state.
-    /// So the node lock is taken once, briefly, to import the sealed
-    /// block, and client submission keeps flowing into the pool while
-    /// the block is being built.
+    /// So the node lock is taken once, briefly, to commit the sealed
+    /// block, which is not replayed, and client submission keeps flowing
+    /// into the pool while the block is being built.
     pub fn mine(&self, now: SimTime) -> Option<Block> {
+        let built = self.build(now)?;
+        self.import_mined(built)
+    }
+
+    /// Orders and builds a block at `now` on the published head, without
+    /// the node lock (miner nodes only).
+    fn build(&self, now: SimTime) -> Option<BuiltBlock> {
         let config = &*self.config;
         let setup = config.miner.as_ref()?;
         let head = self.head();
@@ -949,27 +964,30 @@ impl NodeHandle {
             role: "build",
             phase_ns: vec![(Phase::OrderCandidates, order_ns)],
         });
-        self.import_mined(built.block)
+        Some(built)
     }
 
-    /// The one lock of a mining pass: imports a block this node just
-    /// sealed, counting every self-import failure by kind.
-    fn import_mined(&self, block: Block) -> Option<Block> {
-        let kind = match self.import(&mut self.lock(), &block) {
+    /// The one lock of a mining pass: commits a block this node just
+    /// built, counting a self-import failure instead of swallowing it.
+    fn import_mined(&self, built: BuiltBlock) -> Option<Block> {
+        let block = built.block.clone();
+        match self.import(&mut self.lock(), block.hash(), |chain| chain.import_built(built)) {
             // A gossip block imported while this one was built can beat it
             // to the head: it is then a side chain and its transactions
             // stay pooled for the next attempt. A Store error leaves it in
             // memory; only persistence failed.
-            Ok(_) | Err(ImportError::Store(_)) => return Some(block),
-            // A block this node sealed failing its own import is a real
-            // fault (a reorg mid-build can orphan the parent; anything
-            // else is a bug) — count it by kind instead of swallowing it.
-            Err(ImportError::UnknownParent) => "node.self_import_failed.unknown_parent",
-            Err(ImportError::Invalid(_)) => "node.self_import_failed.invalid",
-        };
-        self.telemetry.counter("node.self_import_failed").inc();
-        self.telemetry.counter(kind).inc();
-        None
+            Ok(_) | Err(ImportError::Store(_)) => Some(block),
+            // The parent is not in the store: pruned while the block was
+            // built, or never there. A fault worth counting.
+            Err(ImportError::UnknownParent) => {
+                self.telemetry.counter("node.self_import_failed").inc();
+                self.telemetry.counter("node.self_import_failed.unknown_parent").inc();
+                None
+            }
+            Err(ImportError::Invalid(error)) => {
+                unreachable!("a built block is committed unreplayed: {error}")
+            }
+        }
     }
 
     /// Looks up a block by hash (canonical or side-chain), for sync
@@ -1307,7 +1325,7 @@ mod tests {
     fn self_import_failure_is_counted_not_swallowed() {
         // Regression: `mine()`'s import tail used to map `Err(_)` to
         // `None` silently. Force the failure by handing `import_mined` a
-        // block sealed on a *different genesis* (its parent hash is
+        // block built on a *different genesis* (its parent hash is
         // unknown here) and pin the failure telemetry.
         let owner = SecretKey::from_label(1);
         let node = node(ClientKind::Geth, &owner, true);
@@ -1318,12 +1336,11 @@ mod tests {
                 .coinbase(Address::from_low_u64(0xc01))
                 .build(),
         );
-        let alien = foreign.mine(15_000).expect("foreign miner seals");
+        let alien = foreign.build(15_000).expect("foreign miner builds");
         assert!(node.import_mined(alien).is_none());
         let snapshot = node.telemetry_snapshot();
         assert_eq!(snapshot.counters.get("node.self_import_failed").copied(), Some(1));
         assert_eq!(snapshot.counters.get("node.self_import_failed.unknown_parent").copied(), Some(1));
-        assert_eq!(snapshot.counters.get("node.self_import_failed.invalid").copied(), None);
         // A successful mine is unaffected.
         assert!(node.mine(15_000).is_some());
         assert_eq!(node.telemetry_snapshot().counters.get("node.self_import_failed").copied(), Some(1));
@@ -1346,21 +1363,20 @@ mod tests {
         // reach the head between the build and the self-import. The
         // sealed block then lands on a side chain and its transactions
         // are not committed, so they must stay pooled for the next block.
-        // A twin miner on the same genesis seals exactly the block
-        // `miner` would have built, so the rival can be imported between.
+        // The miner's build step runs alone, so the rival can be imported
+        // between it and the commit.
         let owner = SecretKey::from_label(1);
         let miner = node(ClientKind::Geth, &owner, true);
-        let twin = node(ClientKind::Geth, &owner, true);
         let tx = set_tx(&owner, 0, genesis_mark(), 75);
         assert!(miner.receive_tx(tx.clone(), 100));
-        assert!(twin.receive_tx(tx.clone(), 100));
-        let sealed = twin.mine(15_000).expect("twin seals");
+        let built = miner.build(15_000).expect("miner builds");
+        let sealed = built.block.clone();
         assert!(sealed.transactions.contains(&tx));
 
         let gossip = rival(&owner).mine(14_000).expect("rival seals");
         assert_eq!(miner.receive_block(gossip.clone()), BlockReceipt::Imported);
 
-        assert_eq!(miner.import_mined(sealed.clone()), Some(sealed));
+        assert_eq!(miner.import_mined(built), Some(sealed));
         assert_eq!(miner.head_hash(), gossip.hash(), "the first block at height 1 keeps the head");
         assert!(miner.pool_contains(&tx.hash()), "a side-chain block commits nothing");
         assert_eq!(miner.telemetry_snapshot().counters.get("node.self_import_failed").copied(), None);
@@ -1441,6 +1457,27 @@ mod tests {
     }
 
     #[test]
+    fn a_follower_replays_each_received_block_once_and_the_miner_none() {
+        let owner = SecretKey::from_label(1);
+        let miner = node(ClientKind::Sereth, &owner, true);
+        let follower = node(ClientKind::Sereth, &owner, false);
+        let validations = |node: &NodeHandle| node.telemetry_snapshot().histograms["phase.validate"].count();
+        let mut prev = genesis_mark();
+        for (nonce, value) in [(0u64, 75u64), (1, 80), (2, 85)] {
+            let tx = set_tx(&owner, nonce, prev, value);
+            prev = sereth_core::mark::compute_mark(&prev, &H256::from_low_u64(value));
+            assert!(miner.receive_tx(tx, 100 * (nonce + 1)));
+            let block = miner.mine(15_000 * (nonce + 1)).expect("miner seals");
+            assert_eq!(follower.receive_block(block.clone()), BlockReceipt::Imported);
+            assert_eq!(follower.receive_block(block), BlockReceipt::Known, "a known block is not replayed");
+        }
+        assert_eq!(validations(&follower), 3, "one replay per received block");
+        assert_eq!(validations(&miner), 0, "the miner commits what it built");
+        assert_eq!(follower.head_hash(), miner.head_hash());
+        assert_eq!(follower.head_state_root(), miner.head_state_root());
+    }
+
+    #[test]
     fn orphan_blocks_import_after_parent_arrives() {
         let owner = SecretKey::from_label(1);
         let miner = node(ClientKind::Geth, &owner, true);
@@ -1494,7 +1531,7 @@ mod tests {
         assert!(snapshot.histograms["phase.order_candidates"].count() >= 1);
         assert!(snapshot.histograms["phase.seal"].count() >= 1);
         assert!(snapshot.histograms["phase.import"].count() >= 1);
-        assert!(snapshot.histograms["phase.validate"].count() >= 1);
+        assert_eq!(snapshot.histograms["phase.validate"].count(), 0, "a miner never replays its own block");
         assert!(snapshot.histograms["node.lock_hold"].count() >= 1);
         let roles: Vec<&str> = snapshot.blocks.iter().map(|t| t.role).collect();
         assert!(roles.contains(&"build") && roles.contains(&"import"), "traces: {roles:?}");

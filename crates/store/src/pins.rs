@@ -7,10 +7,11 @@
 //! is never reclaimed**: the view stays byte-frozen (copy-on-write already
 //! guarantees that) *and* the store keeps being able to serve that epoch.
 //!
-//! This is the redb read-transaction idiom (SNIPPETS.md §3): pinning is two
-//! atomic ops plus one short mutex on first pin of an epoch, but a pin held
-//! forever blocks compaction forever — keep read handles short-lived or
-//! accept the retained history.
+//! This is the redb read-transaction idiom (SNIPPETS.md §3): pinning takes
+//! one short mutex, which also sweeps released epochs out of the table, and
+//! cloning a guard is one atomic op; but a pin held forever blocks
+//! compaction forever — keep read handles short-lived or accept the
+//! retained history.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,8 +35,15 @@ impl EpochPins {
 
     /// Pins `epoch`, returning the guard that holds the pin. Cloning the
     /// guard re-pins (one atomic increment); dropping every clone unpins.
+    ///
+    /// Released entries are swept here too, so a table that only ever
+    /// pins (an in-memory store, which never garbage-collects) holds its
+    /// live pins and nothing more. The new pin counts before the lock is
+    /// released, so no sweep can take its entry.
     pub fn pin(&self, epoch: u64) -> EpochGuard {
-        let cell = Arc::clone(self.epochs.lock().entry(epoch).or_default());
+        let mut epochs = self.epochs.lock();
+        epochs.retain(|_, cell| cell.load(Ordering::Relaxed) > 0);
+        let cell = Arc::clone(epochs.entry(epoch).or_default());
         cell.fetch_add(1, Ordering::Relaxed);
         EpochGuard { epoch, cell }
     }
@@ -108,6 +116,20 @@ mod tests {
         assert_eq!(b.epoch(), 5);
         drop(b);
         assert_eq!(pins.min_pinned(), None);
+        assert_eq!(pins.pinned_epochs(), 0);
+    }
+
+    #[test]
+    fn pinning_sweeps_released_epochs() {
+        let pins = EpochPins::new();
+        let held = pins.pin(0);
+        for epoch in 1..=10_000 {
+            drop(pins.pin(epoch));
+        }
+        let last = pins.pin(10_001);
+        let table: Vec<u64> = pins.epochs.lock().keys().copied().collect();
+        assert_eq!(table, vec![0, 10_001], "only the live pins stay in the table");
+        drop((held, last));
         assert_eq!(pins.pinned_epochs(), 0);
     }
 
