@@ -25,7 +25,7 @@ pub struct Mismatch {
 /// The first line where `fresh` differs from `golden`, or `None` when the
 /// two are byte-equal. Lines keep their `\n`, so a missing final newline
 /// is a difference too.
-pub fn first_mismatch(golden: &[u8], fresh: &[u8]) -> Option<Mismatch> {
+fn first_mismatch(golden: &[u8], fresh: &[u8]) -> Option<Mismatch> {
     let mut golden_lines = golden.split_inclusive(|&byte| byte == b'\n');
     let mut fresh_lines = fresh.split_inclusive(|&byte| byte == b'\n');
     let lossy = |line: &[u8]| String::from_utf8_lossy(line).into_owned();

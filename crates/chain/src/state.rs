@@ -31,7 +31,7 @@ pub struct Account {
 
 impl Account {
     /// Commitment to this account's storage.
-    pub fn storage_root(&self) -> H256 {
+    fn storage_root(&self) -> H256 {
         let leaves: Vec<H256> = self
             .storage
             .iter()
@@ -250,11 +250,6 @@ impl StateView {
     /// Iterates accounts in address order.
     pub fn iter(&self) -> impl Iterator<Item = (&Address, &Account)> {
         self.accounts.iter().map(|(address, leaf)| (address, &leaf.account))
-    }
-
-    /// `true` if both views share the same underlying account map.
-    pub fn ptr_eq(&self, other: &StateView) -> bool {
-        Arc::ptr_eq(&self.accounts, &other.accounts)
     }
 
     /// Account-granular diff: the post-image in `other` of every account
@@ -685,7 +680,7 @@ mod tests {
 
         let view = state.view();
         let frozen_root = state.state_root();
-        assert!(view.ptr_eq(&state.view()), "no mutation yet: the map is shared");
+        assert!(Arc::ptr_eq(&view.accounts, &state.view().accounts), "no mutation yet: the map is shared");
 
         // Every kind of mutation after the view was taken…
         state.credit(&addr(1), U256::from(90u64));
@@ -700,7 +695,7 @@ mod tests {
         assert_eq!(view.nonce_of(&addr(1)), 0);
         assert_eq!(view.storage_get(&addr(2), &H256::from_low_u64(1)), H256::from_low_u64(5));
         assert!(view.account(&addr(3)).is_none());
-        assert!(!view.ptr_eq(&state.view()), "the write unshared the map");
+        assert!(!Arc::ptr_eq(&view.accounts, &state.view().accounts), "the write unshared the map");
         // The live state moved on.
         assert_eq!(state.balance_of(&addr(1)), U256::from(100u64));
     }
@@ -734,7 +729,7 @@ mod tests {
         a.credit(&addr(1), U256::from(10u64));
         a.clear_journal();
         let mut b = a.clone();
-        assert!(a.view().ptr_eq(&b.view()));
+        assert!(Arc::ptr_eq(&a.view().accounts, &b.view().accounts));
 
         // Writing the clone leaves the original untouched, and vice versa.
         b.credit(&addr(1), U256::from(1u64));
@@ -785,7 +780,7 @@ mod tests {
         assert_eq!(replayed.state_root(), after.state_root());
         // Unshared-but-equal maps still diff to empty.
         let rebuilt = StateDb::from_accounts(before.iter().map(|(ad, acc)| (*ad, acc.clone())));
-        assert!(!rebuilt.view().ptr_eq(&before));
+        assert!(!Arc::ptr_eq(&rebuilt.view().accounts, &before.accounts));
         assert!(rebuilt.view().diff_accounts(&before).is_empty());
     }
 

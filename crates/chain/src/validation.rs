@@ -102,7 +102,7 @@ pub fn validate_block(
     if block.header.timestamp_ms <= parent.timestamp_ms {
         return Err(ValidationError::NonMonotonicTimestamp);
     }
-    if Block::compute_tx_root(&block.transactions) != block.header.tx_root {
+    if !block.body_matches_header() {
         return Err(ValidationError::TxRootMismatch);
     }
 

@@ -223,7 +223,7 @@ impl Report {
     }
 
     /// Violations `level` forbids.
-    pub fn violations_at(&self, level: IsolationLevel) -> usize {
+    fn violations_at(&self, level: IsolationLevel) -> usize {
         self.violations.iter().filter(|violation| violation.forbidden_at <= level).count()
     }
 

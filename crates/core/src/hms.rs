@@ -35,14 +35,6 @@ pub struct HmsView {
 }
 
 impl HmsView {
-    /// The flag a follow-up `set` transaction should carry.
-    pub fn next_flag(&self) -> Flag {
-        match self.source {
-            ViewSource::Committed => Flag::Head,
-            ViewSource::Uncommitted => Flag::Success,
-        }
-    }
-
     /// Encodes the view into the three RAA argument words.
     ///
     /// Word 0 carries the flag hint ([`SPECIAL_VALUE`] for committed views,
@@ -187,7 +179,6 @@ mod tests {
         assert_eq!(outcome.view.source, ViewSource::Committed);
         assert_eq!(outcome.view.mark, genesis_mark());
         assert_eq!(outcome.view.value, H256::from_low_u64(50));
-        assert_eq!(outcome.view.next_flag(), Flag::Head);
         assert!(outcome.series.is_empty());
     }
 
@@ -212,7 +203,6 @@ mod tests {
         assert_eq!(outcome.view.mark, m2);
         assert_eq!(outcome.view.value, H256::from_low_u64(70));
         assert_eq!(outcome.view.series_len, 2);
-        assert_eq!(outcome.view.next_flag(), Flag::Success);
         assert_eq!(outcome.series.len(), 2);
     }
 

@@ -1,12 +1,9 @@
 //! Keccak sponge construction and the Keccak-f\[1600\] permutation.
 //!
 //! Implemented from scratch against the Keccak reference specification.
-//! Two flavours are exposed:
-//!
-//! * [`Keccak256`] — the *original* Keccak-256 used by Ethereum
-//!   (multi-rate padding with domain byte `0x01`);
-//! * [`Sha3_256`] — the FIPS-202 standardised SHA3-256
-//!   (domain byte `0x06`).
+//! [`Keccak256`] is the *original* Keccak-256 used by Ethereum
+//! (multi-rate padding with domain byte `0x01`), not the FIPS-202
+//! SHA3-256 (domain byte `0x06`).
 //!
 //! The paper's Hash-Mark-Set algorithm computes every transaction *mark*
 //! as `keccak256(prev_mark || value)` (§III-C), so this module sits at the
@@ -70,10 +67,7 @@ const RHO_OFFSETS: [u32; LANES] = [
 ];
 
 /// Applies the full 24-round Keccak-f\[1600\] permutation in place.
-///
-/// Exposed publicly so property tests and benchmarks can exercise the
-/// permutation directly.
-pub fn keccak_f1600(state: &mut [u64; LANES]) {
+fn keccak_f1600(state: &mut [u64; LANES]) {
     for &rc in &ROUND_CONSTANTS {
         // θ: column parity mixing.
         let mut c = [0u64; 5];
@@ -111,20 +105,21 @@ pub fn keccak_f1600(state: &mut [u64; LANES]) {
     }
 }
 
-/// Incremental sponge with a 136-byte rate and a caller-supplied padding
-/// domain byte (`0x01` for Keccak, `0x06` for SHA-3).
+/// Keccak's padding domain byte (FIPS-202 SHA-3 would use `0x06`).
+const KECCAK_DOMAIN: u8 = 0x01;
+
+/// Incremental sponge with a 136-byte rate.
 #[derive(Clone)]
 struct Sponge {
     state: [u64; LANES],
     /// Bytes absorbed into the current (incomplete) rate block.
     buffer: [u8; RATE_256],
     buffered: usize,
-    domain: u8,
 }
 
 impl Sponge {
-    const fn new(domain: u8) -> Self {
-        Self { state: [0; LANES], buffer: [0; RATE_256], buffered: 0, domain }
+    const fn new() -> Self {
+        Self { state: [0; LANES], buffer: [0; RATE_256], buffered: 0 }
     }
 
     fn absorb(&mut self, mut input: &[u8]) {
@@ -170,7 +165,7 @@ impl Sponge {
         // Multi-rate padding: domain byte, zeros, final bit.
         let mut block = [0u8; RATE_256];
         block[..self.buffered].copy_from_slice(&self.buffer[..self.buffered]);
-        block[self.buffered] = self.domain;
+        block[self.buffered] = KECCAK_DOMAIN;
         block[RATE_256 - 1] |= 0x80;
         self.absorb_block(&block);
 
@@ -202,7 +197,7 @@ pub struct Keccak256 {
 impl Keccak256 {
     /// Creates an empty hasher.
     pub const fn new() -> Self {
-        Self { sponge: Sponge::new(0x01) }
+        Self { sponge: Sponge::new() }
     }
 
     /// Absorbs `input` into the sponge.
@@ -228,41 +223,6 @@ impl core::fmt::Debug for Keccak256 {
     }
 }
 
-/// Streaming SHA3-256 hasher (FIPS-202 padding).
-#[derive(Clone)]
-pub struct Sha3_256 {
-    sponge: Sponge,
-}
-
-impl Sha3_256 {
-    /// Creates an empty hasher.
-    pub const fn new() -> Self {
-        Self { sponge: Sponge::new(0x06) }
-    }
-
-    /// Absorbs `input` into the sponge.
-    pub fn update(&mut self, input: &[u8]) {
-        self.sponge.absorb(input);
-    }
-
-    /// Consumes the hasher and squeezes the 32-byte digest.
-    pub fn finalize(self) -> [u8; 32] {
-        self.sponge.finalize()
-    }
-}
-
-impl Default for Sha3_256 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl core::fmt::Debug for Sha3_256 {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("Sha3_256").field("buffered", &self.sponge.buffered).finish()
-    }
-}
-
 /// One-shot Keccak-256 of `input`.
 pub fn keccak256(input: &[u8]) -> [u8; 32] {
     let mut hasher = Keccak256::new();
@@ -278,13 +238,6 @@ pub fn keccak256_concat(a: &[u8], b: &[u8]) -> [u8; 32] {
     let mut hasher = Keccak256::new();
     hasher.update(a);
     hasher.update(b);
-    hasher.finalize()
-}
-
-/// One-shot SHA3-256 of `input`.
-pub fn sha3_256(input: &[u8]) -> [u8; 32] {
-    let mut hasher = Sha3_256::new();
-    hasher.update(input);
     hasher.finalize()
 }
 
@@ -319,19 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn sha3_256_empty_matches_known_vector() {
-        assert_eq!(hex(&sha3_256(b"")), "a7ffc6f8bf1ed76651c14756a061d662f580ff4de43b49fa82d80a4b80f8434a");
-    }
-
-    #[test]
-    fn sha3_256_abc_matches_known_vector() {
-        assert_eq!(
-            hex(&sha3_256(b"abc")),
-            "3a985da74fe225b2045c172d6bd390bd855f086e3e9d525b46bfe24511431532"
-        );
-    }
-
-    #[test]
     fn rate_boundary_lengths_hash_consistently() {
         // Exercise lengths straddling the 136-byte rate boundary.
         for len in [0usize, 1, 135, 136, 137, 271, 272, 273, 1000] {
@@ -356,11 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn keccak_and_sha3_differ_on_same_input() {
-        assert_ne!(keccak256(b"abc"), sha3_256(b"abc"));
-    }
-
-    #[test]
     fn permutation_changes_state() {
         let mut state = [0u64; 25];
         keccak_f1600(&mut state);
@@ -373,6 +308,5 @@ mod tests {
     #[test]
     fn debug_is_nonempty() {
         assert!(!format!("{:?}", Keccak256::new()).is_empty());
-        assert!(!format!("{:?}", Sha3_256::new()).is_empty());
     }
 }

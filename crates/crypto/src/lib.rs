@@ -4,15 +4,15 @@
 //! *Read-Uncommitted Transactions for Smart Contract Performance*
 //! (Cook et al., ICDCS 2019):
 //!
-//! * [`keccak`] — the Keccak-f\[1600\] permutation, Keccak-256 (Ethereum's
-//!   hash, used for Hash-Mark-Set marks) and SHA3-256;
+//! * [`keccak`] — Keccak-256 (Ethereum's hash, used for Hash-Mark-Set
+//!   marks) over the Keccak-f\[1600\] permutation;
 //! * [`hash`] — fixed-width [`hash::H256`] / [`hash::H160`] newtypes with
 //!   hex parsing and formatting;
 //! * [`address`] — account and contract address derivation;
 //! * [`sig`] — simulated signatures providing sender binding and tamper
 //!   evidence (see the module docs for the substitution rationale);
-//! * [`rlp`] — canonical Recursive Length Prefix encoding, Ethereum's wire
-//!   serialization for transactions and blocks.
+//! * [`rlp`] — canonical Recursive Length Prefix encoding, Ethereum's
+//!   serialization for transactions and blocks, which their hashes cover.
 //!
 //! # Examples
 //!
@@ -42,5 +42,5 @@ pub mod sig;
 pub use address::{contract_address, Address};
 pub use hash::{encode_hex, ParseHexError, H160, H256};
 pub use keccak::{keccak256, keccak256_concat, Keccak256};
-pub use rlp::{RlpError, RlpReader, RlpStream};
+pub use rlp::RlpStream;
 pub use sig::{PublicKey, SecretKey, Signature};

@@ -15,7 +15,7 @@ use crate::keccak::{keccak256, keccak256_concat};
 /// Commitment to the empty list, hashed once per process: every account
 /// without storage commits to it, and so does an empty block's
 /// transaction and receipt list.
-pub fn empty_root() -> H256 {
+fn empty_root() -> H256 {
     static EMPTY: OnceLock<H256> = OnceLock::new();
     *EMPTY.get_or_init(|| H256::new(keccak256(b"sereth/empty-merkle")))
 }

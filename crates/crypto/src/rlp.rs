@@ -1,45 +1,11 @@
-//! Recursive Length Prefix (RLP) encoding and decoding.
+//! Recursive Length Prefix (RLP) encoding.
 //!
 //! RLP is Ethereum's canonical serialization for transactions and blocks.
-//! We implement the subset the substrate needs — byte strings, unsigned
-//! integers (minimal big-endian, no leading zeros), and lists — with strict
-//! canonical-form checks on decode so that replay validation cannot be
-//! confused by non-canonical encodings.
-
-use core::fmt;
-
-/// Error returned by [`RlpReader`] when input is malformed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RlpError {
-    /// Input ended before the announced payload.
-    UnexpectedEof,
-    /// A string used a long form when the short form was required.
-    NonCanonical,
-    /// Expected a string item but found a list (or vice versa).
-    WrongKind {
-        /// `true` if a list was expected.
-        expected_list: bool,
-    },
-    /// An integer had leading zero bytes or overflowed the target width.
-    BadInteger,
-    /// Trailing bytes remained after the outermost item.
-    TrailingBytes,
-}
-
-impl fmt::Display for RlpError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::UnexpectedEof => write!(f, "unexpected end of rlp input"),
-            Self::NonCanonical => write!(f, "non-canonical rlp encoding"),
-            Self::WrongKind { expected_list: true } => write!(f, "expected rlp list"),
-            Self::WrongKind { expected_list: false } => write!(f, "expected rlp string"),
-            Self::BadInteger => write!(f, "non-canonical rlp integer"),
-            Self::TrailingBytes => write!(f, "trailing bytes after rlp item"),
-        }
-    }
-}
-
-impl std::error::Error for RlpError {}
+//! Block, transaction and receipt hashes are Keccak-256 over these bytes.
+//! We implement the subset the substrate needs: lists of byte strings,
+//! unsigned integers (minimal big-endian, no leading zeros) and
+//! already-encoded nested items. Nothing decodes RLP: blocks travel
+//! between peers as values, and the journal has its own codec.
 
 /// Incremental RLP encoder.
 ///
@@ -59,19 +25,12 @@ pub struct RlpStream {
     payload: Vec<u8>,
     expected_items: usize,
     appended: usize,
-    /// `None` for a bare (non-list) stream.
-    is_list: bool,
 }
 
 impl RlpStream {
     /// Starts a list encoder that expects exactly `items` appends.
     pub fn new_list(items: usize) -> Self {
-        Self { payload: Vec::new(), expected_items: items, appended: 0, is_list: true }
-    }
-
-    /// Starts a bare encoder for a single string item.
-    pub fn new() -> Self {
-        Self { payload: Vec::new(), expected_items: 1, appended: 0, is_list: false }
+        Self { payload: Vec::new(), expected_items: items, appended: 0 }
     }
 
     /// Appends a byte-string item.
@@ -107,19 +66,10 @@ impl RlpStream {
             "rlp list arity mismatch: declared {} items, appended {}",
             self.expected_items, self.appended
         );
-        if !self.is_list {
-            return self.payload;
-        }
         let mut out = Vec::with_capacity(self.payload.len() + 9);
         encode_length(self.payload.len(), 0xc0, &mut out);
         out.extend_from_slice(&self.payload);
         out
-    }
-}
-
-impl Default for RlpStream {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -144,219 +94,53 @@ fn encode_bytes(bytes: &[u8], out: &mut Vec<u8>) {
     }
 }
 
-/// Encodes a single byte string as a standalone RLP item.
-pub fn encode_item(bytes: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(bytes.len() + 9);
-    encode_bytes(bytes, &mut out);
-    out
-}
-
-/// Cursor-based RLP decoder with canonical-form enforcement.
-#[derive(Debug, Clone)]
-pub struct RlpReader<'a> {
-    input: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> RlpReader<'a> {
-    /// Creates a reader over `input`.
-    pub fn new(input: &'a [u8]) -> Self {
-        Self { input, pos: 0 }
-    }
-
-    /// Returns `true` if the cursor has consumed all input.
-    pub fn is_empty(&self) -> bool {
-        self.pos >= self.input.len()
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], RlpError> {
-        if self.pos + n > self.input.len() {
-            return Err(RlpError::UnexpectedEof);
-        }
-        let slice = &self.input[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn read_length(&mut self, prefix: u8, offset: u8) -> Result<usize, RlpError> {
-        let code = prefix - offset;
-        if code < 56 {
-            return Ok(code as usize);
-        }
-        let len_of_len = (code - 55) as usize;
-        let len_bytes = self.take(len_of_len)?;
-        if len_bytes.first() == Some(&0) {
-            return Err(RlpError::NonCanonical);
-        }
-        let mut len = 0usize;
-        for &b in len_bytes {
-            len =
-                len.checked_mul(256).and_then(|l| l.checked_add(b as usize)).ok_or(RlpError::NonCanonical)?;
-        }
-        if len < 56 {
-            return Err(RlpError::NonCanonical);
-        }
-        Ok(len)
-    }
-
-    /// Reads the next item as a byte string.
-    ///
-    /// # Errors
-    ///
-    /// Fails on EOF, on encountering a list, or on non-canonical encodings
-    /// (e.g. a single byte `< 0x80` wrapped in a string header).
-    pub fn read_bytes(&mut self) -> Result<&'a [u8], RlpError> {
-        let prefix = *self.take(1)?.first().ok_or(RlpError::UnexpectedEof)?;
-        match prefix {
-            0x00..=0x7f => Ok(&self.input[self.pos - 1..self.pos]),
-            0x80..=0xbf => {
-                let len = self.read_length(prefix, 0x80)?;
-                let data = self.take(len)?;
-                if len == 1 && data[0] < 0x80 {
-                    return Err(RlpError::NonCanonical);
-                }
-                Ok(data)
-            }
-            _ => Err(RlpError::WrongKind { expected_list: false }),
-        }
-    }
-
-    /// Reads the next item as a `u64` in canonical minimal big-endian form.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the integer has leading zeros or exceeds 8 bytes.
-    pub fn read_u64(&mut self) -> Result<u64, RlpError> {
-        let bytes = self.read_bytes()?;
-        if bytes.len() > 8 || (bytes.len() > 1 && bytes[0] == 0) || (bytes.len() == 1 && bytes[0] == 0) {
-            // Canonical zero is the empty string.
-            return Err(RlpError::BadInteger);
-        }
-        let mut value = 0u64;
-        for &b in bytes {
-            value = (value << 8) | b as u64;
-        }
-        Ok(value)
-    }
-
-    /// Enters the next item, which must be a list, returning a reader over
-    /// its payload.
-    ///
-    /// # Errors
-    ///
-    /// Fails on EOF or if the item is a string.
-    pub fn read_list(&mut self) -> Result<RlpReader<'a>, RlpError> {
-        let prefix = *self.take(1)?.first().ok_or(RlpError::UnexpectedEof)?;
-        if !(0xc0..=0xff).contains(&prefix) {
-            return Err(RlpError::WrongKind { expected_list: true });
-        }
-        let len = self.read_length(prefix, 0xc0)?;
-        let payload = self.take(len)?;
-        Ok(RlpReader::new(payload))
-    }
-
-    /// Asserts that the reader consumed everything.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RlpError::TrailingBytes`] if bytes remain.
-    pub fn finish(&self) -> Result<(), RlpError> {
-        if self.is_empty() {
-            Ok(())
-        } else {
-            Err(RlpError::TrailingBytes)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::encode_hex as hex;
 
+    /// Vectors from the Ethereum RLP specification; a string vector sits
+    /// inside a one-item list, the only shape the encoder produces.
     #[test]
     fn canonical_examples_from_the_spec() {
-        // "dog"
-        assert_eq!(encode_item(b"dog"), vec![0x83, b'd', b'o', b'g']);
-        // empty string
-        assert_eq!(encode_item(b""), vec![0x80]);
-        // single byte below 0x80 encodes as itself
-        assert_eq!(encode_item(&[0x0f]), vec![0x0f]);
-        // 0x80 needs a header
-        assert_eq!(encode_item(&[0x80]), vec![0x81, 0x80]);
-        // empty list
-        assert_eq!(RlpStream::new_list(0).finish(), vec![0xc0]);
+        assert_eq!(hex(&RlpStream::new_list(1).append_bytes(b"dog").finish()), "c483646f67");
+        assert_eq!(
+            hex(&RlpStream::new_list(2).append_bytes(b"cat").append_bytes(b"dog").finish()),
+            "c88363617483646f67"
+        );
+        assert_eq!(hex(&RlpStream::new_list(1).append_bytes(b"").finish()), "c180");
+        assert_eq!(hex(&RlpStream::new_list(0).finish()), "c0");
+        // A single byte of 0x80 or more needs a string header.
+        assert_eq!(hex(&RlpStream::new_list(1).append_bytes(&[0x80]).finish()), "c28180");
+    }
+
+    #[test]
+    fn integers_are_minimal_big_endian() {
+        for (value, expected) in
+            [(0, "c180"), (15, "c10f"), (1024, "c3820400"), (u64::MAX, "c988ffffffffffffffff")]
+        {
+            assert_eq!(hex(&RlpStream::new_list(1).append_u64(value).finish()), expected, "value {value}");
+        }
+    }
+
+    #[test]
+    fn nested_lists_append_raw() {
+        // The set-theoretic representation of three: [ [], [[]], [ [], [[]] ] ].
+        let zero = RlpStream::new_list(0).finish();
+        let one = RlpStream::new_list(1).append_raw(&zero).finish();
+        let two = RlpStream::new_list(2).append_raw(&zero).append_raw(&one).finish();
+        let three = RlpStream::new_list(3).append_raw(&zero).append_raw(&one).append_raw(&two).finish();
+        assert_eq!(hex(&three), "c7c0c1c0c3c0c1c0");
     }
 
     #[test]
     fn long_string_uses_length_of_length() {
-        let data = vec![b'x'; 60];
-        let encoded = encode_item(&data);
-        assert_eq!(encoded[0], 0xb8);
-        assert_eq!(encoded[1], 60);
-        assert_eq!(&encoded[2..], &data[..]);
-    }
-
-    #[test]
-    fn u64_round_trip() {
-        for value in [0u64, 1, 0x7f, 0x80, 0xff, 0x100, u64::MAX] {
-            let encoded = RlpStream::new_list(1).append_u64(value).finish();
-            let mut outer = RlpReader::new(&encoded);
-            let mut list = outer.read_list().unwrap();
-            assert_eq!(list.read_u64().unwrap(), value, "value {value}");
-            list.finish().unwrap();
-            outer.finish().unwrap();
-        }
-    }
-
-    #[test]
-    fn bytes_round_trip_through_list() {
-        let encoded =
-            RlpStream::new_list(3).append_bytes(b"").append_bytes(b"a").append_bytes(&[0xffu8; 100]).finish();
-        let mut outer = RlpReader::new(&encoded);
-        let mut list = outer.read_list().unwrap();
-        assert_eq!(list.read_bytes().unwrap(), b"");
-        assert_eq!(list.read_bytes().unwrap(), b"a");
-        assert_eq!(list.read_bytes().unwrap(), &[0xffu8; 100][..]);
-        list.finish().unwrap();
-        outer.finish().unwrap();
-    }
-
-    #[test]
-    fn rejects_non_canonical_single_byte() {
-        // 0x81 0x05 is the non-canonical form of 0x05.
-        let mut reader = RlpReader::new(&[0x81, 0x05]);
-        assert_eq!(reader.read_bytes().unwrap_err(), RlpError::NonCanonical);
-    }
-
-    #[test]
-    fn rejects_leading_zero_integer() {
-        let encoded = RlpStream::new_list(1).append_bytes(&[0x00, 0x01]).finish();
-        let mut outer = RlpReader::new(&encoded);
-        let mut list = outer.read_list().unwrap();
-        assert_eq!(list.read_u64().unwrap_err(), RlpError::BadInteger);
-    }
-
-    #[test]
-    fn rejects_truncated_input() {
-        let mut reader = RlpReader::new(&[0x83, b'd', b'o']);
-        assert_eq!(reader.read_bytes().unwrap_err(), RlpError::UnexpectedEof);
-    }
-
-    #[test]
-    fn rejects_trailing_bytes() {
-        let reader = RlpReader::new(&[0x80]);
-        assert_eq!(reader.finish().unwrap_err(), RlpError::TrailingBytes);
-    }
-
-    #[test]
-    fn wrong_kind_is_reported() {
-        let list = RlpStream::new_list(0).finish();
-        let mut reader = RlpReader::new(&list);
-        assert_eq!(reader.read_bytes().unwrap_err(), RlpError::WrongKind { expected_list: false });
-
-        let string = encode_item(b"hi");
-        let mut reader = RlpReader::new(&string);
-        assert_eq!(reader.read_list().unwrap_err(), RlpError::WrongKind { expected_list: true });
+        let text = b"Lorem ipsum dolor sit amet, consectetur adipisicing elit";
+        assert_eq!(text.len(), 56);
+        let encoded = RlpStream::new_list(1).append_bytes(text).finish();
+        assert_eq!(encoded.len(), 60);
+        assert_eq!(hex(&encoded[..4]), "f83ab838");
+        assert_eq!(&encoded[4..], &text[..]);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 use sereth_crypto::hash::H256;
 use sereth_crypto::keccak::{keccak256, keccak256_concat, Keccak256};
-use sereth_crypto::rlp::{RlpReader, RlpStream};
 use sereth_crypto::sig::SecretKey;
 
 proptest! {
@@ -35,38 +34,6 @@ proptest! {
                                        b in proptest::collection::vec(any::<u8>(), 0..64)) {
         prop_assume!(a != b);
         prop_assert_ne!(keccak256(&a), keccak256(&b));
-    }
-
-    /// RLP round-trip: encode a list of arbitrary strings and a u64, decode
-    /// it back unchanged with no trailing bytes.
-    #[test]
-    fn rlp_round_trip(items in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..80), 0..8),
-                      tail in any::<u64>()) {
-        let mut stream = RlpStream::new_list(items.len() + 1);
-        for item in &items {
-            stream = stream.append_bytes(item);
-        }
-        let encoded = stream.append_u64(tail).finish();
-
-        let mut outer = RlpReader::new(&encoded);
-        let mut list = outer.read_list().unwrap();
-        for item in &items {
-            prop_assert_eq!(list.read_bytes().unwrap(), &item[..]);
-        }
-        prop_assert_eq!(list.read_u64().unwrap(), tail);
-        list.finish().unwrap();
-        outer.finish().unwrap();
-    }
-
-    /// Decoding arbitrary bytes never panics — it either parses or errors.
-    #[test]
-    fn rlp_decoding_never_panics(data in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let mut reader = RlpReader::new(&data);
-        let _ = reader.read_bytes();
-        let mut reader = RlpReader::new(&data);
-        let _ = reader.read_list();
-        let mut reader = RlpReader::new(&data);
-        let _ = reader.read_u64();
     }
 
     /// Signature verification accepts the signed digest and rejects any

@@ -201,11 +201,6 @@ impl<M: Clone> Simulation<M> {
         self.events_processed
     }
 
-    /// Number of actors.
-    pub fn actor_count(&self) -> usize {
-        self.actors.len()
-    }
-
     /// Injects an event from outside the simulation (e.g. the initial
     /// timers that bootstrap miners and workload drivers).
     pub fn schedule(&mut self, time: SimTime, target: ActorId, msg: M) {
@@ -254,16 +249,6 @@ impl<M: Clone> Simulation<M> {
     /// Immutable access to an actor (for post-run inspection).
     pub fn actor(&self, id: ActorId) -> &dyn Actor<M> {
         self.actors[id].as_ref()
-    }
-
-    /// Mutable access to an actor (for wiring before the run).
-    pub fn actor_mut(&mut self, id: ActorId) -> &mut (dyn Actor<M> + 'static) {
-        self.actors[id].as_mut()
-    }
-
-    /// Consumes the simulation, returning its actors for inspection.
-    pub fn into_actors(self) -> Vec<Box<dyn Actor<M>>> {
-        self.actors
     }
 }
 

@@ -103,28 +103,6 @@ impl Topology {
     pub fn neighbors_of(&self, actor: ActorId) -> &[ActorId] {
         &self.neighbors[actor]
     }
-
-    /// `true` if every peer can reach every other (BFS from 0).
-    pub fn is_connected(&self) -> bool {
-        let n = self.len();
-        if n == 0 {
-            return true;
-        }
-        let mut seen = vec![false; n];
-        let mut stack = vec![0usize];
-        seen[0] = true;
-        let mut count = 1;
-        while let Some(a) = stack.pop() {
-            for &b in &self.neighbors[a] {
-                if !seen[b] {
-                    seen[b] = true;
-                    count += 1;
-                    stack.push(b);
-                }
-            }
-        }
-        count == n
-    }
 }
 
 #[cfg(test)]
@@ -132,6 +110,30 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    impl Topology {
+        /// `true` if every peer can reach every other (BFS from 0).
+        fn is_connected(&self) -> bool {
+            let n = self.len();
+            if n == 0 {
+                return true;
+            }
+            let mut seen = vec![false; n];
+            let mut stack = vec![0usize];
+            seen[0] = true;
+            let mut count = 1;
+            while let Some(a) = stack.pop() {
+                for &b in &self.neighbors[a] {
+                    if !seen[b] {
+                        seen[b] = true;
+                        count += 1;
+                        stack.push(b);
+                    }
+                }
+            }
+            count == n
+        }
+    }
 
     #[test]
     fn complete_topology_links_everyone() {

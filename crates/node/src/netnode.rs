@@ -106,6 +106,10 @@ impl NetNode {
                 self.handle.telemetry().counter("net.blocks_orphaned").inc();
                 self.request_block(ctx, parent);
             }
+            BlockReceipt::Dropped => {
+                self.handle.telemetry().counter("net.blocks_dropped").inc();
+                self.request_block(ctx, parent);
+            }
             BlockReceipt::Known => {
                 self.handle.telemetry().counter("net.blocks_known").inc();
             }

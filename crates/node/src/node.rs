@@ -234,12 +234,6 @@ impl NodeConfigBuilder {
         })
     }
 
-    /// Installs a fully specified mining setup.
-    pub fn miner_setup(mut self, setup: MinerSetup) -> Self {
-        self.config.miner = Some(setup);
-        self
-    }
-
     /// Makes this node mine with `policy` (default schedule and
     /// coinbase; refine with [`NodeConfigBuilder::schedule`] and
     /// [`NodeConfigBuilder::coinbase`]).
@@ -309,17 +303,15 @@ impl NodeConfigBuilder {
         self
     }
 
-    /// Switches telemetry on or off, keeping the rest of its config.
-    pub fn telemetry_enabled(mut self, enabled: bool) -> Self {
-        self.config.telemetry.enabled = enabled;
-        self
-    }
-
     /// Finishes the configuration.
     pub fn build(self) -> NodeConfig {
         self.config
     }
 }
+
+/// Most blocks the orphan stash holds. An orphan that arrives when it is
+/// full is dropped and counted on `node.orphans_dropped`.
+const ORPHAN_CAP: usize = 1_024;
 
 /// The lock-protected node state: what writers (mining's import, block
 /// imports, orphan retry) change and the historical reads that need the
@@ -327,8 +319,9 @@ impl NodeConfigBuilder {
 pub struct NodeInner {
     /// Chain store (canonical chain + side chains).
     pub chain: ChainStore,
-    /// Blocks whose parents have not arrived yet.
-    orphans: Vec<Block>,
+    /// Blocks whose parents have not arrived yet, each once, with its
+    /// hash, in arrival order.
+    orphans: Vec<(H256, Block)>,
 }
 
 /// The canonical head as readers see it: everything a head read needs,
@@ -386,7 +379,7 @@ impl StateReader {
     }
 
     /// Consumes the reader into its view (the pin travels along).
-    pub fn into_view(self) -> StateView {
+    fn into_view(self) -> StateView {
         self.view
     }
 
@@ -404,8 +397,12 @@ pub enum BlockReceipt {
     Imported,
     /// Already known; do not forward again.
     Known,
-    /// Parent unknown; stashed for retry, not forwarded yet.
+    /// Parent unknown; stashed for retry (or already stashed), not
+    /// forwarded yet.
     Orphaned,
+    /// Parent unknown and the orphan stash full; not kept, not forwarded.
+    /// Pull the parent anyway: its import drains the stash.
+    Dropped,
     /// Validation failed; dropped.
     Rejected,
 }
@@ -634,7 +631,7 @@ impl NodeHandle {
     pub fn orphan_parents(&self) -> Vec<H256> {
         let inner = self.lock();
         let mut parents = Vec::new();
-        for block in &inner.orphans {
+        for (_, block) in &inner.orphans {
             let parent = block.header.parent_hash;
             if inner.chain.get(&parent).is_none() && !parents.contains(&parent) {
                 parents.push(parent);
@@ -704,14 +701,6 @@ impl NodeHandle {
         StateReader { height: head.header.number, view: head.view.clone() }
     }
 
-    /// Opens an epoch-pinned read transaction at a historical canonical
-    /// `height` — `None` when the height does not exist or was pruned
-    /// below the durable backend's retention floor. This one needs the
-    /// chain, so it takes the node lock once.
-    pub fn state_reader_at(&self, height: u64) -> Option<StateReader> {
-        self.lock().chain.state_view_at(height).map(|view| StateReader { height, view })
-    }
-
     /// Issues the two read-only calls `mark(...)` and `get(...)` against
     /// the contract, answered at the node's configured
     /// [`IsolationLevel`]. Returns `(mark, value)`.
@@ -743,11 +732,6 @@ impl NodeHandle {
     /// clients log for the offline dirty-read audit.
     pub fn query_observed(&self, caller: Address) -> Option<IsoObservation> {
         self.query_observed_inner(None, caller)
-    }
-
-    /// [`NodeHandle::query_observed`] against an explicit contract.
-    pub fn query_observed_for(&self, contract: Address, caller: Address) -> Option<IsoObservation> {
-        self.query_observed_inner(Some(contract), caller)
     }
 
     /// The read path behind every query entry point. It clones the
@@ -825,7 +809,8 @@ impl NodeHandle {
     /// unblocks.
     pub fn receive_block(&self, block: Block) -> BlockReceipt {
         let mut inner = self.lock();
-        match self.import(&mut inner, block.hash(), |chain| chain.import(block.clone())) {
+        let hash = block.hash();
+        match self.import(&mut inner, hash, |chain| chain.import(block.clone())) {
             Ok(ImportOutcome::AlreadyKnown) => BlockReceipt::Known,
             // A Store error still imported the block in memory: keep
             // serving (and forwarding) from memory.
@@ -834,10 +819,15 @@ impl NodeHandle {
                 BlockReceipt::Imported
             }
             Err(ImportError::UnknownParent) => {
-                if inner.orphans.len() < 1024 {
-                    inner.orphans.push(block);
+                if inner.orphans.iter().any(|(stashed, _)| *stashed == hash) {
+                    BlockReceipt::Orphaned
+                } else if inner.orphans.len() < ORPHAN_CAP {
+                    inner.orphans.push((hash, block));
+                    BlockReceipt::Orphaned
+                } else {
+                    self.telemetry.counter("node.orphans_dropped").inc();
+                    BlockReceipt::Dropped
                 }
-                BlockReceipt::Orphaned
             }
             Err(ImportError::Invalid(_)) => BlockReceipt::Rejected,
         }
@@ -894,9 +884,9 @@ impl NodeHandle {
     fn retry_orphans(&self, inner: &mut NodeInner) {
         loop {
             let mut progressed = false;
-            for block in std::mem::take(&mut inner.orphans) {
-                match self.import(inner, block.hash(), |chain| chain.import(block.clone())) {
-                    Err(ImportError::UnknownParent) => inner.orphans.push(block),
+            for (hash, block) in std::mem::take(&mut inner.orphans) {
+                match self.import(inner, hash, |chain| chain.import(block.clone())) {
+                    Err(ImportError::UnknownParent) => inner.orphans.push((hash, block)),
                     Ok(ImportOutcome::AlreadyKnown) | Err(ImportError::Invalid(_)) => {}
                     // Stored, canonical or not (a Store error still
                     // imported it in memory): its descendants may import.
@@ -1218,11 +1208,10 @@ mod tests {
         assert_eq!(reader.view().pinned_epoch(), Some(1), "head reader pins the head epoch");
 
         let before = lock_count(&node);
-        let at_genesis = node.state_reader_at(0).expect("genesis is canonical");
-        assert_eq!(lock_count(&node) - before, 1, "state_reader_at is one lock");
-        assert_eq!(at_genesis.height(), 0);
-        assert_eq!(at_genesis.view().pinned_epoch(), Some(0), "historical reader pins its epoch");
-        assert_eq!(at_genesis.view().nonce_of(&owner.address()), 0, "reader is frozen at its epoch");
+        let at_genesis = node.with_inner(|inner| inner.chain.state_view_at(0)).expect("genesis is canonical");
+        assert_eq!(lock_count(&node) - before, 1, "a historical read is one lock");
+        assert_eq!(at_genesis.pinned_epoch(), Some(0), "historical view pins its epoch");
+        assert_eq!(at_genesis.nonce_of(&owner.address()), 0, "view is frozen at its epoch");
     }
 
     #[test]
@@ -1490,6 +1479,43 @@ mod tests {
         assert_eq!(follower.head_number(), 2, "orphan retried after parent");
     }
 
+    /// A mined block with `parent_hash` changed to `parent`: an orphan
+    /// that `ChainStore::import` refuses as `UnknownParent` before any
+    /// replay, so a stash full of them is cheap to build.
+    fn orphan_of(block: &Block, parent: u64) -> Block {
+        let mut orphan = block.clone();
+        orphan.header.parent_hash = H256::from_low_u64(parent);
+        orphan
+    }
+
+    #[test]
+    fn a_full_orphan_stash_drops_and_counts_the_next_orphan() {
+        let owner = SecretKey::from_label(1);
+        let block = node(ClientKind::Geth, &owner, true).mine(15_000).unwrap();
+        let follower = node(ClientKind::Geth, &owner, false);
+        for parent in 1..=ORPHAN_CAP as u64 {
+            assert_eq!(follower.receive_block(orphan_of(&block, parent)), BlockReceipt::Orphaned);
+        }
+        let last = orphan_of(&block, ORPHAN_CAP as u64 + 1);
+        assert_eq!(follower.receive_block(last), BlockReceipt::Dropped);
+        let snapshot = follower.telemetry_snapshot();
+        assert_eq!(snapshot.counters["node.orphans_dropped"], 1);
+        assert_eq!(snapshot.histograms["phase.validate"].count(), 0, "no orphan was replayed");
+        assert_eq!(follower.orphan_parents().len(), ORPHAN_CAP);
+    }
+
+    #[test]
+    fn a_repeated_orphan_is_stashed_once() {
+        let owner = SecretKey::from_label(1);
+        let block = node(ClientKind::Geth, &owner, true).mine(15_000).unwrap();
+        let follower = node(ClientKind::Geth, &owner, false);
+        for _ in 0..ORPHAN_CAP {
+            assert_eq!(follower.receive_block(orphan_of(&block, 1)), BlockReceipt::Orphaned);
+        }
+        assert_eq!(follower.receive_block(orphan_of(&block, 2)), BlockReceipt::Orphaned);
+        assert_eq!(follower.orphan_parents(), vec![H256::from_low_u64(1), H256::from_low_u64(2)]);
+    }
+
     #[test]
     fn telemetry_reads_take_zero_node_locks() {
         // Metrics consumers, readers and submitters must never contend
@@ -1544,7 +1570,7 @@ mod tests {
             test_genesis(&owner),
             NodeConfig::miner(default_contract_address(), MinerPolicy::Standard)
                 .coinbase(Address::from_low_u64(0xc01))
-                .telemetry_enabled(false)
+                .telemetry(TelemetryConfig { enabled: false })
                 .build(),
         );
         assert!(node.receive_tx(set_tx(&owner, 0, genesis_mark(), 75), 100));
@@ -1695,10 +1721,12 @@ mod tests {
 
             let observation = node.query_observed(owner.address()).unwrap();
             assert_eq!(observation.height, nonce + 1);
-            let reader = node.state_reader_at(observation.height).expect("canonical height");
+            let view = node
+                .with_inner(|inner| inner.chain.state_view_at(observation.height))
+                .expect("canonical height");
             assert_eq!(
                 (observation.mark, observation.value),
-                committed_amv(reader.view(), &default_contract_address())
+                committed_amv(&view, &default_contract_address())
             );
             assert_eq!((observation.mark, observation.value), (mark, H256::from_low_u64(value)));
         }

@@ -140,15 +140,6 @@ impl RunMetrics {
         (self.buys_succeeded + self.sets_succeeded) as f64 / included as f64
     }
 
-    /// Efficiency of sets (the paper reports this is 1.0 — "all of the
-    /// sets succeed").
-    pub fn eta_sets(&self) -> f64 {
-        if self.sets_submitted == 0 {
-            return 0.0;
-        }
-        self.sets_succeeded as f64 / self.sets_submitted as f64
-    }
-
     /// Raw throughput in transactions per second (included transactions).
     pub fn raw_throughput_tps(&self) -> f64 {
         if self.duration_ms == 0 {
@@ -237,7 +228,6 @@ mod tests {
             reads: vec![],
         };
         assert!((metrics.eta_buys() - 0.4).abs() < 1e-12);
-        assert!((metrics.eta_sets() - 1.0).abs() < 1e-12);
         assert!((metrics.eta_included() - 50.0 / 90.0).abs() < 1e-12);
         assert!((metrics.raw_throughput_tps() - 9.0).abs() < 1e-12);
         assert!((metrics.state_throughput_tps() - 5.0).abs() < 1e-12);
@@ -247,7 +237,6 @@ mod tests {
     fn zero_division_guards() {
         let metrics = RunMetrics::default();
         assert_eq!(metrics.eta_buys(), 0.0);
-        assert_eq!(metrics.eta_sets(), 0.0);
         assert_eq!(metrics.eta_included(), 0.0);
         assert_eq!(metrics.raw_throughput_tps(), 0.0);
         assert_eq!(metrics.state_throughput_tps(), 0.0);

@@ -88,7 +88,7 @@ pub struct SnapshotRecord {
 
 /// Sequential byte writer for record payloads.
 #[derive(Debug, Default)]
-pub struct Encoder {
+struct Encoder {
     buf: Vec<u8>,
 }
 
@@ -135,7 +135,7 @@ impl Encoder {
 
 /// Sequential byte reader for record payloads.
 #[derive(Debug)]
-pub struct Decoder<'a> {
+struct Decoder<'a> {
     data: &'a [u8],
     pos: usize,
 }

@@ -231,16 +231,6 @@ impl DurableStore {
         &self.options
     }
 
-    /// Epochs of the snapshots currently on disk, ascending.
-    pub fn snapshot_epochs(&self) -> &[u64] {
-        &self.snapshots
-    }
-
-    /// Number of journal segment files currently on disk.
-    pub fn segment_count(&self) -> usize {
-        self.sealed.len() + 1
-    }
-
     fn rotate(&mut self) -> Result<(), StoreError> {
         if self.active_len == 0 {
             return Ok(());
@@ -421,13 +411,13 @@ mod tests {
         for epoch in 1..=6 {
             store.record_block(&tiny_block_record(epoch)).unwrap();
         }
-        assert!(store.segment_count() >= 6, "one record per segment");
+        assert!(store.sealed.len() + 1 >= 6, "one record per segment");
 
         // Snapshot at 6, history 2 → floor 4, and the only snapshot at or
         // below 4 is genesis: nothing can be deleted yet.
         let base = store.apply_snapshot(tiny_snapshot(6)).unwrap().unwrap();
         assert_eq!(base, 0);
-        assert_eq!(store.snapshot_epochs(), &[0, 6]);
+        assert_eq!(store.snapshots, &[0, 6]);
         assert!(segment_path(&dir, 0).exists(), "early segments retained while base is 0");
 
         // Snapshot at 12, history 2 → floor 10 → retention base moves to
@@ -438,7 +428,7 @@ mod tests {
         }
         let base = store.apply_snapshot(tiny_snapshot(12)).unwrap().unwrap();
         assert_eq!(base, 6);
-        assert_eq!(store.snapshot_epochs(), &[6, 12]);
+        assert_eq!(store.snapshots, &[6, 12]);
         assert!(!segment_path(&dir, 0).exists(), "stale segments deleted");
         assert!(!snapshot_path(&dir, 0).exists());
 
@@ -461,7 +451,7 @@ mod tests {
         }
         let base = store.apply_snapshot(tiny_snapshot(5)).unwrap().unwrap();
         assert_eq!(base, 0, "pin at 0 holds the retention base at snapshot 0");
-        assert_eq!(store.snapshot_epochs(), &[0, 5]);
+        assert_eq!(store.snapshots, &[0, 5]);
         drop(guard);
 
         for epoch in 6..=9 {
@@ -469,7 +459,7 @@ mod tests {
         }
         let base = store.apply_snapshot(tiny_snapshot(9)).unwrap().unwrap();
         assert_eq!(base, 5, "unpinned: floor 9-2=7 → newest snapshot ≤ 7 is 5");
-        assert_eq!(store.snapshot_epochs(), &[5, 9]);
+        assert_eq!(store.snapshots, &[5, 9]);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -37,7 +37,7 @@ impl HistogramSnapshot {
     /// The `q`-quantile (0 ≤ q ≤ 1) in nanoseconds, linearly
     /// interpolated inside the containing bucket; overflow-bucket hits
     /// report the last finite bound. Returns 0 when empty.
-    pub fn quantile_ns(&self, q: f64) -> f64 {
+    fn quantile_ns(&self, q: f64) -> f64 {
         let count = self.count();
         if count == 0 {
             return 0.0;

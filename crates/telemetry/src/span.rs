@@ -198,7 +198,7 @@ impl Telemetry {
     }
 
     /// The retained block traces, oldest first.
-    pub fn block_traces(&self) -> Vec<BlockTrace> {
+    fn block_traces(&self) -> Vec<BlockTrace> {
         self.blocks.lock().iter().cloned().collect()
     }
 

@@ -9,7 +9,7 @@
 use bytes::Bytes;
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
-use sereth_crypto::rlp::{RlpError, RlpReader, RlpStream};
+use sereth_crypto::rlp::RlpStream;
 use sereth_crypto::sig::{SecretKey, Signature};
 
 use crate::u256::U256;
@@ -49,38 +49,8 @@ impl TxPayload {
             .finish()
     }
 
-    /// Decodes a payload previously produced by [`TxPayload::rlp_encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`RlpError`] on malformed or non-canonical input.
-    pub fn rlp_decode(bytes: &[u8]) -> Result<Self, RlpError> {
-        let mut outer = RlpReader::new(bytes);
-        let mut list = outer.read_list()?;
-        let nonce = list.read_u64()?;
-        let gas_price = list.read_u64()?;
-        let gas_limit = list.read_u64()?;
-        let to_raw = list.read_bytes()?;
-        let to = match to_raw.len() {
-            0 => None,
-            20 => Some(Address::from_slice(to_raw).expect("length checked")),
-            _ => return Err(RlpError::BadInteger),
-        };
-        let value_raw = list.read_bytes()?;
-        if value_raw.len() != 32 {
-            return Err(RlpError::BadInteger);
-        }
-        let mut value_bytes = [0u8; 32];
-        value_bytes.copy_from_slice(value_raw);
-        let value = U256::from_be_bytes(value_bytes);
-        let input = Bytes::copy_from_slice(list.read_bytes()?);
-        list.finish()?;
-        outer.finish()?;
-        Ok(Self { nonce, gas_price, gas_limit, to, value, input })
-    }
-
     /// The digest a sender signs: keccak of the canonical payload encoding.
-    pub fn sighash(&self) -> H256 {
+    fn sighash(&self) -> H256 {
         H256::keccak(&self.rlp_encode())
     }
 }
@@ -192,6 +162,7 @@ impl Transaction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sereth_crypto::hash::encode_hex as hex;
 
     fn sample_payload(nonce: u64) -> TxPayload {
         TxPayload {
@@ -204,19 +175,32 @@ mod tests {
         }
     }
 
+    /// A six-item list: nonce, gas price, gas limit, the 20-byte callee
+    /// (empty for a creation), the 32-byte value and the calldata.
     #[test]
-    fn payload_rlp_round_trip() {
+    fn payload_rlp_encoding_is_pinned() {
         let payload = sample_payload(3);
-        let decoded = TxPayload::rlp_decode(&payload.rlp_encode()).unwrap();
-        assert_eq!(decoded, payload);
+        assert_eq!(
+            hex(&payload.rlp_encode()),
+            "f8460314830186a0940000000000000000000000000000000000c0ffee\
+             a00000000000000000000000000000000000000000000000000000000000000007\
+             890102030468656c6c6f"
+        );
+        let creation = TxPayload { to: None, ..payload };
+        assert_eq!(
+            hex(&creation.rlp_encode()),
+            "f20314830186a080\
+             a00000000000000000000000000000000000000000000000000000000000000007\
+             890102030468656c6c6f"
+        );
     }
 
     #[test]
-    fn creation_payload_round_trip() {
-        let mut payload = sample_payload(0);
-        payload.to = None;
-        let decoded = TxPayload::rlp_decode(&payload.rlp_encode()).unwrap();
-        assert_eq!(decoded, payload);
+    fn sighash_is_pinned() {
+        assert_eq!(
+            sample_payload(3).sighash().to_hex(),
+            "0x323743053d1fe75d46ad1c75e145342e9da010028d343f29a29181b3a720d0f2"
+        );
     }
 
     #[test]
@@ -258,11 +242,5 @@ mod tests {
         let sig_b = Transaction::sign(payload.clone(), &SecretKey::from_label(2));
         assert_eq!(sig_a.payload().sighash(), sig_b.payload().sighash());
         assert_eq!(payload.sighash(), sig_a.payload().sighash());
-    }
-
-    #[test]
-    fn rlp_decode_rejects_garbage() {
-        assert!(TxPayload::rlp_decode(b"not rlp at all").is_err());
-        assert!(TxPayload::rlp_decode(&[]).is_err());
     }
 }

@@ -48,16 +48,6 @@ impl U256 {
     /// The maximum value, 2²⁵⁶ − 1.
     pub const MAX: Self = Self([u64::MAX; 4]);
 
-    /// Constructs from little-endian limbs.
-    pub const fn from_limbs(limbs: [u64; 4]) -> Self {
-        Self(limbs)
-    }
-
-    /// The little-endian limbs.
-    pub const fn limbs(&self) -> [u64; 4] {
-        self.0
-    }
-
     /// Returns `true` if the value is zero.
     pub fn is_zero(&self) -> bool {
         self.0 == [0, 0, 0, 0]
@@ -376,7 +366,7 @@ impl U256 {
     }
 
     /// Number of leading zero bits.
-    pub fn leading_zeros(&self) -> u32 {
+    fn leading_zeros(&self) -> u32 {
         for i in (0..4).rev() {
             if self.0[i] != 0 {
                 return self.0[i].leading_zeros() + 64 * (3 - i as u32);
@@ -722,7 +712,7 @@ mod tests {
     #[test]
     fn shifts() {
         assert_eq!(U256::ONE << 0, U256::ONE);
-        assert_eq!((U256::ONE << 64).limbs(), [0, 1, 0, 0]);
+        assert_eq!((U256::ONE << 64).0, [0, 1, 0, 0]);
         assert_eq!((U256::ONE << 255) >> 255, U256::ONE);
         assert_eq!(U256::ONE << 256, U256::ZERO);
         assert_eq!(U256::MAX >> 256, U256::ZERO);
@@ -732,7 +722,7 @@ mod tests {
     #[test]
     fn shift_across_limb_boundaries() {
         let v = U256::from(u64::MAX);
-        assert_eq!((v << 32).limbs(), [0xffff_ffff_0000_0000, 0xffff_ffff, 0, 0]);
+        assert_eq!((v << 32).0, [0xffff_ffff_0000_0000, 0xffff_ffff, 0, 0]);
         assert_eq!((v << 32) >> 32, v);
     }
 

@@ -28,23 +28,6 @@ pub fn encode_call(sel: Selector, words: &[H256]) -> Bytes {
     Bytes::from(out)
 }
 
-/// Splits calldata into its selector and argument words.
-///
-/// Returns `None` if the data is shorter than a selector or if the argument
-/// region is not a whole number of words.
-pub fn decode_call(calldata: &[u8]) -> Option<(Selector, Vec<H256>)> {
-    if calldata.len() < 4 || !(calldata.len() - 4).is_multiple_of(32) {
-        return None;
-    }
-    let mut sel = [0u8; 4];
-    sel.copy_from_slice(&calldata[..4]);
-    let words = calldata[4..]
-        .chunks_exact(32)
-        .map(|chunk| H256::from_slice(chunk).expect("exact 32-byte chunk"))
-        .collect();
-    Some((sel, words))
-}
-
 /// Reads argument word `index` from calldata without fully decoding.
 pub fn arg_word(calldata: &[u8], index: usize) -> Option<H256> {
     let start = 4 + 32 * index;
@@ -86,6 +69,23 @@ pub fn decode_word(data: &[u8]) -> Option<H256> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Splits calldata into its selector and argument words.
+    ///
+    /// Returns `None` if the data is shorter than a selector or if the argument
+    /// region is not a whole number of words.
+    fn decode_call(calldata: &[u8]) -> Option<(Selector, Vec<H256>)> {
+        if calldata.len() < 4 || !(calldata.len() - 4).is_multiple_of(32) {
+            return None;
+        }
+        let mut sel = [0u8; 4];
+        sel.copy_from_slice(&calldata[..4]);
+        let words = calldata[4..]
+            .chunks_exact(32)
+            .map(|chunk| H256::from_slice(chunk).expect("exact 32-byte chunk"))
+            .collect();
+        Some((sel, words))
+    }
 
     #[test]
     fn selector_is_first_four_keccak_bytes() {

@@ -197,11 +197,6 @@ impl<'a, B: ReadStorage + ?Sized> OverlayStorage<'a, B> {
             undo: Vec::new(),
         }
     }
-
-    /// Number of overlaid (written) storage slots.
-    pub fn written_slots(&self) -> usize {
-        self.slots.len()
-    }
 }
 
 impl<B: ReadStorage + ?Sized> Storage for OverlayStorage<'_, B> {
@@ -460,7 +455,7 @@ mod tests {
         // Writes land only in the overlay.
         overlay.storage_set(&addr, H256::from_low_u64(1), H256::from_low_u64(9));
         assert_eq!(overlay.storage_get(&addr, &H256::from_low_u64(1)), H256::from_low_u64(9));
-        assert_eq!(overlay.written_slots(), 1);
+        assert_eq!(overlay.slots.len(), 1);
         drop(overlay);
         assert_eq!(base.0.storage_get(&addr, &H256::from_low_u64(1)), H256::from_low_u64(7));
     }

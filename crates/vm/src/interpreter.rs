@@ -8,10 +8,6 @@
 //! full depth limit without exhausting the thread stack. A child's failure
 //! rolls back only its own writes (via the storage checkpoint taken when
 //! the call began).
-//!
-//! Execution takes an `Observer` that sees the root frame before each
-//! instruction; [`crate::trace`] records its steps through it, and every
-//! other caller passes `()`, which compiles to nothing.
 
 use bytes::Bytes;
 use sereth_crypto::keccak::keccak256;
@@ -34,20 +30,7 @@ const STACK_LIMIT: usize = 1024;
 /// (the caller decides whether to roll back state). Storage writes are
 /// applied eagerly — run under a journaled storage if rollback is needed.
 pub fn execute(code: &[u8], env: &CallEnv, storage: &mut dyn Storage, gas_limit: u64) -> CallOutcome {
-    execute_owned(Bytes::copy_from_slice(code), env.clone(), storage, gas_limit, &mut ())
-}
-
-/// A per-instruction hook on the root frame, called before the byte at
-/// `pc` is decoded (so an invalid byte is observed too) with the gas
-/// remaining and the stack at that point. Child frames are not observed.
-pub(crate) trait Observer {
-    fn step(&mut self, pc: usize, byte: u8, gas_remaining: u64, stack: &[U256]);
-}
-
-/// The production observer: sees nothing, costs nothing.
-impl Observer for () {
-    #[inline(always)]
-    fn step(&mut self, _pc: usize, _byte: u8, _gas_remaining: u64, _stack: &[U256]) {}
+    execute_owned(Bytes::copy_from_slice(code), env.clone(), storage, gas_limit)
 }
 
 /// What a frame's inner loop produced when it yielded.
@@ -78,22 +61,17 @@ enum BeginCall {
     Descend(Box<Frame>, PendingCall),
 }
 
-/// [`execute`] without the defensive copy (`Bytes` is reference-counted),
-/// reporting the root frame's instructions to `observer`.
-pub(crate) fn execute_owned<O: Observer>(
+/// [`execute`] without the defensive copy (`Bytes` is reference-counted).
+pub(crate) fn execute_owned(
     code: Bytes,
     env: CallEnv,
     storage: &mut dyn Storage,
     gas_limit: u64,
-    observer: &mut O,
 ) -> CallOutcome {
     let mut suspended: Vec<(Frame, PendingCall)> = Vec::new();
     let mut current = Frame::new(code, env, gas_limit);
     loop {
-        // Only the root frame is observed.
-        let ran =
-            if suspended.is_empty() { current.run(storage, observer) } else { current.run(storage, &mut ()) };
-        let mut finished = match ran {
+        let mut finished = match current.run(storage) {
             Ok(RunOutcome::SubCall { request, out_offset, out_len }) => {
                 match begin_subcall(&mut current, request, out_offset, out_len, storage) {
                     Ok(BeginCall::Immediate) => continue,
@@ -299,17 +277,12 @@ impl Frame {
 
     /// Runs instructions until the frame halts or suspends on a sub-call.
     /// Resumable: the driver calls it again after absorbing the child.
-    fn run<O: Observer>(
-        &mut self,
-        storage: &mut dyn Storage,
-        observer: &mut O,
-    ) -> Result<RunOutcome, VmError> {
+    fn run(&mut self, storage: &mut dyn Storage) -> Result<RunOutcome, VmError> {
         loop {
             let Some(&byte) = self.code.get(self.pc) else {
                 // Running off the end of code is an implicit STOP.
                 return Ok(RunOutcome::Done(Bytes::new()));
             };
-            observer.step(self.pc, byte, self.gas.remaining(), &self.stack);
             let op = Opcode::from_byte(byte).ok_or(VmError::InvalidOpcode { byte })?;
             self.gas.charge(gas::static_cost(op))?;
             self.pc += 1;

@@ -10,7 +10,6 @@
 //!   economics;
 //! * [`abi`] — selectors and 32-byte-word argument coding (the FPV triple);
 //! * [`exec`] — call environments, storage access, native contracts;
-//! * [`trace`] — a step-by-step record of a run, for debugging;
 //! * [`raa`] — the interpreter hook that lets an external data service
 //!   rewrite the arguments of read-only calls before execution.
 //!
@@ -46,7 +45,6 @@ pub mod interpreter;
 pub mod opcode;
 pub mod raa;
 mod subcall;
-pub mod trace;
 
 pub use abi::Selector;
 pub use error::VmError;

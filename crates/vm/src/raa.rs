@@ -144,9 +144,7 @@ pub fn execute_call(
             gas_used: 0,
             logs: Vec::new(),
         },
-        ContractCode::Bytecode(bytes) => {
-            interpreter::execute_owned(bytes.clone(), env, storage, gas_limit, &mut ())
-        }
+        ContractCode::Bytecode(bytes) => interpreter::execute_owned(bytes.clone(), env, storage, gas_limit),
         ContractCode::Native(native) => subcall::run_native(native.as_ref(), &env, storage, gas_limit),
     }
 }

@@ -145,24 +145,6 @@ proptest! {
         }
     }
 
-    /// Tracing does not perturb execution: for arbitrary code the traced
-    /// run agrees with the untraced one on status, gas, return data, and
-    /// logs.
-    #[test]
-    fn tracer_matches_interpreter(code in proptest::collection::vec(any::<u8>(), 0..256),
-                                  calldata in proptest::collection::vec(any::<u8>(), 0..64)) {
-        use sereth_vm::trace::trace;
-        let env = env_with(calldata);
-        let mut storage_trace = MemStorage::new();
-        let mut storage_real = MemStorage::new();
-        let traced = trace(&code, &env, &mut storage_trace, 100_000, usize::MAX >> 1);
-        let real = execute(&code, &env, &mut storage_real, 100_000);
-        prop_assert_eq!(traced.outcome.status, real.status);
-        prop_assert_eq!(traced.outcome.gas_used, real.gas_used);
-        prop_assert_eq!(traced.outcome.return_data, real.return_data);
-        prop_assert_eq!(traced.outcome.logs, real.logs);
-    }
-
     /// Gas usage is monotone in work: running the same loop for more
     /// iterations costs strictly more gas.
     #[test]
