@@ -5,11 +5,11 @@
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
-use sereth_crypto::merkle::merkle_root;
+use sereth_crypto::merkle::{merkle_root, MerkleLevels};
 use sereth_crypto::rlp::RlpStream;
 use sereth_store::EpochGuard;
 use sereth_types::u256::U256;
@@ -98,20 +98,52 @@ impl Leaf {
 /// The accounts whose address starts with one byte.
 type Shard = BTreeMap<Address, Arc<Leaf>>;
 
+/// The positional Merkle tree over an account map's leaf hashes, kept by
+/// the newest state of a lineage only.
+enum Levels {
+    /// None yet: a new map, or a clone of one that held none.
+    Empty,
+    /// Every level as of the last root, with the shards it was taken
+    /// over; a shard still `Arc::ptr_eq` with its entry here is unchanged
+    /// since.
+    Held { shards: Box<[Arc<Shard>; 256]>, tree: MerkleLevels },
+    /// Taken by a clone: this map is an ancestor and caches nothing.
+    Moved,
+}
+
 /// The persistent account map both [`StateDb`] and [`StateView`] hang off:
 /// 256 copy-on-write shards keyed by the first address byte, `Arc` per
 /// shard and per account. Sharing the map is O(1); the first write after
 /// a share copies the 256-pointer table, then each shard it touches, then
 /// each account. Reading the shards in order visits every address in
 /// order.
-#[derive(Clone)]
+///
+/// The map also keeps the [`Levels`] of its state root. Only the newest
+/// state of a lineage holds them: the clone that the first write after a
+/// share makes (`Arc::make_mut`, whose writer is always the newer state)
+/// takes them and leaves the original `Moved`, so no stored block keeps
+/// a copy. A second child of one parent finds it `Moved` and rebuilds.
 struct Accounts {
     shards: [Arc<Shard>; 256],
+    levels: Mutex<Levels>,
 }
 
 impl Default for Accounts {
     fn default() -> Self {
-        Self { shards: std::array::from_fn(|_| Arc::default()) }
+        Self { shards: std::array::from_fn(|_| Arc::default()), levels: Mutex::new(Levels::Empty) }
+    }
+}
+
+impl Clone for Accounts {
+    /// Shares every shard and takes the original's levels: it becomes an
+    /// ancestor, which caches nothing.
+    fn clone(&self) -> Self {
+        let mut levels = self.levels.lock().unwrap_or_else(PoisonError::into_inner);
+        let taken = match &*levels {
+            Levels::Held { .. } => std::mem::replace(&mut *levels, Levels::Moved),
+            Levels::Empty | Levels::Moved => Levels::Empty,
+        };
+        Self { shards: self.shards.clone(), levels: Mutex::new(taken) }
     }
 }
 
@@ -148,11 +180,65 @@ impl Accounts {
         self.shards.iter().all(|shard| shard.is_empty())
     }
 
-    /// A Merkle root over the account hashes in address order; only
-    /// leaves whose memo is empty are hashed.
+    /// Every leaf hash in address order; only leaves whose memo is empty
+    /// are hashed.
+    fn leaf_hashes(&self) -> Vec<H256> {
+        self.iter().map(|(address, leaf)| leaf.hash(address)).collect()
+    }
+
+    /// A Merkle root over the account hashes in address order.
+    ///
+    /// A map holding [`Levels`] compares the leaf hashes of the shards
+    /// that changed since its last root with the cached leaf level, and
+    /// rehashes only the ancestors of the leaves that differ; a shard
+    /// that grew or shrank shifts every later position, so it rebuilds
+    /// the tree. A map with none builds and keeps them. An ancestor
+    /// (`Moved`) hashes every interior level, outside the lock, and
+    /// keeps nothing.
     fn root(&self) -> H256 {
-        let leaves: Vec<H256> = self.iter().map(|(address, leaf)| leaf.hash(address)).collect();
-        merkle_root(&leaves)
+        let mut levels = self.levels.lock().unwrap_or_else(PoisonError::into_inner);
+        // Left `Moved` until the new levels are in, so a panic midway
+        // leaves a map that caches nothing rather than a stale tree.
+        let tree = match std::mem::replace(&mut *levels, Levels::Moved) {
+            Levels::Moved => {
+                drop(levels);
+                return merkle_root(&self.leaf_hashes());
+            }
+            Levels::Empty => MerkleLevels::new(self.leaf_hashes()),
+            Levels::Held { shards, mut tree } => match self.changed_leaves(&shards, tree.leaves()) {
+                Some(changed) => {
+                    tree.update(changed);
+                    tree
+                }
+                None => MerkleLevels::new(self.leaf_hashes()),
+            },
+        };
+        let root = tree.root();
+        *levels = Levels::Held { shards: Box::new(self.shards.clone()), tree };
+        root
+    }
+
+    /// The `(position, hash)` of every leaf whose hash differs from
+    /// `cached`, the leaf level of a tree over `held`, skipping the shards
+    /// still shared with `held`; `None` when a shard's length changed.
+    fn changed_leaves(&self, held: &[Arc<Shard>; 256], cached: &[H256]) -> Option<Vec<(usize, H256)>> {
+        let mut changed = Vec::new();
+        let mut offset = 0;
+        for (shard, old) in self.shards.iter().zip(held) {
+            if !Arc::ptr_eq(shard, old) {
+                if shard.len() != old.len() {
+                    return None;
+                }
+                for (position, (address, leaf)) in (offset..).zip(shard.iter()) {
+                    let hash = leaf.hash(address);
+                    if hash != cached[position] {
+                        changed.push((position, hash));
+                    }
+                }
+            }
+            offset += shard.len();
+        }
+        Some(changed)
     }
 }
 
@@ -511,6 +597,10 @@ impl StateDb {
     /// Deterministic commitment to the entire state: a Merkle root over the
     /// sorted account hashes (see `DESIGN.md` §7 for the trie substitution).
     /// Only accounts written since their hash was last read are rehashed.
+    /// The newest state of a lineage also keeps the tree's interior levels,
+    /// so its root rehashes only the paths above the accounts written since
+    /// its parent's root; an ancestor, or a second child of one parent,
+    /// rehashes every interior level. Either way the root is the same.
     pub fn state_root(&self) -> H256 {
         self.accounts.root()
     }

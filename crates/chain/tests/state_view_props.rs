@@ -10,8 +10,12 @@
 //! The oracle's root is hashed from its copied accounts with
 //! [`Account::account_hash`] and [`merkle_root`], never read from the
 //! state, so a leaf hash memo that a write or a revert left stale fails
-//! here. Addresses spread over many of the account map's 256 shards
-//! (keyed by the first address byte), several to a shard.
+//! here, and so does a cached Merkle level: the newest state keeps the
+//! levels of its root, a fork (a second child of a captured view)
+//! rebuilds them, and a root of a captured view fills shared leaf memos
+//! through a map that may hold none. Addresses spread over many of the
+//! account map's 256 shards (keyed by the first address byte), several
+//! to a shard.
 
 use std::collections::BTreeMap;
 
@@ -43,19 +47,38 @@ enum Op {
     /// Capture a `StateView` plus its eager-copy oracle and the live
     /// state's root, which fills every leaf's hash memo.
     TakeView,
+    /// Capture as `TakeView` does, without rooting the live state first:
+    /// the leaves it wrote since its last root are shared with empty
+    /// memos, which a later `RootView` fills through the view's map.
+    ShareView,
+    /// Continue the live state as `StateDb::from(&view)` of capture `i`
+    /// (modulo the captures so far; no-op if none): a second child of a
+    /// state that may already have one. The journal starts empty.
+    Fork(u8),
+    /// Root the newest captured view mid-run, checked against its oracle.
+    RootView,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
+    ops_on(any::<u8>)
+}
+
+/// Every op, with the account numbers the mutations take drawn from
+/// `account()`.
+fn ops_on<A: Strategy<Value = u8> + 'static>(account: impl Fn() -> A) -> impl Strategy<Value = Op> {
     prop_oneof![
-        (any::<u8>(), any::<u64>()).prop_map(|(a, v)| Op::Credit(a, v % 1_000_000)),
-        (any::<u8>(), any::<u64>()).prop_map(|(a, v)| Op::Debit(a, v % 1_000_000)),
-        (any::<u8>(), any::<u64>()).prop_map(|(a, v)| Op::SetNonce(a, v % 100)),
-        (any::<u8>(), any::<u8>()).prop_map(|(a, b)| Op::SetCode(a, b)),
-        (any::<u8>(), any::<u8>(), any::<u64>()).prop_map(|(a, k, v)| Op::Store(a, k, v % 1_000)),
+        (account(), any::<u64>()).prop_map(|(a, v)| Op::Credit(a, v % 1_000_000)),
+        (account(), any::<u64>()).prop_map(|(a, v)| Op::Debit(a, v % 1_000_000)),
+        (account(), any::<u64>()).prop_map(|(a, v)| Op::SetNonce(a, v % 100)),
+        (account(), any::<u8>()).prop_map(|(a, b)| Op::SetCode(a, b)),
+        (account(), any::<u8>(), any::<u64>()).prop_map(|(a, k, v)| Op::Store(a, k, v % 1_000)),
         Just(Op::Snapshot),
         Just(Op::Revert),
         Just(Op::Seal),
         Just(Op::TakeView),
+        Just(Op::ShareView),
+        any::<u8>().prop_map(Op::Fork),
+        Just(Op::RootView),
     ]
 }
 
@@ -89,13 +112,13 @@ impl Eager {
 }
 
 /// A captured (view, oracle) pair with the live state's root at the same
-/// instant, tagged with the op index it was taken at for failure
-/// messages.
+/// instant (`None` for `ShareView`), tagged with the op index it was
+/// taken at for failure messages.
 struct Capture {
     at: usize,
     view: StateView,
     oracle: Eager,
-    live_root: H256,
+    live_root: Option<H256>,
 }
 
 /// Applies one *mutation* op (the journaled kinds); the control ops are
@@ -115,14 +138,25 @@ fn run_one(state: &mut StateDb, op: &Op) {
         Op::Store(a, k, v) => {
             state.storage_set(&addr(*a), H256::from_low_u64(*k as u64), H256::from_low_u64(*v));
         }
-        Op::Snapshot | Op::Revert | Op::Seal | Op::TakeView => unreachable!("control op given to run_one"),
+        Op::Snapshot | Op::Revert | Op::Seal | Op::TakeView | Op::ShareView | Op::Fork(_) | Op::RootView => {
+            unreachable!("control op given to run_one")
+        }
     }
 }
 
-fn run_ops(ops: &[Op]) -> (StateDb, Vec<Capture>) {
+/// What [`run_ops`] leaves: the live state, every capture, and for each
+/// `RootView` the op index, the root it read and the oracle's.
+struct Run {
+    live: StateDb,
+    captures: Vec<Capture>,
+    view_roots: Vec<(usize, H256, H256)>,
+}
+
+fn run_ops(ops: &[Op]) -> Run {
     let mut state = StateDb::new();
     let mut snapshots: Vec<Snapshot> = Vec::new();
-    let mut captures = Vec::new();
+    let mut captures: Vec<Capture> = Vec::new();
+    let mut view_roots = Vec::new();
     for (at, op) in ops.iter().enumerate() {
         match op {
             Op::Snapshot => snapshots.push(state.snapshot()),
@@ -135,14 +169,25 @@ fn run_ops(ops: &[Op]) -> (StateDb, Vec<Capture>) {
                 state.clear_journal();
                 snapshots.clear();
             }
-            Op::TakeView => {
-                let live_root = state.state_root();
+            Op::TakeView | Op::ShareView => {
+                let live_root = matches!(op, Op::TakeView).then(|| state.state_root());
                 captures.push(Capture { at, view: state.view(), oracle: Eager::of(&state), live_root });
+            }
+            Op::Fork(i) => {
+                if !captures.is_empty() {
+                    state = StateDb::from(&captures[usize::from(*i) % captures.len()].view);
+                    snapshots.clear();
+                }
+            }
+            Op::RootView => {
+                if let Some(capture) = captures.last() {
+                    view_roots.push((at, capture.view.state_root(), capture.oracle.root));
+                }
             }
             mutation => run_one(&mut state, mutation),
         }
     }
-    (state, captures)
+    Run { live: state, captures, view_roots }
 }
 
 /// Full byte-level comparison: same addresses, same nonce/balance/code,
@@ -167,14 +212,35 @@ proptest! {
     fn views_equal_eager_deep_clones_at_every_capture_point(
         ops in proptest::collection::vec(op_strategy(), 0..60),
     ) {
-        let (live, captures) = run_ops(&ops);
-        for capture in &captures {
-            prop_assert_eq!(capture.live_root, capture.oracle.root, "live root diverged at op {}", capture.at);
-            assert_view_matches(&capture.view, &capture.oracle, capture.at)?;
-        }
-        // And a view of the final state equals an eager copy of it.
-        assert_view_matches(&live.view(), &Eager::of(&live), ops.len())?;
+        check_run(&ops)?;
     }
+
+    /// The same over 24 accounts in 6 shards, so most writes land on an
+    /// account that already exists: a root then takes the cached levels'
+    /// update path instead of the rebuild an insert forces.
+    #[test]
+    fn cached_roots_equal_eager_roots_on_few_accounts(
+        ops in proptest::collection::vec(ops_on(|| 0u8..24), 0..60),
+    ) {
+        check_run(&ops)?;
+    }
+}
+
+/// Runs `ops` and checks every capture, every `RootView` and the final
+/// state against their oracles.
+fn check_run(ops: &[Op]) -> Result<(), TestCaseError> {
+    let Run { live, captures, view_roots } = run_ops(ops);
+    for capture in &captures {
+        if let Some(live_root) = capture.live_root {
+            prop_assert_eq!(live_root, capture.oracle.root, "live root diverged at op {}", capture.at);
+        }
+        assert_view_matches(&capture.view, &capture.oracle, capture.at)?;
+    }
+    for (at, root, expected) in view_roots {
+        prop_assert_eq!(root, expected, "view root diverged at op {}", at);
+    }
+    // And a view of the final state equals an eager copy of it.
+    assert_view_matches(&live.view(), &Eager::of(&live), ops.len())
 }
 
 proptest! {
@@ -193,10 +259,21 @@ proptest! {
         // mutation (snapshots inside it would be consumed by our revert).
         let suffix: Vec<Op> = suffix
             .into_iter()
-            .filter(|op| !matches!(op, Op::Snapshot | Op::Revert | Op::Seal | Op::TakeView))
+            .filter(|op| {
+                !matches!(
+                    op,
+                    Op::Snapshot
+                        | Op::Revert
+                        | Op::Seal
+                        | Op::TakeView
+                        | Op::ShareView
+                        | Op::Fork(_)
+                        | Op::RootView
+                )
+            })
             .collect();
 
-        let (mut state, _) = run_ops(&prefix);
+        let mut state = run_ops(&prefix).live;
         let before = Eager::of(&state);
         prop_assert_eq!(state.state_root(), before.root);
         let snapshot = state.snapshot();
@@ -220,7 +297,7 @@ proptest! {
     fn view_reads_agree_with_oracle_reads(
         ops in proptest::collection::vec(op_strategy(), 0..40),
     ) {
-        let (state, _) = run_ops(&ops);
+        let state = run_ops(&ops).live;
         let view = state.view();
         let oracle = Eager::of(&state);
         for a in 0u8..=255 {

@@ -23,6 +23,8 @@
 //! #   b.iter().map(|x| format!("{x:02x}")).collect() } }
 //! ```
 
+use std::cell::Cell;
+
 /// Number of 64-bit lanes in the Keccak state (5 × 5).
 const LANES: usize = 25;
 
@@ -66,8 +68,33 @@ const RHO_OFFSETS: [u32; LANES] = [
     18, 2, 61, 56, 14,
 ];
 
+thread_local! {
+    /// Keccak-f\[1600\] permutations run on this thread, for [`permutations`].
+    static PERMUTATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many Keccak-f\[1600\] permutations this thread has run. The count
+/// is exact and the same on every host, so the difference across a call
+/// measures the hashing work the call did: one permutation per 136-byte
+/// rate block absorbed, padding included (a 64-byte Merkle pair hash is
+/// one).
+///
+/// # Examples
+///
+/// ```
+/// use sereth_crypto::keccak::{keccak256, permutations};
+///
+/// let before = permutations();
+/// keccak256(&[0u8; 136]);
+/// assert_eq!(permutations() - before, 2, "a full rate block, then the padding block");
+/// ```
+pub fn permutations() -> u64 {
+    PERMUTATIONS.with(Cell::get)
+}
+
 /// Applies the full 24-round Keccak-f\[1600\] permutation in place.
 fn keccak_f1600(state: &mut [u64; LANES]) {
+    PERMUTATIONS.with(|count| count.set(count.get() + 1));
     for &rc in &ROUND_CONSTANTS {
         // θ: column parity mixing.
         let mut c = [0u64; 5];
@@ -303,6 +330,20 @@ mod tests {
         // First lane of Keccak-f\[1600\] applied to the zero state is a
         // published reference value.
         assert_eq!(state[0], 0xf125_8f79_40e1_dde7);
+    }
+
+    #[test]
+    fn permutations_count_rate_blocks() {
+        let count = |input: &[u8]| {
+            let before = permutations();
+            keccak256(input);
+            permutations() - before
+        };
+        assert_eq!(count(b""), 1);
+        assert_eq!(count(&[0u8; 64]), 1, "a Merkle pair hash");
+        assert_eq!(count(&[0u8; 135]), 1, "padding still fits the block");
+        assert_eq!(count(&[0u8; 136]), 2);
+        assert_eq!(count(&[0u8; 272]), 3);
     }
 
     #[test]

@@ -5,14 +5,17 @@
 //! (Cook et al., ICDCS 2019):
 //!
 //! * [`keccak`] — Keccak-256 (Ethereum's hash, used for Hash-Mark-Set
-//!   marks) over the Keccak-f\[1600\] permutation;
+//!   marks) over the Keccak-f\[1600\] permutation, with an exact
+//!   per-thread count of permutations run;
 //! * [`hash`] — fixed-width [`hash::H256`] / [`hash::H160`] newtypes with
 //!   hex parsing and formatting;
 //! * [`address`] — account and contract address derivation;
 //! * [`sig`] — simulated signatures providing sender binding and tamper
 //!   evidence (see the module docs for the substitution rationale);
 //! * [`rlp`] — canonical Recursive Length Prefix encoding, Ethereum's
-//!   serialization for transactions and blocks, which their hashes cover.
+//!   serialization for transactions and blocks, which their hashes cover;
+//! * [`merkle`] — binary Merkle roots, and the kept levels of one tree
+//!   that let a root rehash only the ancestors of changed leaves.
 //!
 //! # Examples
 //!

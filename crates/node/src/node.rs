@@ -313,6 +313,14 @@ impl NodeConfigBuilder {
 /// full is dropped and counted on `node.orphans_dropped`.
 const ORPHAN_CAP: usize = 1_024;
 
+/// Whether `block`, whose hash is `hash`, belongs in the orphan stash:
+/// `chain` stores neither it nor its parent. The stored check comes
+/// first because a durable store keeps the block at its GC floor while
+/// pruning that block's parent, and a stored block is `Known`.
+fn awaits_parent(chain: &ChainStore, hash: &H256, block: &Block) -> bool {
+    chain.get(hash).is_none() && chain.get(&block.header.parent_hash).is_none()
+}
+
 /// The lock-protected node state: what writers (mining's import, block
 /// imports, orphan retry) change and the historical reads that need the
 /// whole chain.
@@ -806,11 +814,24 @@ impl NodeHandle {
     }
 
     /// Accepts a block from gossip, importing it and any orphans it
-    /// unblocks.
+    /// unblocks. A stored block answers `Known`; a block whose parent is
+    /// not stored waits in the orphan stash; only the rest move into the
+    /// chain's import, so no block is copied on its way in.
     pub fn receive_block(&self, block: Block) -> BlockReceipt {
         let mut inner = self.lock();
         let hash = block.hash();
-        match self.import(&mut inner, hash, |chain| chain.import(block.clone())) {
+        if awaits_parent(&inner.chain, &hash, &block) {
+            return if inner.orphans.iter().any(|(stashed, _)| *stashed == hash) {
+                BlockReceipt::Orphaned
+            } else if inner.orphans.len() < ORPHAN_CAP {
+                inner.orphans.push((hash, block));
+                BlockReceipt::Orphaned
+            } else {
+                self.telemetry.counter("node.orphans_dropped").inc();
+                BlockReceipt::Dropped
+            };
+        }
+        match self.import(&mut inner, hash, |chain| chain.import(block)) {
             Ok(ImportOutcome::AlreadyKnown) => BlockReceipt::Known,
             // A Store error still imported the block in memory: keep
             // serving (and forwarding) from memory.
@@ -818,18 +839,9 @@ impl NodeHandle {
                 self.retry_orphans(&mut inner);
                 BlockReceipt::Imported
             }
-            Err(ImportError::UnknownParent) => {
-                if inner.orphans.iter().any(|(stashed, _)| *stashed == hash) {
-                    BlockReceipt::Orphaned
-                } else if inner.orphans.len() < ORPHAN_CAP {
-                    inner.orphans.push((hash, block));
-                    BlockReceipt::Orphaned
-                } else {
-                    self.telemetry.counter("node.orphans_dropped").inc();
-                    BlockReceipt::Dropped
-                }
-            }
-            Err(ImportError::Invalid(_)) => BlockReceipt::Rejected,
+            // The parent was found under this lock, so `UnknownParent`
+            // does not come back here.
+            Err(ImportError::UnknownParent | ImportError::Invalid(_)) => BlockReceipt::Rejected,
         }
     }
 
@@ -879,15 +891,20 @@ impl NodeHandle {
         self.pool.prune_stale(|sender| head_state.nonce_of(sender));
     }
 
-    /// Imports every stashed orphan whose parent has arrived, repeating
-    /// until a pass releases none.
+    /// Imports every stashed orphan whose parent has arrived, in stash
+    /// order, repeating until a pass releases none. The rest stay stashed
+    /// in their order.
     fn retry_orphans(&self, inner: &mut NodeInner) {
         loop {
             let mut progressed = false;
             for (hash, block) in std::mem::take(&mut inner.orphans) {
-                match self.import(inner, hash, |chain| chain.import(block.clone())) {
-                    Err(ImportError::UnknownParent) => inner.orphans.push((hash, block)),
-                    Ok(ImportOutcome::AlreadyKnown) | Err(ImportError::Invalid(_)) => {}
+                if awaits_parent(&inner.chain, &hash, &block) {
+                    inner.orphans.push((hash, block));
+                    continue;
+                }
+                match self.import(inner, hash, |chain| chain.import(block)) {
+                    Ok(ImportOutcome::AlreadyKnown)
+                    | Err(ImportError::UnknownParent | ImportError::Invalid(_)) => {}
                     // Stored, canonical or not (a Store error still
                     // imported it in memory): its descendants may import.
                     Ok(_) | Err(ImportError::Store(_)) => progressed = true,
@@ -1514,6 +1531,37 @@ mod tests {
         }
         assert_eq!(follower.receive_block(orphan_of(&block, 2)), BlockReceipt::Orphaned);
         assert_eq!(follower.orphan_parents(), vec![H256::from_low_u64(1), H256::from_low_u64(2)]);
+    }
+
+    #[test]
+    fn a_resent_block_at_the_gc_floor_is_known_not_orphaned() {
+        // A durable node keeps the block at its GC floor and prunes that
+        // block's parent. Sent again, the block is known; a parent check
+        // made first would stash it as an orphan.
+        let owner = SecretKey::from_label(1);
+        let miner = node(ClientKind::Geth, &owner, true);
+        let dir = sereth_store::scratch_dir("node-gc-floor");
+        let options = sereth_chain::DurableOptions { history: 2, snapshot_every: 4, ..Default::default() };
+        let store = StateBackendConfig::Durable { dir: dir.clone(), options };
+        let follower = NodeHandle::open(
+            test_genesis(&owner),
+            NodeConfig::builder().kind(ClientKind::Geth).store(store).build(),
+        )
+        .expect("fresh dir opens");
+        let blocks: Vec<Block> = (1..=8).map(|n| miner.mine(15_000 * n).expect("miner seals")).collect();
+        for block in &blocks {
+            assert_eq!(follower.receive_block(block.clone()), BlockReceipt::Imported);
+        }
+        let floor = follower.with_inner(|inner| inner.chain.retained_floor());
+        assert!(floor > 0, "the snapshot at block 8 ran GC");
+        let at_floor = blocks[floor as usize - 1].clone();
+        assert!(
+            follower.with_inner(|inner| inner.chain.get(&at_floor.header.parent_hash).is_none()),
+            "the floor block's parent is pruned"
+        );
+        assert_eq!(follower.receive_block(at_floor), BlockReceipt::Known);
+        assert!(follower.orphan_parents().is_empty(), "nothing was stashed");
+        std::fs::remove_dir_all(&dir).expect("scratch dir removable");
     }
 
     #[test]
