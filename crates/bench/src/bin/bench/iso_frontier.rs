@@ -3,7 +3,8 @@
 //!
 //! Runs the Figure 2 `sereth_client` market scenario once per
 //! [`IsolationLevel`] (read-uncommitted → read-committed → sequential),
-//! audits every run through the offline `sereth-consistency` checker, and
+//! audits every run with `sereth_consistency::check` (through
+//! `sereth_sim::audit_run`), and
 //! prints, per rung: state throughput, its ratio to the sequential rung's,
 //! buy efficiency η, and the anomaly count the audit found. This is the
 //! paper's trade made explicit: read-uncommitted buys throughput by

@@ -1,12 +1,6 @@
-//! The unified checker surface: every consistency pass behind one
-//! [`Checker`] trait, every violation tagged with the *weakest*
-//! [`IsolationLevel`] that forbids it.
-//!
-//! The module-level passes ([`crate::seqcon::check`],
-//! [`crate::sss::check`]) keep their original signatures and remain the
-//! underlying engines; this module folds them — together with the new
-//! anomaly passes below — into a common [`Report`] so callers can ask
-//! one question: *which rungs of the ladder does this history satisfy?*
+//! The audit: [`check`] runs every consistency pass over a committed
+//! history and returns one [`Report`], every violation tagged with the
+//! *weakest* [`IsolationLevel`] that forbids it.
 //!
 //! # The anomaly taxonomy (Adya/ANSI, specialized to the market)
 //!
@@ -24,13 +18,13 @@
 //!   the second overwrote the interval the first created without ever
 //!   reading it. Allowed through READ COMMITTED (classically: P4 is not
 //!   proscribed below repeatable read), forbidden at **SEQUENTIAL**.
-//! * **Program-order / serialization breaks** — the existing seqcon and
-//!   SSS conditions; both are facets of the single-serialization-point
+//! * **Program-order / serialization breaks** — the seqcon (§IV) and SSS
+//!   (§VI) conditions; both are facets of the single-serialization-point
 //!   guarantee, so they are forbidden at **SEQUENTIAL**.
 
 use std::collections::HashMap;
 
-use sereth_core::mark::compute_mark;
+use sereth_core::mark::{compute_mark, genesis_mark};
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
 use sereth_types::IsolationLevel;
@@ -158,18 +152,6 @@ impl Violation {
     }
 }
 
-/// Verdict for one rung of the ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LevelVerdict {
-    /// The rung.
-    pub level: IsolationLevel,
-    /// `true` when no violation is forbidden at this rung.
-    pub holds: bool,
-    /// How many violations this rung forbids (monotone non-decreasing
-    /// up the ladder: a stronger rung forbids everything below it does).
-    pub violations: usize,
-}
-
 /// Counts a report carries alongside its violations — the denominators
 /// that make the violation counts interpretable.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -186,10 +168,11 @@ pub struct Tallies {
     pub buys_ok: usize,
     /// No-op buys.
     pub buys_noop: usize,
-    /// Intervals the serialization opened (from the SSS pass).
+    /// Intervals the serialization opened (effective sets that chained
+    /// onto the tail).
     pub intervals: usize,
-    /// Effective buys per interval (from the SSS pass; index 0 is the
-    /// genesis interval).
+    /// Effective buys by the interval they landed in (index 0 is the
+    /// genesis interval, before any committed set).
     pub buys_per_interval: Vec<usize>,
     /// Dirty-write (G0) violations.
     pub dirty_writes: usize,
@@ -203,15 +186,14 @@ pub struct Tallies {
     pub serialization: usize,
 }
 
-/// The common result shape every [`Checker`] returns.
-#[derive(Debug, Clone, Default)]
+/// What [`check`] found.
+#[derive(Debug, Clone)]
 pub struct Report {
-    /// Every violation found, each tagged with its minimal forbidding
-    /// level.
+    /// Every violation found, in pass order (program order, then
+    /// serialization, then the anomaly passes), each tagged with its
+    /// minimal forbidding level.
     pub violations: Vec<Violation>,
-    /// Per-rung verdicts, weakest first.
-    pub level_verdicts: Vec<LevelVerdict>,
-    /// The denominators.
+    /// The denominators and the per-class counts.
     pub tallies: Tallies,
 }
 
@@ -219,267 +201,141 @@ impl Report {
     /// `true` when the history satisfies `level`: no violation's minimal
     /// forbidding level is at or below it.
     pub fn holds_at(&self, level: IsolationLevel) -> bool {
-        self.violations.iter().all(|violation| violation.forbidden_at > level)
+        self.violations_at(level) == 0
     }
 
-    /// Violations `level` forbids.
-    fn violations_at(&self, level: IsolationLevel) -> usize {
+    /// How many violations `level` forbids. Non-decreasing up the ladder:
+    /// a stronger rung forbids everything a weaker one does.
+    pub fn violations_at(&self, level: IsolationLevel) -> usize {
         self.violations.iter().filter(|violation| violation.forbidden_at <= level).count()
     }
+}
 
-    /// Recomputes the per-level verdicts and per-class counts from the
-    /// violation list. Every constructor path ends here.
-    fn finalize(mut self) -> Self {
-        self.level_verdicts = IsolationLevel::ALL
+/// Audits a committed history: the program-order pass (§IV), the
+/// Selective Strict Serialization pass (§VI), then the anomaly passes
+/// (G0 dirty writes, G1a dirty reads from committed offers and from the
+/// logged reads, lost updates). `report.holds_at(level)` answers "does
+/// this history satisfy that rung of the ladder?".
+pub fn check(spec: &MarketSpec, history: &History) -> Report {
+    let mut tallies = Tallies { records: history.len(), reads: history.reads().len(), ..Tallies::default() };
+    for record in history.records() {
+        match (&record.op, record.effective) {
+            (MarketOp::Set(_), true) => tallies.sets_ok += 1,
+            (MarketOp::Set(_), false) => tallies.sets_noop += 1,
+            (MarketOp::Buy(_), true) => tallies.buys_ok += 1,
+            (MarketOp::Buy(_), false) => tallies.buys_noop += 1,
+        }
+    }
+
+    let mut violations: Vec<Violation> = seqcon::check(history)
+        .into_iter()
+        .map(|violation| Violation::of(Anomaly::ProgramOrder(violation)))
+        .collect();
+    violations.extend(
+        sss::check(spec, history, &mut tallies)
             .into_iter()
-            .map(|level| LevelVerdict {
-                level,
-                holds: self.holds_at(level),
-                violations: self.violations_at(level),
-            })
-            .collect();
-        self.tallies.dirty_writes = 0;
-        self.tallies.dirty_reads = 0;
-        self.tallies.lost_updates = 0;
-        self.tallies.program_order = 0;
-        self.tallies.serialization = 0;
-        for violation in &self.violations {
-            match &violation.anomaly {
-                Anomaly::DirtyWrite { .. } => self.tallies.dirty_writes += 1,
-                Anomaly::DirtyReadCommitted { .. } | Anomaly::DirtyReadObserved { .. } => {
-                    self.tallies.dirty_reads += 1
-                }
-                Anomaly::LostUpdate { .. } => self.tallies.lost_updates += 1,
-                Anomaly::ProgramOrder(_) => self.tallies.program_order += 1,
-                Anomaly::Serialization(_) => self.tallies.serialization += 1,
+            .map(|violation| Violation::of(Anomaly::Serialization(violation))),
+    );
+    violations.extend(anomalies(history).into_iter().map(Violation::of));
+
+    for violation in &violations {
+        match &violation.anomaly {
+            Anomaly::DirtyWrite { .. } => tallies.dirty_writes += 1,
+            Anomaly::DirtyReadCommitted { .. } | Anomaly::DirtyReadObserved { .. } => {
+                tallies.dirty_reads += 1
+            }
+            Anomaly::LostUpdate { .. } => tallies.lost_updates += 1,
+            Anomaly::ProgramOrder(_) => tallies.program_order += 1,
+            Anomaly::Serialization(_) => tallies.serialization += 1,
+        }
+    }
+    Report { violations, tallies }
+}
+
+/// The anomaly passes: G0 dirty-write cycles, G1a dirty/aborted reads
+/// (from committed buy offers *and* from the logged read observations),
+/// and lost updates.
+fn anomalies(history: &History) -> Vec<Anomaly> {
+    let mut found = Vec::new();
+    // Marks the committed history produced: mark → (commit position,
+    // block number, producing tx). First producer wins — a duplicate
+    // producer is itself a violation the passes below surface.
+    let mut produced: HashMap<H256, (usize, u64, H256)> = HashMap::new();
+    for (position, record) in history.records().iter().enumerate() {
+        if let MarketOp::Set(fpv) = &record.op {
+            if record.effective {
+                let mark = compute_mark(&fpv.prev_mark, &fpv.value);
+                produced.entry(mark).or_insert((position, record.block_number, record.tx_hash));
             }
         }
-        self
     }
 
-    /// Folds another pass's report over the same history into this one:
-    /// violations concatenate; overlapping denominators (computed
-    /// identically by each pass) merge field-wise.
-    fn merged(mut self, other: Report) -> Report {
-        self.violations.extend(other.violations);
-        let t = &mut self.tallies;
-        let o = other.tallies;
-        t.records = t.records.max(o.records);
-        t.reads = t.reads.max(o.reads);
-        t.sets_ok = t.sets_ok.max(o.sets_ok);
-        t.sets_noop = t.sets_noop.max(o.sets_noop);
-        t.buys_ok = t.buys_ok.max(o.buys_ok);
-        t.buys_noop = t.buys_noop.max(o.buys_noop);
-        t.intervals = t.intervals.max(o.intervals);
-        if o.buys_per_interval.len() > t.buys_per_interval.len() {
-            t.buys_per_interval = o.buys_per_interval;
+    // Pass 1 — writes: G0 cycles and lost updates among effective sets.
+    let mut first_writer_on: HashMap<H256, H256> = HashMap::new();
+    for (position, record) in history.records().iter().enumerate() {
+        let MarketOp::Set(fpv) = &record.op else { continue };
+        if !record.effective {
+            continue;
         }
-        self.finalize()
-    }
-}
-
-fn base_tallies(history: &History) -> Tallies {
-    let (sets_ok, sets_noop, buys_ok, buys_noop) = history.tallies();
-    Tallies {
-        records: history.len(),
-        reads: history.reads().len(),
-        sets_ok,
-        sets_noop,
-        buys_ok,
-        buys_noop,
-        ..Tallies::default()
-    }
-}
-
-/// One consistency pass (or a composition of passes) over a committed
-/// history, reporting in the common [`Report`] shape.
-pub trait Checker {
-    /// Short stable name for verdict tables.
-    fn name(&self) -> &'static str;
-    /// Runs the pass.
-    fn check(&self, history: &History) -> Report;
-}
-
-/// The sequential-consistency pass behind the unified surface (engine:
-/// [`crate::seqcon::check`], unchanged).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SeqConChecker;
-
-impl Checker for SeqConChecker {
-    fn name(&self) -> &'static str {
-        "seqcon"
-    }
-
-    fn check(&self, history: &History) -> Report {
-        let violations = seqcon::check(history)
-            .into_iter()
-            .map(|violation| Violation::of(Anomaly::ProgramOrder(violation)))
-            .collect();
-        Report { violations, level_verdicts: Vec::new(), tallies: base_tallies(history) }.finalize()
-    }
-}
-
-/// The Selective-Strict-Serialization pass behind the unified surface
-/// (engine: [`crate::sss::check`], unchanged).
-#[derive(Debug, Clone)]
-pub struct SssChecker {
-    /// The market to replay against.
-    pub spec: MarketSpec,
-}
-
-impl Checker for SssChecker {
-    fn name(&self) -> &'static str {
-        "sss"
-    }
-
-    fn check(&self, history: &History) -> Report {
-        let sss_report = sss::check(&self.spec, history);
-        let mut tallies = base_tallies(history);
-        tallies.intervals = sss_report.intervals;
-        tallies.buys_per_interval = sss_report.buys_per_interval;
-        let violations = sss_report
-            .violations
-            .into_iter()
-            .map(|violation| Violation::of(Anomaly::Serialization(violation)))
-            .collect();
-        Report { violations, level_verdicts: Vec::new(), tallies }.finalize()
-    }
-}
-
-/// The new anomaly passes: G0 dirty-write cycles, G1a dirty/aborted
-/// reads (from committed buy offers *and* from the logged read
-/// observations), and lost updates.
-#[derive(Debug, Clone)]
-pub struct AnomalyChecker {
-    /// The market to replay against (genesis mark anchors the chain).
-    pub spec: MarketSpec,
-}
-
-impl Checker for AnomalyChecker {
-    fn name(&self) -> &'static str {
-        "anomaly"
-    }
-
-    fn check(&self, history: &History) -> Report {
-        let mut violations = Vec::new();
-        // Marks the committed history produced: mark → (commit position,
-        // block number, producing tx). First producer wins — a duplicate
-        // producer is itself a violation the passes below surface.
-        let mut produced: HashMap<H256, (usize, u64, H256)> = HashMap::new();
-        for (position, record) in history.records().iter().enumerate() {
-            if let MarketOp::Set(fpv) = &record.op {
-                if record.effective {
-                    let mark = compute_mark(&fpv.prev_mark, &fpv.value);
-                    produced.entry(mark).or_insert((position, record.block_number, record.tx_hash));
-                }
+        if let Some(&(producer_position, _, producer_tx)) = produced.get(&fpv.prev_mark) {
+            if producer_position > position {
+                found.push(Anomaly::DirtyWrite { tx: record.tx_hash, depends_on: producer_tx });
             }
         }
-
-        // Pass 1 — writes: G0 cycles and lost updates among effective sets.
-        let mut first_writer_on: HashMap<H256, H256> = HashMap::new();
-        for (position, record) in history.records().iter().enumerate() {
-            let MarketOp::Set(fpv) = &record.op else { continue };
-            if !record.effective {
-                continue;
-            }
-            if let Some(&(producer_position, _, producer_tx)) = produced.get(&fpv.prev_mark) {
-                if producer_position > position {
-                    violations.push(Violation::of(Anomaly::DirtyWrite {
-                        tx: record.tx_hash,
-                        depends_on: producer_tx,
-                    }));
-                }
-            }
-            if let Some(&first_writer) = first_writer_on.get(&fpv.prev_mark) {
-                violations.push(Violation::of(Anomaly::LostUpdate {
-                    tx: record.tx_hash,
-                    first_writer,
-                    prev_mark: fpv.prev_mark,
-                }));
-            } else {
-                first_writer_on.insert(fpv.prev_mark, record.tx_hash);
-            }
+        if let Some(&first_writer) = first_writer_on.get(&fpv.prev_mark) {
+            found.push(Anomaly::LostUpdate { tx: record.tx_hash, first_writer, prev_mark: fpv.prev_mark });
+        } else {
+            first_writer_on.insert(fpv.prev_mark, record.tx_hash);
         }
-
-        // Pass 2 — committed read witnesses: a buy's offer was built from
-        // *some* read; if the offered mark only committed after the buy
-        // itself (or never), that read saw uncommitted state.
-        for (position, record) in history.records().iter().enumerate() {
-            let MarketOp::Buy(offer) = &record.op else { continue };
-            if offer.prev_mark == self.spec.genesis_mark {
-                continue;
-            }
-            match produced.get(&offer.prev_mark) {
-                Some(&(producer_position, _, _)) if producer_position > position => {
-                    violations.push(Violation::of(Anomaly::DirtyReadCommitted {
-                        tx: record.tx_hash,
-                        offer_mark: offer.prev_mark,
-                        committed_later: true,
-                    }));
-                }
-                Some(_) => {}
-                None => violations.push(Violation::of(Anomaly::DirtyReadCommitted {
-                    tx: record.tx_hash,
-                    offer_mark: offer.prev_mark,
-                    committed_later: false,
-                })),
-            }
-        }
-
-        // Pass 3 — logged read witnesses: each observation judged against
-        // the chain as of the height it was served at.
-        for read in history.reads() {
-            if read.observed_mark == self.spec.genesis_mark {
-                continue;
-            }
-            match produced.get(&read.observed_mark) {
-                Some(&(_, block_number, _)) if block_number <= read.at_height => {}
-                Some(_) => violations.push(Violation::of(Anomaly::DirtyReadObserved {
-                    reader: read.reader,
-                    at_height: read.at_height,
-                    observed_mark: read.observed_mark,
-                    committed_later: true,
-                })),
-                None => violations.push(Violation::of(Anomaly::DirtyReadObserved {
-                    reader: read.reader,
-                    at_height: read.at_height,
-                    observed_mark: read.observed_mark,
-                    committed_later: false,
-                })),
-            }
-        }
-
-        Report { violations, level_verdicts: Vec::new(), tallies: base_tallies(history) }.finalize()
-    }
-}
-
-/// All passes at once — the checker the audit example, the sim, and the
-/// ISO-FRONTIER bench run.
-#[derive(Debug, Clone)]
-pub struct FullChecker {
-    /// The market to replay against.
-    pub spec: MarketSpec,
-}
-
-impl Checker for FullChecker {
-    fn name(&self) -> &'static str {
-        "full"
     }
 
-    fn check(&self, history: &History) -> Report {
-        SeqConChecker
-            .check(history)
-            .merged(SssChecker { spec: self.spec.clone() }.check(history))
-            .merged(AnomalyChecker { spec: self.spec.clone() }.check(history))
+    // Pass 2 — committed read witnesses: a buy's offer was built from
+    // *some* read; if the offered mark only committed after the buy
+    // itself (or never), that read saw uncommitted state.
+    let genesis = genesis_mark();
+    for (position, record) in history.records().iter().enumerate() {
+        let MarketOp::Buy(offer) = &record.op else { continue };
+        if offer.prev_mark == genesis {
+            continue;
+        }
+        let committed_later = match produced.get(&offer.prev_mark) {
+            Some(&(producer_position, _, _)) if producer_position > position => true,
+            Some(_) => continue,
+            None => false,
+        };
+        found.push(Anomaly::DirtyReadCommitted {
+            tx: record.tx_hash,
+            offer_mark: offer.prev_mark,
+            committed_later,
+        });
     }
+
+    // Pass 3 — logged read witnesses: each observation judged against
+    // the chain as of the height it was served at.
+    for read in history.reads() {
+        if read.observed_mark == genesis {
+            continue;
+        }
+        let committed_later = match produced.get(&read.observed_mark) {
+            Some(&(_, block_number, _)) if block_number <= read.at_height => continue,
+            Some(_) => true,
+            None => false,
+        };
+        found.push(Anomaly::DirtyReadObserved {
+            reader: read.reader,
+            at_height: read.at_height,
+            observed_mark: read.observed_mark,
+            committed_later,
+        });
+    }
+    found
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::TxRecord;
+    use crate::record::{ReadRecord, TxRecord};
     use sereth_core::fpv::{Flag, Fpv};
-    use sereth_crypto::address::Address;
 
     fn spec() -> MarketSpec {
         MarketSpec::example()
@@ -505,8 +361,8 @@ mod tests {
         MarketOp::Buy(Fpv::new(Flag::Success, prev, H256::from_low_u64(value)))
     }
 
-    fn clean_history(spec: &MarketSpec) -> History {
-        let m0 = spec.genesis_mark;
+    fn clean_history() -> History {
+        let m0 = genesis_mark();
         let m1 = compute_mark(&m0, &H256::from_low_u64(60));
         History::from_records(vec![
             record(0, buy(m0, 50), true),
@@ -517,12 +373,11 @@ mod tests {
 
     #[test]
     fn clean_history_holds_at_every_rung() {
-        let spec = spec();
-        let report = FullChecker { spec: spec.clone() }.check(&clean_history(&spec));
+        let report = check(&spec(), &clean_history());
         assert!(report.violations.is_empty(), "{:?}", report.violations);
-        for verdict in &report.level_verdicts {
-            assert!(verdict.holds, "{verdict:?}");
-            assert_eq!(verdict.violations, 0);
+        for level in IsolationLevel::ALL {
+            assert!(report.holds_at(level), "{level}");
+            assert_eq!(report.violations_at(level), 0);
         }
         assert_eq!(report.tallies.records, 3);
         assert_eq!(report.tallies.intervals, 1);
@@ -531,12 +386,11 @@ mod tests {
 
     #[test]
     fn dirty_write_cycle_is_forbidden_even_at_read_uncommitted() {
-        let spec = spec();
-        let m0 = spec.genesis_mark;
+        let m0 = genesis_mark();
         let m1 = compute_mark(&m0, &H256::from_low_u64(60));
         // The set chaining onto m1 commits BEFORE the set that produces m1.
         let history = History::from_records(vec![record(0, set(m1, 70), true), record(1, set(m0, 60), true)]);
-        let report = FullChecker { spec }.check(&history);
+        let report = check(&spec(), &history);
         assert_eq!(report.tallies.dirty_writes, 1);
         let g0 = report
             .violations
@@ -549,10 +403,9 @@ mod tests {
 
     #[test]
     fn never_committed_offer_is_a_dirty_read_at_read_committed() {
-        let spec = spec();
         let phantom = H256::keccak(b"a mark nobody committed");
         let history = History::from_records(vec![record(0, buy(phantom, 60), false)]);
-        let report = FullChecker { spec }.check(&history);
+        let report = check(&spec(), &history);
         assert_eq!(report.tallies.dirty_reads, 1);
         let g1a = &report.violations[0];
         assert!(matches!(g1a.anomaly, Anomaly::DirtyReadCommitted { committed_later: false, .. }));
@@ -565,39 +418,36 @@ mod tests {
 
     #[test]
     fn speculative_logged_read_is_dirty_until_its_write_commits() {
-        let spec = spec();
-        let m0 = spec.genesis_mark;
+        let m0 = genesis_mark();
         let m1 = compute_mark(&m0, &H256::from_low_u64(60));
         // The set committing in block 1 produces m1; a read served at
         // height 0 already observed m1 — a dirty read. The same read at
         // height 1 is committed state.
         let history = History::from_records(vec![record(0, set(m0, 60), true)]);
-        let dirty = crate::record::ReadRecord {
+        let dirty = ReadRecord {
             reader: Address::from_low_u64(9),
             at_height: 0,
             observed_mark: m1,
             observed_value: H256::from_low_u64(60),
         };
-        let clean = crate::record::ReadRecord { at_height: 1, ..dirty.clone() };
-        let checker = AnomalyChecker { spec };
-        let report = checker.check(&history.clone().with_reads(vec![dirty]));
+        let clean = ReadRecord { at_height: 1, ..dirty.clone() };
+        let report = check(&spec(), &history.clone().with_reads(vec![dirty]));
         assert_eq!(report.tallies.dirty_reads, 1);
         assert!(matches!(
             report.violations[0].anomaly,
             Anomaly::DirtyReadObserved { committed_later: true, .. }
         ));
-        assert!(checker.check(&history.with_reads(vec![clean])).violations.is_empty());
+        assert!(check(&spec(), &history.with_reads(vec![clean])).violations.is_empty());
     }
 
     #[test]
     fn lost_update_is_forbidden_only_at_sequential() {
-        let spec = spec();
-        let m0 = spec.genesis_mark;
+        let m0 = genesis_mark();
         let history = History::from_records(vec![
             record(0, set(m0, 60), true),
             record(3, set(m0, 70), true), // same prev_mark: the first update is lost
         ]);
-        let report = AnomalyChecker { spec }.check(&history);
+        let report = check(&spec(), &history);
         assert_eq!(report.tallies.lost_updates, 1);
         let lost = report
             .violations
@@ -611,41 +461,66 @@ mod tests {
     }
 
     #[test]
-    fn unified_passes_agree_with_the_module_fns() {
-        let spec = spec();
-        let m0 = spec.genesis_mark;
-        let history = History::from_records(vec![
-            record(0, set(H256::keccak(b"off-chain"), 60), true), // SSS break
-            record(1, set(m0, 60), false),                        // SSS wrongly-failed
-            record(3, buy(m0, 50), true),
-            record(2, buy(m0, 50), true), // same sender, replayed position below
-        ]);
-        let unified = FullChecker { spec: spec.clone() }.check(&history);
-        assert_eq!(
-            unified.violations.iter().filter(|v| matches!(v.anomaly, Anomaly::Serialization(_))).count(),
-            sss::check(&spec, &history).violations.len()
-        );
-        assert_eq!(
-            unified.violations.iter().filter(|v| matches!(v.anomaly, Anomaly::ProgramOrder(_))).count(),
-            seqcon::check(&history).len()
-        );
-    }
-
-    #[test]
-    fn verdict_counts_are_monotone_up_the_ladder() {
-        let spec = spec();
-        let m0 = spec.genesis_mark;
+    fn ladder_counts_are_exact_for_one_of_each_anomaly() {
+        let m0 = genesis_mark();
         let m1 = compute_mark(&m0, &H256::from_low_u64(60));
+        // `record(n)` is sender 1 + n % 3 with nonce n / 3. The SSS tail
+        // starts at m0 and only B moves it (to m1, price 60).
         let history = History::from_records(vec![
-            record(0, set(m1, 70), true), // G0
+            // A (sender 1, nonce 1): chains onto m1, which B commits later.
+            // G0 dirty write; also off the m0 tail, so a broken chain.
+            record(3, set(m1, 70), true),
+            // B (sender 2, nonce 0): chains onto the tail; produces m1.
             record(1, set(m0, 60), true),
-            record(2, buy(H256::keccak(b"phantom"), 5), false), // G1a
-            record(3, set(m0, 80), true),                       // lost update
+            // C (sender 3, nonce 0): offers a mark nothing ever produced.
+            // G1a dirty read; a no-op with a mismatched offer is SSS-legal.
+            record(2, buy(H256::keccak(b"phantom"), 5), false),
+            // D (sender 2, nonce 1): chains onto m0 again after B did.
+            // Lost update; also off the m1 tail, so a broken chain.
+            record(4, set(m0, 80), true),
+            // E (sender 3, nonce 1): chains onto a mark nothing produced.
+            // A broken chain and nothing else.
+            record(5, set(H256::keccak(b"off-chain"), 90), true),
+            // F (sender 1, nonce 0): commits after A's nonce 1. A program
+            // order inversion; a stale genesis offer, SSS-legal and not a
+            // dirty read.
+            record(0, buy(m0, 50), false),
         ]);
-        let report = FullChecker { spec }.check(&history);
-        let counts: Vec<usize> = report.level_verdicts.iter().map(|v| v.violations).collect();
-        assert!(counts.windows(2).all(|w| w[0] <= w[1]), "monotone: {counts:?}");
-        assert!(counts[0] >= 1, "G0 counted at the weakest rung: {counts:?}");
-        assert_eq!(counts[2], report.violations.len(), "the top rung forbids everything");
+        let report = check(&spec(), &history);
+        let tallies = &report.tallies;
+        assert_eq!(tallies.dirty_writes, 1, "A");
+        assert_eq!(tallies.dirty_reads, 1, "C");
+        assert_eq!(tallies.lost_updates, 1, "D");
+        assert_eq!(tallies.serialization, 3, "A, D and E");
+        assert_eq!(tallies.program_order, 1, "F after A");
+        // Pass order: program order, serialization, then the anomaly
+        // passes (writes before committed offers).
+        let classes: Vec<&str> = report.violations.iter().map(|v| v.anomaly.class()).collect();
+        assert_eq!(
+            classes,
+            [
+                "program-order",
+                "serialization",
+                "serialization",
+                "serialization",
+                "dirty-write",
+                "lost-update",
+                "dirty-read"
+            ]
+        );
+        // Read uncommitted forbids the G0 cycle alone; read committed adds
+        // the dirty read; sequential forbids all seven.
+        assert_eq!(report.violations_at(IsolationLevel::ReadUncommitted), 1);
+        assert_eq!(report.violations_at(IsolationLevel::ReadCommitted), 2);
+        assert_eq!(report.violations_at(IsolationLevel::Sequential), 7);
+        for level in IsolationLevel::ALL {
+            assert!(!report.holds_at(level), "{level}");
+        }
+        // Four effective sets, two no-op buys; only B opened an interval,
+        // and no buy took effect in either.
+        assert_eq!((tallies.records, tallies.reads), (6, 0));
+        assert_eq!((tallies.sets_ok, tallies.sets_noop, tallies.buys_ok, tallies.buys_noop), (4, 0, 0, 2));
+        assert_eq!(tallies.intervals, 1);
+        assert_eq!(tallies.buys_per_interval, vec![0, 0]);
     }
 }

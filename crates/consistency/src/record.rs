@@ -1,46 +1,30 @@
 //! Committed-history extraction: turning blocks + receipts into the
 //! market-operation records the checkers consume.
 
-use sereth_core::fpv::Fpv;
-use sereth_core::mark::genesis_mark;
+use sereth_core::fpv::{Fpv, BUY_OK_TOPIC, BUY_SELECTOR, SET_OK_TOPIC, SET_SELECTOR};
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
 use sereth_types::block::Block;
 use sereth_types::receipt::Receipt;
 
-/// Everything the checkers need to know about one deployed Sereth market.
+/// What varies between deployed Sereth markets. Every market shares the
+/// contract's selectors ([`SET_SELECTOR`], [`BUY_SELECTOR`]), its success
+/// topics ([`SET_OK_TOPIC`], [`BUY_OK_TOPIC`]) and the genesis mark
+/// ([`sereth_core::mark::genesis_mark`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MarketSpec {
     /// The market contract's address.
     pub contract: Address,
-    /// Selector of the `set` function.
-    pub set_selector: [u8; 4],
-    /// Selector of the `buy` function.
-    pub buy_selector: [u8; 4],
-    /// Log topic the contract emits for an effective `set`.
-    pub set_ok_topic: H256,
-    /// Log topic the contract emits for an effective `buy`.
-    pub buy_ok_topic: H256,
-    /// The mark the contract holds at genesis.
-    pub genesis_mark: H256,
     /// The value (price) the contract holds at genesis.
     pub initial_value: H256,
 }
 
 impl MarketSpec {
-    /// A spec with placeholder selectors/topics, for documentation
-    /// examples and checker unit tests that build [`TxRecord`]s directly
-    /// (the record-level checkers never consult selectors or topics).
+    /// A market at a made-up address opening at price 50, for
+    /// documentation examples and checker tests that build [`TxRecord`]s
+    /// directly.
     pub fn example() -> Self {
-        Self {
-            contract: Address::from_low_u64(0xc0ffee),
-            set_selector: [1, 2, 3, 4],
-            buy_selector: [5, 6, 7, 8],
-            set_ok_topic: H256::from_low_u64(1),
-            buy_ok_topic: H256::from_low_u64(2),
-            genesis_mark: genesis_mark(),
-            initial_value: H256::from_low_u64(50),
-        }
+        Self { contract: Address::from_low_u64(0xc0ffee), initial_value: H256::from_low_u64(50) }
     }
 }
 
@@ -78,7 +62,7 @@ pub struct TxRecord {
 /// One read-only client observation of the market — a `query_view` /
 /// `committed_amv` answer as logged by a node or the simulator. Reads
 /// never commit, so they live beside the committed [`TxRecord`]s; the
-/// dirty-read (G1a) pass of the unified checker consumes them to decide
+/// dirty-read (G1a) pass of [`crate::check`] consumes them to decide
 /// whether each observation was of committed or of speculative state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadRecord {
@@ -142,12 +126,12 @@ impl History {
                     continue;
                 }
                 let selector: [u8; 4] = input[..4].try_into().expect("length checked");
-                let (op, ok_topic) = if selector == spec.set_selector {
+                let (op, ok_topic) = if selector == SET_SELECTOR {
                     let Some(fpv) = Fpv::from_calldata(input) else { continue };
-                    (MarketOp::Set(fpv), spec.set_ok_topic)
-                } else if selector == spec.buy_selector {
+                    (MarketOp::Set(fpv), SET_OK_TOPIC)
+                } else if selector == BUY_SELECTOR {
                     let Some(fpv) = Fpv::from_calldata(input) else { continue };
-                    (MarketOp::Buy(fpv), spec.buy_ok_topic)
+                    (MarketOp::Buy(fpv), BUY_OK_TOPIC)
                 } else {
                     continue;
                 };
@@ -183,29 +167,13 @@ impl History {
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
-
-    /// Counts `(effective sets, no-op sets, effective buys, no-op buys)`.
-    pub fn tallies(&self) -> (usize, usize, usize, usize) {
-        let mut sets_ok = 0;
-        let mut sets_noop = 0;
-        let mut buys_ok = 0;
-        let mut buys_noop = 0;
-        for record in &self.records {
-            match (&record.op, record.effective) {
-                (MarketOp::Set(_), true) => sets_ok += 1,
-                (MarketOp::Set(_), false) => sets_noop += 1,
-                (MarketOp::Buy(_), true) => buys_ok += 1,
-                (MarketOp::Buy(_), false) => buys_noop += 1,
-            }
-        }
-        (sets_ok, sets_noop, buys_ok, buys_noop)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sereth_core::fpv::Flag;
+    use sereth_core::mark::genesis_mark;
 
     fn record(nonce: u64, effective: bool) -> TxRecord {
         TxRecord {
@@ -219,6 +187,13 @@ mod tests {
         }
     }
 
+    /// `(effective sets, no-op sets, effective buys, no-op buys)` as the
+    /// audit counts them.
+    fn kinds(history: &History) -> (usize, usize, usize, usize) {
+        let tallies = crate::check(&MarketSpec::example(), history).tallies;
+        (tallies.sets_ok, tallies.sets_noop, tallies.buys_ok, tallies.buys_noop)
+    }
+
     #[test]
     fn tallies_count_by_kind_and_effect() {
         let mut records = vec![record(0, true), record(1, false)];
@@ -228,7 +203,7 @@ mod tests {
             ..record(2, true)
         });
         let history = History::from_records(records);
-        assert_eq!(history.tallies(), (1, 1, 1, 0));
+        assert_eq!(kinds(&history), (1, 1, 1, 0));
         assert_eq!(history.len(), 3);
         assert!(!history.is_empty());
     }
@@ -237,6 +212,6 @@ mod tests {
     fn empty_history_reports_empty() {
         let history = History::default();
         assert!(history.is_empty());
-        assert_eq!(history.tallies(), (0, 0, 0, 0));
+        assert_eq!(kinds(&history), (0, 0, 0, 0));
     }
 }

@@ -58,7 +58,7 @@ impl core::fmt::Display for SeqConViolation {
 
 /// Checks sequential consistency; an empty result means the history
 /// satisfies it.
-pub fn check(history: &History) -> Vec<SeqConViolation> {
+pub(crate) fn check(history: &History) -> Vec<SeqConViolation> {
     let mut violations = Vec::new();
     let mut last_seen: HashMap<Address, (u64, H256)> = HashMap::new();
     for record in history.records() {

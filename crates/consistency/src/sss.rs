@@ -27,9 +27,10 @@
 //! machine from calldata alone and compares against the effects the chain
 //! recorded.
 
-use sereth_core::mark::compute_mark;
+use sereth_core::mark::{compute_mark, genesis_mark};
 use sereth_crypto::hash::H256;
 
+use crate::checker::Tallies;
 use crate::record::{History, MarketOp, MarketSpec};
 
 /// A way a committed history can fail Selective Strict Serialization.
@@ -87,31 +88,15 @@ impl core::fmt::Display for SssViolation {
     }
 }
 
-/// The outcome of an SSS check.
-#[derive(Debug, Clone, Default)]
-pub struct SssReport {
-    /// Everything that broke; empty means the history satisfies SSS.
-    pub violations: Vec<SssViolation>,
-    /// Number of intervals the serialization opened (effective sets).
-    pub intervals: usize,
-    /// Effective buys, by the interval index they landed in (interval 0
-    /// is the genesis interval, before any committed set).
-    pub buys_per_interval: Vec<usize>,
-}
-
-impl SssReport {
-    /// `true` when the history satisfies SSS.
-    pub fn holds(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// Checks Selective Strict Serialization of `history` against the market's
-/// genesis state in `spec`.
-pub fn check(spec: &MarketSpec, history: &History) -> SssReport {
-    let mut report = SssReport { buys_per_interval: vec![0], ..SssReport::default() };
-    let mut tail_mark = spec.genesis_mark;
+/// Checks Selective Strict Serialization of `history` against the
+/// market's genesis state, counting into `tallies` the intervals the
+/// serialization opened and the effective buys in each. An empty result
+/// means the history satisfies SSS.
+pub(crate) fn check(spec: &MarketSpec, history: &History, tallies: &mut Tallies) -> Vec<SssViolation> {
+    let mut violations = Vec::new();
+    let mut tail_mark = genesis_mark();
     let mut current_value = spec.initial_value;
+    tallies.buys_per_interval = vec![0];
 
     for record in history.records() {
         match &record.op {
@@ -121,17 +106,15 @@ pub fn check(spec: &MarketSpec, history: &History) -> SssReport {
                     (true, true) => {
                         tail_mark = compute_mark(&fpv.prev_mark, &fpv.value);
                         current_value = fpv.value;
-                        report.intervals += 1;
-                        report.buys_per_interval.push(0);
+                        tallies.intervals += 1;
+                        tallies.buys_per_interval.push(0);
                     }
-                    (true, false) => report.violations.push(SssViolation::SetChainBroken {
+                    (true, false) => violations.push(SssViolation::SetChainBroken {
                         tx: record.tx_hash,
                         expected_prev: tail_mark,
                         found_prev: fpv.prev_mark,
                     }),
-                    (false, true) => {
-                        report.violations.push(SssViolation::SetWronglyFailed { tx: record.tx_hash });
-                    }
+                    (false, true) => violations.push(SssViolation::SetWronglyFailed { tx: record.tx_hash }),
                     (false, false) => {}
                 }
             }
@@ -139,24 +122,22 @@ pub fn check(spec: &MarketSpec, history: &History) -> SssReport {
                 let matches_interval = offer.prev_mark == tail_mark && offer.value == current_value;
                 match (record.effective, matches_interval) {
                     (true, true) => {
-                        *report.buys_per_interval.last_mut().expect("never empty") += 1;
+                        *tallies.buys_per_interval.last_mut().expect("never empty") += 1;
                     }
-                    (true, false) => report.violations.push(SssViolation::BuyOutsideInterval {
+                    (true, false) => violations.push(SssViolation::BuyOutsideInterval {
                         tx: record.tx_hash,
                         interval_mark: tail_mark,
                         interval_value: current_value,
                         offer_mark: offer.prev_mark,
                         offer_value: offer.value,
                     }),
-                    (false, true) => {
-                        report.violations.push(SssViolation::BuyWronglyFailed { tx: record.tx_hash });
-                    }
+                    (false, true) => violations.push(SssViolation::BuyWronglyFailed { tx: record.tx_hash }),
                     (false, false) => {}
                 }
             }
         }
     }
-    report
+    violations
 }
 
 #[cfg(test)]
@@ -166,8 +147,12 @@ mod tests {
     use sereth_core::fpv::{Flag, Fpv};
     use sereth_crypto::address::Address;
 
-    fn spec() -> MarketSpec {
-        MarketSpec::example()
+    /// Runs the pass over the example market: its violations, and the
+    /// tallies it filled.
+    fn run(history: &History) -> (Vec<SssViolation>, Tallies) {
+        let mut tallies = Tallies::default();
+        let violations = check(&MarketSpec::example(), history, &mut tallies);
+        (violations, tallies)
     }
 
     fn record(n: u64, op: MarketOp, effective: bool) -> TxRecord {
@@ -192,8 +177,7 @@ mod tests {
 
     #[test]
     fn a_clean_serialization_holds() {
-        let spec = spec();
-        let m0 = spec.genesis_mark;
+        let m0 = genesis_mark();
         let m1 = compute_mark(&m0, &H256::from_low_u64(60));
         let m2 = compute_mark(&m1, &H256::from_low_u64(70));
         let history = History::from_records(vec![
@@ -207,82 +191,76 @@ mod tests {
             // A stale buy (old interval) that correctly no-opped.
             record(6, buy(m1, 60), false),
         ]);
-        let report = check(&spec, &history);
-        assert!(report.holds(), "violations: {:?}", report.violations);
-        assert_eq!(report.intervals, 2);
-        assert_eq!(report.buys_per_interval, vec![1, 2, 1]);
+        let (violations, tallies) = run(&history);
+        assert!(violations.is_empty(), "violations: {violations:?}");
+        assert_eq!(tallies.intervals, 2);
+        assert_eq!(tallies.buys_per_interval, vec![1, 2, 1]);
     }
 
     #[test]
     fn effective_set_off_the_tail_is_a_violation() {
-        let spec = spec();
         let wrong = H256::keccak(b"not the tail");
         let history = History::from_records(vec![record(0, set(wrong, 60), true)]);
-        let report = check(&spec, &history);
-        assert_eq!(report.violations.len(), 1);
-        assert!(matches!(report.violations[0], SssViolation::SetChainBroken { .. }));
+        let (violations, _) = run(&history);
+        assert_eq!(violations.len(), 1);
+        assert!(matches!(violations[0], SssViolation::SetChainBroken { .. }));
     }
 
     #[test]
     fn matching_set_recorded_as_noop_is_a_violation() {
-        let spec = spec();
-        let history = History::from_records(vec![record(0, set(spec.genesis_mark, 60), false)]);
-        let report = check(&spec, &history);
-        assert!(matches!(report.violations[0], SssViolation::SetWronglyFailed { .. }));
+        let history = History::from_records(vec![record(0, set(genesis_mark(), 60), false)]);
+        let (violations, _) = run(&history);
+        assert!(matches!(violations[0], SssViolation::SetWronglyFailed { .. }));
     }
 
     #[test]
     fn effective_buy_with_stale_offer_is_a_violation() {
-        let spec = spec();
-        let m1 = compute_mark(&spec.genesis_mark, &H256::from_low_u64(60));
+        let m1 = compute_mark(&genesis_mark(), &H256::from_low_u64(60));
         let history = History::from_records(vec![
-            record(0, set(spec.genesis_mark, 60), true),
+            record(0, set(genesis_mark(), 60), true),
             // Offer pinned to the *genesis* interval commits after the set.
-            record(1, buy(spec.genesis_mark, 50), true),
+            record(1, buy(genesis_mark(), 50), true),
         ]);
-        let report = check(&spec, &history);
-        assert_eq!(report.violations.len(), 1);
-        let SssViolation::BuyOutsideInterval { interval_mark, .. } = &report.violations[0] else {
-            panic!("wrong violation kind: {:?}", report.violations[0]);
+        let (violations, _) = run(&history);
+        assert_eq!(violations.len(), 1);
+        let SssViolation::BuyOutsideInterval { interval_mark, .. } = &violations[0] else {
+            panic!("wrong violation kind: {:?}", violations[0]);
         };
         assert_eq!(*interval_mark, m1);
     }
 
     #[test]
     fn buy_with_right_mark_but_wrong_value_is_outside_its_interval() {
-        let spec = spec();
         // Offer carries the tail mark but a different price than the one
         // that mark committed — the frontrunning shape HMS blocks (§V-B).
-        let history = History::from_records(vec![record(0, buy(spec.genesis_mark, 999), true)]);
-        let report = check(&spec, &history);
-        assert!(matches!(report.violations[0], SssViolation::BuyOutsideInterval { .. }));
+        let history = History::from_records(vec![record(0, buy(genesis_mark(), 999), true)]);
+        let (violations, _) = run(&history);
+        assert!(matches!(violations[0], SssViolation::BuyOutsideInterval { .. }));
     }
 
     #[test]
     fn matching_buy_recorded_as_noop_is_a_violation() {
-        let spec = spec();
-        let history = History::from_records(vec![record(0, buy(spec.genesis_mark, 50), false)]);
-        let report = check(&spec, &history);
-        assert!(matches!(report.violations[0], SssViolation::BuyWronglyFailed { .. }));
+        let history = History::from_records(vec![record(0, buy(genesis_mark(), 50), false)]);
+        let (violations, _) = run(&history);
+        assert!(matches!(violations[0], SssViolation::BuyWronglyFailed { .. }));
     }
 
     #[test]
     fn stale_noops_are_fine_and_unlimited() {
-        let spec = spec();
         let wrong = H256::keccak(b"elsewhere");
         let history = History::from_records(vec![
             record(0, set(wrong, 1), false),
             record(1, buy(wrong, 1), false),
             record(2, buy(wrong, 50), false),
         ]);
-        assert!(check(&spec, &history).holds());
+        assert!(run(&history).0.is_empty());
     }
 
     #[test]
     fn empty_history_holds_trivially() {
-        let report = check(&spec(), &History::default());
-        assert!(report.holds());
-        assert_eq!(report.intervals, 0);
-        assert_eq!(report.buys_per_interval, vec![0]);
+        let (violations, tallies) = run(&History::default());
+        assert!(violations.is_empty());
+        assert_eq!(tallies.intervals, 0);
+        assert_eq!(tallies.buys_per_interval, vec![0]);
     }
 }

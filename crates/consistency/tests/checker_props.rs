@@ -1,4 +1,4 @@
-//! Property tests for the unified ladder checker.
+//! Property tests for the ladder audit, [`sereth_consistency::check`].
 //!
 //! Two bounds, mirroring `mutations.rs`:
 //!
@@ -12,9 +12,9 @@
 
 use proptest::prelude::*;
 use sereth_consistency::record::{History, MarketOp, MarketSpec, ReadRecord, TxRecord};
-use sereth_consistency::{Anomaly, AnomalyChecker, Checker, FullChecker, IsolationLevel, Report};
+use sereth_consistency::{check, Anomaly, IsolationLevel, Report};
 use sereth_core::fpv::{Flag, Fpv};
-use sereth_core::mark::compute_mark;
+use sereth_core::mark::{compute_mark, genesis_mark};
 use sereth_crypto::{Address, H256};
 
 /// One abstract step of a generated history.
@@ -62,7 +62,7 @@ fn record(i: usize, sender: u64, nonce: u64, op: MarketOp, effective: bool) -> T
 /// with an honest read log: every logged observation is of a mark that
 /// had committed by the serving height.
 fn build_history(spec: &MarketSpec, steps: &[Step]) -> History {
-    let mut tail = spec.genesis_mark;
+    let mut tail = genesis_mark();
     let mut value = spec.initial_value;
     // Every committed (mark, value) with the block it committed in —
     // the pool honest observations draw from. Genesis counts.
@@ -134,7 +134,7 @@ proptest! {
     ) {
         let spec = MarketSpec::example();
         let history = build_history(&spec, &steps);
-        let report = FullChecker { spec }.check(&history);
+        let report = check(&spec, &history);
         prop_assert!(report.violations.is_empty(), "false alarm: {:?}", report.violations);
         for level in IsolationLevel::ALL {
             prop_assert!(report.holds_at(level));
@@ -159,7 +159,7 @@ proptest! {
             record(900, 0x999, 0, MarketOp::Buy(Fpv::new(Flag::Success, never, spec.initial_value)), false),
         );
         history = History::from_records(records).with_reads(history.reads().to_vec());
-        let report = AnomalyChecker { spec }.check(&history);
+        let report = check(&spec, &history);
         prop_assert!(report.holds_at(IsolationLevel::ReadUncommitted), "G0 is about writes, not reads");
         prop_assert!(!report.holds_at(IsolationLevel::ReadCommitted));
         prop_assert!(report.violations.iter().all(|violation| matches!(
@@ -177,14 +177,14 @@ fn g0_dirty_write_cycle_pins_to_read_uncommitted() {
     // second — a write-on-uncommitted-write cycle no real import could
     // serialize. Forbidden already at the ladder's weakest rung.
     let value_late = H256::from_low_u64(60);
-    let mark_late = compute_mark(&spec.genesis_mark, &value_late);
+    let mark_late = compute_mark(&genesis_mark(), &value_late);
     let early = Fpv::new(Flag::Success, mark_late, H256::from_low_u64(70));
-    let late = Fpv::new(Flag::Head, spec.genesis_mark, value_late);
+    let late = Fpv::new(Flag::Head, genesis_mark(), value_late);
     let history = History::from_records(vec![
         record(0, OWNER, 0, MarketOp::Set(early), true),
         record(1, 2, 0, MarketOp::Set(late), true),
     ]);
-    let report = AnomalyChecker { spec }.check(&history);
+    let report = check(&spec, &history);
     assert!(
         report.violations.iter().any(|violation| matches!(violation.anomaly, Anomaly::DirtyWrite { .. })
             && violation.forbidden_at == IsolationLevel::ReadUncommitted),
@@ -204,12 +204,12 @@ fn speculative_offer_committed_later_pins_to_read_committed() {
     // dirty read the paper's client makes deliberately. Legal at
     // read-uncommitted, forbidden from read-committed up.
     let value = H256::from_low_u64(60);
-    let mark = compute_mark(&spec.genesis_mark, &value);
+    let mark = compute_mark(&genesis_mark(), &value);
     let history = History::from_records(vec![
         record(0, BUYERS[0], 0, MarketOp::Buy(Fpv::new(Flag::Success, mark, value)), true),
-        record(1, OWNER, 0, MarketOp::Set(Fpv::new(Flag::Head, spec.genesis_mark, value)), true),
+        record(1, OWNER, 0, MarketOp::Set(Fpv::new(Flag::Head, genesis_mark(), value)), true),
     ]);
-    let report = AnomalyChecker { spec }.check(&history);
+    let report = check(&spec, &history);
     let seeded: Vec<_> = report
         .violations
         .iter()
@@ -230,8 +230,8 @@ fn dirty_observation_pins_to_read_committed() {
     // The logged read saw the set's mark while the serving node's
     // committed head was still below the block that carried it.
     let value = H256::from_low_u64(60);
-    let mark = compute_mark(&spec.genesis_mark, &value);
-    let mut set = record(8, OWNER, 0, MarketOp::Set(Fpv::new(Flag::Head, spec.genesis_mark, value)), true);
+    let mark = compute_mark(&genesis_mark(), &value);
+    let mut set = record(8, OWNER, 0, MarketOp::Set(Fpv::new(Flag::Head, genesis_mark(), value)), true);
     set.block_number = 2;
     let history = History::from_records(vec![set]).with_reads(vec![ReadRecord {
         reader: Address::from_low_u64(BUYERS[0]),
@@ -239,7 +239,7 @@ fn dirty_observation_pins_to_read_committed() {
         observed_mark: mark,
         observed_value: value,
     }]);
-    let report = AnomalyChecker { spec }.check(&history);
+    let report = check(&spec, &history);
     let seeded: Vec<_> = report
         .violations
         .iter()
@@ -266,12 +266,12 @@ fn lost_update_pins_to_sequential() {
             0,
             OWNER,
             0,
-            MarketOp::Set(Fpv::new(Flag::Head, spec.genesis_mark, H256::from_low_u64(60))),
+            MarketOp::Set(Fpv::new(Flag::Head, genesis_mark(), H256::from_low_u64(60))),
             true,
         ),
-        record(1, 2, 0, MarketOp::Set(Fpv::new(Flag::Head, spec.genesis_mark, H256::from_low_u64(70))), true),
+        record(1, 2, 0, MarketOp::Set(Fpv::new(Flag::Head, genesis_mark(), H256::from_low_u64(70))), true),
     ]);
-    let report = AnomalyChecker { spec }.check(&history);
+    let report = check(&spec, &history);
     let seeded: Vec<_> = report
         .violations
         .iter()

@@ -25,6 +25,20 @@ pub const SET_SELECTOR: abi::Selector = [0xd1, 0x60, 0x27, 0x37];
 /// whose offer words name the mark interval it was built against.
 pub const BUY_SELECTOR: abi::Selector = [0x3f, 0x91, 0xe2, 0x38];
 
+/// Log topic the Sereth contract emits when a `set` takes effect:
+/// `keccak("SetOk(bytes32)")`.
+pub const SET_OK_TOPIC: H256 = H256::new([
+    0xbc, 0xaa, 0xc1, 0x06, 0x64, 0xac, 0x77, 0x3d, 0x8f, 0x2f, 0x15, 0x8b, 0xe6, 0xfd, 0x1e, 0x73, 0x50,
+    0x24, 0x21, 0x80, 0xe9, 0xbe, 0x42, 0x47, 0x38, 0x4c, 0x70, 0x14, 0x19, 0xeb, 0x81, 0x5e,
+]);
+
+/// Log topic the Sereth contract emits when a `buy` takes effect:
+/// `keccak("BuyOk(bytes32)")`.
+pub const BUY_OK_TOPIC: H256 = H256::new([
+    0x5c, 0x4f, 0xfb, 0x6d, 0x07, 0x38, 0x94, 0xaa, 0x77, 0x0e, 0xe8, 0x39, 0xc5, 0xc3, 0xea, 0x0c, 0x87,
+    0x35, 0x02, 0x2b, 0x51, 0x83, 0x60, 0x02, 0x43, 0x65, 0x1f, 0x50, 0x22, 0x52, 0x4a, 0xb3,
+]);
+
 /// The sentinel Algorithm 1 writes into the RAA words when the filtered
 /// transaction list is empty (line 1:5, `RAA ← specialValue`): it tells the
 /// caller the view was served from *committed* state and a new transaction

@@ -82,30 +82,6 @@ impl Partition {
     }
 }
 
-/// A straggler: every message to or from one of `actors` pays `extra_ms`
-/// on top of the sampled link latency — a slow NIC, a congested uplink,
-/// an overloaded peer. Unlike a partition the traffic still arrives, just
-/// late, which is exactly the regime where delayed competing blocks force
-/// reorgs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Straggler {
-    /// The slow actors.
-    pub actors: Vec<ActorId>,
-    /// Delay added per crossing message, in milliseconds.
-    pub extra_ms: SimTime,
-}
-
-impl Straggler {
-    /// The extra delay this straggler adds to a `from → to` message.
-    pub fn extra(&self, from: ActorId, to: ActorId) -> SimTime {
-        if self.actors.contains(&from) || self.actors.contains(&to) {
-            self.extra_ms
-        } else {
-            0
-        }
-    }
-}
-
 /// Link-level fault injection.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultModel {
@@ -116,19 +92,12 @@ pub struct FaultModel {
     pub duplicate_probability: f64,
     /// Scheduled partition episodes (may overlap).
     pub partitions: Vec<Partition>,
-    /// Straggler links (extra delays stack if several apply).
-    pub stragglers: Vec<Straggler>,
 }
 
 impl FaultModel {
     /// No faults.
     pub const fn none() -> Self {
-        Self {
-            drop_probability: 0.0,
-            duplicate_probability: 0.0,
-            partitions: Vec::new(),
-            stragglers: Vec::new(),
-        }
+        Self { drop_probability: 0.0, duplicate_probability: 0.0, partitions: Vec::new() }
     }
 
     /// Samples whether to drop a message.
@@ -144,12 +113,6 @@ impl FaultModel {
     /// `true` if any scheduled partition severs `from → to` at `now`.
     pub fn severs(&self, now: SimTime, from: ActorId, to: ActorId) -> bool {
         self.partitions.iter().any(|p| p.severs(now, from, to))
-    }
-
-    /// Total straggler delay a `from → to` message pays (0 when no
-    /// straggler touches either endpoint).
-    pub fn extra_delay(&self, from: ActorId, to: ActorId) -> SimTime {
-        self.stragglers.iter().map(|s| s.extra(from, to)).sum()
     }
 }
 
@@ -247,23 +210,5 @@ mod tests {
         assert!(!faults.severs(75, 0, 1), "between episodes");
         assert!(faults.severs(120, 2, 1), "second episode");
         assert!(!FaultModel::none().severs(10, 0, 1));
-    }
-
-    #[test]
-    fn stragglers_delay_crossing_traffic_only() {
-        let faults = FaultModel {
-            stragglers: vec![
-                Straggler { actors: vec![3], extra_ms: 400 },
-                Straggler { actors: vec![3, 5], extra_ms: 100 },
-            ],
-            ..FaultModel::none()
-        };
-        // Either direction across a straggler pays; overlapping stragglers stack.
-        assert_eq!(faults.extra_delay(0, 3), 500);
-        assert_eq!(faults.extra_delay(3, 0), 500);
-        assert_eq!(faults.extra_delay(0, 5), 100);
-        // Untouched links are free.
-        assert_eq!(faults.extra_delay(0, 1), 0);
-        assert_eq!(FaultModel::none().extra_delay(0, 3), 0);
     }
 }

@@ -20,9 +20,9 @@
 //! * all randomness — latency jitter, drop/duplicate draws, anything
 //!   actors draw through [`sim::Context::rng`] — comes from one RNG
 //!   seeded at construction and advanced only by the event loop;
-//! * faults are evaluated at **send** time, so a partition or straggler
-//!   window applies to the moment a message enters the link, not the
-//!   moment it would surface.
+//! * faults are evaluated at **send** time, so a partition window
+//!   applies to the moment a message enters the link, not the moment it
+//!   would surface.
 //!
 //! The scenario runner (`sereth-sim::scenario`) and the NET-SCALE bench
 //! lean on this: their convergence times are simulated time, hence
@@ -31,10 +31,8 @@
 //! # Fault vocabulary
 //!
 //! [`latency::FaultModel`] composes per-message drop probability,
-//! duplication probability, timed [`latency::Partition`] windows
-//! (messages crossing a severed cut are silently lost), and
-//! [`latency::Straggler`] links (a fixed extra delay on every message
-//! touching a slow actor).
+//! duplication probability, and timed [`latency::Partition`] windows
+//! (messages crossing a severed cut are silently lost).
 //!
 //! # Examples
 //!

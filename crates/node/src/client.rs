@@ -206,30 +206,6 @@ impl Buyer {
     }
 }
 
-/// Classifies a transaction's Sereth call, if any.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SerethCall {
-    /// A `set(bytes32[3])` invocation.
-    Set,
-    /// A `buy(bytes32[3])` invocation.
-    Buy,
-}
-
-/// Identifies whether `tx` calls the Sereth contract's `set` or `buy`.
-pub fn classify(tx: &Transaction, contract: &Address) -> Option<SerethCall> {
-    if tx.to() != Some(*contract) || tx.input().len() < 4 {
-        return None;
-    }
-    let selector = &tx.input()[..4];
-    if selector == set_selector() {
-        Some(SerethCall::Set)
-    } else if selector == buy_selector() {
-        Some(SerethCall::Buy)
-    } else {
-        None
-    }
-}
-
 /// A plain value transfer, for background traffic in mixed workloads.
 pub fn transfer(key: &SecretKey, nonce: u64, to: Address, amount: U256, gas_price: u64) -> Transaction {
     Transaction::sign(
@@ -383,23 +359,5 @@ mod tests {
         });
         assert_eq!(sets_ok, 1);
         assert_eq!(buys_ok, 1, "the READ-UNCOMMITTED buy lands in its interval");
-    }
-
-    #[test]
-    fn classify_recognises_sereth_calls() {
-        let owner_key = SecretKey::from_label(1);
-        let contract = default_contract_address();
-        let mut owner = Owner::new(owner_key.clone(), contract, genesis_mark(), 1);
-        let buyer_key = SecretKey::from_label(2);
-        let mut buyer = Buyer::new(buyer_key.clone(), contract, ClientKind::Geth, 1);
-        let node = make_node(ClientKind::Geth, &owner_key, &buyer_key);
-
-        let set = owner.next_set(&node, H256::from_low_u64(60));
-        assert_eq!(classify(&set, &contract), Some(SerethCall::Set));
-        let buy = buyer.next_buy(&node);
-        assert_eq!(classify(&buy, &contract), Some(SerethCall::Buy));
-        let plain = transfer(&owner_key, 5, Address::from_low_u64(1), U256::ZERO, 1);
-        assert_eq!(classify(&plain, &contract), None);
-        assert_eq!(classify(&set, &Address::from_low_u64(0x1234)), None, "other contract");
     }
 }

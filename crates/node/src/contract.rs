@@ -14,7 +14,7 @@
 //! | 4 | `nBuy` — successful `buy` count |
 
 use bytes::Bytes;
-use sereth_core::fpv::{BUY_SELECTOR, SET_SELECTOR};
+use sereth_core::fpv::{BUY_OK_TOPIC, BUY_SELECTOR, SET_OK_TOPIC, SET_SELECTOR};
 use sereth_core::mark::genesis_mark;
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
@@ -74,18 +74,12 @@ pub fn mark_selector() -> Selector {
 
 /// Event topic emitted by a successful `set`: `keccak("SetOk(bytes32)")`.
 pub fn set_ok_topic() -> H256 {
-    H256::new([
-        0xbc, 0xaa, 0xc1, 0x06, 0x64, 0xac, 0x77, 0x3d, 0x8f, 0x2f, 0x15, 0x8b, 0xe6, 0xfd, 0x1e, 0x73, 0x50,
-        0x24, 0x21, 0x80, 0xe9, 0xbe, 0x42, 0x47, 0x38, 0x4c, 0x70, 0x14, 0x19, 0xeb, 0x81, 0x5e,
-    ])
+    SET_OK_TOPIC
 }
 
 /// Event topic emitted by a successful `buy`: `keccak("BuyOk(bytes32)")`.
 pub fn buy_ok_topic() -> H256 {
-    H256::new([
-        0x5c, 0x4f, 0xfb, 0x6d, 0x07, 0x38, 0x94, 0xaa, 0x77, 0x0e, 0xe8, 0x39, 0xc5, 0xc3, 0xea, 0x0c, 0x87,
-        0x35, 0x02, 0x2b, 0x51, 0x83, 0x60, 0x02, 0x43, 0x65, 0x1f, 0x50, 0x22, 0x52, 0x4a, 0xb3,
-    ])
+    BUY_OK_TOPIC
 }
 
 fn selector_hex(sel: Selector) -> String {

@@ -25,7 +25,7 @@ pub mod miner;
 pub mod netnode;
 pub mod node;
 
-pub use client::{classify, transfer, Buyer, Owner, SerethCall, SERETH_TX_GAS};
+pub use client::{transfer, Buyer, Owner, SERETH_TX_GAS};
 pub use contract::{
     buy_ok_topic, buy_selector, default_contract_address, get_selector, mark_selector, sereth_asm_source,
     sereth_bytecode, sereth_code, sereth_genesis_slots, set_ok_topic, set_selector, ContractForm,

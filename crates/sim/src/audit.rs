@@ -1,35 +1,23 @@
 //! Offline consistency auditing of simulation runs.
 //!
-//! A [`RunOutput`] carries everything the `sereth-consistency` checkers
-//! consume: the miner's canonical chain (blocks + replay receipts) and
+//! A [`RunOutput`] carries everything [`sereth_consistency::check`]
+//! consumes: the miner's canonical chain (blocks + replay receipts) and
 //! the read observations the workload's buyers made along the way
 //! ([`crate::metrics::RunMetrics::reads`]). This module joins the two
-//! into a [`History`] and runs the unified [`FullChecker`], so every
-//! experiment can answer "which rung of the isolation ladder did this
-//! run actually satisfy?" without re-running anything.
+//! into a [`History`] and audits it, so every experiment can answer
+//! "which rung of the isolation ladder did this run actually satisfy?"
+//! without re-running anything.
 
-use sereth_consistency::{Checker, FullChecker, History, MarketSpec, Report};
-use sereth_core::mark::genesis_mark;
+use sereth_consistency::{check, History, MarketSpec, Report};
 use sereth_crypto::hash::H256;
-use sereth_node::contract::{
-    buy_ok_topic, buy_selector, default_contract_address, set_ok_topic, set_selector,
-};
+use sereth_node::contract::default_contract_address;
 
 use crate::scenario::RunOutput;
 
 /// The [`MarketSpec`] matching the scenario harness's genesis: the
-/// default contract, the real selectors/topics, and `initial_price` as
-/// the opening value.
+/// default contract, with `initial_price` as the opening value.
 pub fn market_spec(initial_price: u64) -> MarketSpec {
-    MarketSpec {
-        contract: default_contract_address(),
-        set_selector: set_selector(),
-        buy_selector: buy_selector(),
-        set_ok_topic: set_ok_topic(),
-        buy_ok_topic: buy_ok_topic(),
-        genesis_mark: genesis_mark(),
-        initial_value: H256::from_low_u64(initial_price),
-    }
+    MarketSpec { contract: default_contract_address(), initial_value: H256::from_low_u64(initial_price) }
 }
 
 /// Extracts the committed market history of a run, read log attached.
@@ -44,7 +32,7 @@ pub fn run_history(output: &RunOutput, initial_price: u64) -> History {
 /// updates), each violation tagged with the weakest isolation level that
 /// forbids it. `report.holds_at(level)` answers the ladder question.
 pub fn audit_run(output: &RunOutput, initial_price: u64) -> Report {
-    FullChecker { spec: market_spec(initial_price) }.check(&run_history(output, initial_price))
+    check(&market_spec(initial_price), &run_history(output, initial_price))
 }
 
 #[cfg(test)]

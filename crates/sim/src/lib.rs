@@ -10,7 +10,7 @@
 //!   check (all heads agree, byte-equal state roots);
 //! * [`metrics`] — state throughput and transaction efficiency η (§III-A);
 //! * [`audit`] — post-hoc isolation-ladder auditing of a run's committed
-//!   chain + read log through the unified `sereth-consistency` checker;
+//!   chain + read log through `sereth_consistency::check`;
 //! * [`experiment`] — seed-replicated parameter sweeps (Figure 2's data);
 //! * [`stats`] — means, 90 % confidence intervals, smoothing;
 //! * [`report`] — tables, CSV, and a terminal Figure 2.

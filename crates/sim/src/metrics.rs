@@ -8,10 +8,10 @@
 
 use std::collections::HashMap;
 
+use sereth_chain::txpool::MarketKind;
 use sereth_consistency::ReadRecord;
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
-use sereth_node::client::SerethCall;
 use sereth_node::contract::{buy_ok_topic, set_ok_topic};
 use sereth_node::node::NodeHandle;
 use sereth_types::SimTime;
@@ -31,7 +31,7 @@ pub struct SubmissionLog {
 #[derive(Debug, Clone)]
 pub struct Submission {
     /// What the transaction was.
-    pub call: SerethCall,
+    pub call: MarketKind,
     /// When the driver handed it to its node.
     pub submitted_at: SimTime,
     /// The submitting address.
@@ -65,7 +65,7 @@ impl SubmissionLog {
     }
 
     /// Count of submissions of a given kind.
-    pub fn count(&self, call: SerethCall) -> u64 {
+    pub fn count(&self, call: MarketKind) -> u64 {
         self.entries.values().filter(|s| s.call == call).count() as u64
     }
 
@@ -160,8 +160,8 @@ impl RunMetrics {
 /// Walks `node`'s canonical chain and joins it with the submission log.
 pub fn collect_metrics(node: &NodeHandle, log: &SubmissionLog) -> RunMetrics {
     let mut metrics = RunMetrics {
-        buys_submitted: log.count(SerethCall::Buy),
-        sets_submitted: log.count(SerethCall::Set),
+        buys_submitted: log.count(MarketKind::Buy),
+        sets_submitted: log.count(MarketKind::Set),
         reads: log.reads().to_vec(),
         ..RunMetrics::default()
     };
@@ -179,7 +179,7 @@ pub fn collect_metrics(node: &NodeHandle, log: &SubmissionLog) -> RunMetrics {
             for (tx, receipt) in stored.block.transactions.iter().zip(&stored.receipts) {
                 let Some(submission) = log.get(&tx.hash()) else { continue };
                 match submission.call {
-                    SerethCall::Buy => {
+                    MarketKind::Buy => {
                         metrics.buys_included += 1;
                         if receipt.has_event(buy_topic) {
                             metrics.buys_succeeded += 1;
@@ -189,7 +189,7 @@ pub fn collect_metrics(node: &NodeHandle, log: &SubmissionLog) -> RunMetrics {
                             );
                         }
                     }
-                    SerethCall::Set => {
+                    MarketKind::Set => {
                         metrics.sets_included += 1;
                         if receipt.has_event(set_topic) {
                             metrics.sets_succeeded += 1;
@@ -247,18 +247,18 @@ mod tests {
         let mut log = SubmissionLog::new();
         log.record(
             H256::from_low_u64(1),
-            Submission { call: SerethCall::Buy, submitted_at: 5, sender: Address::from_low_u64(1) },
+            Submission { call: MarketKind::Buy, submitted_at: 5, sender: Address::from_low_u64(1) },
         );
         log.record(
             H256::from_low_u64(2),
-            Submission { call: SerethCall::Set, submitted_at: 6, sender: Address::from_low_u64(2) },
+            Submission { call: MarketKind::Set, submitted_at: 6, sender: Address::from_low_u64(2) },
         );
         log.record(
             H256::from_low_u64(3),
-            Submission { call: SerethCall::Buy, submitted_at: 7, sender: Address::from_low_u64(1) },
+            Submission { call: MarketKind::Buy, submitted_at: 7, sender: Address::from_low_u64(1) },
         );
-        assert_eq!(log.count(SerethCall::Buy), 2);
-        assert_eq!(log.count(SerethCall::Set), 1);
+        assert_eq!(log.count(MarketKind::Buy), 2);
+        assert_eq!(log.count(MarketKind::Set), 1);
         assert_eq!(log.len(), 3);
         assert!(log.get(&H256::from_low_u64(2)).is_some());
     }

@@ -13,10 +13,11 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use sereth_chain::txpool::MarketKind;
 use sereth_crypto::hash::H256;
 use sereth_net::sim::{Actor, Context};
 use sereth_net::topology::ActorId;
-use sereth_node::client::{Buyer, Owner, SerethCall};
+use sereth_node::client::{Buyer, Owner};
 use sereth_node::contract::buy_ok_topic;
 use sereth_node::messages::Msg;
 use sereth_node::node::{NodeHandle, TxCommitStatus};
@@ -156,7 +157,7 @@ impl RetryDriver {
         slot.attempts += 1;
         self.log.lock().record(
             tx.hash(),
-            Submission { call: SerethCall::Buy, submitted_at: ctx.now(), sender: tx.sender() },
+            Submission { call: MarketKind::Buy, submitted_at: ctx.now(), sender: tx.sender() },
         );
         ctx.send_to(slot.node_id, Msg::SubmitTx(tx));
     }
@@ -217,7 +218,7 @@ impl Actor<Msg> for RetryDriver {
                 self.next_price += 1;
                 self.log.lock().record(
                     tx.hash(),
-                    Submission { call: SerethCall::Set, submitted_at: ctx.now(), sender: tx.sender() },
+                    Submission { call: MarketKind::Set, submitted_at: ctx.now(), sender: tx.sender() },
                 );
                 ctx.send_to(self.owner_node_id, Msg::SubmitTx(tx));
                 if self.sets_remaining > 0 && ctx.now() + self.set_interval <= self.deadline {

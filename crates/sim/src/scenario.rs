@@ -4,8 +4,8 @@
 //!
 //! Every run puts its nodes behind [`sereth_node::netnode::NetNode`] on
 //! the simulator's topology (complete, ring, star, random) with the
-//! configured latency, loss, duplication, stragglers, and partitions
-//! from [`FaultModel`]. The workload driver feeds the clients'
+//! configured latency, loss, duplication, and partitions from
+//! [`FaultModel`]. The workload driver feeds the clients'
 //! transactions in; nodes flood them and their blocks to their
 //! neighbours and run anti-entropy every [`SYNC_EVERY_MS`]. Mining stops
 //! at a horizon after the last submission (the pool drain window); then
@@ -134,7 +134,7 @@ pub struct ScenarioConfig {
     pub initial_price: u64,
     /// Link latency model.
     pub latency: LatencyModel,
-    /// Loss, duplication, stragglers, partitions.
+    /// Loss, duplication, partitions.
     pub faults: FaultModel,
     /// Peer wiring. The workload driver is actor `num_nodes` inside this
     /// topology; it never relays, so the effective node topology is this

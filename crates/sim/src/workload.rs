@@ -6,10 +6,11 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use sereth_chain::txpool::MarketKind;
 use sereth_crypto::hash::H256;
 use sereth_net::sim::{Actor, Context};
 use sereth_net::topology::ActorId;
-use sereth_node::client::{Buyer, Owner, SerethCall};
+use sereth_node::client::{Buyer, Owner};
 use sereth_node::messages::Msg;
 use sereth_node::node::NodeHandle;
 use sereth_types::SimTime;
@@ -138,7 +139,7 @@ impl MarketDriver {
                 let tx = self.owner.next_set(&self.owner_node, H256::from_low_u64(value));
                 self.log.lock().record(
                     tx.hash(),
-                    Submission { call: SerethCall::Set, submitted_at: ctx.now(), sender: tx.sender() },
+                    Submission { call: MarketKind::Set, submitted_at: ctx.now(), sender: tx.sender() },
                 );
                 ctx.send_to(self.owner_node_id, Msg::SubmitTx(tx));
             }
@@ -159,7 +160,7 @@ impl MarketDriver {
                 });
                 log.record(
                     tx.hash(),
-                    Submission { call: SerethCall::Buy, submitted_at: ctx.now(), sender: tx.sender() },
+                    Submission { call: MarketKind::Buy, submitted_at: ctx.now(), sender: tx.sender() },
                 );
                 drop(log);
                 ctx.send_to(self.buyer_node_ids[buyer], Msg::SubmitTx(tx));
@@ -168,7 +169,7 @@ impl MarketDriver {
                 let tx = self.owner.next_own_buy();
                 self.log.lock().record(
                     tx.hash(),
-                    Submission { call: SerethCall::Buy, submitted_at: ctx.now(), sender: tx.sender() },
+                    Submission { call: MarketKind::Buy, submitted_at: ctx.now(), sender: tx.sender() },
                 );
                 ctx.send_to(self.owner_node_id, Msg::SubmitTx(tx));
             }

@@ -2,12 +2,11 @@
 //!
 //! Runs one semantic-mining scenario (paper §V-C), then feeds its
 //! canonical chain **and** the buyers' logged read observations through
-//! the unified `sereth-consistency` [`Checker`]: program order (§IV),
-//! Selective Strict Serialization (§VI), and the Adya anomaly passes
-//! (dirty writes, dirty reads, lost updates). Every violation comes
-//! tagged with the *weakest* isolation level that forbids it, so the
-//! report answers the ladder question directly — which rung did this run
-//! actually satisfy?
+//! `sereth_consistency::check`: program order (§IV), Selective Strict
+//! Serialization (§VI), and the Adya anomaly passes (dirty writes, dirty
+//! reads, lost updates). Every violation comes tagged with the *weakest*
+//! isolation level that forbids it, so the report answers the ladder
+//! question directly — which rung did this run actually satisfy?
 //!
 //! The audit re-derives the market state machine from calldata alone, so
 //! it is an independent oracle over the whole stack: contract, executor,
@@ -37,7 +36,7 @@ fn main() {
         history.reads().len(),
     );
 
-    // --- 3. One unified checker pass over the whole ladder. --------------
+    // --- 3. One audit over the whole ladder. ------------------------------
     let report = audit_run(&output, config.initial_price);
     println!("  sets:  {} effective, {} no-ops", report.tallies.sets_ok, report.tallies.sets_noop);
     println!(
@@ -52,12 +51,12 @@ fn main() {
     // --- 4. The per-level verdict table. ----------------------------------
     println!("| isolation level  | verdict | violations forbidden at this rung |");
     println!("|------------------|---------|-----------------------------------|");
-    for verdict in &report.level_verdicts {
+    for level in IsolationLevel::ALL {
         println!(
             "| {:<16} | {:<7} | {:>33} |",
-            verdict.level.label(),
-            if verdict.holds { "HOLDS" } else { "BROKEN" },
-            verdict.violations,
+            level.label(),
+            if report.holds_at(level) { "HOLDS" } else { "BROKEN" },
+            report.violations_at(level),
         );
     }
     for violation in report.violations.iter().take(4) {

@@ -10,58 +10,34 @@
 //! the pool, the miner (standard *or* semantic), or the gossip layer —
 //! surfaces as a violation.
 
-use sereth::consistency::record::{History, MarketSpec};
-use sereth::consistency::{seqcon, sss};
-use sereth::crypto::H256;
-use sereth::hms::mark::genesis_mark;
-use sereth::node::contract::{
-    buy_ok_topic, buy_selector, default_contract_address, set_ok_topic, set_selector,
-};
+use sereth::sim::audit_run;
 use sereth::sim::scenario::{run_scenario, RunOutput, ScenarioConfig};
 
-fn spec(initial_price: u64) -> MarketSpec {
-    MarketSpec {
-        contract: default_contract_address(),
-        set_selector: set_selector(),
-        buy_selector: buy_selector(),
-        set_ok_topic: set_ok_topic(),
-        buy_ok_topic: buy_ok_topic(),
-        genesis_mark: genesis_mark(),
-        initial_value: H256::from_low_u64(initial_price),
-    }
-}
-
+/// Audits a run's committed chain for program order and SSS. These runs
+/// sit at read uncommitted, which allows the dirty reads the audit also
+/// counts, so those are not checked here.
 fn audit(output: &RunOutput, initial_price: u64) {
-    let spec = spec(initial_price);
-    let history = History::from_blocks(
-        &spec,
-        output.chain.iter().map(|(block, receipts)| (block, receipts.as_slice())),
-    );
+    let report = audit_run(output, initial_price);
+    let tallies = &report.tallies;
     assert!(
-        !history.is_empty(),
+        tallies.records > 0,
         "{} seed {}: no market transactions committed — audit vacuous",
         output.scenario,
         output.seed
     );
-
-    let seq_violations = seqcon::check(&history);
     assert!(
-        seq_violations.is_empty(),
-        "{} seed {}: sequential consistency broken: {:?}",
+        tallies.program_order == 0 && tallies.serialization == 0,
+        "{} seed {}: sequential consistency or SSS broken: {:?}",
         output.scenario,
         output.seed,
-        seq_violations
+        report.violations
     );
-
-    let report = sss::check(&spec, &history);
-    assert!(report.holds(), "{} seed {}: SSS broken: {:?}", output.scenario, output.seed, report.violations);
 
     // Cross-check the audit against the run's own metrics: the checker's
     // tally of effective operations must equal what the metrics counted.
-    let (sets_ok, _, buys_ok, _) = history.tallies();
-    assert_eq!(sets_ok as u64, output.metrics.sets_succeeded, "{}", output.scenario);
-    assert_eq!(buys_ok as u64, output.metrics.buys_succeeded, "{}", output.scenario);
-    assert_eq!(report.intervals, sets_ok, "every effective set opens exactly one interval");
+    assert_eq!(tallies.sets_ok as u64, output.metrics.sets_succeeded, "{}", output.scenario);
+    assert_eq!(tallies.buys_ok as u64, output.metrics.buys_succeeded, "{}", output.scenario);
+    assert_eq!(tallies.intervals, tallies.sets_ok, "every effective set opens exactly one interval");
 }
 
 fn small(mut config: ScenarioConfig) -> ScenarioConfig {
@@ -113,16 +89,11 @@ fn semantic_mining_actually_exercises_interval_freedom() {
     // A run where multiple buys land per interval, so the "selective" part
     // of SSS is not vacuous.
     let output = run_scenario(&small(ScenarioConfig::semantic_mining(30, 5)), 11);
-    let spec = spec(50);
-    let history = History::from_blocks(
-        &spec,
-        output.chain.iter().map(|(block, receipts)| (block, receipts.as_slice())),
-    );
-    let report = sss::check(&spec, &history);
-    assert!(report.holds());
+    let report = audit_run(&output, 50);
+    assert_eq!(report.tallies.serialization, 0, "{:?}", report.violations);
     assert!(
-        report.buys_per_interval.iter().any(|&count| count >= 2),
+        report.tallies.buys_per_interval.iter().any(|&count| count >= 2),
         "expected at least one interval with 2+ buys, got {:?}",
-        report.buys_per_interval
+        report.tallies.buys_per_interval
     );
 }
