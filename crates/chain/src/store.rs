@@ -1,13 +1,14 @@
 //! The chain store: block storage, canonical-chain tracking, longest-chain
-//! fork choice — and, behind the [`StateBackend`] seam, durable persistence
+//! fork choice — and, when it holds a [`DurableStore`], durable persistence
 //! with crash recovery and MVCC epoch-pinned reads.
 //!
 //! Construction goes through [`ChainStore::open`] with a [`StoreConfig`]:
-//! [`StoreConfig::in_memory`] keeps everything in the COW account map
-//! (exactly the pre-durable behaviour), [`StoreConfig::durable`] adds a
-//! snapshot + journal directory that survives restarts. Reads are identical
-//! on both: O(1) [`StateView`] snapshots that pin their epoch so garbage
-//! collection never reclaims a height a reader still holds.
+//! [`StoreConfig::in_memory`] keeps everything in the COW account map and
+//! never prunes; [`StoreConfig::durable`] adds a snapshot + journal
+//! directory that survives restarts. Reads are identical on both: O(1)
+//! [`StateView`] snapshots that pin their epoch in the store's one pin
+//! table, so garbage collection never reclaims a height a reader still
+//! holds.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
@@ -16,8 +17,8 @@ use std::sync::Arc;
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
 use sereth_store::{
-    AccountRecord, BlockRecord, CodeRecord, DurableOptions, DurableStore, EpochPins, InMemoryBackend,
-    Recovered, SnapshotRecord, StateBackend, StoreError,
+    AccountRecord, BlockRecord, CodeRecord, DurableOptions, DurableStore, EpochPins, Recovered,
+    SnapshotRecord, StoreError,
 };
 use sereth_telemetry::{BlockTrace, Phase, Telemetry};
 use sereth_types::block::Block;
@@ -83,7 +84,8 @@ impl core::fmt::Display for ImportError {
 
 impl std::error::Error for ImportError {}
 
-/// Which [`StateBackend`] a store opens on.
+/// Whether a store persists: in memory only, or through a
+/// [`DurableStore`] opened on a directory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StateBackendConfig {
     /// State lives purely in the COW account map; nothing persists,
@@ -98,9 +100,8 @@ pub enum StateBackendConfig {
     },
 }
 
-/// Everything [`ChainStore::open`] needs: the genesis to root at, the
-/// backend to persist through, and the knobs the old bare constructors
-/// took as positional arguments.
+/// Everything [`ChainStore::open`] needs: the genesis to root at, whether
+/// and where to persist, and the telemetry hub to record into.
 ///
 /// # Examples
 ///
@@ -159,39 +160,32 @@ impl StoreConfig {
         }
         self
     }
-
-    /// The configured backend.
-    pub fn backend(&self) -> &StateBackendConfig {
-        &self.backend
-    }
-
-    /// The genesis the store will root at.
-    pub fn genesis(&self) -> &Genesis {
-        &self.genesis
-    }
 }
 
 /// Block storage with longest-chain fork choice (ties favour the incumbent,
 /// then the lower hash, so every node resolves ties identically).
 ///
-/// With a durable backend, every import appends the block's account
-/// write-set to the journal and — on the snapshot cadence — checkpoints
-/// full state, garbage-collecting disk segments *and* in-memory block
-/// versions down to `min(pinned epoch, head - history)`.
+/// A durable store appends every import's account write-set to the
+/// journal and — on the snapshot cadence — checkpoints full state,
+/// garbage-collecting disk segments *and* in-memory block versions down to
+/// `min(pinned epoch, head - history)`. An in-memory store keeps every
+/// block.
 #[derive(Debug)]
 pub struct ChainStore {
     blocks: HashMap<H256, StoredBlock>,
+    /// Canonical block hashes by height; the last one is the head.
     canonical: Vec<H256>,
-    head: H256,
     /// Lowest height still resident in memory. 0 until durable pruning
     /// runs; reads below it return `None`.
     floor: u64,
     /// The hub `import` records into: `validate`/`import` phase
     /// histograms and per-block traces.
     telemetry: Arc<Telemetry>,
-    /// Where imports persist to — in-memory no-op or the durable engine.
-    backend: Box<dyn StateBackend>,
-    /// The backend's pin table, shared with every view handed out.
+    /// The engine imports persist through; `None` in an in-memory store,
+    /// which persists and prunes nothing.
+    durable: Option<DurableStore>,
+    /// Every view handed out pins its epoch here, and durable GC never
+    /// passes the lowest pin.
     pins: EpochPins,
     /// Native contract code by address, harvested from genesis — the only
     /// installer of native code — so recovery can re-resolve
@@ -225,26 +219,19 @@ impl ChainStore {
         let mut blocks = HashMap::new();
         blocks.insert(genesis_hash, stored);
 
-        let (backend, recovered): (Box<dyn StateBackend>, Option<Recovered>) = match backend {
-            StateBackendConfig::InMemory => (Box::new(InMemoryBackend::new()), None),
-            StateBackendConfig::Durable { dir, options } => {
-                let (engine, recovered) = DurableStore::open(dir, options)?;
-                (Box::new(engine), Some(recovered))
-            }
-        };
-        let pins = backend.pins().clone();
         let mut store = Self {
             blocks,
             canonical: vec![genesis_hash],
-            head: genesis_hash,
             floor: 0,
             telemetry,
-            backend,
-            pins,
+            durable: None,
+            pins: EpochPins::new(),
             natives,
         };
-        if let Some(recovered) = recovered {
-            store.recover(recovered)?;
+        if let StateBackendConfig::Durable { dir, options } = backend {
+            let (mut engine, recovered) = DurableStore::open(dir, options)?;
+            store.recover(&mut engine, recovered)?;
+            store.durable = Some(engine);
         }
         Ok(store)
     }
@@ -257,7 +244,7 @@ impl ChainStore {
 
     /// `true` when imports persist to disk.
     pub fn is_durable(&self) -> bool {
-        self.backend.is_durable()
+        self.durable.is_some()
     }
 
     /// Lowest canonical height still readable. Always 0 in memory-only
@@ -268,17 +255,21 @@ impl ChainStore {
 
     /// Hash of the canonical head.
     pub fn head_hash(&self) -> H256 {
-        self.head
+        *self.canonical.last().expect("the canonical chain holds at least its base block")
+    }
+
+    fn head(&self) -> &StoredBlock {
+        &self.blocks[&self.head_hash()]
     }
 
     /// The canonical head block.
     pub fn head_block(&self) -> &Block {
-        &self.blocks[&self.head].block
+        &self.head().block
     }
 
     /// State at the canonical head.
     pub fn head_state(&self) -> &StateDb {
-        &self.blocks[&self.head].post_state
+        &self.head().post_state
     }
 
     /// An O(1) immutable snapshot of the canonical head state. This is the
@@ -287,8 +278,7 @@ impl ChainStore {
     /// epoch, so garbage collection keeps the height servable until the
     /// last clone drops.
     pub fn head_state_view(&self) -> StateView {
-        let number = self.head_number();
-        self.blocks[&self.head].post_state.view().with_pin(self.pins.pin(number))
+        self.head_state().view().with_pin(self.pins.pin(self.head_number()))
     }
 
     /// An O(1) immutable, epoch-pinned snapshot of the canonical state at
@@ -368,7 +358,7 @@ impl ChainStore {
     }
 
     /// Validates and stores `block`, running fork choice, then — on a
-    /// durable backend — journals the block's write-set and checkpoints on
+    /// durable store — journals the block's write-set and checkpoints on
     /// the snapshot cadence (pruning memory and disk down to the GC floor,
     /// which never passes a pinned epoch).
     ///
@@ -418,7 +408,7 @@ impl ChainStore {
 
     /// The commit both imports share: insert, fork choice, the
     /// `import`-role trace (after the phases in `phase_ns`) and, on a
-    /// durable backend, persistence of the write-set against the parent.
+    /// durable store, persistence of the write-set against the parent.
     fn commit(
         &mut self,
         hash: H256,
@@ -426,12 +416,6 @@ impl ChainStore {
         mut phase_ns: Vec<(Phase, u64)>,
     ) -> Result<ImportOutcome, ImportError> {
         let telemetry = Arc::clone(&self.telemetry);
-        // O(1) capture for the write-set diff; only the durable path pays
-        // for it (and the diff itself skips what the block did not touch).
-        let parent_view = self
-            .backend
-            .is_durable()
-            .then(|| self.blocks[&stored.block.header.parent_hash].post_state.view());
         let number = stored.block.number();
         let (outcome, import_ns) = telemetry.time_ns(Phase::Import, || {
             self.blocks.insert(hash, stored);
@@ -439,9 +423,7 @@ impl ChainStore {
         });
         phase_ns.push((Phase::Import, import_ns));
         telemetry.trace_block(BlockTrace { number, role: "import", phase_ns });
-        if let Some(parent_view) = parent_view {
-            self.persist_block(&hash, &parent_view).map_err(ImportError::Store)?;
-        }
+        self.persist_block(&hash).map_err(ImportError::Store)?;
         Ok(outcome)
     }
 
@@ -457,7 +439,6 @@ impl ChainStore {
             && self.canonical.get(number as usize - 1) == Some(&self.blocks[&hash].block.header.parent_hash);
         if extends_head {
             self.canonical.push(hash);
-            self.head = hash;
             ImportOutcome::ExtendedCanonical
         } else {
             let reverted = self.rebuild_canonical(hash);
@@ -494,7 +475,6 @@ impl ChainStore {
         let displaced = self.canonical.len().saturating_sub(splice_at);
         self.canonical.truncate(splice_at);
         self.canonical.extend(path);
-        self.head = new_head;
         displaced
     }
 
@@ -507,46 +487,39 @@ impl ChainStore {
 
     // ---- durable path -----------------------------------------------------
 
-    /// Journals the freshly imported block `hash` (write-set relative to
-    /// `parent_view`) and, on the snapshot cadence, checkpoints and prunes.
-    fn persist_block(&mut self, hash: &H256, parent_view: &StateView) -> Result<(), StoreError> {
+    /// On a durable store, journals the freshly imported block `hash` (its
+    /// write-set against its parent's post-state) and, on the snapshot
+    /// cadence, checkpoints and prunes down to the engine's GC base, which
+    /// never passes a pinned epoch. An in-memory store does nothing here.
+    fn persist_block(&mut self, hash: &H256) -> Result<(), StoreError> {
+        let Some(durable) = &mut self.durable else { return Ok(()) };
         let stored = &self.blocks[hash];
-        let writes = parent_view
+        let parent = &self.blocks[&stored.block.header.parent_hash];
+        let writes = parent
+            .post_state
+            .view()
             .diff_accounts(&stored.post_state.view())
             .into_iter()
             .map(|(address, post)| (address, post.map(|account| account_to_record(&account))))
             .collect();
-        let record = BlockRecord { block: stored.block.clone(), receipts: stored.receipts.clone(), writes };
-        self.backend.record_block(&record)?;
-        if self.backend.wants_snapshot(self.head_number()) {
-            let snapshot = self.snapshot_record();
-            if let Some(floor) = self.backend.apply_snapshot(snapshot)? {
-                self.prune_below(floor);
-            }
+        durable.record_block(&BlockRecord {
+            block: stored.block.clone(),
+            receipts: stored.receipts.clone(),
+            writes,
+        })?;
+        // Field borrows rather than `self.head()`, which `durable` forbids.
+        let head =
+            &self.blocks[self.canonical.last().expect("the canonical chain holds at least its base block")];
+        if durable.wants_snapshot(head.block.number()) {
+            let floor =
+                durable.apply_snapshot(snapshot_record(head, &self.canonical), self.pins.min_pinned())?;
+            self.prune_below(floor);
         }
         Ok(())
     }
 
-    /// A full checkpoint of the canonical head: block, receipts, the
-    /// height-indexed canonical hash list, and every account.
-    fn snapshot_record(&self) -> SnapshotRecord {
-        let head = &self.blocks[&self.head];
-        SnapshotRecord {
-            genesis_hash: self.canonical[0],
-            epoch: head.block.number(),
-            block: head.block.clone(),
-            receipts: head.receipts.clone(),
-            canonical: self.canonical.clone(),
-            accounts: head
-                .post_state
-                .iter()
-                .map(|(address, account)| (*address, account_to_record(account)))
-                .collect(),
-        }
-    }
-
-    /// Drops in-memory blocks below `floor` — the backend's GC verdict,
-    /// which already honours the pin table, so pinned heights stay
+    /// Drops in-memory blocks below `floor` — the durable engine's GC
+    /// base, which already honours the pin table, so pinned heights stay
     /// resident. Reads below the floor return `None` afterwards.
     fn prune_below(&mut self, floor: u64) {
         if floor <= self.floor {
@@ -556,17 +529,16 @@ impl ChainStore {
         self.floor = floor;
     }
 
-    /// Rebuilds chain state from what a durable directory held: restore
-    /// the newest snapshot, replay intact journal records through the same
-    /// fork choice as live imports, and verify the head commitment. A
-    /// fresh directory instead gets seeded with a genesis checkpoint so
-    /// the journal always has a base.
-    fn recover(&mut self, recovered: Recovered) -> Result<(), StoreError> {
+    /// Rebuilds chain state from what `engine` recovered from its
+    /// directory: restore the newest snapshot, replay intact journal
+    /// records through the same fork choice as live imports, and verify the
+    /// head commitment. A fresh directory instead gets seeded with a
+    /// genesis checkpoint so the journal always has a base.
+    fn recover(&mut self, engine: &mut DurableStore, recovered: Recovered) -> Result<(), StoreError> {
         let genesis_hash = self.canonical[0];
         match recovered.snapshot {
             None => {
-                let snapshot = self.snapshot_record();
-                self.backend.apply_snapshot(snapshot)?;
+                engine.apply_snapshot(snapshot_record(self.head(), &self.canonical), None)?;
             }
             Some(snapshot) => {
                 if snapshot.genesis_hash != genesis_hash {
@@ -579,7 +551,7 @@ impl ChainStore {
                 for record in recovered.blocks {
                     self.replay_record(record)?;
                 }
-                let head = &self.blocks[&self.head];
+                let head = self.head();
                 if head.post_state.state_root() != head.block.header.state_root {
                     return Err(StoreError::corrupt(format!(
                         "recovered head {} does not reproduce its state root",
@@ -618,7 +590,6 @@ impl ChainStore {
         self.blocks.insert(hash, stored);
         self.floor = snapshot.epoch;
         self.canonical = snapshot.canonical;
-        self.head = hash;
         Ok(())
     }
 
@@ -668,6 +639,23 @@ impl ChainStore {
             code,
             storage: record.storage.iter().copied().collect(),
         })
+    }
+}
+
+/// A full checkpoint of `head`, the last block of `canonical`: block,
+/// receipts, the height-indexed canonical hash list, and every account.
+fn snapshot_record(head: &StoredBlock, canonical: &[H256]) -> SnapshotRecord {
+    SnapshotRecord {
+        genesis_hash: canonical[0],
+        epoch: head.block.number(),
+        block: head.block.clone(),
+        receipts: head.receipts.clone(),
+        canonical: canonical.to_vec(),
+        accounts: head
+            .post_state
+            .iter()
+            .map(|(address, account)| (*address, account_to_record(account)))
+            .collect(),
     }
 }
 
@@ -940,6 +928,27 @@ mod tests {
         drop(still_pinned);
         drop(genesis_view);
         assert_eq!(store.pins().pinned_epochs(), 0);
+    }
+
+    #[test]
+    fn in_memory_store_keeps_every_block() {
+        // Past the height where a durable store with the default options
+        // has snapshotted and collected below `history`, an in-memory
+        // store, which holds no durable engine, still serves every block.
+        let key = SecretKey::from_label(1);
+        let mut store = open_mem(genesis(&key));
+        let DurableOptions { snapshot_every, history, .. } = DurableOptions::default();
+        let blocks = snapshot_every + history + 1;
+        for number in 1..=blocks {
+            let block = extend(&store, vec![], 1, number * 15_000);
+            assert_eq!(store.import(block).unwrap(), ImportOutcome::ExtendedCanonical);
+        }
+        assert!(!store.is_durable());
+        assert_eq!(store.retained_floor(), 0);
+        assert!(store.state_view_at(0).is_some(), "genesis is still readable");
+        let stored = blocks as usize + 1;
+        assert_eq!(store.len(), stored);
+        assert_eq!(store.canonical_chain().count(), stored);
     }
 
     #[test]

@@ -92,15 +92,16 @@ pub struct PoolConfig {
     /// insert into a full pool evicts the cheapest entry (or is refused)
     /// under the same lock acquisition that admits it.
     pub capacity: usize,
-    /// Percentage price bump required to replace a same-nonce transaction.
-    pub replace_bump_pct: u64,
 }
 
 impl Default for PoolConfig {
     fn default() -> Self {
-        Self { capacity: 4096, replace_bump_pct: 10 }
+        Self { capacity: 4096 }
     }
 }
+
+/// Percentage price bump required to replace a same-nonce transaction.
+const REPLACE_BUMP_PCT: u64 = 10;
 
 /// Monotone counters describing how the pool's cached views are read.
 /// They are telemetry cells, so a node-wide snapshot carries them for
@@ -228,7 +229,7 @@ impl TxPool {
             return Err(PoolError::Duplicate);
         }
         if let Some(existing) = state.get(&sender, nonce) {
-            let required = existing.tx.gas_price().saturating_mul(100 + self.config.replace_bump_pct) / 100;
+            let required = existing.tx.gas_price().saturating_mul(100 + REPLACE_BUMP_PCT) / 100;
             if tx.gas_price() < required.max(existing.tx.gas_price() + 1) {
                 return Err(PoolError::ReplacementUnderpriced);
             }
@@ -402,7 +403,7 @@ mod tests {
 
     #[test]
     fn capacity_evicts_cheapest_when_newcomer_pays_more() {
-        let pool = TxPool::with_config(PoolConfig { capacity: 2, ..PoolConfig::default() });
+        let pool = TxPool::with_config(PoolConfig { capacity: 2 });
         let a = SecretKey::from_label(1);
         let b = SecretKey::from_label(2);
         let c = SecretKey::from_label(3);
@@ -421,7 +422,7 @@ mod tests {
     fn capacity_eviction_prefers_newest_of_the_cheapest() {
         // Two entries at the same (cheapest) price: the newer arrival is
         // the victim, exactly as the pre-index min_by_key tie-break chose.
-        let pool = TxPool::with_config(PoolConfig { capacity: 2, ..PoolConfig::default() });
+        let pool = TxPool::with_config(PoolConfig { capacity: 2 });
         let a = SecretKey::from_label(1);
         let b = SecretKey::from_label(2);
         let c = SecretKey::from_label(3);

@@ -1,6 +1,6 @@
 //! The audit: [`check`] runs every consistency pass over a committed
-//! history and returns one [`Report`], every violation tagged with the
-//! *weakest* [`IsolationLevel`] that forbids it.
+//! history and returns one [`Report`] of [`Anomaly`] values, each of which
+//! knows the *weakest* [`IsolationLevel`] that forbids it.
 //!
 //! # The anomaly taxonomy (Adya/ANSI, specialized to the market)
 //!
@@ -136,22 +136,6 @@ impl core::fmt::Display for Anomaly {
     }
 }
 
-/// An [`Anomaly`] together with its minimal forbidding level.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Violation {
-    /// The weakest ladder rung that forbids this anomaly.
-    pub forbidden_at: IsolationLevel,
-    /// What happened.
-    pub anomaly: Anomaly,
-}
-
-impl Violation {
-    /// Wraps an anomaly, deriving its minimal forbidding level.
-    pub fn of(anomaly: Anomaly) -> Self {
-        Self { forbidden_at: anomaly.forbidden_at(), anomaly }
-    }
-}
-
 /// Counts a report carries alongside its violations — the denominators
 /// that make the violation counts interpretable.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -168,11 +152,9 @@ pub struct Tallies {
     pub buys_ok: usize,
     /// No-op buys.
     pub buys_noop: usize,
-    /// Intervals the serialization opened (effective sets that chained
-    /// onto the tail).
-    pub intervals: usize,
     /// Effective buys by the interval they landed in (index 0 is the
-    /// genesis interval, before any committed set).
+    /// genesis interval, before any committed set; each later slot was
+    /// opened by an effective set that chained onto the tail).
     pub buys_per_interval: Vec<usize>,
     /// Dirty-write (G0) violations.
     pub dirty_writes: usize,
@@ -186,13 +168,22 @@ pub struct Tallies {
     pub serialization: usize,
 }
 
+impl Tallies {
+    /// Intervals the serialization opened (effective sets that chained
+    /// onto the tail): every slot of `buys_per_interval` but the genesis
+    /// one.
+    pub fn intervals(&self) -> usize {
+        self.buys_per_interval.len().saturating_sub(1)
+    }
+}
+
 /// What [`check`] found.
 #[derive(Debug, Clone)]
 pub struct Report {
     /// Every violation found, in pass order (program order, then
-    /// serialization, then the anomaly passes), each tagged with its
-    /// minimal forbidding level.
-    pub violations: Vec<Violation>,
+    /// serialization, then the anomaly passes);
+    /// [`Anomaly::forbidden_at`] gives each one's minimal forbidding level.
+    pub violations: Vec<Anomaly>,
     /// The denominators and the per-class counts.
     pub tallies: Tallies,
 }
@@ -207,7 +198,7 @@ impl Report {
     /// How many violations `level` forbids. Non-decreasing up the ladder:
     /// a stronger rung forbids everything a weaker one does.
     pub fn violations_at(&self, level: IsolationLevel) -> usize {
-        self.violations.iter().filter(|violation| violation.forbidden_at <= level).count()
+        self.violations.iter().filter(|anomaly| anomaly.forbidden_at() <= level).count()
     }
 }
 
@@ -227,19 +218,13 @@ pub fn check(spec: &MarketSpec, history: &History) -> Report {
         }
     }
 
-    let mut violations: Vec<Violation> = seqcon::check(history)
-        .into_iter()
-        .map(|violation| Violation::of(Anomaly::ProgramOrder(violation)))
-        .collect();
-    violations.extend(
-        sss::check(spec, history, &mut tallies)
-            .into_iter()
-            .map(|violation| Violation::of(Anomaly::Serialization(violation))),
-    );
-    violations.extend(anomalies(history).into_iter().map(Violation::of));
+    let mut violations: Vec<Anomaly> =
+        seqcon::check(history).into_iter().map(Anomaly::ProgramOrder).collect();
+    violations.extend(sss::check(spec, history, &mut tallies).into_iter().map(Anomaly::Serialization));
+    violations.extend(anomalies(history));
 
-    for violation in &violations {
-        match &violation.anomaly {
+    for anomaly in &violations {
+        match anomaly {
             Anomaly::DirtyWrite { .. } => tallies.dirty_writes += 1,
             Anomaly::DirtyReadCommitted { .. } | Anomaly::DirtyReadObserved { .. } => {
                 tallies.dirty_reads += 1
@@ -380,7 +365,7 @@ mod tests {
             assert_eq!(report.violations_at(level), 0);
         }
         assert_eq!(report.tallies.records, 3);
-        assert_eq!(report.tallies.intervals, 1);
+        assert_eq!(report.tallies.intervals(), 1);
         assert_eq!(report.tallies.buys_per_interval, vec![1, 1]);
     }
 
@@ -392,12 +377,9 @@ mod tests {
         let history = History::from_records(vec![record(0, set(m1, 70), true), record(1, set(m0, 60), true)]);
         let report = check(&spec(), &history);
         assert_eq!(report.tallies.dirty_writes, 1);
-        let g0 = report
-            .violations
-            .iter()
-            .find(|v| matches!(v.anomaly, Anomaly::DirtyWrite { .. }))
-            .expect("G0 detected");
-        assert_eq!(g0.forbidden_at, IsolationLevel::ReadUncommitted);
+        let g0 =
+            report.violations.iter().find(|v| matches!(v, Anomaly::DirtyWrite { .. })).expect("G0 detected");
+        assert_eq!(g0.forbidden_at(), IsolationLevel::ReadUncommitted);
         assert!(!report.holds_at(IsolationLevel::ReadUncommitted));
     }
 
@@ -408,8 +390,8 @@ mod tests {
         let report = check(&spec(), &history);
         assert_eq!(report.tallies.dirty_reads, 1);
         let g1a = &report.violations[0];
-        assert!(matches!(g1a.anomaly, Anomaly::DirtyReadCommitted { committed_later: false, .. }));
-        assert_eq!(g1a.forbidden_at, IsolationLevel::ReadCommitted);
+        assert!(matches!(g1a, Anomaly::DirtyReadCommitted { committed_later: false, .. }));
+        assert_eq!(g1a.forbidden_at(), IsolationLevel::ReadCommitted);
         // READ UNCOMMITTED explicitly allows it.
         assert!(report.holds_at(IsolationLevel::ReadUncommitted));
         assert!(!report.holds_at(IsolationLevel::ReadCommitted));
@@ -433,10 +415,7 @@ mod tests {
         let clean = ReadRecord { at_height: 1, ..dirty.clone() };
         let report = check(&spec(), &history.clone().with_reads(vec![dirty]));
         assert_eq!(report.tallies.dirty_reads, 1);
-        assert!(matches!(
-            report.violations[0].anomaly,
-            Anomaly::DirtyReadObserved { committed_later: true, .. }
-        ));
+        assert!(matches!(report.violations[0], Anomaly::DirtyReadObserved { committed_later: true, .. }));
         assert!(check(&spec(), &history.with_reads(vec![clean])).violations.is_empty());
     }
 
@@ -452,9 +431,9 @@ mod tests {
         let lost = report
             .violations
             .iter()
-            .find(|v| matches!(v.anomaly, Anomaly::LostUpdate { .. }))
+            .find(|v| matches!(v, Anomaly::LostUpdate { .. }))
             .expect("lost update detected");
-        assert_eq!(lost.forbidden_at, IsolationLevel::Sequential);
+        assert_eq!(lost.forbidden_at(), IsolationLevel::Sequential);
         assert!(report.holds_at(IsolationLevel::ReadUncommitted));
         assert!(report.holds_at(IsolationLevel::ReadCommitted));
         assert!(!report.holds_at(IsolationLevel::Sequential));
@@ -495,7 +474,7 @@ mod tests {
         assert_eq!(tallies.program_order, 1, "F after A");
         // Pass order: program order, serialization, then the anomaly
         // passes (writes before committed offers).
-        let classes: Vec<&str> = report.violations.iter().map(|v| v.anomaly.class()).collect();
+        let classes: Vec<&str> = report.violations.iter().map(Anomaly::class).collect();
         assert_eq!(
             classes,
             [
@@ -520,7 +499,7 @@ mod tests {
         // and no buy took effect in either.
         assert_eq!((tallies.records, tallies.reads), (6, 0));
         assert_eq!((tallies.sets_ok, tallies.sets_noop, tallies.buys_ok, tallies.buys_noop), (4, 0, 0, 2));
-        assert_eq!(tallies.intervals, 1);
+        assert_eq!(tallies.intervals(), 1);
         assert_eq!(tallies.buys_per_interval, vec![0, 0]);
     }
 }

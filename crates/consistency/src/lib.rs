@@ -23,9 +23,9 @@
 //! One function, [`check`], runs both passes and the Adya-style anomaly
 //! passes of the isolation ladder (G0 dirty-write cycles, G1a
 //! dirty/aborted reads, lost updates) and returns one [`Report`] whose
-//! every violation is tagged with the weakest [`IsolationLevel`] that
-//! forbids it, so `report.holds_at(level)` answers "does this history
-//! satisfy that rung of the ladder?".
+//! every violation is an [`Anomaly`] that knows the weakest
+//! [`IsolationLevel`] that forbids it, so `report.holds_at(level)` answers
+//! "does this history satisfy that rung of the ladder?".
 //!
 //! The checkers work from calldata and receipts alone — they re-derive
 //! what the contract *must* have done and compare against what the chain
@@ -52,7 +52,7 @@
 //! }]);
 //! let report = check(&MarketSpec::example(), &history);
 //! assert!(report.holds_at(IsolationLevel::Sequential));
-//! assert_eq!(report.tallies.intervals, 1);
+//! assert_eq!(report.tallies.intervals(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -63,7 +63,7 @@ pub mod record;
 mod seqcon;
 mod sss;
 
-pub use checker::{check, Anomaly, Report, Tallies, Violation};
+pub use checker::{check, Anomaly, Report, Tallies};
 pub use record::{History, MarketOp, MarketSpec, ReadRecord, TxRecord};
 pub use seqcon::SeqConViolation;
 pub use sereth_types::IsolationLevel;

@@ -106,7 +106,6 @@ pub(crate) fn check(spec: &MarketSpec, history: &History, tallies: &mut Tallies)
                     (true, true) => {
                         tail_mark = compute_mark(&fpv.prev_mark, &fpv.value);
                         current_value = fpv.value;
-                        tallies.intervals += 1;
                         tallies.buys_per_interval.push(0);
                     }
                     (true, false) => violations.push(SssViolation::SetChainBroken {
@@ -193,7 +192,7 @@ mod tests {
         ]);
         let (violations, tallies) = run(&history);
         assert!(violations.is_empty(), "violations: {violations:?}");
-        assert_eq!(tallies.intervals, 2);
+        assert_eq!(tallies.intervals(), 2);
         assert_eq!(tallies.buys_per_interval, vec![1, 2, 1]);
     }
 
@@ -260,7 +259,7 @@ mod tests {
     fn empty_history_holds_trivially() {
         let (violations, tallies) = run(&History::default());
         assert!(violations.is_empty());
-        assert_eq!(tallies.intervals, 0);
+        assert_eq!(tallies.intervals(), 0);
         assert_eq!(tallies.buys_per_interval, vec![0]);
     }
 }

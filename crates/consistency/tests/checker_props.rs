@@ -162,8 +162,8 @@ proptest! {
         let report = check(&spec, &history);
         prop_assert!(report.holds_at(IsolationLevel::ReadUncommitted), "G0 is about writes, not reads");
         prop_assert!(!report.holds_at(IsolationLevel::ReadCommitted));
-        prop_assert!(report.violations.iter().all(|violation| matches!(
-            violation.anomaly,
+        prop_assert!(report.violations.iter().all(|anomaly| matches!(
+            anomaly,
             Anomaly::DirtyReadCommitted { committed_later: false, .. }
         )), "only the seeded anomaly fires: {:?}", report.violations);
         assert_monotone(&report);
@@ -186,8 +186,8 @@ fn g0_dirty_write_cycle_pins_to_read_uncommitted() {
     ]);
     let report = check(&spec, &history);
     assert!(
-        report.violations.iter().any(|violation| matches!(violation.anomaly, Anomaly::DirtyWrite { .. })
-            && violation.forbidden_at == IsolationLevel::ReadUncommitted),
+        report.violations.iter().any(|anomaly| matches!(anomaly, Anomaly::DirtyWrite { .. })
+            && anomaly.forbidden_at() == IsolationLevel::ReadUncommitted),
         "{:?}",
         report.violations
     );
@@ -213,12 +213,10 @@ fn speculative_offer_committed_later_pins_to_read_committed() {
     let seeded: Vec<_> = report
         .violations
         .iter()
-        .filter(|violation| {
-            matches!(violation.anomaly, Anomaly::DirtyReadCommitted { committed_later: true, .. })
-        })
+        .filter(|anomaly| matches!(anomaly, Anomaly::DirtyReadCommitted { committed_later: true, .. }))
         .collect();
     assert_eq!(seeded.len(), 1, "{:?}", report.violations);
-    assert_eq!(seeded[0].forbidden_at, IsolationLevel::ReadCommitted);
+    assert_eq!(seeded[0].forbidden_at(), IsolationLevel::ReadCommitted);
     assert!(report.holds_at(IsolationLevel::ReadUncommitted), "the weak rung permits it");
     assert!(!report.holds_at(IsolationLevel::ReadCommitted));
     assert_monotone(&report);
@@ -243,12 +241,10 @@ fn dirty_observation_pins_to_read_committed() {
     let seeded: Vec<_> = report
         .violations
         .iter()
-        .filter(|violation| {
-            matches!(violation.anomaly, Anomaly::DirtyReadObserved { committed_later: true, .. })
-        })
+        .filter(|anomaly| matches!(anomaly, Anomaly::DirtyReadObserved { committed_later: true, .. }))
         .collect();
     assert_eq!(seeded.len(), 1, "{:?}", report.violations);
-    assert_eq!(seeded[0].forbidden_at, IsolationLevel::ReadCommitted);
+    assert_eq!(seeded[0].forbidden_at(), IsolationLevel::ReadCommitted);
     assert!(report.holds_at(IsolationLevel::ReadUncommitted));
     assert!(!report.holds_at(IsolationLevel::ReadCommitted));
     assert_monotone(&report);
@@ -272,13 +268,10 @@ fn lost_update_pins_to_sequential() {
         record(1, 2, 0, MarketOp::Set(Fpv::new(Flag::Head, genesis_mark(), H256::from_low_u64(70))), true),
     ]);
     let report = check(&spec, &history);
-    let seeded: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|violation| matches!(violation.anomaly, Anomaly::LostUpdate { .. }))
-        .collect();
+    let seeded: Vec<_> =
+        report.violations.iter().filter(|anomaly| matches!(anomaly, Anomaly::LostUpdate { .. })).collect();
     assert_eq!(seeded.len(), 1, "{:?}", report.violations);
-    assert_eq!(seeded[0].forbidden_at, IsolationLevel::Sequential);
+    assert_eq!(seeded[0].forbidden_at(), IsolationLevel::Sequential);
     assert!(report.holds_at(IsolationLevel::ReadUncommitted));
     assert!(report.holds_at(IsolationLevel::ReadCommitted), "lost updates are legal below sequential");
     assert!(!report.holds_at(IsolationLevel::Sequential));

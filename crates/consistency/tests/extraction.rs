@@ -124,7 +124,7 @@ fn extraction_spans_blocks_in_commit_order_and_audits_pass() {
     assert!(report.violations.is_empty(), "{:?}", report.violations);
     let tallies = &report.tallies;
     assert_eq!((tallies.sets_ok, tallies.sets_noop, tallies.buys_ok, tallies.buys_noop), (1, 0, 1, 1));
-    assert_eq!(tallies.intervals, 1);
+    assert_eq!(tallies.intervals(), 1);
     assert_eq!(tallies.buys_per_interval, vec![0, 1]);
 }
 
@@ -150,7 +150,7 @@ fn replayed_effective_set_is_caught() {
     let serialization: Vec<&SssViolation> = report
         .violations
         .iter()
-        .filter_map(|violation| match &violation.anomaly {
+        .filter_map(|anomaly| match anomaly {
             Anomaly::Serialization(broken) => Some(broken),
             _ => None,
         })

@@ -109,7 +109,7 @@ proptest! {
         let tallies = check(&spec, &history).tallies;
         let fresh_sets = steps.iter().filter(|s| matches!(s, Step::FreshSet(_))).count();
         let fresh_buys = steps.iter().filter(|s| matches!(s, Step::FreshBuy)).count();
-        prop_assert_eq!(tallies.intervals, fresh_sets);
+        prop_assert_eq!(tallies.intervals(), fresh_sets);
         prop_assert_eq!(tallies.buys_per_interval.iter().sum::<usize>(), fresh_buys);
     }
 

@@ -1,51 +1,30 @@
 //! Fixed-width hash and byte-array newtypes, plus hex helpers.
 
 use core::fmt;
-use core::str::FromStr;
 
 use crate::keccak::keccak256;
 
-/// Error returned when parsing a fixed-width hex value fails.
+/// Error returned when building a fixed-width value from bytes of the
+/// wrong length.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseHexError {
     /// The input had the wrong number of hex digits.
     InvalidLength {
-        /// Number of hex characters expected (after the optional `0x`).
+        /// Number of hex characters expected.
         expected: usize,
         /// Number of hex characters found.
         found: usize,
     },
-    /// A character outside `[0-9a-fA-F]` was found.
-    InvalidDigit(char),
 }
 
 impl fmt::Display for ParseHexError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::InvalidLength { expected, found } => {
-                write!(f, "invalid hex length: expected {expected} digits, found {found}")
-            }
-            Self::InvalidDigit(c) => write!(f, "invalid hex digit {c:?}"),
-        }
+        let Self::InvalidLength { expected, found } = self;
+        write!(f, "invalid hex length: expected {expected} digits, found {found}")
     }
 }
 
 impl std::error::Error for ParseHexError {}
-
-pub(crate) fn decode_hex_into(s: &str, out: &mut [u8]) -> Result<(), ParseHexError> {
-    let s = s.strip_prefix("0x").unwrap_or(s);
-    if s.len() != out.len() * 2 {
-        return Err(ParseHexError::InvalidLength { expected: out.len() * 2, found: s.len() });
-    }
-    fn nibble(c: char) -> Result<u8, ParseHexError> {
-        c.to_digit(16).map(|d| d as u8).ok_or(ParseHexError::InvalidDigit(c))
-    }
-    let chars: Vec<char> = s.chars().collect();
-    for (i, byte) in out.iter_mut().enumerate() {
-        *byte = (nibble(chars[2 * i])? << 4) | nibble(chars[2 * i + 1])?;
-    }
-    Ok(())
-}
 
 /// Encodes `bytes` as lowercase hex without a prefix.
 pub fn encode_hex(bytes: &[u8]) -> String {
@@ -133,16 +112,6 @@ macro_rules! fixed_bytes {
                     write!(f, "0x")?;
                 }
                 write!(f, "{}", encode_hex(&self.0))
-            }
-        }
-
-        impl FromStr for $name {
-            type Err = ParseHexError;
-
-            fn from_str(s: &str) -> Result<Self, Self::Err> {
-                let mut out = [0u8; $len];
-                decode_hex_into(s, &mut out)?;
-                Ok(Self(out))
             }
         }
 
@@ -237,33 +206,6 @@ mod tests {
         assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn h256_hex_round_trip() {
-        let value = H256::keccak(b"round-trip");
-        let parsed: H256 = value.to_hex().parse().unwrap();
-        assert_eq!(parsed, value);
-    }
-
-    #[test]
-    fn h256_parse_rejects_bad_length() {
-        let err = "0x1234".parse::<H256>().unwrap_err();
-        assert!(matches!(err, ParseHexError::InvalidLength { expected: 64, .. }));
-    }
-
-    #[test]
-    fn h256_parse_rejects_bad_digit() {
-        let s = format!("0x{}", "zz".repeat(32));
-        let err = s.parse::<H256>().unwrap_err();
-        assert_eq!(err, ParseHexError::InvalidDigit('z'));
-    }
-
-    #[test]
-    fn h256_parse_accepts_unprefixed() {
-        let hex = "11".repeat(32);
-        let value: H256 = hex.parse().unwrap();
-        assert_eq!(value.0, [0x11u8; 32]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   marks) over the Keccak-f\[1600\] permutation, with an exact
 //!   per-thread count of permutations run;
 //! * [`hash`] — fixed-width [`hash::H256`] / [`hash::H160`] newtypes with
-//!   hex parsing and formatting;
+//!   hex formatting;
 //! * [`address`] — account and contract address derivation;
 //! * [`sig`] — simulated signatures providing sender binding and tamper
 //!   evidence (see the module docs for the substitution rationale);

@@ -54,12 +54,4 @@ proptest! {
             prop_assert!(!sig.verify(&stranger.address(), digest));
         }
     }
-
-    /// Hex round-trip for H256.
-    #[test]
-    fn h256_hex_round_trip(bytes in any::<[u8; 32]>()) {
-        let value = H256::new(bytes);
-        let parsed: H256 = value.to_hex().parse().unwrap();
-        prop_assert_eq!(parsed, value);
-    }
 }

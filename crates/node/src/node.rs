@@ -117,7 +117,7 @@ pub struct NodeConfig {
     pub limits: BlockLimits,
     /// HMS extensions (committed-head).
     pub hms: HmsConfig,
-    /// Transaction-pool configuration (capacity, replacement bump).
+    /// Transaction-pool configuration (capacity).
     pub pool: PoolConfig,
     /// The telemetry switch. On by default (the layer is cheap enough to
     /// leave running); disabled, every subsystem records nothing and the
@@ -831,7 +831,7 @@ impl NodeHandle {
                 BlockReceipt::Dropped
             };
         }
-        match self.import(&mut inner, hash, |chain| chain.import(block)) {
+        match self.import(&mut inner, |chain| chain.import(block)) {
             Ok(ImportOutcome::AlreadyKnown) => BlockReceipt::Known,
             // A Store error still imported the block in memory: keep
             // serving (and forwarding) from memory.
@@ -845,11 +845,10 @@ impl NodeHandle {
         }
     }
 
-    /// Imports the block `hash` with `store`: the one routine behind
-    /// block receipt and orphan release, which replay the block
-    /// (`ChainStore::import`), and mining, which commits it as built
-    /// (`ChainStore::import_built`). A block the chain already stores is
-    /// answered before `store` runs, so before it is cloned.
+    /// Imports a block with `store`: the one routine behind block receipt
+    /// and orphan release, which replay the block (`ChainStore::import`),
+    /// and mining, which commits it as built (`ChainStore::import_built`).
+    /// Both answer `AlreadyKnown` for a block the chain already stores.
     /// `ImportError::Store` means the block entered the in-memory chain
     /// and only its persistence failed; every such fault is counted here
     /// on `node.store_failed`, once per block. When the canonical head
@@ -859,12 +858,8 @@ impl NodeHandle {
     fn import(
         &self,
         inner: &mut NodeInner,
-        hash: H256,
         store: impl FnOnce(&mut ChainStore) -> Result<ImportOutcome, ImportError>,
     ) -> Result<ImportOutcome, ImportError> {
-        if inner.chain.get(&hash).is_some() {
-            return Ok(ImportOutcome::AlreadyKnown);
-        }
         let previous_head = inner.chain.head_hash();
         let result = store(&mut inner.chain);
         if matches!(result, Err(ImportError::Store(_))) {
@@ -902,7 +897,7 @@ impl NodeHandle {
                     inner.orphans.push((hash, block));
                     continue;
                 }
-                match self.import(inner, hash, |chain| chain.import(block)) {
+                match self.import(inner, |chain| chain.import(block)) {
                     Ok(ImportOutcome::AlreadyKnown)
                     | Err(ImportError::UnknownParent | ImportError::Invalid(_)) => {}
                     // Stored, canonical or not (a Store error still
@@ -978,7 +973,7 @@ impl NodeHandle {
     /// built, counting a self-import failure instead of swallowing it.
     fn import_mined(&self, built: BuiltBlock) -> Option<Block> {
         let block = built.block.clone();
-        match self.import(&mut self.lock(), block.hash(), |chain| chain.import_built(built)) {
+        match self.import(&mut self.lock(), |chain| chain.import_built(built)) {
             // A gossip block imported while this one was built can beat it
             // to the head: it is then a side chain and its transactions
             // stay pooled for the next attempt. A Store error leaves it in
@@ -1293,7 +1288,7 @@ mod tests {
             test_genesis(&owner),
             NodeConfig::miner(default_contract_address(), MinerPolicy::Standard)
                 .coinbase(Address::from_low_u64(0xc01))
-                .pool(PoolConfig { capacity: 1, ..PoolConfig::default() })
+                .pool(PoolConfig { capacity: 1 })
                 .build(),
         );
         let pricier = crate::client::transfer(&owner, 0, Address::from_low_u64(0xb0b), U256::from(1u64), 10);

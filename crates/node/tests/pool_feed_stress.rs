@@ -203,7 +203,7 @@ fn capacity_is_exact_under_concurrent_submitters() {
     // the cheapest itself while a newcomer out-pays it.
     const CAPACITY: usize = 32;
     const PER_SUBMITTER: u64 = 128;
-    let pool = TxPool::with_config(PoolConfig { capacity: CAPACITY, ..PoolConfig::default() });
+    let pool = TxPool::with_config(PoolConfig { capacity: CAPACITY });
     let batches: Vec<Vec<Transaction>> = (0..SUBMITTERS as u64)
         .map(|submitter| {
             (0..PER_SUBMITTER)

@@ -248,7 +248,7 @@ fn assert_reads_match_oracles(pool: &TxPool, label: &str) {
 /// Replays `ops` into a fresh pool of `capacity` entries, checking both
 /// reads after every operation.
 fn run_history(ops: &[Op], capacity: usize) {
-    let pool = TxPool::with_config(PoolConfig { capacity, ..PoolConfig::default() });
+    let pool = TxPool::with_config(PoolConfig { capacity });
     let mut log = Vec::new();
     let mut now = 0u64;
     for (i, op) in ops.iter().enumerate() {

@@ -94,8 +94,7 @@ fn market_tx(
 /// oracle.
 fn replay_and_check(ops: &[RawOp], read_every: usize, config: &HmsConfig) -> Result<(), TestCaseError> {
     let hub = Arc::new(Telemetry::enabled());
-    let pool =
-        TxPool::with_telemetry(PoolConfig { capacity: CAPACITY, ..PoolConfig::default() }, hub.clone());
+    let pool = TxPool::with_telemetry(PoolConfig { capacity: CAPACITY }, hub.clone());
     let counter = |name: &str| hub.snapshot().counters[name];
     let other = HmsConfig { committed_head: !config.committed_head };
 

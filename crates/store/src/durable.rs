@@ -14,20 +14,19 @@
 //! newest decodable snapshot, replays every intact journal record after
 //! it, truncates the torn tail, and discards anything beyond the tear.
 //!
-//! GC runs when a snapshot lands: with floor `F = min(pinned epochs,
-//! head − history)`, the newest snapshot at or below `F` is chosen as the
-//! retention base; older snapshots and sealed segments whose records all
-//! precede the base are deleted. A pinned epoch therefore always stays
-//! recoverable.
+//! GC runs when a snapshot lands. The caller passes in the lowest epoch
+//! its readers pin; with floor `F = min(that epoch, head − history)`, the
+//! newest snapshot at or below `F` is chosen as the retention base; older
+//! snapshots and sealed segments whose records all precede the base are
+//! deleted. A pinned epoch therefore always stays recoverable.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::codec::{BlockRecord, SnapshotRecord};
-use crate::pins::EpochPins;
 use crate::record::{write_record, RecordScanner};
-use crate::{StateBackend, StoreError};
+use crate::StoreError;
 
 /// Tuning for a [`DurableStore`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,12 +71,15 @@ struct SegmentInfo {
 }
 
 /// The snapshot + journal persistence engine. One instance owns one
-/// directory; it implements [`StateBackend`] for `ChainStore::open`.
+/// directory. A durable `ChainStore` drives it after every import:
+/// [`record_block`](Self::record_block) for each newly stored block, then,
+/// when [`wants_snapshot`](Self::wants_snapshot) says the cadence is due,
+/// [`apply_snapshot`](Self::apply_snapshot) with a fresh checkpoint and the
+/// lowest epoch its readers pin.
 #[derive(Debug)]
 pub struct DurableStore {
     dir: PathBuf,
     options: DurableOptions,
-    pins: EpochPins,
     active: File,
     active_seq: u64,
     active_len: u64,
@@ -207,28 +209,9 @@ impl DurableStore {
         };
         let active = OpenOptions::new().create(true).append(true).open(segment_path(&dir, active_seq))?;
 
-        let store = Self {
-            dir,
-            options,
-            pins: EpochPins::new(),
-            active,
-            active_seq,
-            active_len,
-            active_max_epoch,
-            sealed,
-            snapshots,
-        };
+        let store =
+            Self { dir, options, active, active_seq, active_len, active_max_epoch, sealed, snapshots };
         Ok((store, Recovered { snapshot, blocks }))
-    }
-
-    /// The directory this store owns.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The options this store runs with.
-    pub fn options(&self) -> &DurableOptions {
-        &self.options
     }
 
     fn rotate(&mut self) -> Result<(), StoreError> {
@@ -251,7 +234,12 @@ impl DurableStore {
         Ok(())
     }
 
-    fn append(&mut self, record: &BlockRecord) -> Result<(), StoreError> {
+    /// Journals one imported block and its account write-set.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] when the journal append fails.
+    pub fn record_block(&mut self, record: &BlockRecord) -> Result<(), StoreError> {
         if self.active_len >= self.options.segment_bytes {
             self.rotate()?;
         }
@@ -263,6 +251,37 @@ impl DurableStore {
         self.active_len += (crate::record::RECORD_HEADER_BYTES + payload.len()) as u64;
         self.active_max_epoch = self.active_max_epoch.max(record.epoch());
         Ok(())
+    }
+
+    /// `true` when a snapshot is due at `head_epoch`: `snapshot_every`
+    /// epochs past the newest one, or none written yet.
+    pub fn wants_snapshot(&self, head_epoch: u64) -> bool {
+        match self.snapshots.last() {
+            None => true,
+            Some(&last) => head_epoch >= last + self.options.snapshot_every,
+        }
+    }
+
+    /// Checkpoints `snapshot` and garbage-collects down to the floor
+    /// `min(min_pinned, epoch - history)`, where `min_pinned` is the
+    /// lowest epoch the caller's readers hold. Returns the retention base
+    /// kept, the newest snapshot at or below that floor: the caller may
+    /// prune its in-memory versions below it.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] when writing the snapshot fails.
+    pub fn apply_snapshot(
+        &mut self,
+        snapshot: SnapshotRecord,
+        min_pinned: Option<u64>,
+    ) -> Result<u64, StoreError> {
+        let floor = snapshot.epoch.saturating_sub(self.options.history).min(min_pinned.unwrap_or(u64::MAX));
+        self.write_snapshot(&snapshot)?;
+        // Seal the active segment so everything journaled before this
+        // snapshot lives in deletable (sealed) segments.
+        self.rotate()?;
+        Ok(self.compact(floor))
     }
 
     /// Writes `snapshot` to a temp file and renames it into place. The
@@ -316,40 +335,6 @@ impl DurableStore {
     }
 }
 
-impl StateBackend for DurableStore {
-    fn record_block(&mut self, record: &BlockRecord) -> Result<(), StoreError> {
-        self.append(record)
-    }
-
-    fn wants_snapshot(&self, head_epoch: u64) -> bool {
-        match self.snapshots.last() {
-            None => true,
-            Some(&last) => head_epoch >= last + self.options.snapshot_every,
-        }
-    }
-
-    fn apply_snapshot(&mut self, snapshot: SnapshotRecord) -> Result<Option<u64>, StoreError> {
-        let floor = snapshot
-            .epoch
-            .saturating_sub(self.options.history)
-            .min(self.pins.min_pinned().unwrap_or(u64::MAX));
-        self.write_snapshot(&snapshot)?;
-        // Seal the active segment so everything journaled before this
-        // snapshot lives in deletable (sealed) segments.
-        self.rotate()?;
-        let base = self.compact(floor);
-        Ok(Some(base))
-    }
-
-    fn pins(&self) -> &EpochPins {
-        &self.pins
-    }
-
-    fn is_durable(&self) -> bool {
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,7 +351,7 @@ mod tests {
         let (mut store, recovered) = DurableStore::open(&dir, small_options()).unwrap();
         assert!(recovered.snapshot.is_none());
         assert!(recovered.blocks.is_empty());
-        store.apply_snapshot(tiny_snapshot(0)).unwrap();
+        store.apply_snapshot(tiny_snapshot(0), None).unwrap();
         for epoch in 1..=3 {
             store.record_block(&tiny_block_record(epoch)).unwrap();
         }
@@ -385,11 +370,11 @@ mod tests {
         let dir = scratch_dir("fsync");
         let options = DurableOptions { fsync: true, ..small_options() };
         let (mut store, _) = DurableStore::open(&dir, options.clone()).unwrap();
-        store.apply_snapshot(tiny_snapshot(0)).unwrap();
+        store.apply_snapshot(tiny_snapshot(0), None).unwrap();
         for epoch in 1..=5 {
             store.record_block(&tiny_block_record(epoch)).unwrap();
         }
-        store.apply_snapshot(tiny_snapshot(5)).unwrap();
+        store.apply_snapshot(tiny_snapshot(5), None).unwrap();
         store.record_block(&tiny_block_record(6)).unwrap();
         drop(store);
 
@@ -407,7 +392,7 @@ mod tests {
         let mut options = small_options();
         options.segment_bytes = 1; // rotate on every append
         let (mut store, _) = DurableStore::open(&dir, options.clone()).unwrap();
-        store.apply_snapshot(tiny_snapshot(0)).unwrap();
+        store.apply_snapshot(tiny_snapshot(0), None).unwrap();
         for epoch in 1..=6 {
             store.record_block(&tiny_block_record(epoch)).unwrap();
         }
@@ -415,7 +400,7 @@ mod tests {
 
         // Snapshot at 6, history 2 → floor 4, and the only snapshot at or
         // below 4 is genesis: nothing can be deleted yet.
-        let base = store.apply_snapshot(tiny_snapshot(6)).unwrap().unwrap();
+        let base = store.apply_snapshot(tiny_snapshot(6), None).unwrap();
         assert_eq!(base, 0);
         assert_eq!(store.snapshots, &[0, 6]);
         assert!(segment_path(&dir, 0).exists(), "early segments retained while base is 0");
@@ -426,7 +411,7 @@ mod tests {
         for epoch in 7..=12 {
             store.record_block(&tiny_block_record(epoch)).unwrap();
         }
-        let base = store.apply_snapshot(tiny_snapshot(12)).unwrap().unwrap();
+        let base = store.apply_snapshot(tiny_snapshot(12), None).unwrap();
         assert_eq!(base, 6);
         assert_eq!(store.snapshots, &[6, 12]);
         assert!(!segment_path(&dir, 0).exists(), "stale segments deleted");
@@ -444,20 +429,18 @@ mod tests {
     fn pinned_epoch_holds_back_compaction() {
         let dir = scratch_dir("pinned");
         let (mut store, _) = DurableStore::open(&dir, small_options()).unwrap();
-        store.apply_snapshot(tiny_snapshot(0)).unwrap();
-        let guard = store.pins().pin(0);
+        store.apply_snapshot(tiny_snapshot(0), None).unwrap();
         for epoch in 1..=5 {
             store.record_block(&tiny_block_record(epoch)).unwrap();
         }
-        let base = store.apply_snapshot(tiny_snapshot(5)).unwrap().unwrap();
+        let base = store.apply_snapshot(tiny_snapshot(5), Some(0)).unwrap();
         assert_eq!(base, 0, "pin at 0 holds the retention base at snapshot 0");
         assert_eq!(store.snapshots, &[0, 5]);
-        drop(guard);
 
         for epoch in 6..=9 {
             store.record_block(&tiny_block_record(epoch)).unwrap();
         }
-        let base = store.apply_snapshot(tiny_snapshot(9)).unwrap().unwrap();
+        let base = store.apply_snapshot(tiny_snapshot(9), None).unwrap();
         assert_eq!(base, 5, "unpinned: floor 9-2=7 → newest snapshot ≤ 7 is 5");
         assert_eq!(store.snapshots, &[5, 9]);
         let _ = fs::remove_dir_all(&dir);
@@ -470,7 +453,7 @@ mod tests {
         let options = DurableOptions { segment_bytes: 1 << 20, ..small_options() };
         let small_options = move || options.clone();
         let (mut store, _) = DurableStore::open(&dir, small_options()).unwrap();
-        store.apply_snapshot(tiny_snapshot(0)).unwrap();
+        store.apply_snapshot(tiny_snapshot(0), None).unwrap();
         for epoch in 1..=4 {
             store.record_block(&tiny_block_record(epoch)).unwrap();
         }
@@ -498,7 +481,7 @@ mod tests {
     fn journal_without_snapshot_is_corrupt() {
         let dir = scratch_dir("no-snap");
         let (mut store, _) = DurableStore::open(&dir, small_options()).unwrap();
-        store.apply_snapshot(tiny_snapshot(0)).unwrap();
+        store.apply_snapshot(tiny_snapshot(0), None).unwrap();
         store.record_block(&tiny_block_record(1)).unwrap();
         drop(store);
         for epoch in fs::read_dir(&dir).unwrap() {

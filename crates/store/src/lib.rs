@@ -1,18 +1,16 @@
-//! The durable state backend: periodic snapshots plus an append-only
-//! journal of per-block account write-sets, with segment rotation, crash
-//! recovery by torn-tail detection, and MVCC epoch pinning so garbage
-//! collection never reclaims a version a reader still holds.
+//! Durable chain state: periodic snapshots plus an append-only journal of
+//! per-block account write-sets, with segment rotation, crash recovery by
+//! torn-tail detection, and MVCC epoch pinning so garbage collection never
+//! reclaims a version a reader still holds.
 //!
 //! * [`record`] — length-prefixed, checksummed record framing and the
 //!   [`FaultWriter`] crash-injection wrapper;
 //! * [`codec`] — binary payloads: [`BlockRecord`] (block + receipts +
 //!   write-set) and [`SnapshotRecord`] (full state at one epoch);
 //! * [`durable`] — the [`DurableStore`] engine (journal segments,
-//!   atomic snapshots, pin-aware GC);
-//! * [`pins`] — the [`EpochPins`] refcount table and [`EpochGuard`];
-//! * [`backend`] — the [`StateBackend`] trait `ChainStore::open` selects
-//!   an implementation of, with [`InMemoryBackend`] as the non-persistent
-//!   one.
+//!   atomic snapshots, GC that never passes the lowest pinned epoch it is
+//!   given); a durable `ChainStore` holds one, an in-memory one none;
+//! * [`pins`] — the [`EpochPins`] refcount table and [`EpochGuard`].
 //!
 //! This crate is deliberately chain-agnostic: it knows blocks, receipts,
 //! and account images, but not execution or fork choice. `sereth-chain`
@@ -22,7 +20,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod codec;
 pub mod durable;
 pub mod pins;
@@ -30,7 +27,6 @@ pub mod record;
 
 use std::path::PathBuf;
 
-pub use backend::{InMemoryBackend, StateBackend};
 pub use codec::{AccountRecord, BlockRecord, CodeRecord, SnapshotRecord};
 pub use durable::{DurableOptions, DurableStore, Recovered};
 pub use pins::{EpochGuard, EpochPins};

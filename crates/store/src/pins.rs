@@ -19,9 +19,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-/// The shared pin table. Cloning shares the table (both clones see and
-/// affect the same pins), which is how a `ChainStore` and its backend
-/// consult one set of guards.
+/// The pin table. A `ChainStore` owns one: every view it hands out pins
+/// here, and it passes [`min_pinned`](Self::min_pinned) to its durable
+/// engine's GC. Cloning shares the table (both clones see and affect the
+/// same pins).
 #[derive(Debug, Clone, Default)]
 pub struct EpochPins {
     epochs: Arc<Mutex<BTreeMap<u64, Arc<AtomicU64>>>>,

@@ -41,7 +41,7 @@ pub use block::{Block, BlockHeader};
 pub use isolation::IsolationLevel;
 pub use receipt::{Log, Receipt, TxStatus};
 pub use transaction::{Transaction, TxPayload};
-pub use u256::{ParseU256Error, U256};
+pub use u256::U256;
 
 /// Milliseconds of simulated time since genesis. The discrete-event
 /// simulator in `sereth-net` advances this clock.

@@ -9,36 +9,12 @@
 use core::cmp::Ordering;
 use core::fmt;
 use core::ops::{Add, BitAnd, BitOr, BitXor, Mul, Not, Shl, Shr, Sub};
-use core::str::FromStr;
 
 use sereth_crypto::hash::H256;
 
 /// A 256-bit unsigned integer stored as four little-endian 64-bit limbs.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct U256(pub(crate) [u64; 4]);
-
-/// Error parsing a [`U256`] from a string.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ParseU256Error {
-    /// The string was empty.
-    Empty,
-    /// A character was not a valid digit for the radix.
-    InvalidDigit(char),
-    /// The value exceeds 2²⁵⁶ − 1.
-    Overflow,
-}
-
-impl fmt::Display for ParseU256Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Empty => write!(f, "empty integer string"),
-            Self::InvalidDigit(c) => write!(f, "invalid digit {c:?}"),
-            Self::Overflow => write!(f, "value exceeds 256 bits"),
-        }
-    }
-}
-
-impl std::error::Error for ParseU256Error {}
 
 impl U256 {
     /// The value 0.
@@ -138,14 +114,6 @@ impl U256 {
     /// Checked subtraction; `None` on underflow.
     pub fn checked_sub(self, rhs: Self) -> Option<Self> {
         match self.overflowing_sub(rhs) {
-            (value, false) => Some(value),
-            _ => None,
-        }
-    }
-
-    /// Checked multiplication; `None` on overflow.
-    pub fn checked_mul(self, rhs: Self) -> Option<Self> {
-        match self.overflowing_mul(rhs) {
             (value, false) => Some(value),
             _ => None,
         }
@@ -402,25 +370,6 @@ impl U256 {
             None
         }
     }
-
-    /// Parses a decimal string.
-    ///
-    /// # Errors
-    ///
-    /// See [`ParseU256Error`].
-    pub fn from_dec_str(s: &str) -> Result<Self, ParseU256Error> {
-        if s.is_empty() {
-            return Err(ParseU256Error::Empty);
-        }
-        let mut value = Self::ZERO;
-        let ten = Self::from(10u64);
-        for c in s.chars() {
-            let digit = c.to_digit(10).ok_or(ParseU256Error::InvalidDigit(c))?;
-            value = value.checked_mul(ten).ok_or(ParseU256Error::Overflow)?;
-            value = value.checked_add(Self::from(digit as u64)).ok_or(ParseU256Error::Overflow)?;
-        }
-        Ok(value)
-    }
 }
 
 impl From<u64> for U256 {
@@ -603,30 +552,6 @@ impl fmt::LowerHex for U256 {
     }
 }
 
-impl FromStr for U256 {
-    type Err = ParseU256Error;
-
-    /// Parses decimal, or hex when prefixed with `0x`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        if let Some(hex) = s.strip_prefix("0x") {
-            if hex.is_empty() {
-                return Err(ParseU256Error::Empty);
-            }
-            if hex.len() > 64 {
-                return Err(ParseU256Error::Overflow);
-            }
-            let mut value = Self::ZERO;
-            for c in hex.chars() {
-                let digit = c.to_digit(16).ok_or(ParseU256Error::InvalidDigit(c))?;
-                value = (value << 4) | Self::from(digit as u64);
-            }
-            Ok(value)
-        } else {
-            Self::from_dec_str(s)
-        }
-    }
-}
-
 impl core::iter::Sum for U256 {
     fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
         iter.fold(Self::ZERO, |acc, x| acc + x)
@@ -681,7 +606,6 @@ mod tests {
     fn mul_overflow_detected() {
         let high = U256::ONE << 200;
         assert!(high.overflowing_mul(high).1);
-        assert_eq!(high.checked_mul(high), None);
     }
 
     #[test]
@@ -749,38 +673,11 @@ mod tests {
 
     #[test]
     fn display_and_parse_decimal() {
-        let value = U256::from_dec_str(
-            "115792089237316195423570985008687907853269984665640564039457584007913129639935",
-        )
-        .unwrap();
-        assert_eq!(value, U256::MAX);
         assert_eq!(
-            value.to_string(),
+            U256::MAX.to_string(),
             "115792089237316195423570985008687907853269984665640564039457584007913129639935"
         );
         assert_eq!(U256::ZERO.to_string(), "0");
-        assert_eq!("123".parse::<U256>().unwrap(), U256::from(123u64));
-    }
-
-    #[test]
-    fn parse_hex() {
-        assert_eq!("0xff".parse::<U256>().unwrap(), U256::from(255u64));
-        assert_eq!("0x0".parse::<U256>().unwrap(), U256::ZERO);
-        assert!("0x".parse::<U256>().is_err());
-        assert!("0xzz".parse::<U256>().is_err());
-    }
-
-    #[test]
-    fn parse_errors() {
-        assert_eq!(U256::from_dec_str(""), Err(ParseU256Error::Empty));
-        assert_eq!(U256::from_dec_str("12a"), Err(ParseU256Error::InvalidDigit('a')));
-        // One more than U256::MAX.
-        assert_eq!(
-            U256::from_dec_str(
-                "115792089237316195423570985008687907853269984665640564039457584007913129639936"
-            ),
-            Err(ParseU256Error::Overflow)
-        );
     }
 
     #[test]

@@ -45,7 +45,8 @@ fn main() {
     );
     println!(
         "  strict part: {} serialized intervals; buys per interval = {:?}\n",
-        report.tallies.intervals, report.tallies.buys_per_interval
+        report.tallies.intervals(),
+        report.tallies.buys_per_interval
     );
 
     // --- 4. The per-level verdict table. ----------------------------------
@@ -59,8 +60,8 @@ fn main() {
             report.violations_at(level),
         );
     }
-    for violation in report.violations.iter().take(4) {
-        println!("  ! forbidden at {}: {:?}", violation.forbidden_at.label(), violation.anomaly);
+    for anomaly in report.violations.iter().take(4) {
+        println!("  ! forbidden at {}: {:?}", anomaly.forbidden_at().label(), anomaly);
     }
     if report.violations.len() > 4 {
         println!("  … and {} more", report.violations.len() - 4);

@@ -37,7 +37,7 @@ fn audit(output: &RunOutput, initial_price: u64) {
     // tally of effective operations must equal what the metrics counted.
     assert_eq!(tallies.sets_ok as u64, output.metrics.sets_succeeded, "{}", output.scenario);
     assert_eq!(tallies.buys_ok as u64, output.metrics.buys_succeeded, "{}", output.scenario);
-    assert_eq!(tallies.intervals, tallies.sets_ok, "every effective set opens exactly one interval");
+    assert_eq!(tallies.intervals(), tallies.sets_ok, "every effective set opens exactly one interval");
 }
 
 fn small(mut config: ScenarioConfig) -> ScenarioConfig {
